@@ -18,7 +18,7 @@ from .fine_fem import (
     functional_value,
     solve_dirichlet,
 )
-from .indicators import dual_norm, eta_dwr, eta_goal_h1, eta_standard, local_residual
+from .indicators import eta_dwr, eta_goal_h1, eta_standard, local_residual
 from .mesh import GridHierarchy, build_grids, neighborhood
 from .ms_space import (
     build_basis,

@@ -136,6 +136,19 @@ class ProblemSetup:
         self.space = space
         self.u_ref = u_ref
         self.neighborhoods = space.neighborhoods
+        self._norm_caches = {}
+
+    def norm_cache(self, mode):
+        """The ResidualNormCache of dual-norm ``mode``, built on first use.
+
+        Every strategy run on this problem shares it; it is not built in
+        ``build_problem`` because goal_dwr never needs one.
+        """
+        if mode not in self._norm_caches:
+            self._norm_caches[mode] = indicators.ResidualNormCache(
+                self.neighborhoods, self.stiffness, mode=mode, spectra=self.space.spectra
+            )
+        return self._norm_caches[mode]
 
 
 def build_problem(grid, field, f_density, g_density, initial_count=1):
@@ -174,9 +187,7 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     A = problem.stiffness
     space = problem.space
-    norm_cache = indicators.ResidualNormCache(
-        problem.neighborhoods, A, mode=cfg.dual_norm_mode, spectra=space.spectra
-    )
+    norm_cache = None if strategy == "goal_dwr" else problem.norm_cache(cfg.dual_norm_mode)
     trace = AdaptTrace(strategy=strategy)
     start = time.perf_counter()
 

@@ -1,7 +1,10 @@
-"""Coarse coupling of the multiscale basis and primal/dual coarse solves."""
+"""Coarse coupling of the multiscale basis and primal/dual coarse solves.
+
+Every coarse system takes one path, a sparse direct factorization with
+diagonal pivots and refinement in extended precision (see CoarseSystem).
+"""
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -18,10 +21,6 @@ __all__ = [
     "truncate",
     "truncate_solution",
 ]
-
-# Above this dimension the coarse solve switches from dense Cholesky to
-# Jacobi-preconditioned CG.
-DENSE_CUTOFF = 2000
 
 COARSE_RTOL = 1e-12
 
@@ -51,61 +50,65 @@ class CoarseSolution:
 class CoarseSystem:
     """Galerkin system on the span of an offline space's basis columns.
 
-    Holds R (basis matrix), A_c = R' A R and the primal load R' b.  Solves are
-    symmetrically diagonal-scaled and iteratively refined to a relative
-    residual of 1e-12; dense Cholesky is used up to DENSE_CUTOFF dofs and
-    Jacobi-preconditioned CG above.
+    Holds R (basis matrix), the sparse A_c = R' A R and the primal load R' b.
+    The first solve factors the unit-diagonal matrix D^-1/2 A_c D^-1/2 with
+    SuperLU, ordered by minimum degree on its symmetric pattern and pivoting
+    on the diagonal only, so the factor is the LDL' of an SPD matrix.  A
+    factorization that is exactly singular, would pivot off the diagonal, or
+    has a pivot at most dim * eps means A_c is not SPD and raises
+    RankDeficientBasis.  Each solve is refined with residuals in extended
+    precision to a relative residual of 1e-12.
     """
 
-    def __init__(self, space, A, b, dense_cutoff=DENSE_CUTOFF):
+    def __init__(self, space, A, b):
         self.space = space
         self.R = space.basis_matrix()
-        product = (self.R.T @ (A @ self.R)).tocsr()
+        self.matrix = (self.R.T @ (A @ self.R)).tocsc()
         self.dim = space.total_dofs
-        self.dense = self.dim <= dense_cutoff
-        self.matrix = product.toarray() if self.dense else product
         self.load = self.R.T @ b
-        diag = product.diagonal()
+        diag = self.matrix.diagonal()
         if np.any(diag <= 0):
             raise RankDeficientBasis("coarse stiffness has a nonpositive diagonal entry")
         self._scale = np.sqrt(diag)
         self._factor = None
         self._matrix_ld = None
 
-    def _scaled_matrix(self):
-        if self.dense:
-            return self.matrix / np.outer(self._scale, self._scale)
+    @property
+    def dense(self):
+        """Always False: no coarse system is solved dense.
+
+        Kept because the benchmark's tracer (``perfbench/tracing.py``) reads
+        it to split its dense/CG system counts.
+        """
+        return False
+
+    def _factorize(self):
         d = sparse.diags(1.0 / self._scale)
-        return (d @ self.matrix @ d).tocsr()
-
-    def _diagnose_rank_deficiency(self):
-        gram = self._scaled_matrix()
-        gram = gram if self.dense else gram.toarray()
-        off = np.abs(gram - np.diag(np.diag(gram)))
-        p, q = np.unravel_index(np.argmax(off), off.shape)
-        raise RankDeficientBasis(
-            f"coarse stiffness is not SPD; most collinear columns {p} and {q} "
-            f"(normalized inner product {gram[p, q]:.6f})",
-            columns=(int(p), int(q)),
-        )
-
-    def _scaled_solve(self, rhs_scaled):
-        if self.dense:
-            if self._factor is None:
-                try:
-                    self._factor = scipy.linalg.cho_factor(self._scaled_matrix())
-                except scipy.linalg.LinAlgError:
-                    self._diagnose_rank_deficiency()
-            return scipy.linalg.cho_solve(self._factor, rhs_scaled)
-        if self._factor is None:
-            # the symmetric diagonal scaling above is the Jacobi preconditioner
-            self._factor = self._scaled_matrix()
-        x, info = spla.cg(self._factor, rhs_scaled, rtol=1e-14, atol=0.0, maxiter=20 * self.dim)
-        if info < 0:
-            raise SolveFailure(f"CG breakdown on coarse system (info={info})")
-        # info > 0 (not fully converged) falls through to the refinement loop,
-        # which decides whether the residual contract holds
-        return x
+        scaled = (d @ self.matrix @ d).tocsc()
+        try:
+            factor = spla.splu(
+                scaled,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError:  # SuperLU: factor is exactly singular
+            factor = None
+        if (
+            factor is None
+            or np.any(factor.perm_r != factor.perm_c)
+            or factor.U.diagonal().min() <= self.dim * np.finfo(float).eps
+        ):
+            # report the pair of columns with the largest normalized inner product
+            upper = sparse.triu(scaled, k=1, format="coo")
+            k = int(np.argmax(np.abs(upper.data)))
+            p, q = int(upper.row[k]), int(upper.col[k])
+            raise RankDeficientBasis(
+                f"coarse stiffness is not SPD; most collinear columns {p} and {q} "
+                f"(normalized inner product {upper.data[k]:.6f})",
+                columns=(p, q),
+            )
+        return factor
 
     def solve(self, rhs, tag):
         """Solve A_c c = rhs to 1e-12 relative residual; attach R c.
@@ -119,19 +122,19 @@ class CoarseSystem:
         if norm_rhs == 0.0:
             c = np.zeros(self.dim)
             return CoarseSolution(c, np.zeros(self.R.shape[0]), self.space, tag)
-        if self._matrix_ld is None:
+        if self._factor is None:
+            self._factor = self._factorize()
             self._matrix_ld = self.matrix.astype(np.longdouble)
-        matrix_ld = self._matrix_ld
         rhs_ld = rhs.astype(np.longdouble)
-        c = self._scaled_solve(rhs / self._scale).astype(np.longdouble) / self._scale
+        c = self._factor.solve(rhs / self._scale).astype(np.longdouble) / self._scale
         for _ in range(10):
-            resid = rhs_ld - matrix_ld @ c
+            resid = rhs_ld - self._matrix_ld @ c
             achieved = float(np.linalg.norm(resid.astype(float)))
             if achieved <= COARSE_RTOL * norm_rhs:
                 c64 = c.astype(float)
                 return CoarseSolution(c64, self.R @ c64, self.space, tag)
             step = np.asarray(resid, dtype=float)
-            c = c + self._scaled_solve(step / self._scale) / self._scale
+            c = c + self._factor.solve(step / self._scale) / self._scale
         raise SolveFailure(
             f"coarse solve stalled at relative residual {achieved / norm_rhs:.3e} "
             f"(contract {COARSE_RTOL:.1e}, dim {self.dim})",
@@ -139,9 +142,9 @@ class CoarseSystem:
         )
 
 
-def assemble_coarse(space, A, b, dense_cutoff=DENSE_CUTOFF):
+def assemble_coarse(space, A, b):
     """Couple the basis into the global form: A_c = R' A R, b_c = R' b."""
-    return CoarseSystem(space, A, b, dense_cutoff=dense_cutoff)
+    return CoarseSystem(space, A, b)
 
 
 def solve_primal(system):

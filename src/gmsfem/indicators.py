@@ -23,7 +23,6 @@ __all__ = [
     "ResidualNormCache",
     "fine_residual",
     "local_residual",
-    "dual_norm",
     "eta_standard",
     "eta_goal_h1",
     "eta_dwr",
@@ -85,11 +84,14 @@ def local_residual(u, load, A, neigh, tag=None):
 
 
 class ResidualNormCache:
-    """Per-neighborhood factorizations for repeated dual-norm evaluations.
+    """Dual norms ||R_i||_{V_i*} of local residuals, with per-neighborhood data
+    computed once.
 
-    mode='exact' factors the zero-trace operator of each neighborhood once;
-    mode='snapshot' precomputes the Galerkin data of the zero-trace parts of
-    the snapshots (a lower bound by the subspace inequality).
+    mode='exact' factors the zero-trace operator of each neighborhood once and
+    returns ||w||_a of the solution of a(w, v) = R(v) on the zero-trace space;
+    mode='snapshot' solves that problem in the span of the zero-trace parts of
+    the snapshots from precomputed Galerkin data, which can only give a
+    smaller value (subspace inequality).
     """
 
     def __init__(self, neighborhoods, A, mode="exact", spectra=None):
@@ -117,29 +119,6 @@ class ResidualNormCache:
         rhs = T.T @ rho
         y, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         return float(np.sqrt(max(float(rhs @ y), 0.0)))
-
-
-def dual_norm(res, neigh, A, mode="exact", snapshots=None):
-    """One-shot dual norm ||R_i||_{V_i*} of a local residual.
-
-    mode='exact' solves the auxiliary problem a(w, v) = R(v) on the zero-trace
-    space and returns ||w||_a; mode='snapshot' solves it in the span of the
-    snapshots' zero-trace parts, which can only be smaller.
-    """
-    A_zt = local_operator(neigh, A, "zero_trace")
-    rho = res.values
-    if mode == "exact":
-        w = spla.splu(A_zt.tocsc()).solve(rho)
-        return float(np.sqrt(max(float(rho @ w), 0.0)))
-    if mode == "snapshot":
-        if snapshots is None:
-            raise ValueError("snapshot mode needs the neighborhood snapshot matrix")
-        T = snapshots[neigh.interior_local]
-        gram = T.T @ (A_zt @ T)
-        rhs = T.T @ rho
-        y, *_ = np.linalg.lstsq(0.5 * (gram + gram.T), rhs, rcond=None)
-        return float(np.sqrt(max(float(rhs @ y), 0.0)))
-    raise ValueError(f"mode must be 'exact' or 'snapshot', got {mode!r}")
 
 
 def _lambda_weights(space):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gmsfem import cli, coarse_solve, fine_fem, mesh, ms_space
 from gmsfem.coarse_solve import RankDeficientBasis
@@ -109,18 +110,46 @@ def test_solve_residual_contract(channel_problem):
     assert resid <= 1e-12 * np.linalg.norm(system.load)
 
 
-def test_dense_and_sparse_paths_agree(small_problem):
-    A = small_problem.stiffness
-    space = small_problem.space
-    dense = coarse_solve.assemble_coarse(space, A, small_problem.f_load)
-    sparse_sys = coarse_solve.assemble_coarse(space, A, small_problem.f_load, dense_cutoff=0)
-    assert dense.dense and not sparse_sys.dense
-    u_dense = coarse_solve.solve_primal(dense)
-    u_sparse = coarse_solve.solve_primal(sparse_sys)
-    scale = np.abs(u_dense.coefficients).max()
-    assert np.abs(u_dense.coefficients - u_sparse.coefficients).max() < 1e-9 * scale
-    resid = np.linalg.norm(sparse_sys.load - sparse_sys.matrix @ u_sparse.coefficients)
-    assert resid <= 1e-12 * np.linalg.norm(sparse_sys.load)
+def test_sparse_direct_solve_matches_dense_reference(small_problem, channel_problem):
+    # the extended channel space has more than 2000 dofs and a scaled condition
+    # number near 1e9: a 1e-12 residual fixes the Galerkin solution R c to 1e-9
+    # there, but its coefficients only to about 1e-8 (as far as a dense solve
+    # itself gets), so coefficients are compared on the well-conditioned space
+    cases = (
+        (small_problem, small_problem.space, True),
+        (channel_problem, channel_problem.space.extended(24), False),
+    )
+    for problem, space, compare_coefficients in cases:
+        system = coarse_solve.assemble_coarse(space, problem.stiffness, problem.f_load)
+        u = coarse_solve.solve_primal(system)
+        reference = scipy.linalg.solve(system.matrix.toarray(), system.load)
+        if compare_coefficients:
+            scale = np.abs(reference).max()
+            assert np.abs(u.coefficients - reference).max() < 1e-9 * scale
+        else:
+            assert system.dim > 2000
+        fine_reference = system.R @ reference
+        assert np.abs(u.fine - fine_reference).max() < 1e-9 * np.abs(fine_reference).max()
+        resid = np.linalg.norm(system.load - system.matrix @ u.coefficients)
+        assert resid <= 1e-12 * np.linalg.norm(system.load)
+
+
+@pytest.mark.parametrize("nb", [0, 44, 48, 56, 80])
+def test_duplicated_basis_column_is_rejected(channel_problem, nb):
+    # at nb = 44, 48 and 56 roundoff leaves the duplicated column a Cholesky
+    # pivot of order eps instead of a nonpositive one, so a factorization
+    # that only fails on nonpositive pivots accepts the basis
+    space = channel_problem.space.extended(3)
+    candidates = [c.copy() for c in space.candidates]
+    candidates[nb][:, 2] = candidates[nb][:, 0]
+    broken = ms_space.OfflineSpace(
+        space.grid, space.neighborhoods, space.pu, space.spectra, candidates, space.counts
+    )
+    system = coarse_solve.assemble_coarse(broken, channel_problem.stiffness, channel_problem.f_load)
+    with pytest.raises(RankDeficientBasis) as err:
+        coarse_solve.solve_primal(system)
+    start = int(space.offsets[nb])
+    assert err.value.columns == (start, start + 2)
 
 
 def test_enrichment_never_increases_energy_error(small_problem):

@@ -71,54 +71,57 @@ def test_local_residual_is_global_restriction(channel_state):
 def test_dual_norm_zero_and_homogeneity(channel_state):
     problem = channel_state["problem"]
     neigh = problem.neighborhoods[40]
-    A = problem.stiffness
-    zero = indicators.LocalResidual(neigh.vertex_id, np.zeros(len(neigh.interior_local)), "primal")
-    assert indicators.dual_norm(zero, neigh, A) == 0.0
-    res = indicators.local_residual(channel_state["u_ms"], problem.f_load, A, neigh)
-    base = indicators.dual_norm(res, neigh, A)
-    scaled = indicators.LocalResidual(neigh.vertex_id, -3.0 * res.values, "primal")
-    assert indicators.dual_norm(scaled, neigh, A) == pytest.approx(3.0 * base, rel=1e-12)
+    cache = problem.norm_cache("exact")
+    assert cache.norm(40, np.zeros(len(neigh.interior_local))) == 0.0
+    rho = channel_state["rho_u"][neigh.fine_vertices_interior]
+    base = cache.norm(40, rho)
+    assert cache.norm(40, -3.0 * rho) == pytest.approx(3.0 * base, rel=1e-12)
 
 
 def test_snapshot_norm_below_exact(channel_state):
     problem = channel_state["problem"]
-    space = channel_state["space"]
-    A = problem.stiffness
+    rho = channel_state["rho_u"]
+    exact = problem.norm_cache("exact")
+    snap = problem.norm_cache("snapshot")
     for i in (0, 27, 55, 80):
-        neigh = problem.neighborhoods[i]
-        res = indicators.local_residual(channel_state["u_ms"], problem.f_load, A, neigh)
-        exact = indicators.dual_norm(res, neigh, A, mode="exact")
-        snap = indicators.dual_norm(
-            res, neigh, A, mode="snapshot", snapshots=space.spectra[i].snapshots
-        )
-        assert snap <= exact + 1e-10
+        rho_i = rho[problem.neighborhoods[i].fine_vertices_interior]
+        assert snap.norm(i, rho_i) <= exact.norm(i, rho_i) + 1e-10
 
 
-def test_norm_cache_matches_one_shot(channel_state):
+def test_norm_cache_matches_dense_reference(channel_state):
+    # reference: the auxiliary problem a(w, v) = R(v) solved densely on the
+    # zero-trace space (exact) or in the snapshots' zero-trace span (snapshot)
     problem = channel_state["problem"]
     space = channel_state["space"]
     A = problem.stiffness
     rho = channel_state["rho_u"]
     for mode in ("exact", "snapshot"):
-        cache = indicators.ResidualNormCache(
-            problem.neighborhoods, A, mode=mode, spectra=space.spectra
-        )
+        cache = problem.norm_cache(mode)
         for i in (3, 44):
             neigh = problem.neighborhoods[i]
-            res = indicators.local_residual(channel_state["u_ms"], problem.f_load, A, neigh)
-            one_shot = indicators.dual_norm(
-                res, neigh, A, mode=mode, snapshots=space.spectra[i].snapshots
-            )
-            cached = cache.norm(i, rho[neigh.fine_vertices_interior])
-            assert cached == pytest.approx(one_shot, rel=1e-10, abs=1e-14)
+            rho_i = rho[neigh.fine_vertices_interior]
+            A_zt = fine_fem.local_operator(neigh, A, "zero_trace").toarray()
+            if mode == "exact":
+                reference = np.sqrt(rho_i @ np.linalg.solve(A_zt, rho_i))
+            else:
+                T = space.spectra[i].snapshots[neigh.interior_local]
+                gram = T.T @ A_zt @ T
+                rhs = T.T @ rho_i
+                y, *_ = np.linalg.lstsq(0.5 * (gram + gram.T), rhs, rcond=None)
+                reference = np.sqrt(rhs @ y)
+            cached = cache.norm(i, rho_i)
+            assert cached == pytest.approx(reference, rel=1e-10, abs=1e-14)
+
+
+def test_norm_cache_built_once_per_mode(channel_problem):
+    assert channel_problem.norm_cache("exact") is channel_problem.norm_cache("exact")
+    assert channel_problem.norm_cache("exact").mode == "exact"
 
 
 def test_dual_norm_rejects_unknown_mode(channel_state):
     problem = channel_state["problem"]
-    neigh = problem.neighborhoods[0]
-    res = indicators.LocalResidual(0, np.zeros(len(neigh.interior_local)), "primal")
     with pytest.raises(ValueError):
-        indicators.dual_norm(res, neigh, problem.stiffness, mode="approximate")
+        indicators.ResidualNormCache(problem.neighborhoods, problem.stiffness, mode="approximate")
     with pytest.raises(ValueError):
         indicators.ResidualNormCache(problem.neighborhoods, problem.stiffness, mode="snapshot")
 
@@ -129,7 +132,7 @@ def test_dual_norm_rejects_unknown_mode(channel_state):
 
 def _norms(state, rho):
     problem = state["problem"]
-    cache = indicators.ResidualNormCache(problem.neighborhoods, problem.stiffness)
+    cache = problem.norm_cache("exact")
     return np.array(
         [cache.norm(i, rho[n.fine_vertices_interior]) for i, n in enumerate(problem.neighborhoods)]
     )
