@@ -2,24 +2,17 @@
 
 from .adapt import MarkingConfig, STRATEGIES, adapt_loop, build_problem, mark
 from .cli import ExperimentConfig, generate_field, read_field, run_experiment, write_field
-from .coarse_solve import (
-    assemble_coarse,
-    neighborhood_component,
-    solve_dual,
-    solve_primal,
-    truncate,
-)
+from .coarse_solve import assemble_coarse, solve_dual, solve_primal
 from .fine_fem import (
     CoefficientField,
     assemble_load,
     assemble_stiffness,
     assemble_weighted_mass,
     energy_norm,
-    functional_value,
     solve_dirichlet,
 )
-from .indicators import eta_dwr, eta_goal_h1, eta_standard, local_residual
-from .mesh import GridHierarchy, build_grids, neighborhood
+from .indicators import eta_dwr, eta_goal_h1, eta_standard
+from .mesh import GridHierarchy
 from .ms_space import (
     build_basis,
     compute_partition_of_unity,

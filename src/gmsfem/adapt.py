@@ -52,6 +52,8 @@ class MarkingConfig:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if self.s < 1:
             raise ValueError(f"enrichment width s must be >= 1, got {self.s}")
+        if self.m_enrich < 1:
+            raise ValueError(f"DWR dual width m_enrich must be >= 1, got {self.m_enrich}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.strategy not in ("full_sort", "binning"):
@@ -165,7 +167,7 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     for neigh in neighborhoods:
         patch_A = fine_fem.patch_stiffness(grid, field, neigh)
         patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-        snapshots = ms_space.compute_snapshots(neigh, field, patch_matrix=patch_A)
+        snapshots = ms_space.compute_snapshots(neigh, patch_A)
         spectra.append(ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snapshots))
     counts = [s.cluster_end(min(initial_count, s.n_snapshots)) for s in spectra]
     space = ms_space.build_basis(pu, spectra, counts)
@@ -216,14 +218,10 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
                 ]
                 report = indicators.eta_goal_h1(space, norms_u, norms_z, iteration)
             else:
-                if cfg.m_enrich < 1:
-                    raise ValueError("goal_dwr requires m_enrich >= 1")
                 enriched_system = coarse_solve.assemble_coarse(
                     space.extended(cfg.m_enrich), A, problem.f_load
                 )
-                z_enrich = coarse_solve.solve_dual(
-                    enriched_system, problem.g_load, enriched=True
-                )
+                z_enrich = coarse_solve.solve_dual(enriched_system, problem.g_load)
                 report = indicators.eta_dwr(space, rho_u, z_enrich, iteration)
         except (fine_fem.SolveFailure, coarse_solve.RankDeficientBasis) as exc:
             raise AdaptFailure(
@@ -269,22 +267,24 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
     return trace
 
 
-def write_trace_csv(trace, path, extra=None):
-    """Write one trace as CSV; ``extra`` appends fixed configuration columns.
+def _write_csv(traces, path, extra):
+    """Write traces under one header; ``extra`` appends fixed configuration
+    columns to every row.
 
     Wall time is deliberately omitted so repeated runs are byte-identical.
     """
-    extra = extra or {}
     header = "strategy,iteration,dofs,energy_error,goal_error,sum_eta_sq,marked_count"
-    if extra:
-        header += "," + ",".join(extra)
+    tail = "".join(f",{value}" for value in extra.values())
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in trace.rows:
-            line = (
-                f"{trace.strategy},{row.iteration},{row.dofs},{row.energy_error!r},"
-                f"{row.goal_error!r},{row.sum_eta_sq!r},{row.marked_count}"
-            )
-            if extra:
-                line += "," + ",".join(str(v) for v in extra.values())
-            fh.write(line + "\n")
+        fh.write(header + "".join(f",{name}" for name in extra) + "\n")
+        for trace in traces:
+            for row in trace.rows:
+                fh.write(
+                    f"{trace.strategy},{row.iteration},{row.dofs},{row.energy_error!r},"
+                    f"{row.goal_error!r},{row.sum_eta_sq!r},{row.marked_count}{tail}\n"
+                )
+
+
+def write_trace_csv(trace, path, extra=None):
+    """Write one trace as CSV; ``extra`` appends fixed configuration columns."""
+    _write_csv([trace], path, extra or {})

@@ -18,13 +18,14 @@ from .adapt import (
     AdaptFailure,
     MarkingConfig,
     STRATEGIES,
+    _write_csv,
     adapt_loop,
     build_problem,
     write_trace_csv,
 )
 from .fine_fem import CoefficientField
 from .indicators import dump_indicators
-from .mesh import build_grids
+from .mesh import GridHierarchy
 from .ms_space import dump_spectra
 
 __all__ = [
@@ -234,7 +235,7 @@ def run_experiment(config, verbose=True):
     ``config.out_dir`` and prints a dofs-per-goal-error-decade summary.
     Returns the traces keyed by strategy.
     """
-    grid = build_grids(config.nc, config.r)
+    grid = GridHierarchy(config.nc, config.r)
     field = _load_field(config, grid)
     f_density = box_fraction(grid, config.k1_box) - box_fraction(grid, config.k2_box)
     problem = build_problem(
@@ -269,29 +270,11 @@ def run_experiment(config, verbose=True):
                 f"({trace.stop_reason})"
             )
 
-    _write_comparison(traces, config, extra)
+    comparison = [traces[strategy] for strategy in config.strategies]
+    _write_csv(comparison, os.path.join(config.out_dir, "comparison.csv"), extra)
     if verbose:
         _print_summary(traces)
     return traces
-
-
-def _write_comparison(traces, config, extra):
-    path = os.path.join(config.out_dir, "comparison.csv")
-    header = (
-        "strategy,iteration,dofs,energy_error,goal_error,sum_eta_sq,marked_count,"
-        + ",".join(extra)
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for strategy in config.strategies:
-            trace = traces[strategy]
-            for row in trace.rows:
-                fh.write(
-                    f"{strategy},{row.iteration},{row.dofs},{row.energy_error!r},"
-                    f"{row.goal_error!r},{row.sum_eta_sq!r},{row.marked_count},"
-                    + ",".join(str(v) for v in extra.values())
-                    + "\n"
-                )
 
 
 def _print_summary(traces):

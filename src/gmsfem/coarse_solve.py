@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .fine_fem import SolveFailure
+from .fine_fem import _refine
 
 __all__ = [
     "CoarseSystem",
@@ -17,8 +17,6 @@ __all__ = [
     "assemble_coarse",
     "solve_primal",
     "solve_dual",
-    "neighborhood_component",
-    "truncate",
     "truncate_solution",
 ]
 
@@ -36,11 +34,10 @@ class RankDeficientBasis(RuntimeError):
 class CoarseSolution:
     """Coefficients over the coarse dofs plus the fine-grid representation."""
 
-    def __init__(self, coefficients, fine, space, tag):
+    def __init__(self, coefficients, fine, space):
         self.coefficients = coefficients
         self.fine = fine
         self.space = space
-        self.tag = tag
 
     def component_coefficients(self, i):
         """Coefficient slice of neighborhood i."""
@@ -110,7 +107,7 @@ class CoarseSystem:
             )
         return factor
 
-    def solve(self, rhs, tag):
+    def solve(self, rhs):
         """Solve A_c c = rhs to 1e-12 relative residual; attach R c.
 
         Refinement residuals are accumulated in extended precision so the
@@ -118,28 +115,22 @@ class CoarseSystem:
         noise of A_c @ c alone can exceed it.
         """
         rhs = np.asarray(rhs, dtype=float)
-        norm_rhs = np.linalg.norm(rhs)
-        if norm_rhs == 0.0:
-            c = np.zeros(self.dim)
-            return CoarseSolution(c, np.zeros(self.R.shape[0]), self.space, tag)
+        if np.linalg.norm(rhs) == 0.0:
+            return CoarseSolution(np.zeros(self.dim), np.zeros(self.R.shape[0]), self.space)
         if self._factor is None:
             self._factor = self._factorize()
             self._matrix_ld = self.matrix.astype(np.longdouble)
-        rhs_ld = rhs.astype(np.longdouble)
         c = self._factor.solve(rhs / self._scale).astype(np.longdouble) / self._scale
-        for _ in range(10):
-            resid = rhs_ld - self._matrix_ld @ c
-            achieved = float(np.linalg.norm(resid.astype(float)))
-            if achieved <= COARSE_RTOL * norm_rhs:
-                c64 = c.astype(float)
-                return CoarseSolution(c64, self.R @ c64, self.space, tag)
-            step = np.asarray(resid, dtype=float)
-            c = c + self._factor.solve(step / self._scale) / self._scale
-        raise SolveFailure(
-            f"coarse solve stalled at relative residual {achieved / norm_rhs:.3e} "
-            f"(contract {COARSE_RTOL:.1e}, dim {self.dim})",
-            achieved=achieved / norm_rhs,
+        c = _refine(
+            lambda resid: self._factor.solve(resid / self._scale) / self._scale,
+            self._matrix_ld,
+            rhs,
+            c,
+            COARSE_RTOL,
+            10,
+            f"coarse solve (dim {self.dim})",
         )
+        return CoarseSolution(c, self.R @ c, self.space)
 
 
 def assemble_coarse(space, A, b):
@@ -149,34 +140,15 @@ def assemble_coarse(space, A, b):
 
 def solve_primal(system):
     """Multiscale solution of the primal problem in the system's space."""
-    return system.solve(system.load, tag="primal")
+    return system.solve(system.load)
 
 
-def solve_dual(system, g_load, enriched=False):
+def solve_dual(system, g_load):
     """Multiscale dual solution; same matrix (symmetric form), goal load.
 
     ``g_load`` is the fine-grid load vector of the goal functional.
     """
-    rhs = system.R.T @ np.asarray(g_load, dtype=float)
-    return system.solve(rhs, tag="dual_enriched" if enriched else "dual")
-
-
-def neighborhood_component(sol, i):
-    """Fine representation of the part of ``sol`` carried by neighborhood i."""
-    return truncate(sol, i, int(sol.space.counts[i]))
-
-
-def truncate(sol, i, l_i):
-    """Fine representation of neighborhood i's component, keeping its first
-    ``l_i`` basis functions (coefficient truncation)."""
-    space = sol.space
-    keep = min(int(l_i), int(space.counts[i]))
-    out = np.zeros(space.grid.n_vertices)
-    if keep > 0:
-        coeffs = sol.component_coefficients(i)[:keep]
-        neigh = space.neighborhoods[i]
-        out[neigh.fine_vertices_all] = space.candidates[i][:, :keep] @ coeffs
-    return out
+    return system.solve(system.R.T @ np.asarray(g_load, dtype=float))
 
 
 def truncate_solution(sol, counts):
@@ -192,4 +164,4 @@ def truncate_solution(sol, counts):
         sl = space.column_slice(i)
         keep = min(int(counts[i]), int(space.counts[i]))
         coeffs[sl.start + keep : sl.stop] = 0.0
-    return CoarseSolution(coeffs, space.basis_matrix() @ coeffs, space, sol.tag)
+    return CoarseSolution(coeffs, space.basis_matrix() @ coeffs, space)

@@ -20,7 +20,6 @@ __all__ = [
     "solve_dirichlet",
     "local_operator",
     "energy_norm",
-    "functional_value",
 ]
 
 # Reference Q1 matrices on a square, node order [v00, v10, v11, v01].
@@ -162,6 +161,31 @@ def assemble_load(grid, density):
     return b
 
 
+def _refine(correct, A_ld, b, x, rtol, steps, label):
+    """Iterative refinement of A x = b with residuals in extended precision.
+
+    ``A_ld`` is the matrix in ``np.longdouble``, ``x`` the start iterate (in
+    longdouble) and ``correct`` maps a float64 residual to the float64
+    correction, typically a solve with an existing factorization.  Up to
+    ``steps`` residuals are checked against ``||b - A x|| <= rtol * ||b||``;
+    the first that meets it returns x as float64.  Raises SolveFailure, with
+    ``label`` and the achieved relative residual, if none does.
+    """
+    norm_b = np.linalg.norm(b)
+    b_ld = b.astype(np.longdouble)
+    for _ in range(steps):
+        resid = b_ld - A_ld @ x
+        achieved = float(np.linalg.norm(resid.astype(float)))
+        if achieved <= rtol * norm_b:
+            return x.astype(float)
+        x = x + correct(np.asarray(resid, dtype=float))
+    raise SolveFailure(
+        f"{label} stalled at relative residual {achieved / norm_b:.3e} "
+        f"(contract {rtol:.1e})",
+        achieved=achieved / norm_b,
+    )
+
+
 def solve_dirichlet(A, b, fixed, rtol=1e-10):
     """Solve A u = b with u = 0 on the ``fixed`` dofs.
 
@@ -179,49 +203,25 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
     free = np.setdiff1d(np.arange(n), np.asarray(fixed, dtype=int))
     u = np.zeros(n)
     b_f = b[free]
-    norm_b = np.linalg.norm(b_f)
-    if norm_b == 0.0:
+    if np.linalg.norm(b_f) == 0.0:
         return u
     A_ff = A[free][:, free].tocsc()
     lu = spla.splu(A_ff)
     x = lu.solve(b_f).astype(np.longdouble)
-    A_ld = A_ff.astype(np.longdouble)
-    b_ld = b_f.astype(np.longdouble)
-    for _ in range(6):
-        resid = b_ld - A_ld @ x
-        achieved = float(np.linalg.norm(resid.astype(float)))
-        if achieved <= rtol * norm_b:
-            u[free] = x.astype(float)
-            return u
-        x = x + lu.solve(np.asarray(resid, dtype=float))
-    raise SolveFailure(
-        f"Dirichlet solve stalled at relative residual {achieved / norm_b:.3e} "
-        f"(contract {rtol:.1e})",
-        achieved=achieved / norm_b,
-    )
+    u[free] = _refine(lu.solve, A_ff.astype(np.longdouble), b_f, x, rtol, 6, "Dirichlet solve")
+    return u
 
 
-def local_operator(neigh, A, kind="zero_trace"):
-    """Principal submatrix of A on a neighborhood's fine vertices.
+def local_operator(neigh, A):
+    """Principal submatrix of A on a neighborhood's interior fine vertices.
 
-    kind='all' keeps the whole patch, kind='zero_trace' only the interior
-    vertices (the discrete H^1_0(omega) operator, exact because the stencil of
-    an interior vertex never leaves the patch).
+    This is the discrete H^1_0(omega) operator, exact because the stencil of
+    an interior vertex never leaves the patch.
     """
-    if kind == "all":
-        idx = neigh.fine_vertices_all
-    elif kind == "zero_trace":
-        idx = neigh.fine_vertices_interior
-    else:
-        raise ValueError(f"kind must be 'all' or 'zero_trace', got {kind!r}")
+    idx = neigh.fine_vertices_interior
     return A[idx][:, idx]
 
 
 def energy_norm(A, v):
     """sqrt(v' A v), clamped at zero against roundoff."""
     return float(np.sqrt(max(float(v @ (A @ v)), 0.0)))
-
-
-def functional_value(grid, density, v):
-    """Linear functional int(density * v) for piecewise-constant density."""
-    return float(assemble_load(grid, density) @ v)

@@ -9,7 +9,9 @@ coarse solution:
 
 where ||.|| is the dual norm over the zero-trace space of the neighborhood
 and lambda_{l_i+1} the first eigenvalue whose eigenvector is excluded from
-the current space.
+the current space.  The local residual R_i is rho restricted to the
+neighborhood's interior fine vertices, exact by locality: the stencil of an
+interior patch vertex never reaches outside the patch.
 """
 
 import numpy as np
@@ -18,25 +20,14 @@ import scipy.sparse.linalg as spla
 from .fine_fem import local_operator
 
 __all__ = [
-    "LocalResidual",
     "IndicatorReport",
     "ResidualNormCache",
     "fine_residual",
-    "local_residual",
     "eta_standard",
     "eta_goal_h1",
     "eta_dwr",
     "dump_indicators",
 ]
-
-
-class LocalResidual:
-    """Residual functional restricted to one neighborhood's zero-trace dofs."""
-
-    def __init__(self, vertex_id, values, tag):
-        self.vertex_id = vertex_id
-        self.values = values
-        self.tag = tag
 
 
 class IndicatorReport:
@@ -70,19 +61,6 @@ def fine_residual(A, load, u):
     return load - A @ fine
 
 
-def local_residual(u, load, A, neigh, tag=None):
-    """Restrict the global fine residual of ``u`` to a neighborhood's interior dofs.
-
-    Exact by locality: the stencil of an interior patch vertex never reaches
-    outside the patch, so the restriction equals the neighborhood-local
-    residual functional.
-    """
-    if tag is None:
-        tag = getattr(u, "tag", "primal")
-    rho = fine_residual(A, load, u)
-    return LocalResidual(neigh.vertex_id, rho[neigh.fine_vertices_interior], tag)
-
-
 class ResidualNormCache:
     """Dual norms ||R_i||_{V_i*} of local residuals, with per-neighborhood data
     computed once.
@@ -102,7 +80,7 @@ class ResidualNormCache:
         self.mode = mode
         self._data = []
         for i, neigh in enumerate(neighborhoods):
-            A_zt = local_operator(neigh, A, "zero_trace")
+            A_zt = local_operator(neigh, A)
             if mode == "exact":
                 self._data.append(spla.splu(A_zt.tocsc()))
             else:

@@ -5,8 +5,6 @@ import numpy as np
 __all__ = [
     "GridHierarchy",
     "CoarseNeighborhood",
-    "build_grids",
-    "neighborhood",
     "all_neighborhoods",
 ]
 
@@ -137,16 +135,6 @@ class CoarseNeighborhood:
     def local_index(self, vertex_ids):
         """Map global fine vertex ids into patch-local indices."""
         return np.searchsorted(self.fine_vertices_all, vertex_ids)
-
-
-def build_grids(nc, r):
-    """Build the nested hierarchy: nc coarse cells per side, r fine per coarse."""
-    return GridHierarchy(nc, r)
-
-
-def neighborhood(grid, vertex_id):
-    """Coarse neighborhood of interior coarse vertex ``vertex_id``."""
-    return CoarseNeighborhood(grid, vertex_id)
 
 
 def all_neighborhoods(grid):

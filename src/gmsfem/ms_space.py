@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .fine_fem import CoefficientField, Q1_STIFFNESS, patch_stiffness, patch_weighted_mass
+from .fine_fem import CoefficientField, Q1_STIFFNESS, _assemble
 from .mesh import all_neighborhoods
 
 __all__ = [
@@ -134,10 +134,7 @@ def compute_partition_of_unity(grid, field, neighborhoods=None):
     for ey in range(nc):
         for ex in range(nc):
             kappa = field.values[ey * r : (ey + 1) * r, ex * r : (ex + 1) * r].ravel()
-            rows = np.repeat(cell_verts, 4, axis=1).ravel()
-            cols = np.tile(cell_verts, (1, 4)).ravel()
-            data = (kappa[:, None, None] * Q1_STIFFNESS[None, :, :]).ravel()
-            A_el = sparse.coo_matrix((data, (rows, cols)), shape=(m * m, m * m)).tocsr()
+            A_el = _assemble(Q1_STIFFNESS, kappa, cell_verts, m * m)
             A_ii = A_el[interior][:, interior].toarray()
             A_ib = A_el[interior][:, rim].toarray()
             sol = hats.copy()
@@ -182,15 +179,14 @@ def compute_spectral_weight(grid, field, pu):
     return CoefficientField(field.values * grid.H**2 * sumsq)
 
 
-def compute_snapshots(neigh, field, patch_matrix=None):
+def compute_snapshots(neigh, patch_matrix):
     """Harmonic snapshots of one neighborhood, one column per boundary vertex.
 
-    Column j solves the zero-source problem on the patch with nodal data 1 at
-    the j-th fine boundary vertex (ascending id order) and 0 at the others.
+    Column j solves the zero-source problem of ``patch_matrix`` (the patch
+    stiffness, see fine_fem.patch_stiffness) with nodal data 1 at the j-th
+    fine boundary vertex (ascending id order) and 0 at the others.
     Returned as a dense (patch_size, L_i) array in patch-local ordering.
     """
-    if patch_matrix is None:
-        patch_matrix = patch_stiffness(neigh.grid, field, neigh)
     interior = neigh.interior_local
     rim = neigh.boundary_local
     A_ii = patch_matrix[interior][:, interior].tocsc()

@@ -6,7 +6,7 @@ from gmsfem import adapt, cli, fine_fem, mesh, ms_space
 
 @pytest.fixture(scope="session")
 def grid44():
-    return mesh.build_grids(4, 4)
+    return mesh.GridHierarchy(4, 4)
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def _offline(grid, field):
     for neigh in neighborhoods:
         patch_A = fine_fem.patch_stiffness(grid, field, neigh)
         patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-        snaps = ms_space.compute_snapshots(neigh, field, patch_matrix=patch_A)
+        snaps = ms_space.compute_snapshots(neigh, patch_A)
         spectra.append(ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snaps))
     return {
         "grid": grid,
@@ -49,7 +49,7 @@ def benchmark_densities(grid):
 @pytest.fixture(scope="session")
 def channel_problem():
     """The benchmark channel medium at contrast 1e4 on the nc=10, r=10 grids."""
-    grid = mesh.build_grids(10, 10)
+    grid = mesh.GridHierarchy(10, 10)
     field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
     f_density, g_density = benchmark_densities(grid)
     return adapt.build_problem(grid, field, f_density, g_density)

@@ -3,6 +3,7 @@ import pytest
 import scipy.ndimage
 
 from gmsfem import cli, mesh
+from gmsfem.adapt import STRATEGIES
 from gmsfem.cli import ExperimentConfig
 
 
@@ -110,7 +111,7 @@ def test_field_file_grid_mismatch(tmp_path):
 
 def test_box_fraction_total_area_any_alignment():
     for nc, r in ((10, 10), (7, 3)):
-        grid = mesh.build_grids(nc, r)
+        grid = mesh.GridHierarchy(nc, r)
         frac = cli.box_fraction(grid, cli.K2_BOX)
         assert frac.sum() * grid.h**2 == pytest.approx(0.01, abs=1e-15)
         assert frac.min() >= 0.0 and frac.max() <= 1.0
@@ -190,6 +191,15 @@ def test_comparison_csv_schema(tmp_path):
     assert first[0] == "standard"
     assert int(first[1]) == 0
     assert float(first[7]) == 0.5
+
+
+@pytest.mark.parametrize("m_enrich, strategies", [(0, list(STRATEGIES)), (-1, ["standard"])])
+def test_bad_m_enrich_fails_before_any_run(tmp_path, m_enrich, strategies):
+    with pytest.raises(ValueError, match=f"m_enrich must be >= 1, got {m_enrich}"):
+        cli.run_experiment(
+            _tiny_config(tmp_path, m_enrich=m_enrich, strategies=strategies), verbose=False
+        )
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_run_experiment_optional_dumps(tmp_path):

@@ -5,19 +5,19 @@ from gmsfem import mesh
 
 
 def test_build_grids_benchmark_counts():
-    grid = mesh.build_grids(10, 10)
+    grid = mesh.GridHierarchy(10, 10)
     assert grid.nf == 100
     assert grid.H == pytest.approx(0.1)
     assert grid.n_interior_coarse == 81
 
 
 def test_build_grids_smallest_case():
-    grid = mesh.build_grids(2, 2)
+    grid = mesh.GridHierarchy(2, 2)
     assert grid.n_interior_coarse == 1
 
 
 def test_build_grids_mixed_sizes():
-    grid = mesh.build_grids(4, 3)
+    grid = mesh.GridHierarchy(4, 3)
     assert grid.nf == 12
     assert grid.n_interior_coarse == 9
 
@@ -25,11 +25,11 @@ def test_build_grids_mixed_sizes():
 @pytest.mark.parametrize("nc,r", [(1, 4), (0, 4), (4, 1), (4, 0), (1, 1)])
 def test_build_grids_rejects_degenerate(nc, r):
     with pytest.raises(ValueError):
-        mesh.build_grids(nc, r)
+        mesh.GridHierarchy(nc, r)
 
 
 def test_vertex_and_cell_indexing():
-    grid = mesh.build_grids(2, 3)
+    grid = mesh.GridHierarchy(2, 3)
     assert grid.vertex_id(0, 0) == 0
     assert grid.vertex_id(grid.nf, 0) == grid.nf
     assert grid.vertex_id(0, 1) == grid.nf + 1
@@ -40,7 +40,7 @@ def test_vertex_and_cell_indexing():
 
 
 def test_boundary_vertex_ids():
-    grid = mesh.build_grids(2, 2)
+    grid = mesh.GridHierarchy(2, 2)
     boundary = grid.boundary_vertex_ids()
     n = grid.nf + 1
     assert len(boundary) == 4 * grid.nf
@@ -54,40 +54,40 @@ def test_boundary_vertex_ids():
 
 
 def test_neighborhood_smallest_grid_covers_domain():
-    grid = mesh.build_grids(2, 2)
-    neigh = mesh.neighborhood(grid, 0)
+    grid = mesh.GridHierarchy(2, 2)
+    neigh = mesh.CoarseNeighborhood(grid, 0)
     assert sorted(neigh.coarse_elements) == [0, 1, 2, 3]
     assert len(neigh.fine_vertices_all) == grid.n_vertices
 
 
 def test_neighborhood_corner_adjacent_elements():
-    grid = mesh.build_grids(4, 2)
+    grid = mesh.GridHierarchy(4, 2)
     vid = grid.interior_vertex_id(1, 1)
-    neigh = mesh.neighborhood(grid, vid)
+    neigh = mesh.CoarseNeighborhood(grid, vid)
     # coarse cells (0,0), (1,0), (0,1), (1,1) in row-major ids
     assert sorted(neigh.coarse_elements) == [0, 1, 4, 5]
 
 
 def test_every_neighborhood_has_four_elements():
-    grid = mesh.build_grids(5, 2)
+    grid = mesh.GridHierarchy(5, 2)
     for neigh in mesh.all_neighborhoods(grid):
         assert len(neigh.coarse_elements) == 4
 
 
 def test_neighborhood_rejects_boundary_vertex():
-    grid = mesh.build_grids(4, 2)
+    grid = mesh.GridHierarchy(4, 2)
     with pytest.raises(ValueError):
         grid.interior_vertex_id(0, 2)
     with pytest.raises(ValueError):
         grid.interior_vertex_id(4, 1)
     with pytest.raises(ValueError):
-        mesh.neighborhood(grid, grid.n_interior_coarse)
+        mesh.CoarseNeighborhood(grid, grid.n_interior_coarse)
     with pytest.raises(ValueError):
-        mesh.neighborhood(grid, -1)
+        mesh.CoarseNeighborhood(grid, -1)
 
 
 def test_patch_partition_is_disjoint_and_complete():
-    grid = mesh.build_grids(3, 4)
+    grid = mesh.GridHierarchy(3, 4)
     for neigh in mesh.all_neighborhoods(grid):
         interior = set(neigh.fine_vertices_interior)
         boundary = set(neigh.fine_vertices_boundary)
@@ -96,7 +96,7 @@ def test_patch_partition_is_disjoint_and_complete():
 
 
 def test_patch_sizes():
-    grid = mesh.build_grids(4, 3)
+    grid = mesh.GridHierarchy(4, 3)
     r = grid.r
     for neigh in mesh.all_neighborhoods(grid):
         assert len(neigh.fine_vertices_all) == (2 * r + 1) ** 2
@@ -105,7 +105,7 @@ def test_patch_sizes():
 
 
 def test_member_element_vertices_inside_patch():
-    grid = mesh.build_grids(4, 2)
+    grid = mesh.GridHierarchy(4, 2)
     table = grid.cell_vertex_table()
     for neigh in mesh.all_neighborhoods(grid):
         patch = set(neigh.fine_vertices_all)
@@ -117,7 +117,7 @@ def test_member_element_vertices_inside_patch():
 
 
 def test_coarse_cells_shared_by_at_most_four_neighborhoods():
-    grid = mesh.build_grids(4, 2)
+    grid = mesh.GridHierarchy(4, 2)
     counts = np.zeros(grid.nc**2, dtype=int)
     for neigh in mesh.all_neighborhoods(grid):
         counts[neigh.coarse_elements] += 1
@@ -126,8 +126,8 @@ def test_coarse_cells_shared_by_at_most_four_neighborhoods():
 
 
 def test_local_index_roundtrip():
-    grid = mesh.build_grids(3, 3)
-    neigh = mesh.neighborhood(grid, 2)
+    grid = mesh.GridHierarchy(3, 3)
+    neigh = mesh.CoarseNeighborhood(grid, 2)
     ids = neigh.fine_vertices_all
     assert np.array_equal(ids[neigh.local_index(ids)], ids)
     assert np.array_equal(

@@ -32,7 +32,7 @@ def test_pou_equals_hats_for_unit_coefficient(grid44, unit_field44):
 
 
 def test_pou_sums_to_one_on_covered_vertices():
-    grid = mesh.build_grids(5, 4)
+    grid = mesh.GridHierarchy(5, 4)
     rng = np.random.default_rng(12)
     field = CoefficientField(np.exp(2.0 * rng.normal(size=(grid.nf, grid.nf))))
     pu = ms_space.compute_partition_of_unity(grid, field)
@@ -41,7 +41,7 @@ def test_pou_sums_to_one_on_covered_vertices():
 
 
 def test_pou_bounds_with_high_contrast_inclusion():
-    grid = mesh.build_grids(4, 5)
+    grid = mesh.GridHierarchy(4, 5)
     values = np.ones((grid.nf, grid.nf))
     values[6:9, 6:9] = 1e6  # inclusion strictly inside coarse cell (1, 1)
     with warnings.catch_warnings():
@@ -87,7 +87,7 @@ def test_spectral_weight_matches_analytic_hat_oracle(grid44, unit_field44):
 def test_spectral_weight_near_coarse_cell_center():
     # by the analytic oracle the hat-gradient sum approaches 2 at the center of
     # a fully interior coarse cell
-    grid = mesh.build_grids(4, 10)
+    grid = mesh.GridHierarchy(4, 10)
     field = CoefficientField.constant(grid.nf)
     pu = ms_space.compute_partition_of_unity(grid, field)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
@@ -99,7 +99,7 @@ def test_spectral_weight_near_coarse_cell_center():
 
 
 def test_spectral_weight_scales_with_coefficient():
-    grid = mesh.build_grids(4, 4)
+    grid = mesh.GridHierarchy(4, 4)
     rng = np.random.default_rng(13)
     values = np.exp(rng.normal(size=(grid.nf, grid.nf)))
     w1 = _weight_for(grid, values)
@@ -127,8 +127,10 @@ def test_spectral_weight_positive_on_all_cells(channel_problem):
 
 
 def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
-    neigh = mesh.neighborhood(grid44, 0)
-    snaps = ms_space.compute_snapshots(neigh, unit_field44)
+    neigh = mesh.CoarseNeighborhood(grid44, 0)
+    snaps = ms_space.compute_snapshots(
+        neigh, fine_fem.patch_stiffness(grid44, unit_field44, neigh)
+    )
     rim = neigh.boundary_local
     assert np.array_equal(snaps[rim], np.eye(len(rim)))
     # linearity + maximum principle: harmonic extension of all-ones data is one
@@ -136,12 +138,13 @@ def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
 
 
 def test_snapshots_match_dense_solve_oracle():
-    grid = mesh.build_grids(2, 2)
+    grid = mesh.GridHierarchy(2, 2)
     rng = np.random.default_rng(14)
     field = CoefficientField(np.exp(rng.normal(size=(grid.nf, grid.nf))))
-    neigh = mesh.neighborhood(grid, 0)
-    snaps = ms_space.compute_snapshots(neigh, field)
-    A_patch = fine_fem.patch_stiffness(grid, field, neigh).toarray()
+    neigh = mesh.CoarseNeighborhood(grid, 0)
+    patch_A = fine_fem.patch_stiffness(grid, field, neigh)
+    snaps = ms_space.compute_snapshots(neigh, patch_A)
+    A_patch = patch_A.toarray()
     interior, rim = neigh.interior_local, neigh.boundary_local
     oracle = np.linalg.solve(
         A_patch[np.ix_(interior, interior)], -A_patch[np.ix_(interior, rim)]
@@ -156,7 +159,7 @@ def test_snapshots_match_dense_solve_oracle():
 def _spectrum_for(grid, field, neigh, weight):
     patch_A = fine_fem.patch_stiffness(grid, field, neigh)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-    snaps = ms_space.compute_snapshots(neigh, field, patch_matrix=patch_A)
+    snaps = ms_space.compute_snapshots(neigh, patch_A)
     return ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snaps), patch_A, patch_S
 
 
@@ -185,14 +188,14 @@ def test_spectrum_orthonormality_and_residuals(unit_offline44):
 
 def test_spectrum_matches_brute_force_pencil_oracle():
     # independent path: Cholesky of S_off, then a standard symmetric eigensolve
-    grid = mesh.build_grids(3, 3)
+    grid = mesh.GridHierarchy(3, 3)
     rng = np.random.default_rng(15)
     values = np.exp(2.0 * rng.normal(size=(grid.nf, grid.nf)))
     field = CoefficientField(values)
     pu = ms_space.compute_partition_of_unity(grid, field)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     for vid in (0, 3):
-        neigh = mesh.neighborhood(grid, vid)
+        neigh = mesh.CoarseNeighborhood(grid, vid)
         spectrum, patch_A, patch_S = _spectrum_for(grid, field, neigh, weight)
         A_off = spectrum.snapshots.T @ (patch_A @ spectrum.snapshots)
         S_off = spectrum.snapshots.T @ (patch_S @ spectrum.snapshots)
@@ -207,13 +210,13 @@ def test_spectrum_matches_brute_force_pencil_oracle():
 def test_degenerate_strip_pencil_matches_dense_oracle():
     # 1D-flavored sanity: strongly anisotropic strip coefficient, single
     # neighborhood, dense brute-force solve of the same pencil
-    grid = mesh.build_grids(2, 3)
+    grid = mesh.GridHierarchy(2, 3)
     values = np.ones((grid.nf, grid.nf))
     values[: grid.nf // 2] = 100.0  # horizontal strip
     field = CoefficientField(values)
     pu = ms_space.compute_partition_of_unity(grid, field)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
-    neigh = mesh.neighborhood(grid, 0)
+    neigh = mesh.CoarseNeighborhood(grid, 0)
     spectrum, patch_A, patch_S = _spectrum_for(grid, field, neigh, weight)
     A_off = spectrum.snapshots.T @ (patch_A.toarray() @ spectrum.snapshots)
     S_off = spectrum.snapshots.T @ (patch_S.toarray() @ spectrum.snapshots)
@@ -291,7 +294,7 @@ def test_enrich_adds_s_dofs_and_is_monotone(unit_offline44):
 
 
 def test_enrich_saturates_at_snapshot_count():
-    grid = mesh.build_grids(2, 4)
+    grid = mesh.GridHierarchy(2, 4)
     field = CoefficientField.constant(grid.nf)
     data = _offline(grid, field)
     space = _space_from(data, count=1)
@@ -318,7 +321,7 @@ def test_wide_space_reaches_goal_error_plateau():
     # single neighborhood (nc=2), localized sources: sweeping in most of the
     # snapshot spectrum drives the goal error down to a plateau (the local
     # source bubbles outside the harmonic span set the floor)
-    grid = mesh.build_grids(2, 10)
+    grid = mesh.GridHierarchy(2, 10)
     rng = np.random.default_rng(16)
     field = CoefficientField(np.exp(rng.normal(size=(grid.nf, grid.nf))))
     data = _offline(grid, field)
@@ -345,7 +348,7 @@ def test_near_zero_eigenvalue_count_stable_under_contrast():
     # the below-gap cluster scales like 1/contrast while the structural modes
     # stay put, so counting with a threshold inside the gap (1e-4 * lam_max)
     # is contrast-invariant on fixed geometry
-    grid = mesh.build_grids(10, 10)
+    grid = mesh.GridHierarchy(10, 10)
     counts = {}
     for contrast in (1e4, 1e6):
         field = cli.generate_field("channel", contrast, grid.nf, seed=7)
