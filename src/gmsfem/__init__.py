@@ -1,7 +1,8 @@
 """Adaptive generalized multiscale FEM with goal-oriented basis enrichment."""
 
+import importlib
+
 from .adapt import MarkingConfig, STRATEGIES, adapt_loop, build_problem, mark
-from .cli import ExperimentConfig, generate_field, read_field, run_experiment, write_field
 from .coarse_solve import assemble_coarse, solve_dual, solve_primal
 from .fine_fem import (
     CoefficientField,
@@ -23,3 +24,15 @@ from .ms_space import (
 )
 
 __version__ = "0.1.0"
+
+# The cli names load on first access (PEP 562): importing ``.cli`` here would
+# put ``gmsfem.cli`` in sys.modules before ``python -m gmsfem.cli`` runs it,
+# which runpy warns about.
+_CLI_EXPORTS = ("ExperimentConfig", "generate_field", "read_field", "run_experiment", "write_field")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_EXPORTS:
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

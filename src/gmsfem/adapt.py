@@ -139,6 +139,7 @@ class ProblemSetup:
         self.u_ref = u_ref
         self.neighborhoods = space.neighborhoods
         self._norm_caches = {}
+        self._galerkin_store = None
 
     def norm_cache(self, mode):
         """The ResidualNormCache of dual-norm ``mode``, built on first use.
@@ -151,6 +152,15 @@ class ProblemSetup:
                 self.neighborhoods, self.stiffness, mode=mode, spectra=self.space.spectra
             )
         return self._norm_caches[mode]
+
+    def galerkin_store(self):
+        """The GalerkinStore of the stiffness and the source load, built on
+        first use and grown by every strategy run on this problem."""
+        if self._galerkin_store is None:
+            self._galerkin_store = coarse_solve.GalerkinStore(
+                self.space, self.stiffness, self.f_load
+            )
+        return self._galerkin_store
 
 
 def build_problem(grid, field, f_density, g_density, initial_count=1):
@@ -190,36 +200,27 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
     A = problem.stiffness
     space = problem.space
     norm_cache = None if strategy == "goal_dwr" else problem.norm_cache(cfg.dual_norm_mode)
+    store = problem.galerkin_store()
     trace = AdaptTrace(strategy=strategy)
     start = time.perf_counter()
 
     for iteration in range(cfg.max_iterations):
         try:
-            system = coarse_solve.assemble_coarse(space, A, problem.f_load)
+            system = coarse_solve.assemble_coarse(space, A, problem.f_load, store)
             u_ms = coarse_solve.solve_primal(system)
             rho_u = indicators.fine_residual(A, problem.f_load, u_ms)
 
             if strategy == "standard":
-                norms_u = [
-                    norm_cache.norm(i, rho_u[neigh.fine_vertices_interior])
-                    for i, neigh in enumerate(problem.neighborhoods)
-                ]
-                report = indicators.eta_standard(space, norms_u, iteration)
+                report = indicators.eta_standard(space, norm_cache.norms(rho_u), iteration)
             elif strategy == "goal_h1":
                 z_ms = coarse_solve.solve_dual(system, problem.g_load)
                 rho_z = indicators.fine_residual(A, problem.g_load, z_ms)
-                norms_u = [
-                    norm_cache.norm(i, rho_u[neigh.fine_vertices_interior])
-                    for i, neigh in enumerate(problem.neighborhoods)
-                ]
-                norms_z = [
-                    norm_cache.norm(i, rho_z[neigh.fine_vertices_interior])
-                    for i, neigh in enumerate(problem.neighborhoods)
-                ]
-                report = indicators.eta_goal_h1(space, norms_u, norms_z, iteration)
+                report = indicators.eta_goal_h1(
+                    space, norm_cache.norms(rho_u), norm_cache.norms(rho_z), iteration
+                )
             else:
                 enriched_system = coarse_solve.assemble_coarse(
-                    space.extended(cfg.m_enrich), A, problem.f_load
+                    space.extended(cfg.m_enrich), A, problem.f_load, store
                 )
                 z_enrich = coarse_solve.solve_dual(enriched_system, problem.g_load)
                 report = indicators.eta_dwr(space, rho_u, z_enrich, iteration)

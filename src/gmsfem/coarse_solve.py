@@ -13,6 +13,7 @@ from .fine_fem import _refine
 __all__ = [
     "CoarseSystem",
     "CoarseSolution",
+    "GalerkinStore",
     "RankDeficientBasis",
     "assemble_coarse",
     "solve_primal",
@@ -47,7 +48,8 @@ class CoarseSolution:
 class CoarseSystem:
     """Galerkin system on the span of an offline space's basis columns.
 
-    Holds R (basis matrix), the sparse A_c = R' A R and the primal load R' b.
+    Holds R (basis matrix, CSC), the sparse A_c = R' A R (CSC, sorted row
+    indices) and the primal load R' b, as selected from a GalerkinStore.
     The first solve factors the unit-diagonal matrix D^-1/2 A_c D^-1/2 with
     SuperLU, ordered by minimum degree on its symmetric pattern and pivoting
     on the diagonal only, so the factor is the LDL' of an SPD matrix.  A
@@ -57,12 +59,12 @@ class CoarseSystem:
     precision to a relative residual of 1e-12.
     """
 
-    def __init__(self, space, A, b):
+    def __init__(self, space, matrix, load, R):
         self.space = space
-        self.R = space.basis_matrix()
-        self.matrix = (self.R.T @ (A @ self.R)).tocsc()
+        self.R = R
+        self.matrix = matrix
         self.dim = space.total_dofs
-        self.load = self.R.T @ b
+        self.load = load
         diag = self.matrix.diagonal()
         if np.any(diag <= 0):
             raise RankDeficientBasis("coarse stiffness has a nonpositive diagonal entry")
@@ -133,9 +135,110 @@ class CoarseSystem:
         return CoarseSolution(c, self.R @ c, self.space)
 
 
-def assemble_coarse(space, A, b):
-    """Couple the basis into the global form: A_c = R' A R, b_c = R' b."""
-    return CoarseSystem(space, A, b)
+class GalerkinStore:
+    """Grow-only Galerkin data of one problem; every coarse system is a
+    selection from it.
+
+    Every offline space of a problem is a per-neighborhood prefix of one fixed
+    candidate set, so its R'AR is a row/column selection of one matrix that
+    only grows.  Candidate k of neighborhood i is numbered ``offsets[i] + k``.
+    The store holds the leading ``have[i]`` candidates of every neighborhood,
+    each computed once, when a requested space first needs it: its basis
+    column in R, its column of A R and its load entry of R'b, all in the
+    order they were computed (``column`` maps a candidate number to that
+    position), and its row and column of the coupling G = R'AR, kept in
+    ascending candidate order so that selections come out sorted.  The full
+    candidate set is never formed.
+
+    Entry (p, q) of G is the sum over fine vertices v, in ascending order, of
+    R[v, p] * (A R)[v, q], exactly as the sparse product of a space's own
+    basis matrix forms it, so each selection is bitwise equal to that
+    one-shot R'AR.  Both halves of G come from such products: R'AR is not
+    bitwise symmetric, so neither is filled in by transposing the other.
+    """
+
+    def __init__(self, space, A, b):
+        self.space = space
+        self.A = A
+        self.b = b
+        self.offsets = np.concatenate([[0], np.cumsum(space.max_counts)])
+        self.have = np.zeros_like(space.max_counts)
+        self.column = np.full(self.offsets[-1], -1)
+        self.position = np.empty(0, dtype=int)  # row/column of G of each held column
+        n = space.grid.n_vertices
+        self.R = sparse.csc_matrix((n, 0))
+        self.AR = sparse.csc_matrix((n, 0))
+        self.load = np.empty(0)
+        self.G = sparse.csc_matrix((0, 0))
+
+    def _numbers(self, stop, start=0):
+        """Numbers of the candidates start[i] <= k < stop[i], ascending."""
+        lengths = stop - start
+        first = self.offsets[:-1] + start - (np.cumsum(lengths) - lengths)
+        return np.repeat(first, lengths) + np.arange(lengths.sum())
+
+    def _grow(self, counts):
+        """Compute the candidates of ``counts`` that the store does not hold."""
+        need = np.maximum(self.have, counts)
+        if np.array_equal(need, self.have):
+            return
+        old = self.R.shape[1]
+        before = self.column[self._numbers(self.have)]  # held column of each row of G
+        R_new = self.space.basis_columns(self.have, need)
+        AR_new = (self.A @ R_new).tocsc()
+        self.column[self._numbers(need, self.have)] = np.arange(old, old + R_new.shape[1])
+        self.have = need
+        self.R = sparse.hstack([self.R, R_new], format="csc")
+        # G[p, q] for every held p and new q; G[p, q] for new p and old q at (q, p)
+        upper = (self.R.T @ AR_new).tocoo()
+        lower = (self.AR.T @ R_new).tocoo()
+        self.AR = sparse.hstack([self.AR, AR_new], format="csc")
+        self.load = np.concatenate([self.load, R_new.T @ self.b])
+
+        # merge the new entries into G's column-major order; the old ones keep
+        # their relative order, so a stable sort of the keys is one merge
+        after = self.column[self._numbers(need)]
+        self.position = np.empty_like(after)
+        self.position[after] = np.arange(len(after))
+        n = len(after)
+        moved = self.position[before]
+        rows = np.concatenate(
+            [moved[self.G.indices], self.position[np.concatenate([upper.row, lower.col + old])]]
+        )
+        cols = np.concatenate(
+            [
+                np.repeat(moved, np.diff(self.G.indptr)),
+                self.position[np.concatenate([upper.col + old, lower.row])],
+            ]
+        )
+        order = np.argsort(cols * n + rows, kind="stable")
+        data = np.concatenate([self.G.data, upper.data, lower.data])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+        self.G = sparse.csc_matrix((data[order], rows[order], indptr), shape=(n, n))
+
+    def system(self, space):
+        """The CoarseSystem of ``space``, selected after growing the store to
+        cover its counts."""
+        if space.candidates is not self.space.candidates:
+            raise ValueError("space was not built from this store's candidates")
+        self._grow(space.counts)
+        columns = self.column[self._numbers(space.counts)]
+        rows = self.position[columns]
+        matrix = self.G[:, rows][rows, :]
+        return CoarseSystem(space, matrix, self.load[columns], self.R[:, columns])
+
+
+def assemble_coarse(space, A, b, store=None):
+    """Couple the basis into the global form: A_c = R' A R, b_c = R' b.
+
+    ``store`` is the GalerkinStore of (A, b) to select from and grow; without
+    one the system is selected from a fresh store.
+    """
+    if store is None:
+        store = GalerkinStore(space, A, b)
+    elif store.A is not A or store.b is not b:
+        raise ValueError("the store holds another stiffness or load")
+    return store.system(space)
 
 
 def solve_primal(system):

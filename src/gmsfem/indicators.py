@@ -78,6 +78,7 @@ class ResidualNormCache:
         if mode == "snapshot" and spectra is None:
             raise ValueError("snapshot mode needs the neighborhood spectra")
         self.mode = mode
+        self._interior = [neigh.fine_vertices_interior for neigh in neighborhoods]
         self._data = []
         for i, neigh in enumerate(neighborhoods):
             A_zt = local_operator(neigh, A)
@@ -97,6 +98,10 @@ class ResidualNormCache:
         rhs = T.T @ rho
         y, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         return float(np.sqrt(max(float(rhs @ y), 0.0)))
+
+    def norms(self, rho):
+        """Dual norm of the global residual ``rho`` over every neighborhood."""
+        return [self.norm(i, rho[interior]) for i, interior in enumerate(self._interior)]
 
 
 def _lambda_weights(space):

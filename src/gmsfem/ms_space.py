@@ -296,20 +296,30 @@ class OfflineSpace:
     def column_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
+    def basis_columns(self, start, stop):
+        """Sparse CSC matrix of the candidates start[i] <= k < stop[i] of every
+        neighborhood, one column each in neighborhood-major order.
+
+        Each column stores its whole patch, in ascending vertex order and
+        including the zeros of chi_i on the patch rim.
+        """
+        rows, data, heights = [], [], []
+        for i in np.flatnonzero(stop > start):
+            block = self.candidates[i][:, start[i] : stop[i]]
+            verts = self.neighborhoods[i].fine_vertices_all
+            rows.append(np.tile(verts, block.shape[1]))
+            data.append(block.ravel(order="F"))
+            heights.append(np.full(block.shape[1], len(verts)))
+        heights = np.concatenate(heights)
+        return sparse.csc_matrix(
+            (np.concatenate(data), np.concatenate(rows), np.concatenate([[0], np.cumsum(heights)])),
+            shape=(self.grid.n_vertices, len(heights)),
+        )
+
     def basis_matrix(self):
-        """Sparse (n_fine_vertices x total_dofs) matrix of basis columns."""
+        """Sparse (n_fine_vertices x total_dofs) CSC matrix of basis columns."""
         if self._basis is None:
-            rows, cols, data = [], [], []
-            for i, neigh in enumerate(self.neighborhoods):
-                l_i = self.counts[i]
-                block = self.candidates[i][:, :l_i]
-                rows.append(np.tile(neigh.fine_vertices_all, l_i))
-                cols.append(np.repeat(np.arange(self.offsets[i], self.offsets[i + 1]), len(neigh.fine_vertices_all)))
-                data.append(block.ravel(order="F"))
-            self._basis = sparse.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.grid.n_vertices, self.total_dofs),
-            ).tocsr()
+            self._basis = self.basis_columns(np.zeros_like(self.counts), self.counts)
         return self._basis
 
     def basis_column(self, i, k):

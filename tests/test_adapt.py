@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gmsfem import adapt, indicators, ms_space
+from gmsfem import adapt, cli, indicators, mesh, ms_space
 from gmsfem.adapt import MarkingConfig
+
+from conftest import benchmark_densities
 
 
 def _report(eta_sq):
@@ -277,6 +279,24 @@ def test_estimator_effectivity_stays_in_band(channel_problem):
     goal = adapt.adapt_loop(channel_problem, "goal_h1", cfg)
     goal_ratios = goal.column("goal_error") / goal.column("sum_eta_sq")
     assert np.all(np.isfinite(goal_ratios))
+
+
+def test_dwr_trace_independent_of_store_history(tmp_path):
+    # the Galerkin store of a problem is shared by its strategies: goal_dwr on
+    # a store grown by standard and goal_h1 must trace exactly as on a fresh one
+    grid = mesh.GridHierarchy(5, 4)
+    field = cli.generate_field("channel", 1e3, grid.nf, seed=9)
+    f_density, g_density = benchmark_densities(grid)
+    cfg = MarkingConfig(max_iterations=8)
+    paths = []
+    for history in (("standard", "goal_h1"), ()):
+        problem = adapt.build_problem(grid, field, f_density, g_density)
+        for strategy in history:
+            adapt.adapt_loop(problem, strategy, cfg)
+        assert (problem.galerkin_store().have.sum() > 0) == bool(history)
+        paths.append(tmp_path / f"dwr_{len(history)}.csv")
+        adapt.write_trace_csv(adapt.adapt_loop(problem, "goal_dwr", cfg), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_trace_csv_schema_and_determinism(tmp_path, small_problem):

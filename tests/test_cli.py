@@ -1,10 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.ndimage
 
+import gmsfem
 from gmsfem import cli, mesh
 from gmsfem.adapt import STRATEGIES
 from gmsfem.cli import ExperimentConfig
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # importing the package must not import gmsfem.cli, or runpy warns that
+    # the module it is about to run is already in sys.modules
+    src = str(Path(gmsfem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gmsfem.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

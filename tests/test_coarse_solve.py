@@ -281,3 +281,40 @@ def test_truncation_is_idempotent(small_problem):
             once.component_coefficients(i)[:keep], u.component_coefficients(i)[:keep]
         )
         assert not once.component_coefficients(i)[keep:].any()
+
+
+def test_store_systems_equal_fresh_one_shot_systems(small_problem):
+    # one store serves a growing, a wider and then a narrower space; every
+    # selection must equal a fresh store's system and R'AR of the space's own
+    # basis matrix bit for bit
+    problem = small_problem
+    A, b, g = problem.stiffness, problem.f_load, problem.g_load
+    store = coarse_solve.GalerkinStore(problem.space, A, b)
+    initial = problem.space
+    enriched = ms_space.enrich(initial, [0, 4, 8], 1)
+    spaces = (initial, enriched, enriched.extended(2), initial.extended(1))
+    rng = np.random.default_rng(5)
+    for space in spaces:
+        grown = coarse_solve.assemble_coarse(space, A, b, store)
+        fresh = coarse_solve.assemble_coarse(space, A, b)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(grown.matrix, name), getattr(fresh.matrix, name))
+        assert np.array_equal(grown.load, fresh.load)
+        c = rng.normal(size=space.total_dofs)
+        assert np.array_equal(grown.R @ c, fresh.R @ c)
+        assert np.array_equal(grown.R.T @ g, fresh.R.T @ g)
+        R = space.basis_matrix()
+        assert np.array_equal(grown.matrix.toarray(), (R.T @ (A @ R)).toarray())
+        assert np.array_equal(grown.load, R.T @ b)
+    # the narrower space was selected without growing the store
+    assert np.array_equal(store.have, enriched.extended(2).counts)
+    assert store.R.shape[1] == store.have.sum()
+
+
+def test_store_rejects_another_problem(small_problem, channel_problem):
+    space, A = small_problem.space, small_problem.stiffness
+    store = coarse_solve.GalerkinStore(space, A, small_problem.f_load)
+    with pytest.raises(ValueError):
+        coarse_solve.assemble_coarse(space, A, small_problem.g_load, store)
+    with pytest.raises(ValueError):
+        store.system(channel_problem.space)
