@@ -125,11 +125,12 @@ class ProblemSetup:
     """Everything the adaptive loop consumes, precomputed once per problem.
 
     Offline data (partition of unity, snapshots, spectra, initial space), the
-    global stiffness, load vectors of the source and the goal, and the fine
-    reference solution used only for trace error reporting.
+    global stiffness, load vectors of the source and the goal, the exact
+    ResidualNormCache whose factors the snapshots were solved with, and the
+    fine reference solution used only for trace error reporting.
     """
 
-    def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref):
+    def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms):
         self.grid = grid
         self.field = field
         self.stiffness = stiffness
@@ -138,14 +139,15 @@ class ProblemSetup:
         self.space = space
         self.u_ref = u_ref
         self.neighborhoods = space.neighborhoods
-        self._norm_caches = {}
+        self._norm_caches = {"exact": exact_norms}
         self._galerkin_store = None
 
     def norm_cache(self, mode):
-        """The ResidualNormCache of dual-norm ``mode``, built on first use.
+        """The ResidualNormCache of dual-norm ``mode``.
 
-        Every strategy run on this problem shares it; it is not built in
-        ``build_problem`` because goal_dwr never needs one.
+        Every strategy run on this problem shares it.  The exact cache is built
+        in ``build_problem``, whose snapshot solves use its factors; the
+        snapshot cache is built on first use.
         """
         if mode not in self._norm_caches:
             self._norm_caches[mode] = indicators.ResidualNormCache(
@@ -171,13 +173,14 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     """
     neighborhoods = mesh.all_neighborhoods(grid)
     stiffness = fine_fem.assemble_stiffness(grid, field)
+    exact_norms = indicators.ResidualNormCache(neighborhoods, stiffness)
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     spectra = []
-    for neigh in neighborhoods:
+    for neigh, factor in zip(neighborhoods, exact_norms.factors):
         patch_A = fine_fem.patch_stiffness(grid, field, neigh)
         patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-        snapshots = ms_space.compute_snapshots(neigh, patch_A)
+        snapshots = ms_space.compute_snapshots(neigh, patch_A, factor)
         spectra.append(ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snapshots))
     counts = [s.cluster_end(min(initial_count, s.n_snapshots)) for s in spectra]
     space = ms_space.build_basis(pu, spectra, counts)
@@ -185,7 +188,7 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     f_load = fine_fem.assemble_load(grid, f_density)
     g_load = fine_fem.assemble_load(grid, g_density)
     u_ref = fine_fem.solve_dirichlet(stiffness, f_load, grid.boundary_vertex_ids())
-    return ProblemSetup(grid, field, stiffness, f_load, g_load, space, u_ref)
+    return ProblemSetup(grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms)
 
 
 def adapt_loop(problem, strategy, cfg, collect_reports=None):

@@ -184,13 +184,17 @@ def write_field(field, path):
 
 
 def read_field(path):
-    """Read a field file, rejecting malformed or non-positive entries."""
+    """Read a field file, rejecting malformed, non-finite or non-positive
+    entries with a message that names the path, the fault and its row and
+    column."""
     with open(path) as fh:
         first = fh.readline().strip()
         try:
             nf = int(first)
         except ValueError:
             raise ValueError(f"{path}: first line must be the cell count, got {first!r}")
+        if nf < 1:
+            raise ValueError(f"{path}: cell count must be positive, got {nf}")
         values = np.empty((nf, nf))
         for iy in range(nf):
             line = fh.readline()
@@ -199,13 +203,20 @@ def read_field(path):
             parts = line.split()
             if len(parts) != nf:
                 raise ValueError(f"{path}: row {iy} has {len(parts)} values, expected {nf}")
-            row = np.array([float(v) for v in parts])
-            bad = np.flatnonzero(row <= 0.0)
-            if bad.size:
-                raise ValueError(
-                    f"{path}: non-positive value {row[bad[0]]} at row {iy}, column {bad[0]}"
-                )
-            values[iy] = row
+            row = values[iy]
+            for ix, text in enumerate(parts):
+                try:
+                    row[ix] = float(text)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric value {text!r} at row {iy}, column {ix}"
+                    ) from None
+            for fault, mask in (("non-finite", ~np.isfinite(row)), ("non-positive", row <= 0.0)):
+                bad = np.flatnonzero(mask)
+                if bad.size:
+                    raise ValueError(
+                        f"{path}: {fault} value {row[bad[0]]} at row {iy}, column {bad[0]}"
+                    )
     return CoefficientField(values)
 
 

@@ -146,9 +146,12 @@ class GalerkinStore:
     each computed once, when a requested space first needs it: its basis
     column in R, its column of A R and its load entry of R'b, all in the
     order they were computed (``column`` maps a candidate number to that
-    position), and its row and column of the coupling G = R'AR, kept in
-    ascending candidate order so that selections come out sorted.  The full
-    candidate set is never formed.
+    position and ``number`` back), and its row and column of the coupling
+    G = R'AR.  G is a T x T matrix in candidate numbering, T = sum L_i, whose
+    rows and columns of candidates not yet held are empty, so a growth only
+    fills empty rows and columns, and a space's matrix is the rows and
+    columns of its candidates in ascending number, which come out sorted.
+    The full candidate set is never formed.
 
     Entry (p, q) of G is the sum over fine vertices v, in ascending order, of
     R[v, p] * (A R)[v, q], exactly as the sparse product of a space's own
@@ -163,13 +166,14 @@ class GalerkinStore:
         self.b = b
         self.offsets = np.concatenate([[0], np.cumsum(space.max_counts)])
         self.have = np.zeros_like(space.max_counts)
-        self.column = np.full(self.offsets[-1], -1)
-        self.position = np.empty(0, dtype=int)  # row/column of G of each held column
+        total = self.offsets[-1]
+        self.column = np.full(total, -1)
+        self.number = np.empty(0, dtype=int)
         n = space.grid.n_vertices
         self.R = sparse.csc_matrix((n, 0))
         self.AR = sparse.csc_matrix((n, 0))
         self.load = np.empty(0)
-        self.G = sparse.csc_matrix((0, 0))
+        self.G = sparse.csc_matrix((total, total))
 
     def _numbers(self, stop, start=0):
         """Numbers of the candidates start[i] <= k < stop[i], ascending."""
@@ -182,39 +186,25 @@ class GalerkinStore:
         need = np.maximum(self.have, counts)
         if np.array_equal(need, self.have):
             return
-        old = self.R.shape[1]
-        before = self.column[self._numbers(self.have)]  # held column of each row of G
+        old = len(self.number)
+        new = self._numbers(need, self.have)
         R_new = self.space.basis_columns(self.have, need)
         AR_new = (self.A @ R_new).tocsc()
-        self.column[self._numbers(need, self.have)] = np.arange(old, old + R_new.shape[1])
         self.have = need
+        self.column[new] = np.arange(old, old + len(new))
+        self.number = np.concatenate([self.number, new])
         self.R = sparse.hstack([self.R, R_new], format="csc")
         # G[p, q] for every held p and new q; G[p, q] for new p and old q at (q, p)
         upper = (self.R.T @ AR_new).tocoo()
         lower = (self.AR.T @ R_new).tocoo()
         self.AR = sparse.hstack([self.AR, AR_new], format="csc")
         self.load = np.concatenate([self.load, R_new.T @ self.b])
-
-        # merge the new entries into G's column-major order; the old ones keep
-        # their relative order, so a stable sort of the keys is one merge
-        after = self.column[self._numbers(need)]
-        self.position = np.empty_like(after)
-        self.position[after] = np.arange(len(after))
-        n = len(after)
-        moved = self.position[before]
-        rows = np.concatenate(
-            [moved[self.G.indices], self.position[np.concatenate([upper.row, lower.col + old])]]
-        )
-        cols = np.concatenate(
-            [
-                np.repeat(moved, np.diff(self.G.indptr)),
-                self.position[np.concatenate([upper.col + old, lower.row])],
-            ]
-        )
-        order = np.argsort(cols * n + rows, kind="stable")
-        data = np.concatenate([self.G.data, upper.data, lower.data])
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-        self.G = sparse.csc_matrix((data[order], rows[order], indptr), shape=(n, n))
+        # the new entries lie in rows or columns of new candidates, where G is
+        # empty, and sparse products store no exact zeros: the sum is exact
+        rows = self.number[np.concatenate([upper.row, lower.col + old])]
+        cols = self.number[np.concatenate([upper.col + old, lower.row])]
+        data = np.concatenate([upper.data, lower.data])
+        self.G = self.G + sparse.csc_matrix((data, (rows, cols)), shape=self.G.shape)
 
     def system(self, space):
         """The CoarseSystem of ``space``, selected after growing the store to
@@ -222,9 +212,9 @@ class GalerkinStore:
         if space.candidates is not self.space.candidates:
             raise ValueError("space was not built from this store's candidates")
         self._grow(space.counts)
-        columns = self.column[self._numbers(space.counts)]
-        rows = self.position[columns]
-        matrix = self.G[:, rows][rows, :]
+        numbers = self._numbers(space.counts)
+        columns = self.column[numbers]
+        matrix = self.G[:, numbers][numbers, :]
         return CoarseSystem(space, matrix, self.load[columns], self.R[:, columns])
 
 

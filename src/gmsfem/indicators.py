@@ -65,7 +65,9 @@ class ResidualNormCache:
     """Dual norms ||R_i||_{V_i*} of local residuals, with per-neighborhood data
     computed once.
 
-    mode='exact' factors the zero-trace operator of each neighborhood once and
+    mode='exact' factors the zero-trace operator of each neighborhood once,
+    keeps the SuperLU factors in ``factors`` (the offline stage solves its
+    harmonic snapshots with them too, see ms_space.compute_snapshots) and
     returns ||w||_a of the solution of a(w, v) = R(v) on the zero-trace space;
     mode='snapshot' solves that problem in the span of the zero-trace parts of
     the snapshots from precomputed Galerkin data, which can only give a
@@ -79,22 +81,23 @@ class ResidualNormCache:
             raise ValueError("snapshot mode needs the neighborhood spectra")
         self.mode = mode
         self._interior = [neigh.fine_vertices_interior for neigh in neighborhoods]
-        self._data = []
+        self.factors = []
+        self._galerkin = []
         for i, neigh in enumerate(neighborhoods):
             A_zt = local_operator(neigh, A)
             if mode == "exact":
-                self._data.append(spla.splu(A_zt.tocsc()))
+                self.factors.append(spla.splu(A_zt.tocsc()))
             else:
                 T = spectra[i].snapshots[neigh.interior_local]
                 gram = T.T @ (A_zt @ T)
-                self._data.append((T, 0.5 * (gram + gram.T)))
+                self._galerkin.append((T, 0.5 * (gram + gram.T)))
 
     def norm(self, i, rho):
         """Dual norm of the residual vector ``rho`` over neighborhood i."""
         if self.mode == "exact":
-            w = self._data[i].solve(rho)
+            w = self.factors[i].solve(rho)
             return float(np.sqrt(max(float(rho @ w), 0.0)))
-        T, gram = self._data[i]
+        T, gram = self._galerkin[i]
         rhs = T.T @ rho
         y, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         return float(np.sqrt(max(float(rhs @ y), 0.0)))

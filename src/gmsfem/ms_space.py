@@ -6,7 +6,9 @@ The offline pipeline per neighborhood omega_i is
      element edges (compute_partition_of_unity),
   2. the spectral weight kappa * sum_i H^2 |grad chi_i|^2 feeding the local
      mass matrix (compute_spectral_weight),
-  3. harmonic snapshots, one per fine boundary vertex (compute_snapshots),
+  3. harmonic snapshots, one per fine boundary vertex, solved with the
+     neighborhood's zero-trace factor that the exact dual norms share
+     (compute_snapshots),
   4. the generalized eigenproblem A_off Psi = lambda S_off Psi in snapshot
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
@@ -24,7 +26,6 @@ import warnings
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .fine_fem import CoefficientField, Q1_STIFFNESS, _assemble
 from .mesh import all_neighborhoods
@@ -179,22 +180,23 @@ def compute_spectral_weight(grid, field, pu):
     return CoefficientField(field.values * grid.H**2 * sumsq)
 
 
-def compute_snapshots(neigh, patch_matrix):
+def compute_snapshots(neigh, patch_matrix, factor):
     """Harmonic snapshots of one neighborhood, one column per boundary vertex.
 
     Column j solves the zero-source problem of ``patch_matrix`` (the patch
     stiffness, see fine_fem.patch_stiffness) with nodal data 1 at the j-th
-    fine boundary vertex (ascending id order) and 0 at the others.
+    fine boundary vertex (ascending id order) and 0 at the others.  The
+    interior block of ``patch_matrix`` is the neighborhood's zero-trace
+    operator, and ``factor`` is its SuperLU factor (one entry of
+    indicators.ResidualNormCache.factors), so it is factored once per problem.
     Returned as a dense (patch_size, L_i) array in patch-local ordering.
     """
     interior = neigh.interior_local
     rim = neigh.boundary_local
-    A_ii = patch_matrix[interior][:, interior].tocsc()
     A_ib = patch_matrix[interior][:, rim].toarray()
-    lu = spla.splu(A_ii)
     snapshots = np.zeros((len(neigh.fine_vertices_all), len(rim)))
     snapshots[rim, np.arange(len(rim))] = 1.0
-    snapshots[interior] = lu.solve(-A_ib)
+    snapshots[interior] = factor.solve(-A_ib)
     return snapshots
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmsfem import adapt, cli, fine_fem, mesh, ms_space
+from gmsfem import adapt, cli, fine_fem, indicators, mesh, ms_space
 
 
 @pytest.fixture(scope="session")
@@ -22,13 +22,16 @@ def unit_offline44(grid44, unit_field44):
 
 def _offline(grid, field):
     neighborhoods = mesh.all_neighborhoods(grid)
+    exact_norms = indicators.ResidualNormCache(
+        neighborhoods, fine_fem.assemble_stiffness(grid, field)
+    )
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     spectra = []
-    for neigh in neighborhoods:
+    for neigh, factor in zip(neighborhoods, exact_norms.factors):
         patch_A = fine_fem.patch_stiffness(grid, field, neigh)
         patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-        snaps = ms_space.compute_snapshots(neigh, patch_A)
+        snaps = ms_space.compute_snapshots(neigh, patch_A, factor)
         spectra.append(ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snaps))
     return {
         "grid": grid,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from gmsfem import adapt, cli, indicators, mesh, ms_space
 from gmsfem.adapt import MarkingConfig
@@ -182,6 +183,7 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem):
         channel_problem.g_load,
         ms_space.build_basis(space.pu, rotated_spectra, space.counts),
         channel_problem.u_ref,
+        channel_problem.norm_cache("exact"),
     )
     cfg = MarkingConfig(theta=0.5, s=1, m_enrich=2, max_iterations=12, dof_cap=100_000)
     for strategy in adapt.STRATEGIES:
@@ -193,6 +195,24 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem):
         np.testing.assert_allclose(
             b.column("energy_error"), a.column("energy_error"), rtol=1e-10, err_msg=strategy
         )
+
+
+def test_one_zero_trace_factorization_per_neighborhood(grid44, unit_field44, monkeypatch):
+    # the offline snapshots and the exact dual norms solve with one factor
+    sizes = []
+    splu = scipy.sparse.linalg.splu
+
+    def counted(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    f_density, g_density = benchmark_densities(grid44)
+    problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
+    problem.norm_cache("exact")
+    # the fine reference solve is the one factorization of another size
+    interior = {len(neigh.fine_vertices_interior) for neigh in problem.neighborhoods}
+    assert sum(size in interior for size in sizes) == len(problem.neighborhoods)
 
 
 def test_loop_stop_conditions(small_problem):
@@ -233,6 +253,7 @@ def test_loop_annotates_solver_failures(small_problem):
         small_problem.g_load,
         broken_space,
         small_problem.u_ref,
+        small_problem.norm_cache("exact"),
     )
     with pytest.raises(adapt.AdaptFailure, match="standard iteration 0"):
         adapt.adapt_loop(broken, "standard", MarkingConfig(max_iterations=2))

@@ -117,6 +117,16 @@ def test_read_field_rejects_malformed(tmp_path):
     path.write_text("2\n1.0 1.0 1.0\n1.0 1.0\n")
     with pytest.raises(ValueError, match="row 0 has 3 values"):
         cli.read_field(path)
+    for text, fault in (
+        ("-2\n", "cell count must be positive, got -2"),
+        ("2\n1.0 abc\n1.0 1.0\n", "non-numeric value 'abc' at row 0, column 1"),
+        ("2\n1.0 1.0\nnan 1.0\n", "non-finite value nan at row 1, column 0"),
+        ("2\n1.0 inf\n1.0 1.0\n", "non-finite value inf at row 0, column 1"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            cli.read_field(path)
+        assert str(info.value) == f"{path}: {fault}"
 
 
 def test_field_file_grid_mismatch(tmp_path):
