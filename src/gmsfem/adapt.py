@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +57,10 @@ class MarkingConfig:
             raise ValueError(f"DWR dual width m_enrich must be >= 1, got {self.m_enrich}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.dof_cap < 1:
+            raise ValueError(f"dof_cap must be >= 1, got {self.dof_cap}")
+        if not (np.isfinite(self.goal_tol) and self.goal_tol >= 0.0):
+            raise ValueError(f"goal_tol must be finite and >= 0, got {self.goal_tol}")
         if self.strategy not in ("full_sort", "binning"):
             raise ValueError(f"unknown marking strategy {self.strategy!r}")
         if self.dual_norm_mode not in ("exact", "snapshot"):
@@ -126,8 +131,8 @@ class ProblemSetup:
 
     Offline data (partition of unity, snapshots, spectra, initial space), the
     global stiffness, load vectors of the source and the goal, the exact
-    ResidualNormCache whose factors the snapshots were solved with, and the
-    fine reference solution used only for trace error reporting.
+    ResidualNormCache whose stacked factor the snapshots were solved with, and
+    the fine reference solution used only for trace error reporting.
     """
 
     def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms):
@@ -146,7 +151,7 @@ class ProblemSetup:
         """The ResidualNormCache of dual-norm ``mode``.
 
         Every strategy run on this problem shares it.  The exact cache is built
-        in ``build_problem``, whose snapshot solves use its factors; the
+        in ``build_problem``, whose snapshot solves use its factor; the
         snapshot cache is built on first use.
         """
         if mode not in self._norm_caches:
@@ -177,10 +182,10 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     spectra = []
-    for neigh, factor in zip(neighborhoods, exact_norms.factors):
+    for i, neigh in enumerate(neighborhoods):
         patch_A = fine_fem.patch_stiffness(grid, field, neigh)
         patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-        snapshots = ms_space.compute_snapshots(neigh, patch_A, factor)
+        snapshots = ms_space.compute_snapshots(neigh, patch_A, partial(exact_norms.solve, i))
         spectra.append(ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snapshots))
     counts = [s.cluster_end(min(initial_count, s.n_snapshots)) for s in spectra]
     space = ms_space.build_basis(pu, spectra, counts)

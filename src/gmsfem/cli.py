@@ -77,8 +77,7 @@ class ExperimentConfig:
         self.r = int(r)
         self.field = field
         self.contrast = float(contrast)
-        if self.contrast < 1.0:
-            raise ValueError(f"contrast must be >= 1, got {self.contrast}")
+        _check_contrast(self.contrast)
         strategies = list(strategies)
         for name in strategies:
             if name not in STRATEGIES:
@@ -157,14 +156,19 @@ def _diagonal_band(mask, rng):
         mask[max(lo, 0) : min(hi, nf - 1) + 1, cx] = True
 
 
+def _check_contrast(contrast):
+    # written so that nan, which compares false with everything, fails too
+    if not (np.isfinite(contrast) and contrast >= 1.0):
+        raise ValueError(f"contrast must be finite and >= 1, got {contrast}")
+
+
 def generate_field(kind, contrast, nf, seed):
     """Seeded synthetic coefficient field: background 1, features at `contrast`."""
     if nf < MIN_FIELD_NF:
         raise ValueError(f"nf={nf} too small to host the generated geometry (need >= {MIN_FIELD_NF})")
     if kind not in ("channel", "inclusions"):
         raise ValueError(f"unknown field kind {kind!r}")
-    if contrast < 1.0:
-        raise ValueError(f"contrast must be >= 1, got {contrast}")
+    _check_contrast(contrast)
     rng = np.random.default_rng(seed)
     mask = np.zeros((nf, nf), dtype=bool)
     _scatter_inclusions(mask, rng)

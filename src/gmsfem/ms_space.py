@@ -7,8 +7,9 @@ The offline pipeline per neighborhood omega_i is
   2. the spectral weight kappa * sum_i H^2 |grad chi_i|^2 feeding the local
      mass matrix (compute_spectral_weight),
   3. harmonic snapshots, one per fine boundary vertex, solved with the
-     neighborhood's zero-trace factor that the exact dual norms share
-     (compute_snapshots),
+     neighborhood's block of the one stacked banded Cholesky factor of all
+     zero-trace operators that the exact dual norms share, (2r+1) * N * m
+     doubles for N neighborhoods of m interior vertices (compute_snapshots),
   4. the generalized eigenproblem A_off Psi = lambda S_off Psi in snapshot
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
@@ -180,23 +181,25 @@ def compute_spectral_weight(grid, field, pu):
     return CoefficientField(field.values * grid.H**2 * sumsq)
 
 
-def compute_snapshots(neigh, patch_matrix, factor):
+def compute_snapshots(neigh, patch_matrix, solve):
     """Harmonic snapshots of one neighborhood, one column per boundary vertex.
 
     Column j solves the zero-source problem of ``patch_matrix`` (the patch
     stiffness, see fine_fem.patch_stiffness) with nodal data 1 at the j-th
     fine boundary vertex (ascending id order) and 0 at the others.  The
     interior block of ``patch_matrix`` is the neighborhood's zero-trace
-    operator, and ``factor`` is its SuperLU factor (one entry of
-    indicators.ResidualNormCache.factors), so it is factored once per problem.
-    Returned as a dense (patch_size, L_i) array in patch-local ordering.
+    operator, and ``solve`` maps a block of right-hand sides to its solutions
+    with that operator; build_problem passes the neighborhood's slice of the
+    stacked banded Cholesky factor (indicators.ResidualNormCache.solve), so
+    the offline stage factors nothing itself.  Returned as a dense
+    (patch_size, L_i) array in patch-local ordering.
     """
     interior = neigh.interior_local
     rim = neigh.boundary_local
     A_ib = patch_matrix[interior][:, rim].toarray()
     snapshots = np.zeros((len(neigh.fine_vertices_all), len(rim)))
     snapshots[rim, np.arange(len(rim))] = 1.0
-    snapshots[interior] = factor.solve(-A_ib)
+    snapshots[interior] = solve(-A_ib)
     return snapshots
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from gmsfem import adapt, cli, indicators, mesh, ms_space
@@ -45,6 +46,23 @@ def test_marking_config_validation():
         MarkingConfig(dual_norm_mode="cheap")
     with pytest.raises(ValueError):
         MarkingConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("goal_tol", float("nan"), "goal_tol must be finite and >= 0, got nan"),
+        ("goal_tol", float("inf"), "goal_tol must be finite and >= 0, got inf"),
+        ("goal_tol", -1.0, "goal_tol must be finite and >= 0, got -1.0"),
+        ("dof_cap", 0, "dof_cap must be >= 1, got 0"),
+        ("dof_cap", -5, "dof_cap must be >= 1, got -5"),
+    ],
+    ids=["goal_tol-nan", "goal_tol-inf", "goal_tol-negative", "dof_cap-0", "dof_cap-negative"],
+)
+def test_marking_config_rejects_bad_stop_values(field, value, message):
+    with pytest.raises(ValueError) as excinfo:
+        MarkingConfig(**{field: value})
+    assert str(excinfo.value) == message
 
 
 def test_mark_worked_example():
@@ -197,22 +215,30 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem):
         )
 
 
-def test_one_zero_trace_factorization_per_neighborhood(grid44, unit_field44, monkeypatch):
-    # the offline snapshots and the exact dual norms solve with one factor
-    sizes = []
+def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypatch):
+    # the offline snapshots and the exact dual norms solve with one stacked
+    # banded factor of every zero-trace operator
+    banded, sizes = [], []
+    cholesky_banded = scipy.linalg.cholesky_banded
     splu = scipy.sparse.linalg.splu
 
-    def counted(matrix, *args, **kwargs):
+    def counted_banded(ab, *args, **kwargs):
+        banded.append(ab.shape[1])
+        return cholesky_banded(ab, *args, **kwargs)
+
+    def counted_splu(matrix, *args, **kwargs):
         sizes.append(matrix.shape[0])
         return splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted_banded)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
     f_density, g_density = benchmark_densities(grid44)
     problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
     problem.norm_cache("exact")
-    # the fine reference solve is the one factorization of another size
-    interior = {len(neigh.fine_vertices_interior) for neigh in problem.neighborhoods}
-    assert sum(size in interior for size in sizes) == len(problem.neighborhoods)
+    interior = [len(neigh.fine_vertices_interior) for neigh in problem.neighborhoods]
+    assert banded == [sum(interior)]
+    # the fine reference solve is the one sparse factorization
+    assert not any(size in interior for size in sizes)
 
 
 def test_loop_stop_conditions(small_problem):

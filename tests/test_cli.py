@@ -48,6 +48,17 @@ def test_generate_field_rejects_bad_input():
         cli.generate_field("channel", 0.5, 40, seed=0)
 
 
+@pytest.mark.parametrize("contrast", [float("nan"), float("inf")])
+def test_non_finite_contrast_fails_early(contrast):
+    message = f"contrast must be finite and >= 1, got {contrast}"
+    with pytest.raises(ValueError) as excinfo:
+        cli.generate_field("channel", contrast, 40, seed=0)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentConfig(contrast=contrast)
+    assert str(excinfo.value) == message
+
+
 def _crossing_exists(mask):
     """Flood-fill oracle: 4-connected path of True cells from x=0 to x=nf-1."""
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])

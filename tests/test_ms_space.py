@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -126,10 +127,10 @@ def test_spectral_weight_positive_on_all_cells(channel_problem):
 # snapshots
 
 
-def _zero_trace_factor(grid, field, neigh):
-    """The factor of neigh's zero-trace operator that build_problem shares."""
+def _zero_trace_solve(grid, field, neigh):
+    """The solve with neigh's zero-trace operator that build_problem shares."""
     A = fine_fem.assemble_stiffness(grid, field)
-    return indicators.ResidualNormCache([neigh], A).factors[0]
+    return partial(indicators.ResidualNormCache([neigh], A).solve, 0)
 
 
 def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
@@ -137,7 +138,7 @@ def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
     snaps = ms_space.compute_snapshots(
         neigh,
         fine_fem.patch_stiffness(grid44, unit_field44, neigh),
-        _zero_trace_factor(grid44, unit_field44, neigh),
+        _zero_trace_solve(grid44, unit_field44, neigh),
     )
     rim = neigh.boundary_local
     assert np.array_equal(snaps[rim], np.eye(len(rim)))
@@ -151,7 +152,7 @@ def test_snapshots_match_dense_solve_oracle():
     field = CoefficientField(np.exp(rng.normal(size=(grid.nf, grid.nf))))
     neigh = mesh.CoarseNeighborhood(grid, 0)
     patch_A = fine_fem.patch_stiffness(grid, field, neigh)
-    snaps = ms_space.compute_snapshots(neigh, patch_A, _zero_trace_factor(grid, field, neigh))
+    snaps = ms_space.compute_snapshots(neigh, patch_A, _zero_trace_solve(grid, field, neigh))
     A_patch = patch_A.toarray()
     interior, rim = neigh.interior_local, neigh.boundary_local
     oracle = np.linalg.solve(
@@ -167,7 +168,7 @@ def test_snapshots_match_dense_solve_oracle():
 def _spectrum_for(grid, field, neigh, weight):
     patch_A = fine_fem.patch_stiffness(grid, field, neigh)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-    snaps = ms_space.compute_snapshots(neigh, patch_A, _zero_trace_factor(grid, field, neigh))
+    snaps = ms_space.compute_snapshots(neigh, patch_A, _zero_trace_solve(grid, field, neigh))
     return ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snaps), patch_A, patch_S
 
 
