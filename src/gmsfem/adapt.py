@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 
 from . import coarse_solve, fine_fem, indicators, mesh, ms_space
+from .csvout import write_csv
 
 __all__ = [
     "AdaptFailure",
@@ -15,6 +16,7 @@ __all__ = [
     "AdaptTrace",
     "ProblemSetup",
     "STRATEGIES",
+    "MARKING_RULES",
     "mark",
     "adapt_loop",
     "build_problem",
@@ -22,6 +24,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("standard", "goal_h1", "goal_dwr")
+MARKING_RULES = ("full_sort", "binning")
 
 
 class AdaptFailure(RuntimeError):
@@ -61,9 +64,9 @@ class MarkingConfig:
             raise ValueError(f"dof_cap must be >= 1, got {self.dof_cap}")
         if not (np.isfinite(self.goal_tol) and self.goal_tol >= 0.0):
             raise ValueError(f"goal_tol must be finite and >= 0, got {self.goal_tol}")
-        if self.strategy not in ("full_sort", "binning"):
+        if self.strategy not in MARKING_RULES:
             raise ValueError(f"unknown marking strategy {self.strategy!r}")
-        if self.dual_norm_mode not in ("exact", "snapshot"):
+        if self.dual_norm_mode not in indicators.DUAL_NORM_MODES:
             raise ValueError(f"unknown dual norm mode {self.dual_norm_mode!r}")
 
 
@@ -282,16 +285,13 @@ def _write_csv(traces, path, extra):
 
     Wall time is deliberately omitted so repeated runs are byte-identical.
     """
-    header = "strategy,iteration,dofs,energy_error,goal_error,sum_eta_sq,marked_count"
-    tail = "".join(f",{value}" for value in extra.values())
-    with open(path, "w") as fh:
-        fh.write(header + "".join(f",{name}" for name in extra) + "\n")
-        for trace in traces:
-            for row in trace.rows:
-                fh.write(
-                    f"{trace.strategy},{row.iteration},{row.dofs},{row.energy_error!r},"
-                    f"{row.goal_error!r},{row.sum_eta_sq!r},{row.marked_count}{tail}\n"
-                )
+    columns = ["iteration", "dofs", "energy_error", "goal_error", "sum_eta_sq", "marked_count"]
+    rows = (
+        [trace.strategy, *(getattr(row, name) for name in columns), *extra.values()]
+        for trace in traces
+        for row in trace.rows
+    )
+    write_csv(path, ["strategy", *columns, *extra], rows)
 
 
 def write_trace_csv(trace, path, extra=None):

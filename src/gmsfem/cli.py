@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .adapt import (
+    MARKING_RULES,
     AdaptFailure,
     MarkingConfig,
     STRATEGIES,
@@ -24,7 +25,7 @@ from .adapt import (
     write_trace_csv,
 )
 from .fine_fem import CoefficientField
-from .indicators import dump_indicators
+from .indicators import DUAL_NORM_MODES, dump_indicators
 from .mesh import GridHierarchy
 from .ms_space import dump_spectra
 
@@ -42,11 +43,17 @@ __all__ = [
 K1_BOX = (0.1, 0.2, 0.8, 0.9)
 K2_BOX = (0.8, 0.9, 0.1, 0.2)
 
+GOAL_SCALES = ("integral", "mean")
+
 MIN_FIELD_NF = 20
 
 
 class ExperimentConfig:
-    """Validated configuration of one experiment run."""
+    """Validated configuration of one experiment run.
+
+    ``self.marking`` is a MarkingConfig built from ``marking``, its marking
+    rule ``strategy``, and ``loop``, its other fields; MarkingConfig holds
+    their defaults."""
 
     def __init__(
         self,
@@ -55,14 +62,6 @@ class ExperimentConfig:
         field="channel",
         contrast=1e4,
         strategies=STRATEGIES,
-        theta=0.5,
-        marking="full_sort",
-        s=1,
-        m_enrich=2,
-        max_iterations=15,
-        dof_cap=2000,
-        goal_tol=0.0,
-        dual_norm_mode="exact",
         seed=0,
         out_dir="out",
         k1_box=K1_BOX,
@@ -72,34 +71,30 @@ class ExperimentConfig:
         dump_indicator_csv=False,
         dump_spectra_csv=False,
         initial_count=1,
+        marking=MarkingConfig.strategy,
+        **loop,
     ):
         self.nc = int(nc)
         self.r = int(r)
         self.field = field
         self.contrast = float(contrast)
         _check_contrast(self.contrast)
-        strategies = list(strategies)
-        for name in strategies:
+        self.strategies = list(strategies)
+        if not self.strategies:
+            raise ValueError(f"the strategy list is empty; expected some of {STRATEGIES}")
+        for k, name in enumerate(self.strategies):
             if name not in STRATEGIES:
                 raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
-        self.strategies = strategies
-        self.marking = MarkingConfig(
-            theta=float(theta),
-            strategy=marking,
-            s=int(s),
-            max_iterations=int(max_iterations),
-            dof_cap=int(dof_cap),
-            goal_tol=float(goal_tol),
-            m_enrich=int(m_enrich),
-            dual_norm_mode=dual_norm_mode,
-        )
+            if name in self.strategies[:k]:
+                raise ValueError(f"strategy {name!r} is repeated in {self.strategies}")
+        self.marking = MarkingConfig(strategy=marking, **loop)
         self.seed = int(seed)
         self.out_dir = out_dir
         self.k1_box = _check_box(k1_box, "K1")
         self.k2_box = _check_box(k2_box, "K2")
         self.goal_box = _check_box(goal_box, "goal") if goal_box else self.k2_box
-        if goal_scale not in ("integral", "mean"):
-            raise ValueError(f"goal_scale must be 'integral' or 'mean', got {goal_scale!r}")
+        if goal_scale not in GOAL_SCALES:
+            raise ValueError(f"goal_scale must be one of {GOAL_SCALES}, got {goal_scale!r}")
         self.goal_scale = goal_scale
         self.dump_indicator_csv = bool(dump_indicator_csv)
         self.dump_spectra_csv = bool(dump_spectra_csv)
@@ -285,8 +280,7 @@ def run_experiment(config, verbose=True):
                 f"({trace.stop_reason})"
             )
 
-    comparison = [traces[strategy] for strategy in config.strategies]
-    _write_csv(comparison, os.path.join(config.out_dir, "comparison.csv"), extra)
+    _write_csv(traces.values(), os.path.join(config.out_dir, "comparison.csv"), extra)
     if verbose:
         _print_summary(traces)
     return traces
@@ -309,124 +303,110 @@ def _print_summary(traces):
 def _parse_box(text):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("box must be x0,x1,y0,y1")
+        raise argparse.ArgumentTypeError(f"box must be x0,x1,y0,y1, got {text!r}")
     return tuple(parts)
 
 
-def _read_config_file(path):
-    """Plain key = value lines; '#' starts a comment."""
-    options = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            options[key.replace("-", "_")] = value
-    return options
-
-
 def build_parser():
+    """The option parser, and the action of each config file key.  A dest is
+    its ExperimentConfig keyword, and an option not given is absent, so the
+    defaults live in ExperimentConfig and MarkingConfig alone."""
     parser = argparse.ArgumentParser(
         prog="gmsfem",
         description="Adaptive multiscale strategy comparison on high-contrast elliptic problems",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--config", help="key = value configuration file; flags override it")
-    parser.add_argument("--nc", type=int, default=10, help="coarse cells per side")
-    parser.add_argument("--r", type=int, default=10, help="fine cells per coarse cell per side")
-    parser.add_argument(
-        "--field",
-        default="channel",
-        help="coefficient field: channel, inclusions, or file:PATH",
-    )
-    parser.add_argument("--contrast", type=float, default=1e4)
-    parser.add_argument("--theta", type=float, default=0.5, help="bulk marking fraction")
-    parser.add_argument(
+    keys = {}
+
+    def add(flag, **kwargs):
+        keys[flag[2:]] = parser.add_argument(flag, **kwargs)
+
+    add("--nc", type=int, help="coarse cells per side")
+    add("--r", type=int, help="fine cells per coarse cell per side")
+    add("--field", help="coefficient field: channel, inclusions, or file:PATH")
+    add("--contrast", type=float)
+    add("--theta", type=float, help="bulk marking fraction")
+    add(
         "--strategy",
         action="append",
         dest="strategies",
         choices=STRATEGIES,
         help="strategy to run (repeatable; default: all three)",
     )
-    parser.add_argument("--marking", choices=("full_sort", "binning"), default="full_sort")
-    parser.add_argument("--s", type=int, default=1, help="basis functions added per marked neighborhood")
-    parser.add_argument("--m-enrich", type=int, default=2, help="extra dual basis width for goal_dwr")
-    parser.add_argument("--max-iters", type=int, default=15)
-    parser.add_argument("--dof-cap", type=int, default=2000)
-    parser.add_argument("--goal-tol", type=float, default=0.0)
-    parser.add_argument("--dual-norm", choices=("exact", "snapshot"), default="exact")
-    parser.add_argument("--initial-count", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="out", help="output directory for CSV traces")
-    parser.add_argument("--k1-box", type=_parse_box, default=K1_BOX)
-    parser.add_argument("--k2-box", type=_parse_box, default=K2_BOX)
-    parser.add_argument("--goal-box", type=_parse_box, default=None)
-    parser.add_argument(
+    add("--marking", choices=MARKING_RULES)
+    add("--s", type=int, help="basis functions added per marked neighborhood")
+    add("--m-enrich", type=int, help="extra dual basis width for goal_dwr")
+    add("--max-iters", type=int, dest="max_iterations")
+    add("--dof-cap", type=int)
+    add("--goal-tol", type=float)
+    add("--dual-norm", choices=DUAL_NORM_MODES, dest="dual_norm_mode")
+    add("--initial-count", type=int)
+    add("--seed", type=int)
+    add("--out", dest="out_dir", help="output directory for CSV traces")
+    add("--k1-box", type=_parse_box)
+    add("--k2-box", type=_parse_box)
+    add("--goal-box", type=_parse_box)
+    add(
         "--goal-scale",
-        choices=("integral", "mean"),
-        default="integral",
+        choices=GOAL_SCALES,
         help="goal functional: plain integral over the goal box, or its mean value",
     )
-    parser.add_argument("--dump-indicators", action="store_true")
-    parser.add_argument("--dump-spectra", action="store_true")
-    parser.add_argument("--quiet", action="store_true")
-    return parser
+    add("--dump-indicators", action="store_true", dest="dump_indicator_csv")
+    add("--dump-spectra", action="store_true", dest="dump_spectra_csv")
+    add("--quiet", action="store_true")
+    keys["strategies"] = keys.pop("strategy")
+    return parser, keys
 
 
-def config_from_args(args):
-    return ExperimentConfig(
-        nc=args.nc,
-        r=args.r,
-        field=args.field,
-        contrast=args.contrast,
-        strategies=args.strategies or list(STRATEGIES),
-        theta=args.theta,
-        marking=args.marking,
-        s=args.s,
-        m_enrich=args.m_enrich,
-        max_iterations=args.max_iters,
-        dof_cap=args.dof_cap,
-        goal_tol=args.goal_tol,
-        dual_norm_mode=args.dual_norm,
-        seed=args.seed,
-        out_dir=args.out,
-        k1_box=args.k1_box,
-        k2_box=args.k2_box,
-        goal_box=args.goal_box,
-        goal_scale=args.goal_scale,
-        dump_indicator_csv=args.dump_indicators,
-        dump_spectra_csv=args.dump_spectra,
-        initial_count=args.initial_count,
-    )
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True}
+_SWITCH_VALUES.update({"0": False, "false": False, "no": False, "off": False})
+
+
+def _read_config_file(parser, keys, path):
+    """The options of a config file: each ``key = value`` line goes through
+    ``parser`` as the long flag ``--key``, named exactly, not by a prefix
+    (README, "Command line").  A fault ends the program with a message that
+    names the file, the line and the key.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        parser.error(f"cannot read config file {path}: {exc.strerror}")
+    parser.exit_on_error = False  # a bad value raises, so its message can name the file
+    options = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"config file {path}, line {lineno}"
+        key, _, value = (part.strip() for part in line.partition("="))
+        action = keys.get(key.replace("_", "-"))
+        if action is None:
+            parser.error(f"{where}: unknown key {key!r}")
+        if action.nargs == 0:
+            if value.lower() not in _SWITCH_VALUES:
+                parser.error(f"{where}: {key}: expected true or false, got {value!r}")
+            options[action.dest] = _SWITCH_VALUES[value.lower()]
+            continue
+        values = value.split(",") if action.dest == "strategies" else [value]
+        flag = action.option_strings[0]
+        try:
+            options.update(vars(parser.parse_args([f"{flag}={v.strip()}" for v in values])))
+        except argparse.ArgumentError as exc:
+            parser.error(f"{where}: {key}: {exc.message}")
+    return options
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        file_options = _read_config_file(args.config)
-        actions = {action.dest: action for action in parser._actions}
-        unknown = set(file_options) - set(actions)
-        if unknown:
-            parser.error(f"unknown config file keys: {sorted(unknown)}")
-        defaults = {}
-        for key, value in file_options.items():
-            action = actions[key]
-            if key == "strategies":
-                defaults[key] = [v.strip() for v in value.split(",")]
-            elif isinstance(action.const, bool):
-                defaults[key] = value.strip().lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                defaults[key] = action.type(value)
-            else:
-                defaults[key] = value
-        parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
+    parser, keys = build_parser()
+    flags = vars(parser.parse_args(argv))
+    options = _read_config_file(parser, keys, flags.pop("config")) if "config" in flags else {}
+    options.update(flags)
+    verbose = not options.pop("quiet", False)
     try:
-        config = config_from_args(args)
-        run_experiment(config, verbose=not args.quiet)
+        run_experiment(ExperimentConfig(**options), verbose=verbose)
     except (ValueError, OSError, AdaptFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,9 +24,11 @@ column block of one neighborhood also solves its offline snapshots.
 import numpy as np
 import scipy.linalg
 
+from .csvout import write_csv
 from .fine_fem import local_operator
 
 __all__ = [
+    "DUAL_NORM_MODES",
     "IndicatorReport",
     "ResidualNormCache",
     "fine_residual",
@@ -35,6 +37,8 @@ __all__ = [
     "eta_dwr",
     "dump_indicators",
 ]
+
+DUAL_NORM_MODES = ("exact", "snapshot")
 
 
 class IndicatorReport:
@@ -90,8 +94,8 @@ class ResidualNormCache:
     """
 
     def __init__(self, neighborhoods, A, mode="exact", spectra=None):
-        if mode not in ("exact", "snapshot"):
-            raise ValueError(f"mode must be 'exact' or 'snapshot', got {mode!r}")
+        if mode not in DUAL_NORM_MODES:
+            raise ValueError(f"mode must be one of {DUAL_NORM_MODES}, got {mode!r}")
         if mode == "snapshot" and spectra is None:
             raise ValueError("snapshot mode needs the neighborhood spectra")
         self.mode = mode
@@ -230,11 +234,9 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
 def dump_indicators(reports, path):
     """Write indicator reports as CSV (iteration, vertex_id, strategy, eta_sq,
     lambda_next, l_i)."""
-    with open(path, "w") as fh:
-        fh.write("iteration,vertex_id,strategy,eta_sq,lambda_next,l_i\n")
-        for report in reports:
-            for i, eta in enumerate(report.eta_sq):
-                fh.write(
-                    f"{report.iteration},{i},{report.strategy},{float(eta)!r},"
-                    f"{float(report.lambda_next[i])!r},{report.counts[i]}\n"
-                )
+    rows = (
+        (report.iteration, i, report.strategy, eta, report.lambda_next[i], report.counts[i])
+        for report in reports
+        for i, eta in enumerate(report.eta_sq)
+    )
+    write_csv(path, ["iteration", "vertex_id", "strategy", "eta_sq", "lambda_next", "l_i"], rows)

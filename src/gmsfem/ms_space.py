@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
+from .csvout import write_csv
 from .fine_fem import CoefficientField, Q1_STIFFNESS, _assemble
 from .mesh import all_neighborhoods
 
@@ -387,8 +388,5 @@ def enrich(space, marked, s=1):
 
 def dump_spectra(spectra, path):
     """Write per-neighborhood eigenvalues as CSV (vertex_id, k, lambda_k)."""
-    with open(path, "w") as fh:
-        fh.write("vertex_id,k,lambda\n")
-        for spectrum in spectra:
-            for k, lam in enumerate(spectrum.eigenvalues, start=1):
-                fh.write(f"{spectrum.vertex_id},{k},{float(lam)!r}\n")
+    rows = ((sp.vertex_id, k, lam) for sp in spectra for k, lam in enumerate(sp.eigenvalues, 1))
+    write_csv(path, ["vertex_id", "k", "lambda"], rows)

@@ -9,7 +9,7 @@ import scipy.ndimage
 
 import gmsfem
 from gmsfem import cli, mesh
-from gmsfem.adapt import STRATEGIES
+from gmsfem.adapt import STRATEGIES, MarkingConfig
 from gmsfem.cli import ExperimentConfig
 
 
@@ -175,6 +175,21 @@ def test_experiment_config_validation():
         ExperimentConfig(initial_count=0)
 
 
+@pytest.mark.parametrize(
+    "strategies, message",
+    [([], "the strategy list is empty"), (["standard", "goal_h1", "standard"], "'standard' is repeated")],
+)
+def test_strategy_list_must_be_nonempty_without_repeats(strategies, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(strategies=strategies)
+
+
+def test_loop_defaults_are_marking_config_defaults():
+    assert ExperimentConfig().marking == MarkingConfig()
+    config = ExperimentConfig(marking="binning", max_iterations=3)
+    assert config.marking == MarkingConfig(strategy="binning", max_iterations=3)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -286,6 +301,42 @@ def test_main_reports_errors(tmp_path, capsys):
     code = cli.main(["--contrast", "0.1", "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_flags_override_config_file_strategies(tmp_path):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("nc = 5\nr = 4\nmax-iters = 1\nstrategies = standard\n")
+    out = tmp_path / "out"
+    code = cli.main(["--config", str(config_file), "--strategy", "goal_h1", "--out", str(out), "--quiet"])
+    assert code == 0
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == ["trace_goal_h1.csv"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (None, None),  # no such file
+        ("nc = abc\n", "nc"),
+        ("k1-box = 1,2,3\n", "k1-box"),
+        ("dump-spectra = ture\n", "dump-spectra"),
+        ("help = 1\n", "help"),
+        ("config = other.cfg\n", "config"),
+        ("max = 3\n", "max"),  # only a prefix of --max-iters
+    ],
+)
+def test_config_file_faults_exit_with_one_message(tmp_path, capsys, text, key):
+    config_file = tmp_path / "run.cfg"
+    if text is not None:
+        config_file.write_text("nc = 5\n# comment\n" + text)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--config", str(config_file), "--out", str(tmp_path / "out")])
+    assert excinfo.value.code != 0
+    err = capsys.readouterr().err
+    (message,) = [line for line in err.splitlines() if "error:" in line]
+    assert str(config_file) in message
+    if key is not None:
+        assert f"line 3: {key}" in message or f"line 3: unknown key {key!r}" in message
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_rejects_unknown_config_key(tmp_path):
