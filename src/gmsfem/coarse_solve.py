@@ -139,15 +139,15 @@ class GalerkinStore:
     """Grow-only Galerkin data of one problem; every coarse system is a
     selection from it.
 
-    Every offline space of a problem is a per-neighborhood prefix of one fixed
-    candidate set, so its R'AR is a row/column selection of one matrix that
-    only grows.  Candidate k of neighborhood i is numbered ``offsets[i] + k``.
-    The store holds the leading ``have[i]`` candidates of every neighborhood,
+    Every offline space of a problem is a mask on one fixed N x L candidate
+    grid, so its R'AR is a row/column selection of one matrix that only
+    grows; candidates are numbered by OfflineSpace.candidate_numbers.  The
+    store holds the leading ``have[i]`` candidates of every neighborhood,
     each computed once, when a requested space first needs it: its basis
     column in R, its column of A R and its load entry of R'b, all in the
     order they were computed (``column`` maps a candidate number to that
     position and ``number`` back), and its row and column of the coupling
-    G = R'AR.  G is a T x T matrix in candidate numbering, T = sum L_i, whose
+    G = R'AR.  G is a T x T matrix in candidate numbering, T = N * L, whose
     rows and columns of candidates not yet held are empty, so a growth only
     fills empty rows and columns, and a space's matrix is the rows and
     columns of its candidates in ascending number, which come out sorted.
@@ -164,9 +164,8 @@ class GalerkinStore:
         self.space = space
         self.A = A
         self.b = b
-        self.offsets = np.concatenate([[0], np.cumsum(space.max_counts)])
-        self.have = np.zeros_like(space.max_counts)
-        total = self.offsets[-1]
+        self.have = np.zeros(space.n_neighborhoods, dtype=int)
+        total = space.n_neighborhoods * space.n_candidates
         self.column = np.full(total, -1)
         self.number = np.empty(0, dtype=int)
         n = space.grid.n_vertices
@@ -175,19 +174,13 @@ class GalerkinStore:
         self.load = np.empty(0)
         self.G = sparse.csc_matrix((total, total))
 
-    def _numbers(self, stop, start=0):
-        """Numbers of the candidates start[i] <= k < stop[i], ascending."""
-        lengths = stop - start
-        first = self.offsets[:-1] + start - (np.cumsum(lengths) - lengths)
-        return np.repeat(first, lengths) + np.arange(lengths.sum())
-
     def _grow(self, counts):
         """Compute the candidates of ``counts`` that the store does not hold."""
         need = np.maximum(self.have, counts)
         if np.array_equal(need, self.have):
             return
         old = len(self.number)
-        new = self._numbers(need, self.have)
+        new = self.space.candidate_numbers(need, self.have)
         R_new = self.space.basis_columns(self.have, need)
         AR_new = (self.A @ R_new).tocsc()
         self.have = need
@@ -212,7 +205,7 @@ class GalerkinStore:
         if space.candidates is not self.space.candidates:
             raise ValueError("space was not built from this store's candidates")
         self._grow(space.counts)
-        numbers = self._numbers(space.counts)
+        numbers = space.candidate_numbers(space.counts)
         columns = self.column[numbers]
         matrix = self.G[:, numbers][numbers, :]
         return CoarseSystem(space, matrix, self.load[columns], self.R[:, columns])
@@ -251,10 +244,6 @@ def truncate_solution(sol, counts):
     and the fine representation recomputed.
     """
     space = sol.space
-    counts = np.asarray(counts, dtype=int)
-    coeffs = sol.coefficients.copy()
-    for i in range(space.n_neighborhoods):
-        sl = space.column_slice(i)
-        keep = min(int(counts[i]), int(space.counts[i]))
-        coeffs[sl.start + keep : sl.stop] = 0.0
+    i, k = np.divmod(space.candidate_numbers(space.counts), space.n_candidates)
+    coeffs = np.where(k < np.asarray(counts, dtype=int)[i], sol.coefficients, 0.0)
     return CoarseSolution(coeffs, space.basis_matrix() @ coeffs, space)

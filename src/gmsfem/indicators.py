@@ -88,9 +88,10 @@ class ResidualNormCache:
     offline snapshots do too, see ms_space.compute_snapshots) and ``norms``
     solves with the whole stack at once.
 
-    mode='snapshot' solves that problem in the span of the zero-trace parts of
-    the snapshots from precomputed Galerkin data, which can only give a
-    smaller value (subspace inequality).
+    mode='snapshot' solves that problem in the span of the zero-trace parts
+    T_i of the snapshots, which can only give a smaller value (subspace
+    inequality), with each gram T_i' A_i T_i pseudo-inverted once at lstsq's
+    default cutoff L * eps.
     """
 
     def __init__(self, neighborhoods, A, mode="exact", spectra=None):
@@ -99,18 +100,16 @@ class ResidualNormCache:
         if mode == "snapshot" and spectra is None:
             raise ValueError("snapshot mode needs the neighborhood spectra")
         self.mode = mode
-        self._interior = [neigh.fine_vertices_interior for neigh in neighborhoods]
-        self._stacked = np.concatenate(self._interior)
-        self._block = len(self._interior[0])
-        self._galerkin = []
+        self._stacked = np.concatenate([neigh.fine_vertices_interior for neigh in neighborhoods])
+        self._block = len(neighborhoods[0].fine_vertices_interior)
         if mode == "exact":
             band = _stacked_band(neighborhoods[0].grid, self._stacked, A)
             self._factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True)
             return
-        for i, neigh in enumerate(neighborhoods):
-            T = spectra[i].snapshots[neigh.interior_local]
-            gram = T.T @ (local_operator(neigh, A) @ T)
-            self._galerkin.append((T, 0.5 * (gram + gram.T)))
+        self._T = np.stack([s.snapshots[n.interior_local] for s, n in zip(spectra, neighborhoods)])
+        grams = np.stack([T.T @ (local_operator(n, A) @ T) for T, n in zip(self._T, neighborhoods)])
+        grams = 0.5 * (grams + grams.swapaxes(1, 2))
+        self._pinv = np.linalg.pinv(grams, rcond=grams.shape[-1] * np.finfo(float).eps)
 
     def solve(self, i, rhs):
         """Solve neighborhood i's zero-trace system for one or more right-hand
@@ -123,20 +122,20 @@ class ResidualNormCache:
         """Dual norm of the residual vector ``rho`` over neighborhood i."""
         if self.mode == "exact":
             return float(np.sqrt(max(float(rho @ self.solve(i, rho)), 0.0)))
-        T, gram = self._galerkin[i]
-        rhs = T.T @ rho
-        y, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        return float(np.sqrt(max(float(rhs @ y), 0.0)))
+        rhs = self._T[i].T @ rho
+        return float(np.sqrt(max(float(rhs @ (self._pinv[i] @ rhs)), 0.0)))
 
     def norms(self, rho):
         """Dual norm of the global residual ``rho`` over every neighborhood."""
-        if self.mode != "exact":
-            return [self.norm(i, rho[interior]) for i, interior in enumerate(self._interior)]
         local = rho[self._stacked]
+        if self.mode != "exact":
+            rhs = local.reshape(-1, 1, self._block) @ self._T
+            y = rhs @ self._pinv.swapaxes(1, 2)  # (pinv_i @ rhs_i)'
+            return np.sqrt(np.maximum((rhs * y).sum((1, 2)), 0.0))
         # the factor was checked when it was made; a non-finite rho gives
         # non-finite norms, which IndicatorReport rejects
         w = scipy.linalg.cho_solve_banded((self._factor, False), local, check_finite=False)
-        return np.sqrt(np.maximum((local * w).reshape(len(self._interior), -1).sum(1), 0.0))
+        return np.sqrt(np.maximum((local * w).reshape(-1, self._block).sum(1), 0.0))
 
 
 def _stacked_band(grid, g, A):
@@ -167,10 +166,9 @@ def _stacked_band(grid, g, A):
 
 def _lambda_weights(space):
     """First excluded eigenvalue per neighborhood; NaN where saturated."""
+    live = ~space.saturated
     lam = np.full(space.n_neighborhoods, np.nan)
-    for i, spectrum in enumerate(space.spectra):
-        if space.counts[i] < spectrum.n_snapshots:
-            lam[i] = spectrum.eigenvalues[space.counts[i]]
+    lam[live] = space.eigenvalues[live, space.counts[live]]
     return lam
 
 
@@ -179,7 +177,7 @@ def _inverse_weights(space, lam):
     # the floor is far below any physically meaningful eigenvalue.
     out = np.zeros_like(lam)
     live = ~np.isnan(lam)
-    floors = np.array([1e-14 * spectrum.eigenvalues[-1] for spectrum in space.spectra])
+    floors = 1e-14 * space.eigenvalues[:, -1]
     out[live] = 1.0 / np.maximum(lam[live], floors[live])
     return out
 
@@ -214,6 +212,8 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
     enriched = z_enrich.space
     if np.all(enriched.counts <= space.counts):
         raise ValueError("DWR indicator needs an enriched dual space (m >= 1)")
+    # a Python loop: the added bands have ragged widths, and each pairing is
+    # summed in the order that fixes goal_dwr's marking
     signed = np.zeros(space.n_neighborhoods)
     for i, neigh in enumerate(space.neighborhoods):
         l_i = int(space.counts[i])

@@ -111,9 +111,7 @@ class CoarseNeighborhood:
         ]
 
         x0, y0 = (ci - 1) * r, (cj - 1) * r
-        self.origin = (x0, y0)
         p = 2 * r + 1
-        self.patch_width = p
         lx = np.tile(np.arange(p), p)
         ly = np.repeat(np.arange(p), p)
         self.fine_vertices_all = grid.vertex_id(x0 + lx, y0 + ly)

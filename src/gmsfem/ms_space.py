@@ -13,15 +13,17 @@ The offline pipeline per neighborhood omega_i is
   4. the generalized eigenproblem A_off Psi = lambda S_off Psi in snapshot
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
-     eigenvalue (build_basis); an OfflineSpace selects a per-neighborhood
-     prefix of them.  Enrichment and extension only ever stop a prefix at a
-     cluster boundary: eigenvalues whose relative gap is at most CLUSTER_TOL
-     are one cluster, and LAPACK returns an arbitrary basis of a tied
-     eigenspace, so a prefix that splits a cluster would not be a
-     well-defined space (homogeneous patches tie lambda_2 = lambda_3 by
-     symmetry).
+     eigenvalue (build_basis).  All patches have one shape, so candidate k
+     of neighborhood i is entry (i, k) of one N x L grid, L = 8r, and an
+     OfflineSpace is the mask k < counts[i] on it.  Enrichment and extension
+     only ever stop a count at a cluster boundary: eigenvalues whose relative
+     gap is at most CLUSTER_TOL are one cluster, and LAPACK returns an
+     arbitrary basis of a tied eigenspace, so a count that splits a cluster
+     would not be a well-defined space (homogeneous patches tie
+     lambda_2 = lambda_3 by symmetry).
 """
 
+import copy
 import warnings
 
 import numpy as np
@@ -29,7 +31,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from .csvout import write_csv
-from .fine_fem import CoefficientField, Q1_STIFFNESS, _assemble
+from .fine_fem import CoefficientField, Q1_STIFFNESS
 from .mesh import all_neighborhoods
 
 __all__ = [
@@ -58,25 +60,26 @@ class PartitionOfUnity:
     """Coefficient-harmonic partition functions, one per interior coarse vertex.
 
     ``patches[i]`` holds the nodal values of chi_i over its neighborhood patch
-    (row-major patch-local order); chi_i vanishes on the patch rim and outside.
+    (row-major patch-local order) and ``vertices[i]`` the patch's fine vertex
+    ids; chi_i vanishes on the patch rim and outside.
     """
 
     def __init__(self, grid, neighborhoods, patches):
         self.grid = grid
         self.neighborhoods = neighborhoods
         self.patches = patches
+        self.vertices = np.stack([neigh.fine_vertices_all for neigh in neighborhoods])
 
     def global_function(self, i):
         """chi_i scattered into a full fine-grid nodal vector."""
         out = np.zeros(self.grid.n_vertices)
-        out[self.neighborhoods[i].fine_vertices_all] = self.patches[i]
+        out[self.vertices[i]] = self.patches[i]
         return out
 
     def sum_values(self):
         """Nodal values of sum_i chi_i over the whole fine grid."""
         out = np.zeros(self.grid.n_vertices)
-        for neigh, patch in zip(self.neighborhoods, self.patches):
-            out[neigh.fine_vertices_all] += patch
+        np.add.at(out, self.vertices, self.patches)
         return out
 
     def covered_vertex_ids(self):
@@ -111,49 +114,53 @@ def compute_partition_of_unity(grid, field, neighborhoods=None):
 
     On each coarse element the four corner functions satisfy the discrete
     zero-source equation with the hat trace as Dirichlet data; the pieces are
-    stitched over each interior vertex's four elements.  Pointwise bounds
-    outside [0 - tol, 1 + tol] are warned about, not fatal.
+    stitched over each interior vertex's four elements, all solved at once.
+    Pointwise bounds outside [0 - tol, 1 + tol] are warned about, not fatal.
     """
     if neighborhoods is None:
         neighborhoods = all_neighborhoods(grid)
     nc, r = grid.nc, grid.r
     p = 2 * r + 1
-    patches = np.zeros((grid.n_interior_coarse, p * p))
+    n_elements = nc * nc
 
     # Element-local subgrid layout: (r+1)^2 vertices, r^2 cells, row-major.
     m = r + 1
-    lx = np.tile(np.arange(r), r)
-    ly = np.repeat(np.arange(r), r)
+    ly, lx = np.divmod(np.arange(r * r), r)
     v00 = ly * m + lx
     cell_verts = np.column_stack([v00, v00 + 1, v00 + m + 1, v00 + m])
-    on_rim = np.zeros(m * m, dtype=bool)
-    gi = np.tile(np.arange(m), m)
-    gj = np.repeat(np.arange(m), m)
-    on_rim[(gi == 0) | (gi == r) | (gj == 0) | (gj == r)] = True
+    gj, gi = np.divmod(np.arange(m * m), m)
+    on_rim = (gi % r == 0) | (gj % r == 0)
     interior = np.flatnonzero(~on_rim)
     rim = np.flatnonzero(on_rim)
+    position = np.where(on_rim, np.cumsum(on_rim), np.cumsum(~on_rim)) - 1  # in rim or interior
     hats = _element_hat_values(r)
 
-    for ey in range(nc):
-        for ex in range(nc):
-            kappa = field.values[ey * r : (ey + 1) * r, ex * r : (ex + 1) * r].ravel()
-            A_el = _assemble(Q1_STIFFNESS, kappa, cell_verts, m * m)
-            A_ii = A_el[interior][:, interior].toarray()
-            A_ib = A_el[interior][:, rim].toarray()
-            sol = hats.copy()
-            sol[interior] = np.linalg.solve(A_ii, -A_ib @ hats[rim])
+    # Entry (c, a, b) of an element is kappa_c * Q1[a, b] at the vertices a and b
+    # of cell c, summed in ascending cell order as a sparse assembly sums it.
+    kappa = field.values.reshape(nc, r, nc, r).swapaxes(1, 2).reshape(n_elements, r * r)
+    data = (kappa[:, :, None, None] * Q1_STIFFNESS).reshape(n_elements, -1)
+    rows = np.repeat(cell_verts, 4, axis=1).ravel()
+    cols = np.tile(cell_verts, (1, 4)).ravel()
+    ni = len(interior)
+    element = np.arange(n_elements)[:, None]
+    A_ii, A_ib = np.zeros((n_elements, ni, ni)), np.zeros((n_elements, ni, len(rim)))
+    for block, col_set in ((A_ii, ~on_rim), (A_ib, on_rim)):
+        keep = ~on_rim[rows] & col_set[cols]
+        flat = (element * ni + position[rows[keep]]) * block.shape[2] + position[cols[keep]]
+        np.add.at(block.reshape(-1), flat, data[:, keep])
+    sol = np.repeat(hats[None], n_elements, axis=0)
+    sol[:, interior] = np.linalg.solve(A_ii, -A_ib @ hats[rim])
 
-            for b in (0, 1):
-                for a in (0, 1):
-                    ci, cj = ex + a, ey + b
-                    if not (1 <= ci <= nc - 1 and 1 <= cj <= nc - 1):
-                        continue
-                    vid = grid.interior_vertex_id(ci, cj)
-                    ox = (1 - a) * r  # element offset inside the vertex's patch
-                    oy = (1 - b) * r
-                    block = sol[:, a + 2 * b].reshape(m, m)
-                    patch = patches[vid].reshape(p, p)
-                    patch[oy : oy + m, ox : ox + m] = block
+    # Neighborhood (ci, cj) is corner (1 - a, 1 - b) of its element
+    # (ci - 1 + a, cj - 1 + b), which covers the patch block at offset (a*r, b*r).
+    # Blocks overlap only on element edges, where both carry the hat trace.
+    cj, ci = np.divmod(np.arange(grid.n_interior_coarse), nc - 1)
+    patches = np.zeros((grid.n_interior_coarse, p, p))
+    for b in (0, 1):
+        for a in (0, 1):
+            pieces = sol[(cj + b) * nc + ci + a, :, (1 - a) + 2 * (1 - b)]
+            patches[:, b * r : b * r + m, a * r : a * r + m] = pieces.reshape(-1, m, m)
+    patches = patches.reshape(-1, p * p)
 
     low, high = patches.min(), patches.max()
     if low < -POU_TOL or high > 1.0 + POU_TOL:
@@ -171,15 +178,15 @@ def compute_spectral_weight(grid, field, pu):
     rule), consistent with cellwise-constant coefficients.
     """
     nf, h = grid.nf, grid.h
-    sumsq = np.zeros((nf, nf))
-    for neigh, patch in zip(pu.neighborhoods, pu.patches):
-        p = neigh.patch_width
-        v = patch.reshape(p, p)
-        gx = ((v[:-1, 1:] + v[1:, 1:]) - (v[:-1, :-1] + v[1:, :-1])) / (2 * h)
-        gy = ((v[1:, :-1] + v[1:, 1:]) - (v[:-1, :-1] + v[:-1, 1:])) / (2 * h)
-        x0, y0 = neigh.origin
-        sumsq[y0 : y0 + p - 1, x0 : x0 + p - 1] += gx**2 + gy**2
-    return CoefficientField(field.values * grid.H**2 * sumsq)
+    p = 2 * grid.r + 1
+    v = pu.patches.reshape(-1, p, p)
+    gx = ((v[:, :-1, 1:] + v[:, 1:, 1:]) - (v[:, :-1, :-1] + v[:, 1:, :-1])) / (2 * h)
+    gy = ((v[:, 1:, :-1] + v[:, 1:, 1:]) - (v[:, :-1, :-1] + v[:, :-1, 1:])) / (2 * h)
+    # a cell's id is the id of its lower-left vertex less that vertex's row
+    corner = pu.vertices.reshape(-1, p, p)[:, :-1, :-1]
+    sumsq = np.zeros(nf * nf)
+    np.add.at(sumsq, corner - corner // (nf + 1), gx**2 + gy**2)
+    return CoefficientField(field.values * grid.H**2 * sumsq.reshape(nf, nf))
 
 
 def compute_snapshots(neigh, patch_matrix, solve):
@@ -193,7 +200,7 @@ def compute_snapshots(neigh, patch_matrix, solve):
     with that operator; build_problem passes the neighborhood's slice of the
     stacked banded Cholesky factor (indicators.ResidualNormCache.solve), so
     the offline stage factors nothing itself.  Returned as a dense
-    (patch_size, L_i) array in patch-local ordering.
+    (patch_size, L) array in patch-local ordering.
     """
     interior = neigh.interior_local
     rim = neigh.boundary_local
@@ -218,20 +225,10 @@ class NeighborhoodSpectrum:
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         self.jitter = jitter
-        lam = np.asarray(eigenvalues)
-        tied = np.diff(lam) <= CLUSTER_TOL * np.maximum(np.abs(lam[:-1]), np.abs(lam[1:]))
-        # count c splits a cluster iff lambda_c and lambda_{c+1} are tied
-        ends = np.flatnonzero(np.concatenate([[True], ~tied, [True]]))
-        self._cluster_ends = ends[np.searchsorted(ends, np.arange(len(lam) + 1))]
 
     @property
     def n_snapshots(self):
         return len(self.eigenvalues)
-
-    def cluster_end(self, count):
-        """Smallest count >= ``count`` that does not split a cluster of tied
-        eigenvalues (see CLUSTER_TOL); L_i is always a cluster end."""
-        return int(self._cluster_ends[count])
 
 
 def local_spectral_decomposition(neigh, patch_A, patch_S, snapshots):
@@ -263,90 +260,98 @@ def local_spectral_decomposition(neigh, patch_A, patch_S, snapshots):
     return NeighborhoodSpectrum(neigh.vertex_id, snapshots, eigenvalues, eigenvectors, jitter)
 
 
-class OfflineSpace:
-    """Global multiscale space: per-neighborhood prefixes of basis candidates.
+def _stacked(arrays, L, what):
+    """The per-neighborhood ``arrays``, each with a last axis of length L, as one array."""
+    for i, array in enumerate(arrays):
+        if np.shape(array)[-1] != L:
+            raise ValueError(f"neighborhood {i} has {np.shape(array)[-1]} {what}, not L = {L}")
+    return np.asarray(arrays)
 
-    ``candidates[i]`` holds all L_i modulated eigenfunctions of neighborhood i
-    as patch-local columns (chi_i times the eigenvector representatives);
-    ``counts[i]`` selects the leading block.  Global columns are laid out
-    neighborhood-major, so enrichment keeps earlier columns as a prefix within
-    every neighborhood.  Instances are immutable; enrichment returns new ones
-    sharing the candidate arrays.
+
+class OfflineSpace:
+    """Global multiscale space: the mask k < counts[i] on the N x L candidate grid.
+
+    ``candidates[i, :, k]`` is candidate k of neighborhood i as a patch-local
+    column (chi_i times an eigenvector representative), ``eigenvalues[i, k]``
+    its eigenvalue, and ``cluster_ends[i, c]`` the smallest count >= c that
+    does not split a cluster of tied eigenvalues (see CLUSTER_TOL).  Global
+    columns are the selected candidates in ascending number i * L + k, so
+    enrichment keeps earlier columns as a prefix within every neighborhood.
+    Instances are immutable; with_counts, enrich and extended return new ones
+    sharing the grid's arrays.
     """
 
     def __init__(self, grid, neighborhoods, pu, spectra, candidates, counts):
-        counts = np.asarray(counts, dtype=int).copy()
-        limits = np.array([s.n_snapshots for s in spectra])
-        if np.any(counts < 1) or np.any(counts > limits):
-            raise ValueError("basis counts must satisfy 1 <= l_i <= L_i")
         self.grid = grid
         self.neighborhoods = neighborhoods
         self.pu = pu
         self.spectra = spectra
-        self.candidates = candidates
+        self.n_neighborhoods = len(neighborhoods)
+        self.n_candidates = L = neighborhoods[0].n_snapshots
+        self.eigenvalues = _stacked([sp.eigenvalues for sp in spectra], L, "eigenvalues")
+        self.candidates = _stacked(candidates, L, "candidates")
+        lam = self.eigenvalues
+        tied = np.diff(lam, axis=1) <= CLUSTER_TOL * np.maximum(abs(lam[:, :-1]), abs(lam[:, 1:]))
+        # count c splits a cluster iff lambda_c and lambda_{c+1} are tied
+        ends = np.where(np.pad(tied, ((0, 0), (1, 1))), L, np.arange(L + 1))
+        self.cluster_ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        self._select(counts)
+
+    def _select(self, counts):
+        counts = np.array(counts, dtype=int).reshape(self.n_neighborhoods)
+        if np.any(counts < 1) or np.any(counts > self.n_candidates):
+            raise ValueError("basis counts must satisfy 1 <= l_i <= L")
         self.counts = counts
-        self.max_counts = limits
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
         self.total_dofs = int(self.offsets[-1])
         self._basis = None
 
     @property
-    def n_neighborhoods(self):
-        return len(self.neighborhoods)
-
-    @property
     def saturated(self):
         """Mask of neighborhoods whose snapshot spectrum is fully used."""
-        return self.counts >= self.max_counts
+        return self.counts >= self.n_candidates
 
     def column_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
+    def candidate_numbers(self, stop, start=0):
+        """Numbers i * L + k of the candidates start[i] <= k < stop[i], ascending."""
+        k = np.arange(self.n_candidates)
+        return np.flatnonzero((k >= np.reshape(start, (-1, 1))) & (k < np.reshape(stop, (-1, 1))))
+
     def basis_columns(self, start, stop):
         """Sparse CSC matrix of the candidates start[i] <= k < stop[i] of every
-        neighborhood, one column each in neighborhood-major order.
+        neighborhood, one column each in ascending candidate number.
 
         Each column stores its whole patch, in ascending vertex order and
         including the zeros of chi_i on the patch rim.
         """
-        rows, data, heights = [], [], []
-        for i in np.flatnonzero(stop > start):
-            block = self.candidates[i][:, start[i] : stop[i]]
-            verts = self.neighborhoods[i].fine_vertices_all
-            rows.append(np.tile(verts, block.shape[1]))
-            data.append(block.ravel(order="F"))
-            heights.append(np.full(block.shape[1], len(verts)))
-        heights = np.concatenate(heights)
+        i, k = np.divmod(self.candidate_numbers(stop, start), self.n_candidates)
+        indptr = np.arange(len(i) + 1) * self.candidates.shape[1]
         return sparse.csc_matrix(
-            (np.concatenate(data), np.concatenate(rows), np.concatenate([[0], np.cumsum(heights)])),
-            shape=(self.grid.n_vertices, len(heights)),
+            (self.candidates[i, :, k].ravel(), self.pu.vertices[i].ravel(), indptr),
+            shape=(self.grid.n_vertices, len(i)),
         )
 
     def basis_matrix(self):
         """Sparse (n_fine_vertices x total_dofs) CSC matrix of basis columns."""
         if self._basis is None:
-            self._basis = self.basis_columns(np.zeros_like(self.counts), self.counts)
+            self._basis = self.basis_columns(0, self.counts)
         return self._basis
 
-    def basis_column(self, i, k):
-        """Basis function k of neighborhood i as a full fine-grid vector."""
-        out = np.zeros(self.grid.n_vertices)
-        out[self.neighborhoods[i].fine_vertices_all] = self.candidates[i][:, k]
-        return out
-
     def with_counts(self, counts):
-        return OfflineSpace(
-            self.grid, self.neighborhoods, self.pu, self.spectra, self.candidates, counts
-        )
+        space = copy.copy(self)
+        space._select(counts)
+        return space
 
     def _whole_clusters(self, counts):
-        """``counts`` (clipped at L_i) rounded up to the ends of their clusters."""
-        counts = np.minimum(counts, self.max_counts)
-        return np.array([s.cluster_end(c) for s, c in zip(self.spectra, counts)])
+        """``counts`` (clipped at L) rounded up to the ends of their clusters."""
+        counts = np.minimum(counts, self.n_candidates)
+        return self.cluster_ends[np.arange(self.n_neighborhoods), counts]
 
     def extended(self, m):
         """Space with at least m extra eigenfunctions per neighborhood
-        (clipped at L_i).
+        (clipped at L).
 
         Each count is rounded up to the end of its cluster of tied
         eigenvalues, so the extended space does not depend on the basis
@@ -358,12 +363,14 @@ class OfflineSpace:
 
 
 def build_basis(pu, spectra, counts):
-    """Assemble the offline space chi_i * psi_k^off for the given counts."""
-    candidates = [
-        pu.patches[i][:, None] * (spectrum.snapshots @ spectrum.eigenvectors)
-        for i, spectrum in enumerate(spectra)
-    ]
-    return OfflineSpace(pu.grid, pu.neighborhoods, pu, spectra, candidates, counts)
+    """Assemble the offline space chi_i * psi_k^off for the given counts,
+    filling its candidate array one neighborhood at a time."""
+    shape = (len(spectra), pu.patches.shape[1], pu.neighborhoods[0].n_snapshots)
+    space = OfflineSpace(pu.grid, pu.neighborhoods, pu, spectra, np.empty(shape), counts)
+    for i, spectrum in enumerate(spectra):
+        chi = pu.patches[i][:, None]
+        np.multiply(chi, spectrum.snapshots @ spectrum.eigenvectors, out=space.candidates[i])
+    return space
 
 
 def enrich(space, marked, s=1):
@@ -374,15 +381,19 @@ def enrich(space, marked, s=1):
     more otherwise (homogeneous patches tie lambda_2 = lambda_3, so s=1 takes
     l_i from 1 to 3 there); the result never depends on the basis LAPACK
     returned for a degenerate eigenspace.  Saturated neighborhoods
-    (l_i = L_i) are skipped; the new space's ``saturated`` mask reports them.
-    Unmarked neighborhoods are unchanged.
+    (l_i = L) are skipped; the new space's ``saturated`` mask reports them.
+    Unmarked neighborhoods are unchanged.  A marked id that is not an integer
+    in [0, N) raises a ValueError.
     """
     if s < 1:
         raise ValueError("enrichment width s must be >= 1")
+    ids = np.asarray(marked).ravel()
+    bad = (ids < 0) | (ids >= space.n_neighborhoods) | (ids != np.floor(ids))
+    if bad.any():
+        raise ValueError(f"marked id {ids[bad][0]} names no neighborhood of the space")
+    ids = ids.astype(int)
     counts = space.counts.copy()
-    marked = np.asarray(marked, dtype=int)
-    if marked.size:
-        counts[marked] = space._whole_clusters(counts + s)[marked]
+    counts[ids] = space._whole_clusters(counts + s)[ids]
     return space.with_counts(counts)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gmsfem import cli, fine_fem, indicators, mesh, ms_space
+from gmsfem import cli, coarse_solve, fine_fem, indicators, mesh, ms_space
 from gmsfem.fine_fem import CoefficientField
 
 from conftest import _offline
@@ -258,7 +258,8 @@ def test_basis_support_containment(unit_offline44):
     space = _space_from(unit_offline44, count=3)
     grid = space.grid
     for i, neigh in enumerate(space.neighborhoods):
-        column = space.basis_column(i, 2)
+        only = np.arange(space.n_neighborhoods) == i
+        column = space.basis_columns(2 * only, 3 * only).toarray()[:, 0]
         outside = np.setdiff1d(np.arange(grid.n_vertices), neigh.fine_vertices_all)
         assert np.all(column[outside] == 0.0)
         assert np.abs(column[neigh.fine_vertices_boundary]).max() == 0.0
@@ -271,6 +272,8 @@ def test_basis_counts_validation(unit_offline44):
     limits = np.array([s.n_snapshots for s in data["spectra"]])
     with pytest.raises(ValueError):
         ms_space.build_basis(data["pu"], data["spectra"], limits + 1)
+    with pytest.raises(ValueError):  # one count per neighborhood, not one for all
+        ms_space.build_basis(data["pu"], data["spectra"], 1)
 
 
 def test_enrich_empty_marked_is_identity(unit_offline44):
@@ -307,12 +310,95 @@ def test_enrich_saturates_at_snapshot_count():
     field = CoefficientField.constant(grid.nf)
     data = _offline(grid, field)
     space = _space_from(data, count=1)
-    limit = space.max_counts[0]
+    limit = space.n_candidates
     full = ms_space.enrich(space, [0], s=10 * limit)
     assert full.counts[0] == limit
     assert full.saturated[0]
     again = ms_space.enrich(full, [0], s=1)
     assert again.counts[0] == limit
+
+
+@pytest.mark.parametrize("bad", [-1, 0.7, 9])
+def test_enrich_rejects_bad_neighborhood_ids(unit_offline44, bad):
+    space = _space_from(unit_offline44)
+    assert space.n_neighborhoods == 9
+    with pytest.raises(ValueError, match=f"marked id {bad} "):
+        ms_space.enrich(space, [0, bad])
+
+
+def _cluster_end_oracle(lam, count):
+    """Smallest count >= ``count`` that does not split a cluster of ``lam``."""
+    tied = np.diff(lam) <= ms_space.CLUSTER_TOL * np.maximum(np.abs(lam[:-1]), np.abs(lam[1:]))
+    ends = np.flatnonzero(np.concatenate([[True], ~tied, [True]]))
+    return ends[np.searchsorted(ends, count)]
+
+
+def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
+    # per-neighborhood loops over the spectra and candidates are the oracles
+    # of the grid's array expressions; all comparisons are bitwise
+    problem = channel_problem
+    space = problem.space.extended(2)
+    N, L = space.n_neighborhoods, space.n_candidates
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        start = rng.integers(0, L + 1, N)
+        stop = np.maximum(start, rng.integers(0, L + 1, N))
+        rows, data, numbers = [], [], []
+        for i, neigh in enumerate(space.neighborhoods):
+            for k in range(start[i], stop[i]):
+                rows.append(neigh.fine_vertices_all)
+                data.append(space.candidates[i][:, k])
+                numbers.append(i * L + k)
+        R = space.basis_columns(start, stop)
+        assert R.shape == (space.grid.n_vertices, len(numbers))
+        assert np.array_equal(R.indptr, np.arange(len(numbers) + 1) * len(rows[0]))
+        assert np.array_equal(R.indices, np.concatenate(rows))
+        assert np.array_equal(R.data, np.concatenate(data))
+        assert np.array_equal(space.candidate_numbers(stop, start), numbers)
+
+        counts = rng.integers(0, L + 3, N)
+        clustered = [
+            _cluster_end_oracle(sp.eigenvalues, min(c, L)) for sp, c in zip(space.spectra, counts)
+        ]
+        assert np.array_equal(space._whole_clusters(counts), clustered)
+
+        counts = rng.integers(1, L + 1, N)
+        counts[rng.integers(0, N, 5)] = L
+        lam = [sp.eigenvalues[c] if c < L else np.nan for sp, c in zip(space.spectra, counts)]
+        np.testing.assert_array_equal(indicators._lambda_weights(space.with_counts(counts)), lam)
+    # the channel medium ties eigenvalues, so some counts are rounded up
+    assert any(
+        _cluster_end_oracle(sp.eigenvalues, c) > c for sp in space.spectra for c in range(L)
+    )
+
+    store = coarse_solve.GalerkinStore(space, problem.stiffness, problem.f_load)
+    for grown in (space, ms_space.enrich(space, [0, 40, 80], 3), space.extended(1)):
+        store.system(grown)
+        held = [i * L + k for i in range(N) for k in range(store.have[i])]
+        assert np.array_equal(np.sort(store.number), held)
+        assert np.array_equal(store.column[store.number], np.arange(len(held)))
+
+
+def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
+    data = unit_offline44
+    space = _space_from(data)
+    spectra = list(space.spectra)
+    s = spectra[3]
+    spectra[3] = ms_space.NeighborhoodSpectrum(
+        s.vertex_id, s.snapshots[:, :-1], s.eigenvalues[:-1], s.eigenvectors[:-1, :-1]
+    )
+    with pytest.raises(ValueError, match="neighborhood 3 has"):
+        ms_space.build_basis(data["pu"], spectra, space.counts)
+    candidates = list(space.candidates)
+    with pytest.raises(ValueError, match="neighborhood 3 has"):
+        ms_space.OfflineSpace(
+            space.grid, space.neighborhoods, space.pu, spectra, candidates, space.counts
+        )
+    candidates[3] = candidates[3][:, :-1]
+    with pytest.raises(ValueError, match="neighborhood 3 has"):
+        ms_space.OfflineSpace(
+            space.grid, space.neighborhoods, space.pu, space.spectra, candidates, space.counts
+        )
 
 
 def test_enrichment_nests_columns(unit_offline44):
