@@ -186,11 +186,12 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     # one call per neighborhood: the benchmark's tracer wraps and counts each
     spectra = []
-    for i, neigh in enumerate(neighborhoods):
-        patch_A = fine_fem.patch_stiffness(grid, field, neigh)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-        snapshots = ms_space.compute_snapshots(neigh, patch_A, partial(exact_norms.solve, i))
-        spectra.append(ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snapshots))
+    for i in range(len(neighborhoods)):
+        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
+        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
+        solve = partial(exact_norms.solve, i)
+        snapshots = ms_space.compute_snapshots(neighborhoods, patch_A, solve)
+        spectra.append(ms_space.local_spectral_decomposition(i, patch_A, patch_S, snapshots))
     space = ms_space.build_basis(pu, spectra, np.ones(len(spectra), dtype=int))
     space = space.extended(initial_count - 1)
 

@@ -24,7 +24,7 @@ from .adapt import (
     build_problem,
     write_trace_csv,
 )
-from .fine_fem import CoefficientField
+from .fine_fem import CoefficientField, SolveFailure
 from .indicators import DUAL_NORM_MODES, dump_indicators
 from .mesh import GridHierarchy
 from .ms_space import dump_spectra
@@ -184,8 +184,8 @@ def write_field(field, path):
 
 def read_field(path):
     """Read a field file, rejecting malformed, non-finite or non-positive
-    entries with a message that names the path, the fault and its row and
-    column."""
+    entries and any non-blank line after the nf-th row with a message that
+    names the path, the fault and its row and column."""
     with open(path) as fh:
         first = fh.readline().strip()
         try:
@@ -216,6 +216,9 @@ def read_field(path):
                     raise ValueError(
                         f"{path}: {fault} value {row[bad[0]]} at row {iy}, column {bad[0]}"
                     )
+        for iy, line in enumerate(fh, nf):
+            if line.strip():
+                raise ValueError(f"{path}: row {iy} follows the {nf} data rows of the header")
     return CoefficientField(values)
 
 
@@ -407,7 +410,7 @@ def main(argv=None):
     verbose = not options.pop("quiet", False)
     try:
         run_experiment(ExperimentConfig(**options), verbose=verbose)
-    except (ValueError, OSError, AdaptFailure) as exc:
+    except (ValueError, OSError, AdaptFailure, SolveFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

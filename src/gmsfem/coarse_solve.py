@@ -82,8 +82,10 @@ class CoarseSystem:
         return False
 
     def _factorize(self):
-        d = sparse.diags(1.0 / self._scale)
-        scaled = (d @ self.matrix @ d).tocsc()
+        # D^-1/2 A_c D^-1/2 on A_c's own pattern, scaled by row, then by column
+        M, inv = self.matrix, 1.0 / self._scale
+        data = M.data * inv[M.indices] * np.repeat(inv, np.diff(M.indptr))
+        scaled = sparse.csc_matrix((data, M.indices, M.indptr), shape=M.shape)
         try:
             factor = spla.splu(
                 scaled,
@@ -246,4 +248,4 @@ def truncate_solution(sol, counts):
     space = sol.space
     i, k = np.divmod(space.candidate_numbers(space.counts), space.n_candidates)
     coeffs = np.where(k < np.asarray(counts, dtype=int)[i], sol.coefficients, 0.0)
-    return CoarseSolution(coeffs, space.basis_matrix() @ coeffs, space)
+    return CoarseSolution(coeffs, space.basis_columns(0, space.counts) @ coeffs, space)

@@ -117,33 +117,25 @@ def assemble_weighted_mass(grid, weight):
     return _assemble(Q1_MASS, coeff, grid.cell_vertex_table(), grid.n_vertices)
 
 
-def _patch_cell_vertices(grid, neigh):
-    """Cell vertex table of the neighborhood cells, in patch-local indices."""
-    cells = grid.cell_vertex_table()[neigh.fine_cells]
-    return neigh.local_index(cells)
-
-
-def patch_stiffness(grid, field, neigh):
-    """Stiffness assembled over the cells of one neighborhood only.
+def patch_stiffness(grid, field, neighborhoods, i):
+    """Stiffness assembled over the cells of neighborhood i only.
 
     This is the Neumann-type operator of the form restricted to the patch: it
     annihilates constants, unlike the principal submatrix of the global
     stiffness whose rim rows carry energy from cells outside the patch.
     """
     _check_field(grid, field)
-    coeff = field.values.ravel()[neigh.fine_cells]
-    return _assemble(
-        Q1_STIFFNESS, coeff, _patch_cell_vertices(grid, neigh), len(neigh.fine_vertices_all)
-    )
+    coeff = field.values.ravel()[neighborhoods.cells[i]]
+    n = neighborhoods.vertices.shape[1]
+    return _assemble(Q1_STIFFNESS, coeff, neighborhoods.cell_vertices, n)
 
 
-def patch_weighted_mass(grid, weight, neigh):
-    """Weighted mass assembled over the cells of one neighborhood only."""
+def patch_weighted_mass(grid, weight, neighborhoods, i):
+    """Weighted mass assembled over the cells of neighborhood i only."""
     _check_field(grid, weight)
-    coeff = weight.values.ravel()[neigh.fine_cells] * grid.h**2
-    return _assemble(
-        Q1_MASS, coeff, _patch_cell_vertices(grid, neigh), len(neigh.fine_vertices_all)
-    )
+    coeff = weight.values.ravel()[neighborhoods.cells[i]] * grid.h**2
+    n = neighborhoods.vertices.shape[1]
+    return _assemble(Q1_MASS, coeff, neighborhoods.cell_vertices, n)
 
 
 def assemble_load(grid, density):
@@ -212,13 +204,13 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
     return u
 
 
-def local_operator(neigh, A):
-    """Principal submatrix of A on a neighborhood's interior fine vertices.
+def local_operator(A, neighborhoods, i):
+    """Principal submatrix of A on neighborhood i's interior fine vertices.
 
     This is the discrete H^1_0(omega) operator, exact because the stencil of
     an interior vertex never leaves the patch.
     """
-    idx = neigh.fine_vertices_interior
+    idx = neighborhoods.interior_vertices[i]
     return A[idx][:, idx]
 
 

@@ -100,14 +100,16 @@ class ResidualNormCache:
         if mode == "snapshot" and spectra is None:
             raise ValueError("snapshot mode needs the neighborhood spectra")
         self.mode = mode
-        self._stacked = np.concatenate([neigh.fine_vertices_interior for neigh in neighborhoods])
-        self._block = len(neighborhoods[0].fine_vertices_interior)
+        self._stacked = neighborhoods.interior_vertices.ravel()
+        self._block = neighborhoods.interior_vertices.shape[1]
         if mode == "exact":
-            band = _stacked_band(neighborhoods[0].grid, self._stacked, A)
+            band = _stacked_band(neighborhoods.grid, self._stacked, A)
             self._factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True)
             return
-        self._T = np.stack([s.snapshots[n.interior_local] for s, n in zip(spectra, neighborhoods)])
-        grams = np.stack([T.T @ (local_operator(n, A) @ T) for T, n in zip(self._T, neighborhoods)])
+        self._T = np.stack([s.snapshots[neighborhoods.interior] for s in spectra])
+        grams = np.stack(
+            [T.T @ (local_operator(A, neighborhoods, i) @ T) for i, T in enumerate(self._T)]
+        )
         grams = 0.5 * (grams + grams.swapaxes(1, 2))
         self._pinv = np.linalg.pinv(grams, rcond=grams.shape[-1] * np.finfo(float).eps)
 
@@ -215,14 +217,14 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
     # a Python loop: the added bands have ragged widths, and each pairing is
     # summed in the order that fixes goal_dwr's marking
     signed = np.zeros(space.n_neighborhoods)
-    for i, neigh in enumerate(space.neighborhoods):
+    for i in range(space.n_neighborhoods):
         l_i = int(space.counts[i])
         l_e = int(enriched.counts[i])
         if l_e <= l_i:
             continue
         coeffs = z_enrich.component_coefficients(i)[l_i:l_e]
         excess = enriched.candidates[i][:, l_i:l_e] @ coeffs
-        signed[i] = float(residual[neigh.fine_vertices_all] @ excess)
+        signed[i] = float(residual[space.pu.vertices[i]] @ excess)
     lam = _lambda_weights(space)
     eta_sq = np.abs(signed)
     eta_sq[space.saturated] = 0.0

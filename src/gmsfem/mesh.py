@@ -4,7 +4,7 @@ import numpy as np
 
 __all__ = [
     "GridHierarchy",
-    "CoarseNeighborhood",
+    "Neighborhoods",
     "all_neighborhoods",
 ]
 
@@ -90,51 +90,49 @@ class GridHierarchy:
         return ci + 1, cj + 1
 
 
-class CoarseNeighborhood:
-    """The four coarse elements sharing one interior coarse vertex.
+class Neighborhoods:
+    """The coarse neighborhoods of all interior coarse vertices, as arrays
+    over one shared patch layout.
 
-    The fine-vertex patch is the (2r+1) x (2r+1) block centered at the coarse
-    vertex; ``fine_vertices_boundary`` is its perimeter and
-    ``fine_vertices_interior`` the complement.  All id arrays are sorted
-    ascending, and patch-local indexing follows that order (row-major over the
-    patch).
+    Neighborhood i is the union of the four coarse elements sharing interior
+    coarse vertex i.  Its fine-vertex patch is the (2r+1) x (2r+1) block
+    centered at that vertex and its fine cells the 2r x 2r cells inside; all
+    patches are translates of one block, so the patch-local layout is held
+    once, row-major over the patch:
+
+    - ``rim`` and ``interior``: local indices of the patch perimeter (one
+      harmonic snapshot per rim vertex) and of its complement;
+    - ``cell_vertices``: the (4r^2, 4) local vertex indices of the patch
+      cells, ordered [v00, v10, v11, v01] as ``GridHierarchy.cell_vertex_table``.
+
+    Row i of ``vertices`` (N, (2r+1)^2), ``interior_vertices``
+    (N, (2r-1)^2) and ``cells`` (N, 4r^2) holds neighborhood i's global
+    fine vertex and cell ids in that local order, which is ascending.
     """
 
-    def __init__(self, grid, vertex_id):
-        ci, cj = grid.interior_vertex_position(vertex_id)
+    def __init__(self, grid):
         self.grid = grid
-        self.vertex_id = int(vertex_id)
-        self.coarse_position = (ci, cj)
-        r = grid.r
-        self.coarse_elements = [
-            grid.nc * (cj - 1 + b) + (ci - 1 + a) for b in (0, 1) for a in (0, 1)
-        ]
-
-        x0, y0 = (ci - 1) * r, (cj - 1) * r
-        p = 2 * r + 1
-        lx = np.tile(np.arange(p), p)
-        ly = np.repeat(np.arange(p), p)
-        self.fine_vertices_all = grid.vertex_id(x0 + lx, y0 + ly)
+        r, p, q = grid.r, 2 * grid.r + 1, 2 * grid.r
+        ly, lx = np.divmod(np.arange(p * p), p)
         on_rim = (lx == 0) | (lx == p - 1) | (ly == 0) | (ly == p - 1)
-        self.boundary_local = np.flatnonzero(on_rim)
-        self.interior_local = np.flatnonzero(~on_rim)
-        self.fine_vertices_boundary = self.fine_vertices_all[self.boundary_local]
-        self.fine_vertices_interior = self.fine_vertices_all[self.interior_local]
+        self.rim = np.flatnonzero(on_rim)
+        self.interior = np.flatnonzero(~on_rim)
+        cy, cx = np.divmod(np.arange(q * q), q)
+        v00 = cy * p + cx
+        self.cell_vertices = np.column_stack([v00, v00 + 1, v00 + p + 1, v00 + p])
 
-        cellx = np.tile(np.arange(2 * r), 2 * r)
-        celly = np.repeat(np.arange(2 * r), 2 * r)
-        self.fine_cells = grid.cell_id(x0 + cellx, y0 + celly)
+        # interior coarse vertex (ci, cj) has its patch's lower-left corner at
+        # fine vertex ((ci - 1) * r, (cj - 1) * r)
+        y0, x0 = np.divmod(np.arange(grid.n_interior_coarse), grid.nc - 1)
+        x0, y0 = x0[:, None] * r, y0[:, None] * r
+        self.vertices = grid.vertex_id(x0 + lx, y0 + ly)
+        self.interior_vertices = self.vertices[:, self.interior]
+        self.cells = grid.cell_id(x0 + cx, y0 + cy)
 
-    @property
-    def n_snapshots(self):
-        """Number of fine boundary vertices, one harmonic snapshot each."""
-        return len(self.fine_vertices_boundary)
-
-    def local_index(self, vertex_ids):
-        """Map global fine vertex ids into patch-local indices."""
-        return np.searchsorted(self.fine_vertices_all, vertex_ids)
+    def __len__(self):
+        return len(self.vertices)
 
 
 def all_neighborhoods(grid):
     """Neighborhoods of all interior coarse vertices, in vertex id order."""
-    return [CoarseNeighborhood(grid, i) for i in range(grid.n_interior_coarse)]
+    return Neighborhoods(grid)

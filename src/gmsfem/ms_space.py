@@ -6,21 +6,22 @@ The offline pipeline per neighborhood omega_i is
      element edges (compute_partition_of_unity),
   2. the spectral weight kappa * sum_i H^2 |grad chi_i|^2 feeding the local
      mass matrix (compute_spectral_weight),
-  3. harmonic snapshots, one per fine boundary vertex, solved with the
+  3. harmonic snapshots, one per vertex of the patch rim, solved with the
      neighborhood's block of the one stacked banded Cholesky factor of all
      zero-trace operators that the exact dual norms share, (2r+1) * N * m
      doubles for N neighborhoods of m interior vertices (compute_snapshots),
   4. the generalized eigenproblem A_off Psi = lambda S_off Psi in snapshot
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
-     eigenvalue (build_basis).  All patches have one shape, so candidate k
-     of neighborhood i is entry (i, k) of one N x L grid, L = 8r, and an
-     OfflineSpace is the mask k < counts[i] on it.  Enrichment and extension
-     only ever stop a count at a cluster boundary: eigenvalues whose relative
-     gap is at most CLUSTER_TOL are one cluster, and LAPACK returns an
-     arbitrary basis of a tied eigenspace, so a count that splits a cluster
-     would not be a well-defined space (homogeneous patches tie
-     lambda_2 = lambda_3 by symmetry).
+     eigenvalue (build_basis).  All patches are translates of one block,
+     whose layout mesh.Neighborhoods holds once (its rim has L = 8r
+     vertices), so candidate k of neighborhood i is entry (i, k) of one
+     N x L grid, and an OfflineSpace is the mask k < counts[i] on it.
+     Enrichment and extension only ever stop a count at a cluster boundary:
+     eigenvalues whose relative gap is at most CLUSTER_TOL are one cluster,
+     and LAPACK returns an arbitrary basis of a tied eigenspace, so a count
+     that splits a cluster would not be a well-defined space (homogeneous
+     patches tie lambda_2 = lambda_3 by symmetry).
 """
 
 import copy
@@ -61,14 +62,15 @@ class PartitionOfUnity:
 
     ``patches[i]`` holds the nodal values of chi_i over its neighborhood patch
     (row-major patch-local order) and ``vertices[i]`` the patch's fine vertex
-    ids; chi_i vanishes on the patch rim and outside.
+    ids (``neighborhoods.vertices``); chi_i vanishes on the patch rim and
+    outside.
     """
 
     def __init__(self, grid, neighborhoods, patches):
         self.grid = grid
         self.neighborhoods = neighborhoods
         self.patches = patches
-        self.vertices = np.stack([neigh.fine_vertices_all for neigh in neighborhoods])
+        self.vertices = neighborhoods.vertices
 
     def global_function(self, i):
         """chi_i scattered into a full fine-grid nodal vector."""
@@ -168,7 +170,7 @@ def compute_partition_of_unity(grid, field, neighborhoods=None):
             f"partition function values leave [0, 1]: min {low:.3e}, max {high:.3e}",
             RuntimeWarning,
         )
-    return PartitionOfUnity(grid, list(neighborhoods), patches)
+    return PartitionOfUnity(grid, neighborhoods, patches)
 
 
 def compute_spectral_weight(grid, field, pu):
@@ -182,30 +184,29 @@ def compute_spectral_weight(grid, field, pu):
     v = pu.patches.reshape(-1, p, p)
     gx = ((v[:, :-1, 1:] + v[:, 1:, 1:]) - (v[:, :-1, :-1] + v[:, 1:, :-1])) / (2 * h)
     gy = ((v[:, 1:, :-1] + v[:, 1:, 1:]) - (v[:, :-1, :-1] + v[:, :-1, 1:])) / (2 * h)
-    # a cell's id is the id of its lower-left vertex less that vertex's row
-    corner = pu.vertices.reshape(-1, p, p)[:, :-1, :-1]
+    cells = pu.neighborhoods.cells
     sumsq = np.zeros(nf * nf)
-    np.add.at(sumsq, corner - corner // (nf + 1), gx**2 + gy**2)
+    np.add.at(sumsq, cells, (gx**2 + gy**2).reshape(cells.shape))
     return CoefficientField(field.values * grid.H**2 * sumsq.reshape(nf, nf))
 
 
-def compute_snapshots(neigh, patch_matrix, solve):
-    """Harmonic snapshots of one neighborhood, one column per boundary vertex.
+def compute_snapshots(neighborhoods, patch_matrix, solve):
+    """Harmonic snapshots of one neighborhood, one column per rim vertex.
 
     Column j solves the zero-source problem of ``patch_matrix`` (the patch
     stiffness, see fine_fem.patch_stiffness) with nodal data 1 at the j-th
-    fine boundary vertex (ascending id order) and 0 at the others.  The
-    interior block of ``patch_matrix`` is the neighborhood's zero-trace
-    operator, and ``solve`` maps a block of right-hand sides to its solutions
-    with that operator; build_problem passes the neighborhood's slice of the
-    stacked banded Cholesky factor (indicators.ResidualNormCache.solve), so
-    the offline stage factors nothing itself.  Returned as a dense
-    (patch_size, L) array in patch-local ordering.
+    vertex of the shared patch rim ``neighborhoods.rim`` (ascending id
+    order) and 0 at the others.  The interior block of ``patch_matrix`` is
+    the neighborhood's zero-trace operator, and ``solve`` maps a block of
+    right-hand sides to its solutions with that operator; build_problem
+    passes the neighborhood's slice of the stacked banded Cholesky factor
+    (indicators.ResidualNormCache.solve), so the offline stage factors
+    nothing itself.  Returned as a dense (patch_size, L) array in
+    patch-local ordering.
     """
-    interior = neigh.interior_local
-    rim = neigh.boundary_local
+    interior, rim = neighborhoods.interior, neighborhoods.rim
     A_ib = patch_matrix[interior][:, rim].toarray()
-    snapshots = np.zeros((len(neigh.fine_vertices_all), len(rim)))
+    snapshots = np.zeros((patch_matrix.shape[0], len(rim)))
     snapshots[rim, np.arange(len(rim))] = 1.0
     snapshots[interior] = solve(-A_ib)
     return snapshots
@@ -231,7 +232,7 @@ class NeighborhoodSpectrum:
         return len(self.eigenvalues)
 
 
-def local_spectral_decomposition(neigh, patch_A, patch_S, snapshots):
+def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
     """Solve the symmetric-definite pencil in snapshot coordinates.
 
     ``patch_A`` and ``patch_S`` must be assembled over the neighborhood's own
@@ -254,10 +255,10 @@ def local_spectral_decomposition(neigh, patch_A, patch_S, snapshots):
         eigenvalues, eigenvectors = scipy.linalg.eigh(A_off, S_off)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"neighborhood {neigh.vertex_id}: local mass matrix numerically "
+            f"neighborhood {vertex_id}: local mass matrix numerically "
             f"indefinite (smallest Ritz value {smallest:.3e})"
         ) from exc
-    return NeighborhoodSpectrum(neigh.vertex_id, snapshots, eigenvalues, eigenvectors, jitter)
+    return NeighborhoodSpectrum(vertex_id, snapshots, eigenvalues, eigenvectors, jitter)
 
 
 def _stacked(arrays, L, what):
@@ -287,7 +288,7 @@ class OfflineSpace:
         self.pu = pu
         self.spectra = spectra
         self.n_neighborhoods = len(neighborhoods)
-        self.n_candidates = L = neighborhoods[0].n_snapshots
+        self.n_candidates = L = len(neighborhoods.rim)
         self.eigenvalues = _stacked([sp.eigenvalues for sp in spectra], L, "eigenvalues")
         self.candidates = _stacked(candidates, L, "candidates")
         lam = self.eigenvalues
@@ -304,7 +305,6 @@ class OfflineSpace:
         self.counts = counts
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
         self.total_dofs = int(self.offsets[-1])
-        self._basis = None
 
     @property
     def saturated(self):
@@ -333,12 +333,6 @@ class OfflineSpace:
             shape=(self.grid.n_vertices, len(i)),
         )
 
-    def basis_matrix(self):
-        """Sparse (n_fine_vertices x total_dofs) CSC matrix of basis columns."""
-        if self._basis is None:
-            self._basis = self.basis_columns(0, self.counts)
-        return self._basis
-
     def with_counts(self, counts):
         space = copy.copy(self)
         space._select(counts)
@@ -365,7 +359,7 @@ class OfflineSpace:
 def build_basis(pu, spectra, counts):
     """Assemble the offline space chi_i * psi_k^off for the given counts,
     filling its candidate array one neighborhood at a time."""
-    shape = (len(spectra), pu.patches.shape[1], pu.neighborhoods[0].n_snapshots)
+    shape = (len(spectra), pu.patches.shape[1], len(pu.neighborhoods.rim))
     space = OfflineSpace(pu.grid, pu.neighborhoods, pu, spectra, np.empty(shape), counts)
     for i, spectrum in enumerate(spectra):
         chi = pu.patches[i][:, None]

@@ -30,11 +30,11 @@ def _offline(grid, field):
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     spectra = []
-    for i, neigh in enumerate(neighborhoods):
-        patch_A = fine_fem.patch_stiffness(grid, field, neigh)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-        snaps = ms_space.compute_snapshots(neigh, patch_A, partial(exact_norms.solve, i))
-        spectra.append(ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snaps))
+    for i in range(len(neighborhoods)):
+        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
+        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
+        snaps = ms_space.compute_snapshots(neighborhoods, patch_A, partial(exact_norms.solve, i))
+        spectra.append(ms_space.local_spectral_decomposition(i, patch_A, patch_S, snaps))
     return {
         "grid": grid,
         "field": field,

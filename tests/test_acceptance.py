@@ -78,17 +78,17 @@ def test_c02_partition_of_unity_suite():
 def test_c03_spectral_suite(channel_problem):
     problem = channel_problem
     grid, field = problem.grid, problem.field
-    space = problem.space
+    space, neighborhoods = problem.space, problem.neighborhoods
     weight = ms_space.compute_spectral_weight(grid, field, space.pu)
     worst_res, worst_lam1, worst_rayleigh = 0.0, 0.0, 0.0
-    for i, neigh in enumerate(problem.neighborhoods):
+    for i in range(len(neighborhoods)):
         spectrum = space.spectra[i]
         lam = spectrum.eigenvalues
         assert np.all(np.diff(lam) >= -1e-10 * lam[-1])
         assert lam[0] <= 1e-8 * lam[-1]
         worst_lam1 = max(worst_lam1, lam[0] / lam[-1])
-        patch_A = fine_fem.patch_stiffness(grid, field, neigh)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
+        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
+        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
         A_off = spectrum.snapshots.T @ (patch_A @ spectrum.snapshots)
         S_off = spectrum.snapshots.T @ (patch_S @ spectrum.snapshots)
         scale = np.linalg.norm(A_off, 2)
@@ -103,11 +103,10 @@ def test_c03_spectral_suite(channel_problem):
         assert rayleigh <= 1e-8 * lam[-1]
 
     rng = np.random.default_rng(2024)
-    for i in rng.choice(len(problem.neighborhoods), size=3, replace=False):
-        neigh = problem.neighborhoods[i]
+    for i in rng.choice(len(neighborhoods), size=3, replace=False):
         spectrum = space.spectra[i]
-        patch_A = fine_fem.patch_stiffness(grid, field, neigh)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
+        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
+        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
         A_off = spectrum.snapshots.T @ (patch_A @ spectrum.snapshots)
         S_off = spectrum.snapshots.T @ (patch_S @ spectrum.snapshots)
         L = np.linalg.cholesky(0.5 * (S_off + S_off.T))
@@ -130,8 +129,8 @@ def test_c04_residuals_vanish_for_fine_references(channel_problem):
     for ref, load, tag in ((problem.u_ref, problem.f_load, "primal"), (z_ref, problem.g_load, "dual")):
         rho = indicators.fine_residual(A, load, ref)
         bound = 1e-8 * np.linalg.norm(load)
-        for i, neigh in enumerate(problem.neighborhoods):
-            norm = cache.norm(i, rho[neigh.fine_vertices_interior])
+        for i, interior in enumerate(problem.neighborhoods.interior_vertices):
+            norm = cache.norm(i, rho[interior])
             worst = max(worst, norm / bound)
             assert norm <= bound, f"{tag} residual norm {norm:.3e} at neighborhood {i}"
     print(f"[criterion 4] PASS: all residual norms <= {worst:.3f} of the 1e-8*||load|| bound")
@@ -149,8 +148,8 @@ def test_c05_snapshot_norm_lower_bounds_exact(channel_problem):
         problem.neighborhoods, A, mode="snapshot", spectra=space.spectra
     )
     worst = -np.inf
-    for i, neigh in enumerate(problem.neighborhoods):
-        local = rho[neigh.fine_vertices_interior]
+    for i, interior in enumerate(problem.neighborhoods.interior_vertices):
+        local = rho[interior]
         gap = snap_cache.norm(i, local) - exact_cache.norm(i, local)
         worst = max(worst, gap)
         assert gap <= 1e-10

@@ -235,7 +235,7 @@ def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypa
     f_density, g_density = benchmark_densities(grid44)
     problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
     problem.norm_cache("exact")
-    interior = [len(neigh.fine_vertices_interior) for neigh in problem.neighborhoods]
+    interior = [len(ids) for ids in problem.neighborhoods.interior_vertices]
     assert banded == [sum(interior)]
     # the fine reference solve is the one sparse factorization
     assert not any(size in interior for size in sizes)

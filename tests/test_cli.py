@@ -133,6 +133,7 @@ def test_read_field_rejects_malformed(tmp_path):
         ("2\n1.0 abc\n1.0 1.0\n", "non-numeric value 'abc' at row 0, column 1"),
         ("2\n1.0 1.0\nnan 1.0\n", "non-finite value nan at row 1, column 0"),
         ("2\n1.0 inf\n1.0 1.0\n", "non-finite value inf at row 0, column 1"),
+        ("2\n1.0 1.0\n1.0 1.0\n2.0 2.0\n2.0 2.0\n", "row 2 follows the 2 data rows of the header"),
     ):
         path.write_text(text)
         with pytest.raises(ValueError) as info:
@@ -301,6 +302,18 @@ def test_main_reports_errors(tmp_path, capsys):
     code = cli.main(["--contrast", "0.1", "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_reports_failed_fine_reference_solve(tmp_path, capsys):
+    # at contrast 1e15 the fine reference solve cannot meet its 1e-10 contract
+    out = tmp_path / "out"
+    argv = ["--nc", "5", "--r", "4", "--contrast", "1e15", "--max-iters", "1", "--quiet"]
+    code = cli.main([*argv, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Dirichlet solve stalled at relative residual")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_flags_override_config_file_strategies(tmp_path):

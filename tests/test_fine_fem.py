@@ -257,18 +257,18 @@ def test_eigenvalue_growth_under_fixing():
 
 def test_local_operator_sizes_and_spd(grid44, unit_field44):
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
-    neigh = mesh.CoarseNeighborhood(grid44, 0)
+    neighborhoods = mesh.all_neighborhoods(grid44)
     r = grid44.r
-    zt = fine_fem.local_operator(neigh, A)
+    zt = fine_fem.local_operator(A, neighborhoods, 0)
     assert zt.shape == ((2 * r - 1) ** 2, (2 * r - 1) ** 2)
     assert np.linalg.eigvalsh(zt.toarray())[0] > 0.0
 
 
 def test_local_operator_matches_global_entries(grid44, unit_field44):
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
-    neigh = mesh.CoarseNeighborhood(grid44, 0)
-    sub = fine_fem.local_operator(neigh, A).toarray()
-    ids = neigh.fine_vertices_interior
+    neighborhoods = mesh.all_neighborhoods(grid44)
+    sub = fine_fem.local_operator(A, neighborhoods, 0).toarray()
+    ids = neighborhoods.interior_vertices[0]
     assert np.array_equal(sub, A[np.ix_(ids, ids)].toarray())
 
 

@@ -53,25 +53,35 @@ def test_boundary_vertex_ids():
     assert grid.n_vertices == n * n
 
 
+def _coarse_elements(grid, cells):
+    """Sorted coarse cell ids of the fine cells ``cells``."""
+    cy, cx = np.divmod(cells, grid.nf)
+    return np.unique((cy // grid.r) * grid.nc + cx // grid.r)
+
+
 def test_neighborhood_smallest_grid_covers_domain():
     grid = mesh.GridHierarchy(2, 2)
-    neigh = mesh.CoarseNeighborhood(grid, 0)
-    assert sorted(neigh.coarse_elements) == [0, 1, 2, 3]
-    assert len(neigh.fine_vertices_all) == grid.n_vertices
+    neighborhoods = mesh.all_neighborhoods(grid)
+    assert list(_coarse_elements(grid, neighborhoods.cells[0])) == [0, 1, 2, 3]
+    assert len(neighborhoods.vertices[0]) == grid.n_vertices
 
 
 def test_neighborhood_corner_adjacent_elements():
     grid = mesh.GridHierarchy(4, 2)
     vid = grid.interior_vertex_id(1, 1)
-    neigh = mesh.CoarseNeighborhood(grid, vid)
+    cells = mesh.all_neighborhoods(grid).cells[vid]
     # coarse cells (0,0), (1,0), (0,1), (1,1) in row-major ids
-    assert sorted(neigh.coarse_elements) == [0, 1, 4, 5]
+    assert list(_coarse_elements(grid, cells)) == [0, 1, 4, 5]
 
 
 def test_every_neighborhood_has_four_elements():
     grid = mesh.GridHierarchy(5, 2)
-    for neigh in mesh.all_neighborhoods(grid):
-        assert len(neigh.coarse_elements) == 4
+    neighborhoods = mesh.all_neighborhoods(grid)
+    assert len(neighborhoods) == grid.n_interior_coarse
+    for cells in neighborhoods.cells:
+        assert len(_coarse_elements(grid, cells)) == 4
+        # and every fine cell of those four elements
+        assert len(np.unique(cells)) == 4 * grid.r**2
 
 
 def test_neighborhood_rejects_boundary_vertex():
@@ -81,55 +91,96 @@ def test_neighborhood_rejects_boundary_vertex():
     with pytest.raises(ValueError):
         grid.interior_vertex_id(4, 1)
     with pytest.raises(ValueError):
-        mesh.CoarseNeighborhood(grid, grid.n_interior_coarse)
+        grid.interior_vertex_position(grid.n_interior_coarse)
     with pytest.raises(ValueError):
-        mesh.CoarseNeighborhood(grid, -1)
+        grid.interior_vertex_position(-1)
 
 
 def test_patch_partition_is_disjoint_and_complete():
     grid = mesh.GridHierarchy(3, 4)
-    for neigh in mesh.all_neighborhoods(grid):
-        interior = set(neigh.fine_vertices_interior)
-        boundary = set(neigh.fine_vertices_boundary)
+    neighborhoods = mesh.all_neighborhoods(grid)
+    assert set(neighborhoods.rim).isdisjoint(neighborhoods.interior)
+    for vertices, interior_ids in zip(neighborhoods.vertices, neighborhoods.interior_vertices):
+        interior = set(interior_ids)
+        boundary = set(vertices[neighborhoods.rim])
         assert interior.isdisjoint(boundary)
-        assert interior | boundary == set(neigh.fine_vertices_all)
+        assert interior | boundary == set(vertices)
 
 
 def test_patch_sizes():
     grid = mesh.GridHierarchy(4, 3)
-    r = grid.r
-    for neigh in mesh.all_neighborhoods(grid):
-        assert len(neigh.fine_vertices_all) == (2 * r + 1) ** 2
-        assert len(neigh.fine_vertices_interior) == (2 * r - 1) ** 2
-        assert neigh.n_snapshots == 8 * r
+    r, n = grid.r, grid.n_interior_coarse
+    neighborhoods = mesh.all_neighborhoods(grid)
+    assert neighborhoods.vertices.shape == (n, (2 * r + 1) ** 2)
+    assert neighborhoods.interior_vertices.shape == (n, (2 * r - 1) ** 2)
+    assert neighborhoods.cells.shape == (n, 4 * r * r)
+    assert neighborhoods.cell_vertices.shape == (4 * r * r, 4)
+    assert len(neighborhoods.rim) == 8 * r
 
 
 def test_member_element_vertices_inside_patch():
     grid = mesh.GridHierarchy(4, 2)
     table = grid.cell_vertex_table()
-    for neigh in mesh.all_neighborhoods(grid):
-        patch = set(neigh.fine_vertices_all)
-        for coarse_cell in neigh.coarse_elements:
+    neighborhoods = mesh.all_neighborhoods(grid)
+    for vertices, cells in zip(neighborhoods.vertices, neighborhoods.cells):
+        patch = set(vertices)
+        for coarse_cell in _coarse_elements(grid, cells):
             ey, ex = divmod(coarse_cell, grid.nc)
             for cy in range(ey * grid.r, (ey + 1) * grid.r):
                 for cx in range(ex * grid.r, (ex + 1) * grid.r):
                     assert set(table[grid.cell_id(cx, cy)]) <= patch
+        # the shared local table names the same vertices as the global one
+        assert np.array_equal(vertices[neighborhoods.cell_vertices], table[cells])
 
 
 def test_coarse_cells_shared_by_at_most_four_neighborhoods():
     grid = mesh.GridHierarchy(4, 2)
     counts = np.zeros(grid.nc**2, dtype=int)
-    for neigh in mesh.all_neighborhoods(grid):
-        counts[neigh.coarse_elements] += 1
+    for cells in mesh.all_neighborhoods(grid).cells:
+        counts[_coarse_elements(grid, cells)] += 1
     assert counts.max() <= 4
     assert counts.min() >= 1  # nc=4: every coarse cell touches an interior vertex
 
 
 def test_local_index_roundtrip():
+    # patch-local indices are positions in the ascending vertex ids
     grid = mesh.GridHierarchy(3, 3)
-    neigh = mesh.CoarseNeighborhood(grid, 2)
-    ids = neigh.fine_vertices_all
-    assert np.array_equal(ids[neigh.local_index(ids)], ids)
+    neighborhoods = mesh.all_neighborhoods(grid)
+    ids = neighborhoods.vertices[2]
+    assert np.array_equal(np.searchsorted(ids, ids), np.arange(len(ids)))
     assert np.array_equal(
-        neigh.local_index(neigh.fine_vertices_interior), neigh.interior_local
+        np.searchsorted(ids, neighborhoods.interior_vertices[2]), neighborhoods.interior
     )
+
+
+def _neighborhood_oracle(grid, vertex_id):
+    """One neighborhood's ids and patch-local tables, built from its coarse
+    position with loops over fine coordinates."""
+    ci, cj = grid.interior_vertex_position(vertex_id)
+    r = grid.r
+    x0, x1, y0, y1 = (ci - 1) * r, (ci + 1) * r, (cj - 1) * r, (cj + 1) * r
+    coords = [(ix, iy) for iy in range(y0, y1 + 1) for ix in range(x0, x1 + 1)]
+    vertices = np.array([grid.vertex_id(ix, iy) for ix, iy in coords])
+    on_rim = np.array([ix in (x0, x1) or iy in (y0, y1) for ix, iy in coords])
+    cells = np.array([grid.cell_id(cx, cy) for cy in range(y0, y1) for cx in range(x0, x1)])
+    cell_vertices = np.searchsorted(vertices, grid.cell_vertex_table()[cells])
+    return vertices, np.flatnonzero(on_rim), np.flatnonzero(~on_rim), cells, cell_vertices
+
+
+@pytest.mark.parametrize("nc,r", [(2, 2), (3, 4), (4, 3), (5, 2), (10, 10)])
+def test_neighborhoods_match_per_neighborhood_construction(nc, r):
+    grid = mesh.GridHierarchy(nc, r)
+    neighborhoods = mesh.all_neighborhoods(grid)
+    assert len(neighborhoods) == grid.n_interior_coarse
+    p = 2 * r + 1
+    for i in range(grid.n_interior_coarse):
+        vertices, rim, interior, cells, cell_vertices = _neighborhood_oracle(grid, i)
+        assert np.array_equal(neighborhoods.vertices[i], vertices)
+        assert np.array_equal(neighborhoods.rim, rim)
+        assert np.array_equal(neighborhoods.interior, interior)
+        assert np.array_equal(neighborhoods.interior_vertices[i], vertices[interior])
+        assert np.array_equal(neighborhoods.cells[i], cells)
+        assert np.array_equal(neighborhoods.cell_vertices, cell_vertices)
+        # a cell's id is the id of its lower-left vertex less that vertex's row
+        corner = vertices.reshape(p, p)[:-1, :-1].ravel()
+        assert np.array_equal(neighborhoods.cells[i], corner - corner // (grid.nf + 1))

@@ -54,8 +54,8 @@ def test_pou_bounds_with_high_contrast_inclusion():
 
 def test_pou_vanishes_on_patch_rim(grid44, unit_field44):
     pu = ms_space.compute_partition_of_unity(grid44, unit_field44)
-    for i, neigh in enumerate(pu.neighborhoods):
-        assert np.abs(pu.patches[i][neigh.boundary_local]).max() == 0.0
+    for i in range(len(pu.neighborhoods)):
+        assert np.abs(pu.patches[i][pu.neighborhoods.rim]).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +127,20 @@ def test_spectral_weight_positive_on_all_cells(channel_problem):
 # snapshots
 
 
-def _zero_trace_solve(grid, field, neigh):
-    """The solve with neigh's zero-trace operator that build_problem shares."""
+def _zero_trace_solve(grid, field, neighborhoods, i):
+    """The solve with neighborhood i's zero-trace operator that build_problem shares."""
     A = fine_fem.assemble_stiffness(grid, field)
-    return partial(indicators.ResidualNormCache([neigh], A).solve, 0)
+    return partial(indicators.ResidualNormCache(neighborhoods, A).solve, i)
 
 
 def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
-    neigh = mesh.CoarseNeighborhood(grid44, 0)
+    neighborhoods = mesh.all_neighborhoods(grid44)
     snaps = ms_space.compute_snapshots(
-        neigh,
-        fine_fem.patch_stiffness(grid44, unit_field44, neigh),
-        _zero_trace_solve(grid44, unit_field44, neigh),
+        neighborhoods,
+        fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods, 0),
+        _zero_trace_solve(grid44, unit_field44, neighborhoods, 0),
     )
-    rim = neigh.boundary_local
+    rim = neighborhoods.rim
     assert np.array_equal(snaps[rim], np.eye(len(rim)))
     # linearity + maximum principle: harmonic extension of all-ones data is one
     assert np.abs(snaps.sum(axis=1) - 1.0).max() < 1e-12
@@ -150,11 +150,12 @@ def test_snapshots_match_dense_solve_oracle():
     grid = mesh.GridHierarchy(2, 2)
     rng = np.random.default_rng(14)
     field = CoefficientField(np.exp(rng.normal(size=(grid.nf, grid.nf))))
-    neigh = mesh.CoarseNeighborhood(grid, 0)
-    patch_A = fine_fem.patch_stiffness(grid, field, neigh)
-    snaps = ms_space.compute_snapshots(neigh, patch_A, _zero_trace_solve(grid, field, neigh))
+    neighborhoods = mesh.all_neighborhoods(grid)
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, 0)
+    solve = _zero_trace_solve(grid, field, neighborhoods, 0)
+    snaps = ms_space.compute_snapshots(neighborhoods, patch_A, solve)
     A_patch = patch_A.toarray()
-    interior, rim = neigh.interior_local, neigh.boundary_local
+    interior, rim = neighborhoods.interior, neighborhoods.rim
     oracle = np.linalg.solve(
         A_patch[np.ix_(interior, interior)], -A_patch[np.ix_(interior, rim)]
     )
@@ -165,11 +166,12 @@ def test_snapshots_match_dense_solve_oracle():
 # local spectral decomposition
 
 
-def _spectrum_for(grid, field, neigh, weight):
-    patch_A = fine_fem.patch_stiffness(grid, field, neigh)
-    patch_S = fine_fem.patch_weighted_mass(grid, weight, neigh)
-    snaps = ms_space.compute_snapshots(neigh, patch_A, _zero_trace_solve(grid, field, neigh))
-    return ms_space.local_spectral_decomposition(neigh, patch_A, patch_S, snaps), patch_A, patch_S
+def _spectrum_for(grid, field, neighborhoods, i, weight):
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
+    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
+    solve = _zero_trace_solve(grid, field, neighborhoods, i)
+    snaps = ms_space.compute_snapshots(neighborhoods, patch_A, solve)
+    return ms_space.local_spectral_decomposition(i, patch_A, patch_S, snaps), patch_A, patch_S
 
 
 def test_spectrum_constant_mode_and_order(unit_offline44):
@@ -184,8 +186,8 @@ def test_spectrum_constant_mode_and_order(unit_offline44):
 def test_spectrum_orthonormality_and_residuals(unit_offline44):
     data = unit_offline44
     grid, field, weight = data["grid"], data["field"], data["weight"]
-    for neigh in data["neighborhoods"][:3]:
-        spectrum, patch_A, patch_S = _spectrum_for(grid, field, neigh, weight)
+    for i in range(3):
+        spectrum, patch_A, patch_S = _spectrum_for(grid, field, data["neighborhoods"], i, weight)
         A_off = spectrum.snapshots.T @ (patch_A @ spectrum.snapshots)
         S_off = spectrum.snapshots.T @ (patch_S @ spectrum.snapshots)
         gram = spectrum.eigenvectors.T @ S_off @ spectrum.eigenvectors
@@ -204,8 +206,7 @@ def test_spectrum_matches_brute_force_pencil_oracle():
     pu = ms_space.compute_partition_of_unity(grid, field)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     for vid in (0, 3):
-        neigh = mesh.CoarseNeighborhood(grid, vid)
-        spectrum, patch_A, patch_S = _spectrum_for(grid, field, neigh, weight)
+        spectrum, patch_A, patch_S = _spectrum_for(grid, field, pu.neighborhoods, vid, weight)
         A_off = spectrum.snapshots.T @ (patch_A @ spectrum.snapshots)
         S_off = spectrum.snapshots.T @ (patch_S @ spectrum.snapshots)
         L = np.linalg.cholesky(0.5 * (S_off + S_off.T))
@@ -225,8 +226,7 @@ def test_degenerate_strip_pencil_matches_dense_oracle():
     field = CoefficientField(values)
     pu = ms_space.compute_partition_of_unity(grid, field)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
-    neigh = mesh.CoarseNeighborhood(grid, 0)
-    spectrum, patch_A, patch_S = _spectrum_for(grid, field, neigh, weight)
+    spectrum, patch_A, patch_S = _spectrum_for(grid, field, pu.neighborhoods, 0, weight)
     A_off = spectrum.snapshots.T @ (patch_A.toarray() @ spectrum.snapshots)
     S_off = spectrum.snapshots.T @ (patch_S.toarray() @ spectrum.snapshots)
     oracle = scipy.linalg.eigh(
@@ -257,12 +257,13 @@ def test_first_basis_function_is_proportional_to_pou(unit_offline44):
 def test_basis_support_containment(unit_offline44):
     space = _space_from(unit_offline44, count=3)
     grid = space.grid
-    for i, neigh in enumerate(space.neighborhoods):
+    neighborhoods = space.neighborhoods
+    for i, vertices in enumerate(neighborhoods.vertices):
         only = np.arange(space.n_neighborhoods) == i
         column = space.basis_columns(2 * only, 3 * only).toarray()[:, 0]
-        outside = np.setdiff1d(np.arange(grid.n_vertices), neigh.fine_vertices_all)
+        outside = np.setdiff1d(np.arange(grid.n_vertices), vertices)
         assert np.all(column[outside] == 0.0)
-        assert np.abs(column[neigh.fine_vertices_boundary]).max() == 0.0
+        assert np.abs(column[vertices[neighborhoods.rim]]).max() == 0.0
 
 
 def test_basis_counts_validation(unit_offline44):
@@ -344,9 +345,9 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
         start = rng.integers(0, L + 1, N)
         stop = np.maximum(start, rng.integers(0, L + 1, N))
         rows, data, numbers = [], [], []
-        for i, neigh in enumerate(space.neighborhoods):
+        for i, vertices in enumerate(space.neighborhoods.vertices):
             for k in range(start[i], stop[i]):
-                rows.append(neigh.fine_vertices_all)
+                rows.append(vertices)
                 data.append(space.candidates[i][:, k])
                 numbers.append(i * L + k)
         R = space.basis_columns(start, stop)
@@ -404,8 +405,8 @@ def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
 def test_enrichment_nests_columns(unit_offline44):
     space = _space_from(unit_offline44, count=2)
     enriched = ms_space.enrich(space, [1, 3], s=2)
-    R_old = space.basis_matrix()
-    R_new = enriched.basis_matrix()
+    R_old = space.basis_columns(0, space.counts)
+    R_new = enriched.basis_columns(0, enriched.counts)
     for i in range(space.n_neighborhoods):
         old_cols = R_old[:, space.column_slice(i)].toarray()
         new_cols = R_new[:, enriched.column_slice(i)].toarray()
