@@ -132,10 +132,11 @@ class AdaptTrace:
 class ProblemSetup:
     """Everything the adaptive loop consumes, precomputed once per problem.
 
-    Offline data (partition of unity, snapshots, spectra, initial space), the
-    global stiffness, load vectors of the source and the goal, the exact
-    ResidualNormCache whose stacked factor the snapshots were solved with, and
-    the fine reference solution used only for trace error reporting.
+    Offline data (partition of unity, spectra, initial space; the snapshots
+    are not kept), the global stiffness, load vectors of the source and the
+    goal, the exact ResidualNormCache whose stacked factor the snapshots were
+    solved with, and the fine reference solution used only for trace error
+    reporting.
     """
 
     def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms):
@@ -155,11 +156,17 @@ class ProblemSetup:
 
         Every strategy run on this problem shares it.  The exact cache is built
         in ``build_problem``, whose snapshot solves use its factor; the
-        snapshot cache is built on first use.
+        snapshot cache is built on first use, from snapshots solved again
+        with that factor, so they have the offline stage's bits.
         """
         if mode not in self._norm_caches:
+            exact = self._norm_caches["exact"]
+            snapshots = (
+                _snapshots(self.grid, self.field, exact, self.neighborhoods, i)[1]
+                for i in range(len(self.neighborhoods))
+            )
             self._norm_caches[mode] = indicators.ResidualNormCache(
-                self.neighborhoods, self.stiffness, mode=mode, spectra=self.space.spectra
+                self.neighborhoods, self.stiffness, mode=mode, snapshots=snapshots
             )
         return self._norm_caches[mode]
 
@@ -173,31 +180,42 @@ class ProblemSetup:
         return self._galerkin_store
 
 
-def build_problem(grid, field, f_density, g_density, initial_count=1):
-    """Run the offline pipeline and the fine reference solve for one problem.
+def _snapshots(grid, field, exact_norms, neighborhoods, i):
+    """Patch stiffness and harmonic snapshots of neighborhood i, solved with
+    its block of the exact dual norms' stacked factor."""
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
+    solve = partial(exact_norms.solve, i)
+    return patch_A, ms_space.compute_snapshots(neighborhoods, patch_A, solve)
 
-    Each neighborhood starts with ``initial_count`` eigenfunctions (clipped at
-    L), rounded up to the end of a cluster of tied eigenvalues.
+
+def build_problem(grid, field, f_density, g_density, initial_count=1):
+    """Run the fine reference solve and the offline pipeline for one problem.
+
+    The fine reference is solved first, so its sparse factor is freed before
+    the candidate array exists.  Each neighborhood starts with
+    ``initial_count`` eigenfunctions (clipped at L), rounded up to the end of
+    a cluster of tied eigenvalues.
     """
     neighborhoods = mesh.all_neighborhoods(grid)
     stiffness = fine_fem.assemble_stiffness(grid, field)
-    exact_norms = indicators.ResidualNormCache(neighborhoods, stiffness)
-    pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
-    # one call per neighborhood: the benchmark's tracer wraps and counts each
-    spectra = []
-    for i in range(len(neighborhoods)):
-        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
-        solve = partial(exact_norms.solve, i)
-        snapshots = ms_space.compute_snapshots(neighborhoods, patch_A, solve)
-        spectra.append(ms_space.local_spectral_decomposition(i, patch_A, patch_S, snapshots))
-    space = ms_space.build_basis(pu, spectra, np.ones(len(spectra), dtype=int))
-    space = space.extended(initial_count - 1)
-
     f_load = fine_fem.assemble_load(grid, f_density)
     g_load = fine_fem.assemble_load(grid, g_density)
     u_ref = fine_fem.solve_dirichlet(stiffness, f_load, grid.boundary_vertex_ids())
+
+    exact_norms = indicators.ResidualNormCache(neighborhoods, stiffness)
+    pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
+    weight = ms_space.compute_spectral_weight(grid, field, pu)
+
+    def spectrum(i):
+        # one call per neighborhood: the benchmark's tracer wraps and counts each
+        patch_A, snapshots = _snapshots(grid, field, exact_norms, neighborhoods, i)
+        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
+        return ms_space.local_spectral_decomposition(i, patch_A, patch_S, snapshots)
+
+    # build_basis consumes each spectrum as it is computed
+    spectra = map(spectrum, range(len(neighborhoods)))
+    space = ms_space.build_basis(pu, spectra, np.ones(len(neighborhoods), dtype=int))
+    space = space.extended(initial_count - 1)
     return ProblemSetup(grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms)
 
 

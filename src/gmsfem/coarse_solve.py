@@ -1,12 +1,12 @@
 """Coarse coupling of the multiscale basis and primal/dual coarse solves.
 
-Every coarse system takes one path, a sparse direct factorization with
-diagonal pivots and refinement in extended precision (see CoarseSystem).
+Every coarse system takes one path, a banded Cholesky factorization in
+candidate numbering with refinement in extended precision (see CoarseSystem).
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .fine_fem import _refine
 
@@ -25,7 +25,8 @@ COARSE_RTOL = 1e-12
 
 
 class RankDeficientBasis(RuntimeError):
-    """The coarse stiffness is not SPD; carries the most collinear column pair."""
+    """The coarse stiffness is not SPD; carries the column whose pivot failed
+    and the earlier column most collinear with it."""
 
     def __init__(self, message, columns=None):
         super().__init__(message)
@@ -50,13 +51,16 @@ class CoarseSystem:
 
     Holds R (basis matrix, CSC), the sparse A_c = R' A R (CSC, sorted row
     indices) and the primal load R' b, as selected from a GalerkinStore.
-    The first solve factors the unit-diagonal matrix D^-1/2 A_c D^-1/2 with
-    SuperLU, ordered by minimum degree on its symmetric pattern and pivoting
-    on the diagonal only, so the factor is the LDL' of an SPD matrix.  A
-    factorization that is exactly singular, would pivot off the diagonal, or
-    has a pivot at most dim * eps means A_c is not SPD and raises
-    RankDeficientBasis.  Each solve is refined with residuals in extended
-    precision to a relative residual of 1e-12.
+    Its columns are in candidate numbering i * L + k, where neighborhood i
+    couples only with its at most 8 neighbors, so A_c is banded without any
+    reordering.  The first solve gathers the upper band of the unit-diagonal
+    matrix D^-1/2 A_c D^-1/2 and factors it with LAPACK's banded Cholesky,
+    without pivoting.  Pivot j of that factor is the squared energy distance
+    of basis function j, scaled to unit energy, from the span of the ones
+    numbered before it, so a factor that fails, or has a pivot at most
+    dim * eps, means A_c is not SPD and raises RankDeficientBasis naming
+    column j.  Each solve is refined with residuals
+    in extended precision to a relative residual of 1e-12.
     """
 
     def __init__(self, space, matrix, load, R):
@@ -82,32 +86,28 @@ class CoarseSystem:
         return False
 
     def _factorize(self):
-        # D^-1/2 A_c D^-1/2 on A_c's own pattern, scaled by row, then by column
+        # upper band of D^-1/2 A_c D^-1/2: entry (row, col) at ab[u + row - col, col]
         M, inv = self.matrix, 1.0 / self._scale
-        data = M.data * inv[M.indices] * np.repeat(inv, np.diff(M.indptr))
-        scaled = sparse.csc_matrix((data, M.indices, M.indptr), shape=M.shape)
-        try:
-            factor = spla.splu(
-                scaled,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError:  # SuperLU: factor is exactly singular
-            factor = None
-        if (
-            factor is None
-            or np.any(factor.perm_r != factor.perm_c)
-            or factor.U.diagonal().min() <= self.dim * np.finfo(float).eps
-        ):
-            # report the pair of columns with the largest normalized inner product
-            upper = sparse.triu(scaled, k=1, format="coo")
-            k = int(np.argmax(np.abs(upper.data)))
-            p, q = int(upper.row[k]), int(upper.col[k])
+        cols = np.repeat(np.arange(self.dim), np.diff(M.indptr))
+        upper = M.indices <= cols
+        rows, cols = M.indices[upper], cols[upper]
+        u = int((cols - rows).max())
+        ab = np.zeros((u + 1, self.dim), order="F")
+        ab[u + rows - cols, cols] = M.data[upper] * inv[rows] * inv[cols]
+        factor, info = scipy.linalg.lapack.dpbtrf(ab)
+        # info > 0: the leading minor of order info failed, its earlier
+        # columns are factored; a pivot is the square of the factor's diagonal
+        done = info - 1 if info > 0 else self.dim
+        small = np.flatnonzero(factor[u, :done] ** 2 <= self.dim * np.finfo(float).eps)
+        if info > 0 or small.size:
+            j = int(small[0]) if small.size else done
+            # the earlier column with the largest scaled entry in column j
+            k = int(np.argmax(np.abs(ab[:u, j])))
+            p = j - u + k
             raise RankDeficientBasis(
-                f"coarse stiffness is not SPD; most collinear columns {p} and {q} "
-                f"(normalized inner product {upper.data[k]:.6f})",
-                columns=(p, q),
+                f"coarse stiffness is not SPD at column {j}; most collinear earlier "
+                f"column {p} (normalized inner product {ab[k, j]:.6f})",
+                columns=(p, j),
             )
         return factor
 
@@ -124,9 +124,14 @@ class CoarseSystem:
         if self._factor is None:
             self._factor = self._factorize()
             self._matrix_ld = self.matrix.astype(np.longdouble)
-        c = self._factor.solve(rhs / self._scale).astype(np.longdouble) / self._scale
+        factor = (self._factor, False)
+
+        def scaled_solve(b):
+            return scipy.linalg.cho_solve_banded(factor, b / self._scale, check_finite=False)
+
+        c = scaled_solve(rhs).astype(np.longdouble) / self._scale
         c = _refine(
-            lambda resid: self._factor.solve(resid / self._scale) / self._scale,
+            lambda resid: scaled_solve(resid) / self._scale,
             self._matrix_ld,
             rhs,
             c,
@@ -153,7 +158,9 @@ class GalerkinStore:
     rows and columns of candidates not yet held are empty, so a growth only
     fills empty rows and columns, and a space's matrix is the rows and
     columns of its candidates in ascending number, which come out sorted.
-    The full candidate set is never formed.
+    That order keeps each neighborhood's columns next to its neighbors', so
+    CoarseSystem factors the selection as a band without reordering.  The
+    full candidate set is never formed.
 
     Entry (p, q) of G is the sum over fine vertices v, in ascending order, of
     R[v, p] * (A R)[v, q], exactly as the sparse product of a space's own

@@ -91,14 +91,16 @@ class ResidualNormCache:
     mode='snapshot' solves that problem in the span of the zero-trace parts
     T_i of the snapshots, which can only give a smaller value (subspace
     inequality), with each gram T_i' A_i T_i pseudo-inverted once at lstsq's
-    default cutoff L * eps.
+    default cutoff L * eps.  ``snapshots`` yields the N patch snapshot blocks
+    in order (ms_space.compute_snapshots); only their interior rows T_i are
+    kept.
     """
 
-    def __init__(self, neighborhoods, A, mode="exact", spectra=None):
+    def __init__(self, neighborhoods, A, mode="exact", snapshots=None):
         if mode not in DUAL_NORM_MODES:
             raise ValueError(f"mode must be one of {DUAL_NORM_MODES}, got {mode!r}")
-        if mode == "snapshot" and spectra is None:
-            raise ValueError("snapshot mode needs the neighborhood spectra")
+        if mode == "snapshot" and snapshots is None:
+            raise ValueError("snapshot mode needs the neighborhood snapshots")
         self.mode = mode
         self._stacked = neighborhoods.interior_vertices.ravel()
         self._block = neighborhoods.interior_vertices.shape[1]
@@ -106,7 +108,7 @@ class ResidualNormCache:
             band = _stacked_band(neighborhoods.grid, self._stacked, A)
             self._factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True)
             return
-        self._T = np.stack([s.snapshots[neighborhoods.interior] for s in spectra])
+        self._T = np.stack([block[neighborhoods.interior] for block in snapshots])
         grams = np.stack(
             [T.T @ (local_operator(A, neighborhoods, i) @ T) for i, T in enumerate(self._T)]
         )

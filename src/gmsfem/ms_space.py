@@ -13,7 +13,11 @@ The offline pipeline per neighborhood omega_i is
   4. the generalized eigenproblem A_off Psi = lambda S_off Psi in snapshot
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
-     eigenvalue (build_basis).  All patches are translates of one block,
+     eigenvalue (build_basis).  Each neighborhood fills its block of the
+     candidate array as soon as its eigensolve returns; its snapshots and
+     eigenvectors are then dropped, so the offline stage holds at most one
+     snapshot block and the space keeps only the eigenvalues.  All patches
+     are translates of one block,
      whose layout mesh.Neighborhoods holds once (its rim has L = 8r
      vertices), so candidate k of neighborhood i is entry (i, k) of one
      N x L grid, and an OfflineSpace is the mask k < counts[i] on it.
@@ -217,7 +221,9 @@ class NeighborhoodSpectrum:
 
     ``eigenvectors`` are S_off-orthonormal and live in snapshot coordinates;
     fine-grid representatives are ``snapshots @ eigenvectors``.  ``jitter`` is
-    the diagonal shift added to S_off if it was numerically indefinite.
+    the diagonal shift added to S_off if it was numerically indefinite.  The
+    spectra an OfflineSpace holds keep only the eigenvalues: their
+    ``snapshots`` and ``eigenvectors`` are None (see build_basis).
     """
 
     def __init__(self, vertex_id, snapshots, eigenvalues, eigenvectors, jitter=0.0):
@@ -357,14 +363,30 @@ class OfflineSpace:
 
 
 def build_basis(pu, spectra, counts):
-    """Assemble the offline space chi_i * psi_k^off for the given counts,
-    filling its candidate array one neighborhood at a time."""
-    shape = (len(spectra), pu.patches.shape[1], len(pu.neighborhoods.rim))
-    space = OfflineSpace(pu.grid, pu.neighborhoods, pu, spectra, np.empty(shape), counts)
-    for i, spectrum in enumerate(spectra):
+    """Assemble the offline space chi_i * psi_k^off for the given counts.
+
+    ``spectra`` yields the N neighborhood spectra in order, each with its
+    snapshots and eigenvectors.  Each fills its block of the candidate array
+    as it arrives and is then dropped; the space keeps its eigenvalues only.
+    Given a generator that computes one spectrum per step, as build_problem
+    passes, at most one snapshot block is alive at a time.
+    """
+    neighborhoods = pu.neighborhoods
+    L = len(neighborhoods.rim)
+    candidates = np.empty((len(neighborhoods), pu.patches.shape[1], L))
+    held = []
+    for spectrum in spectra:
+        i = len(held)  # not enumerate, whose reused result tuple would keep the block alive
+        lam = spectrum.eigenvalues
+        if len(lam) != L:
+            raise ValueError(f"neighborhood {i} has {len(lam)} eigenvalues, not L = {L}")
         chi = pu.patches[i][:, None]
-        np.multiply(chi, spectrum.snapshots @ spectrum.eigenvectors, out=space.candidates[i])
-    return space
+        np.multiply(chi, spectrum.snapshots @ spectrum.eigenvectors, out=candidates[i])
+        held.append(NeighborhoodSpectrum(spectrum.vertex_id, None, lam, None, spectrum.jitter))
+        del spectrum  # free the block before the next spectrum is computed
+    if len(held) != len(neighborhoods):
+        raise ValueError(f"{len(held)} spectra for {len(neighborhoods)} neighborhoods")
+    return OfflineSpace(pu.grid, neighborhoods, pu, held, candidates, counts)
 
 
 def enrich(space, marked, s=1):

@@ -61,6 +61,13 @@ def channel_problem():
 
 
 @pytest.fixture(scope="session")
+def channel_offline(channel_problem):
+    """channel_problem's offline data recomputed with the snapshots and
+    eigenvectors that build_problem does not keep."""
+    return _offline(channel_problem.grid, channel_problem.field)
+
+
+@pytest.fixture(scope="session")
 def small_problem(grid44, unit_field44):
     f_density, g_density = benchmark_densities(grid44)
     return adapt.build_problem(grid44, unit_field44, f_density, g_density)

@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from gmsfem import adapt, cli, indicators, mesh, ms_space
+from gmsfem import adapt, cli, coarse_solve, indicators, mesh, ms_space
 from gmsfem.adapt import MarkingConfig
 
-from conftest import benchmark_densities
+from conftest import _offline, benchmark_densities
 
 
 def _report(eta_sq):
@@ -185,12 +185,13 @@ def _rotate_tied_eigenvectors(spectrum, angle):
     )
 
 
-def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem):
+def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, channel_offline):
     space = channel_problem.space
-    rotated_spectra = [_rotate_tied_eigenvectors(s, 0.7) for s in space.spectra]
+    spectra = channel_offline["spectra"]
+    rotated_spectra = [_rotate_tied_eigenvectors(s, 0.7) for s in spectra]
     moved = sum(
         not np.array_equal(r.eigenvectors, s.eigenvectors)
-        for r, s in zip(rotated_spectra, space.spectra)
+        for r, s in zip(rotated_spectra, spectra)
     )
     assert moved > 0  # the channel medium has homogeneous, symmetric patches
     rotated = adapt.ProblemSetup(
@@ -239,6 +240,51 @@ def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypa
     assert banded == [sum(interior)]
     # the fine reference solve is the one sparse factorization
     assert not any(size in interior for size in sizes)
+
+
+def test_only_the_fine_reference_takes_a_sparse_factorization(grid44, unit_field44, monkeypatch):
+    # every coarse system, primal and dual, takes the one banded Cholesky path
+    sizes = []
+    splu = scipy.sparse.linalg.splu
+
+    def counted_splu(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    f_density, g_density = benchmark_densities(grid44)
+    problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
+    for strategy in adapt.STRATEGIES:
+        trace = adapt.adapt_loop(problem, strategy, MarkingConfig(max_iterations=3))
+        assert len(trace.rows) == 3, strategy
+    assert sizes == [(grid44.nf - 1) ** 2]
+    assert not any(value is scipy.sparse.linalg for value in vars(coarse_solve).values())
+
+
+def test_problem_holds_no_snapshots_or_eigenvectors():
+    # build_problem fills the candidates one neighborhood at a time and drops
+    # each snapshot block; a recomputation with every block kept is the oracle
+    grid = mesh.GridHierarchy(5, 4)
+    field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
+    problem = adapt.build_problem(grid, field, *benchmark_densities(grid))
+    spectra = problem.space.spectra
+    assert all(s.snapshots is None and s.eigenvectors is None for s in spectra)
+
+    data = _offline(grid, field)
+    pairs = zip(data["pu"].patches, data["spectra"])
+    expected = np.stack([chi[:, None] * (s.snapshots @ s.eigenvectors) for chi, s in pairs])
+    assert np.array_equal(problem.space.candidates, expected)
+    assert np.array_equal(problem.space.eigenvalues, [s.eigenvalues for s in data["spectra"]])
+
+    cache = problem.norm_cache("snapshot")
+    oracle = indicators.ResidualNormCache(
+        problem.neighborhoods,
+        problem.stiffness,
+        mode="snapshot",
+        snapshots=[s.snapshots for s in data["spectra"]],
+    )
+    assert np.array_equal(cache._T, oracle._T)
+    assert np.array_equal(cache._pinv, oracle._pinv)
 
 
 def test_loop_stop_conditions(small_problem):

@@ -69,11 +69,10 @@ def test_snapshot_norm_below_exact(channel_state):
         assert snap.norm(i, rho_i) <= exact.norm(i, rho_i) + 1e-10
 
 
-def test_norm_cache_matches_dense_reference(channel_state):
+def test_norm_cache_matches_dense_reference(channel_state, channel_offline):
     # reference: the auxiliary problem a(w, v) = R(v) solved densely on the
     # zero-trace space (exact) or in the snapshots' zero-trace span (snapshot)
     problem = channel_state["problem"]
-    space = channel_state["space"]
     A = problem.stiffness
     rho = channel_state["rho_u"]
     for mode in ("exact", "snapshot"):
@@ -85,7 +84,7 @@ def test_norm_cache_matches_dense_reference(channel_state):
             if mode == "exact":
                 reference = np.sqrt(rho_i @ np.linalg.solve(A_zt, rho_i))
             else:
-                T = space.spectra[i].snapshots[neighborhoods.interior]
+                T = channel_offline["spectra"][i].snapshots[neighborhoods.interior]
                 gram = T.T @ A_zt @ T
                 rhs = T.T @ rho_i
                 y, *_ = np.linalg.lstsq(0.5 * (gram + gram.T), rhs, rcond=None)

@@ -383,7 +383,7 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
 def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
     data = unit_offline44
     space = _space_from(data)
-    spectra = list(space.spectra)
+    spectra = list(data["spectra"])
     s = spectra[3]
     spectra[3] = ms_space.NeighborhoodSpectrum(
         s.vertex_id, s.snapshots[:, :-1], s.eigenvalues[:-1], s.eigenvectors[:-1, :-1]
