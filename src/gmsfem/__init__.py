@@ -8,7 +8,6 @@ from .fine_fem import (
     CoefficientField,
     assemble_load,
     assemble_stiffness,
-    assemble_weighted_mass,
     energy_norm,
     solve_dirichlet,
 )

@@ -161,10 +161,8 @@ class ProblemSetup:
         """
         if mode not in self._norm_caches:
             exact = self._norm_caches["exact"]
-            snapshots = (
-                _snapshots(self.grid, self.field, exact, self.neighborhoods, i)[1]
-                for i in range(len(self.neighborhoods))
-            )
+            patch_A = fine_fem.patch_stiffness(self.grid, self.field, self.neighborhoods)
+            snapshots = (_snapshots(patch_A, exact, i) for i in range(len(self.neighborhoods)))
             self._norm_caches[mode] = indicators.ResidualNormCache(
                 self.neighborhoods, self.stiffness, mode=mode, snapshots=snapshots
             )
@@ -180,21 +178,21 @@ class ProblemSetup:
         return self._galerkin_store
 
 
-def _snapshots(grid, field, exact_norms, neighborhoods, i):
-    """Patch stiffness and harmonic snapshots of neighborhood i, solved with
-    its block of the exact dual norms' stacked factor."""
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
-    solve = partial(exact_norms.solve, i)
-    return patch_A, ms_space.compute_snapshots(neighborhoods, patch_A, solve)
+def _snapshots(patch_A, exact_norms, i):
+    """Harmonic snapshots of neighborhood i from the batched patch stiffness
+    ``patch_A``, solved with its block of the exact dual norms' stacked factor."""
+    return ms_space.compute_snapshots(patch_A, i, partial(exact_norms.solve, i))
 
 
 def build_problem(grid, field, f_density, g_density, initial_count=1):
     """Run the fine reference solve and the offline pipeline for one problem.
 
-    The fine reference is solved first, so its sparse factor is freed before
-    the candidate array exists.  Each neighborhood starts with
-    ``initial_count`` eigenfunctions (clipped at L), rounded up to the end of
-    a cluster of tied eigenvalues.
+    The fine reference is solved first, so its banded factor is freed before
+    the candidate array exists.  The patch stiffness and weighted mass of all
+    neighborhoods are assembled in one batched call each and dropped when
+    this returns.  Each neighborhood starts with ``initial_count``
+    eigenfunctions (clipped at L), rounded up to the end of a cluster of tied
+    eigenvalues.
     """
     neighborhoods = mesh.all_neighborhoods(grid)
     stiffness = fine_fem.assemble_stiffness(grid, field)
@@ -205,12 +203,15 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     exact_norms = indicators.ResidualNormCache(neighborhoods, stiffness)
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
 
     def spectrum(i):
         # one call per neighborhood: the benchmark's tracer wraps and counts each
-        patch_A, snapshots = _snapshots(grid, field, exact_norms, neighborhoods, i)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
-        return ms_space.local_spectral_decomposition(i, patch_A, patch_S, snapshots)
+        snapshots = _snapshots(patch_A, exact_norms, i)
+        return ms_space.local_spectral_decomposition(
+            i, patch_A.matrix(i), patch_S.matrix(i), snapshots
+        )
 
     # build_basis consumes each spectrum as it is computed
     spectra = map(spectrum, range(len(neighborhoods)))

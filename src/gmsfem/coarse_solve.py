@@ -5,10 +5,9 @@ candidate numbering with refinement in extended precision (see CoarseSystem).
 """
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
-from .fine_fem import _refine
+from .fine_fem import _banded_cholesky, _banded_solve
 
 __all__ = [
     "CoarseSystem",
@@ -86,27 +85,25 @@ class CoarseSystem:
         return False
 
     def _factorize(self):
-        # upper band of D^-1/2 A_c D^-1/2: entry (row, col) at ab[u + row - col, col]
-        M, inv = self.matrix, 1.0 / self._scale
-        cols = np.repeat(np.arange(self.dim), np.diff(M.indptr))
-        upper = M.indices <= cols
-        rows, cols = M.indices[upper], cols[upper]
-        u = int((cols - rows).max())
-        ab = np.zeros((u + 1, self.dim), order="F")
-        ab[u + rows - cols, cols] = M.data[upper] * inv[rows] * inv[cols]
-        factor, info = scipy.linalg.lapack.dpbtrf(ab)
+        factor, info = _banded_cholesky(self.matrix, self._scale)
         # info > 0: the leading minor of order info failed, its earlier
         # columns are factored; a pivot is the square of the factor's diagonal
+        u = factor.shape[0] - 1
         done = info - 1 if info > 0 else self.dim
         small = np.flatnonzero(factor[u, :done] ** 2 <= self.dim * np.finfo(float).eps)
         if info > 0 or small.size:
             j = int(small[0]) if small.size else done
             # the earlier column with the largest scaled entry in column j
-            k = int(np.argmax(np.abs(ab[:u, j])))
-            p = j - u + k
+            M, inv = self.matrix, 1.0 / self._scale
+            lo, hi = M.indptr[j], M.indptr[j + 1]
+            earlier = M.indices[lo:hi] < j
+            rows = M.indices[lo:hi][earlier]
+            scaled = M.data[lo:hi][earlier] * inv[rows] * inv[j]
+            k = int(np.argmax(np.abs(scaled)))
+            p = int(rows[k])
             raise RankDeficientBasis(
                 f"coarse stiffness is not SPD at column {j}; most collinear earlier "
-                f"column {p} (normalized inner product {ab[k, j]:.6f})",
+                f"column {p} (normalized inner product {scaled[k]:.6f})",
                 columns=(p, j),
             )
         return factor
@@ -124,17 +121,11 @@ class CoarseSystem:
         if self._factor is None:
             self._factor = self._factorize()
             self._matrix_ld = self.matrix.astype(np.longdouble)
-        factor = (self._factor, False)
-
-        def scaled_solve(b):
-            return scipy.linalg.cho_solve_banded(factor, b / self._scale, check_finite=False)
-
-        c = scaled_solve(rhs).astype(np.longdouble) / self._scale
-        c = _refine(
-            lambda resid: scaled_solve(resid) / self._scale,
+        c = _banded_solve(
+            self._factor,
+            self._scale,
             self._matrix_ld,
             rhs,
-            c,
             COARSE_RTOL,
             10,
             f"coarse solve (dim {self.dim})",

@@ -2,18 +2,22 @@
 
 The coefficient is constant on each fine cell, so element integration is
 exact: the element stiffness is ``kappa_cell * Q1_STIFFNESS`` (scale free in
-2D) and the element mass is ``weight_cell * h**2 * Q1_MASS``.
+2D) and the element mass is ``weight_cell * h**2 * Q1_MASS``.  The patch
+matrices of all neighborhoods are gathered at once onto one CSR pattern
+(PatchMatrices).  The Dirichlet solve here and the coarse solves of
+coarse_solve gather a band and factor it with one helper, a LAPACK banded
+Cholesky (``_banded_cholesky``).
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "CoefficientField",
+    "PatchMatrices",
     "SolveFailure",
     "assemble_stiffness",
-    "assemble_weighted_mass",
     "patch_stiffness",
     "patch_weighted_mass",
     "assemble_load",
@@ -110,32 +114,89 @@ def assemble_stiffness(grid, field):
     )
 
 
-def assemble_weighted_mass(grid, weight):
-    """Global mass matrix weighted by a per-cell coefficient."""
-    _check_field(grid, weight)
-    coeff = weight.values.ravel() * grid.h**2
-    return _assemble(Q1_MASS, coeff, grid.cell_vertex_table(), grid.n_vertices)
+class PatchMatrices:
+    """One Q1 form assembled over the own cells of every neighborhood.
+
+    All patches are translates of the layout that mesh.Neighborhoods holds
+    once, so their matrices share one CSR pattern (``indptr``, ``indices``);
+    row i of the (N, nnz) ``data`` holds neighborhood i's values.  Each
+    stored entry sums its at most four element terms in ascending cell order,
+    as the COO -> CSR conversion of an assembly over the patch's cells alone
+    does, so ``matrix(i)`` is bitwise equal to that assembly.
+    """
+
+    def __init__(self, neighborhoods, ref, coeff):
+        n = neighborhoods.vertices.shape[1]
+        indptr, indices, terms = _patch_pattern(neighborhoods.cell_vertices, n)
+        cell, ab = np.divmod(terms, 16)
+        ref = ref.ravel()
+        data = coeff[:, cell[0]] * ref[ab[0]]
+        for k in range(1, 4):
+            has = terms[k] >= 0
+            data[:, has] += coeff[:, cell[k, has]] * ref[ab[k, has]]
+        self.neighborhoods = neighborhoods
+        self.shape = (n, n)
+        self.indptr, self.indices, self.data = indptr, indices, data
+        # the stored entries of the [interior][:, rim] block: flat position in
+        # that (m, L) block and position in a row of data
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        key = rows * n + indices  # ascending, CSR order
+        interior, rim = neighborhoods.interior, neighborhoods.rim
+        want = (interior[:, None] * n + rim).ravel()
+        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        self._ib_block = np.flatnonzero(key[at] == want)
+        self._ib_data = at[self._ib_block]
+        self._ib_shape = (len(interior), len(rim))
+
+    def matrix(self, i):
+        """Neighborhood i's matrix, CSR over the patch-local vertex order."""
+        return sparse.csr_matrix((self.data[i], self.indices, self.indptr), shape=self.shape)
+
+    def interior_rim(self, i):
+        """Neighborhood i's dense block [interior][:, rim]."""
+        block = np.zeros(self._ib_shape)
+        block.reshape(-1)[self._ib_block] = self.data[i, self._ib_data]
+        return block
 
 
-def patch_stiffness(grid, field, neighborhoods, i):
-    """Stiffness assembled over the cells of neighborhood i only.
+def _patch_pattern(cell_vertices, n):
+    """CSR pattern of a form assembled over the cells ``cell_vertices`` of a
+    patch, and the element terms of each stored entry.
 
-    This is the Neumann-type operator of the form restricted to the patch: it
+    ``_assemble``'s COO -> CSR conversion sorts the entries by (row, column)
+    and sums the duplicates of one entry in COO order, that is by ascending
+    cell.  Column e of the returned (4, nnz) ``terms`` lists the COO
+    positions (cell * 4 + a) * 4 + b of entry e's terms in that order, with
+    -1 past its last term; n is the number of patch vertices.
+    """
+    rows = np.repeat(cell_vertices, 4, axis=1).ravel()
+    cols = np.tile(cell_vertices, (1, 4)).ravel()
+    order = np.lexsort((cols, rows))  # stable: the terms of an entry stay in COO order
+    key = rows[order] * n + cols[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    entry = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(key)]))
+    terms = np.full((4, len(first)), -1)
+    terms[np.arange(len(key)) - first[entry], entry] = order
+    indptr = np.searchsorted(rows[order][first], np.arange(n + 1))
+    return indptr, cols[order][first], terms
+
+
+def patch_stiffness(grid, field, neighborhoods):
+    """Stiffness assembled over the cells of each neighborhood only.
+
+    Each is the Neumann-type operator of the form restricted to the patch: it
     annihilates constants, unlike the principal submatrix of the global
     stiffness whose rim rows carry energy from cells outside the patch.
     """
     _check_field(grid, field)
-    coeff = field.values.ravel()[neighborhoods.cells[i]]
-    n = neighborhoods.vertices.shape[1]
-    return _assemble(Q1_STIFFNESS, coeff, neighborhoods.cell_vertices, n)
+    return PatchMatrices(neighborhoods, Q1_STIFFNESS, field.values.ravel()[neighborhoods.cells])
 
 
-def patch_weighted_mass(grid, weight, neighborhoods, i):
-    """Weighted mass assembled over the cells of neighborhood i only."""
+def patch_weighted_mass(grid, weight, neighborhoods):
+    """Weighted mass assembled over the cells of each neighborhood only."""
     _check_field(grid, weight)
-    coeff = weight.values.ravel()[neighborhoods.cells[i]] * grid.h**2
-    n = neighborhoods.vertices.shape[1]
-    return _assemble(Q1_MASS, coeff, neighborhoods.cell_vertices, n)
+    coeff = weight.values.ravel()[neighborhoods.cells] * grid.h**2
+    return PatchMatrices(neighborhoods, Q1_MASS, coeff)
 
 
 def assemble_load(grid, density):
@@ -178,15 +239,51 @@ def _refine(correct, A_ld, b, x, rtol, steps, label):
     )
 
 
+def _banded_cholesky(M, scale):
+    """LAPACK banded Cholesky factor of D^-1/2 M D^-1/2, D = diag(scale**2).
+
+    M is a symmetric CSC matrix in the order it is to be factored, without
+    pivoting.  The upper band of the scaled matrix is gathered into upper band
+    storage, entry (row, col) at ab[u + row - col, col] for the half-bandwidth
+    u of M's pattern, and factored in place with ``dpbtrf`` (what
+    ``scipy.linalg.cholesky_banded`` calls; called directly for its
+    ``info``).  Returns the factor and ``info``: 0, or the order of the first
+    leading minor that is not positive definite, whose earlier columns are
+    factored.
+    """
+    inv = 1.0 / scale
+    cols = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    upper = M.indices <= cols
+    rows, cols = M.indices[upper], cols[upper]
+    u = int((cols - rows).max())
+    ab = np.zeros((u + 1, M.shape[1]), order="F")
+    ab[u + rows - cols, cols] = M.data[upper] * inv[rows] * inv[cols]
+    return scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
+
+
+def _banded_solve(factor, scale, M_ld, b, rtol, steps, label):
+    """Solve M x = b with the ``_banded_cholesky`` factor of M, scaled by
+    ``scale``, refined by ``_refine`` against ``M_ld`` (M in longdouble)."""
+
+    def scaled_solve(rhs):
+        return scipy.linalg.cho_solve_banded((factor, False), rhs / scale, check_finite=False)
+
+    x = scaled_solve(b).astype(np.longdouble) / scale
+    return _refine(lambda resid: scaled_solve(resid) / scale, M_ld, b, x, rtol, steps, label)
+
+
 def solve_dirichlet(A, b, fixed, rtol=1e-10):
     """Solve A u = b with u = 0 on the ``fixed`` dofs.
 
-    Eliminates fixed rows/columns (keeping the free block symmetric), solves by
-    sparse LU, and applies iterative refinement until the free-dof residual
+    Eliminates fixed rows/columns (keeping the free block symmetric), factors
+    the diagonally scaled free block in natural vertex order with one banded
+    Cholesky (with the grid's boundary vertices fixed, its half-bandwidth is
+    nf), and applies iterative refinement until the free-dof residual
     satisfies ``||A_ff u_f - b_f|| <= rtol * ||b_f||``.  Residuals are
     accumulated in extended precision: at high contrast the float64 evaluation
     noise of A @ u alone can exceed the contract.  Raises SolveFailure with the
-    achieved residual if the contract cannot be met.
+    achieved residual if the contract cannot be met, and without one if the
+    free block is not positive definite.
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -198,9 +295,15 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
     if np.linalg.norm(b_f) == 0.0:
         return u
     A_ff = A[free][:, free].tocsc()
-    lu = spla.splu(A_ff)
-    x = lu.solve(b_f).astype(np.longdouble)
-    u[free] = _refine(lu.solve, A_ff.astype(np.longdouble), b_f, x, rtol, 6, "Dirichlet solve")
+    scale = np.sqrt(A_ff.diagonal())
+    factor, info = _banded_cholesky(A_ff, scale)
+    if info != 0:
+        raise SolveFailure(
+            f"Dirichlet solve: free block is not positive definite "
+            f"(LAPACK dpbtrf info {info})"
+        )
+    A_ld = A_ff.astype(np.longdouble)
+    u[free] = _banded_solve(factor, scale, A_ld, b_f, rtol, 6, "Dirichlet solve")
     return u
 
 

@@ -9,7 +9,10 @@ The offline pipeline per neighborhood omega_i is
   3. harmonic snapshots, one per vertex of the patch rim, solved with the
      neighborhood's block of the one stacked banded Cholesky factor of all
      zero-trace operators that the exact dual norms share, (2r+1) * N * m
-     doubles for N neighborhoods of m interior vertices (compute_snapshots),
+     doubles for N neighborhoods of m interior vertices (compute_snapshots);
+     their right-hand sides are gathered from the patch stiffnesses, which
+     fine_fem assembles for all N patches at once as (N, nnz) values on one
+     CSR pattern (fine_fem.PatchMatrices),
   4. the generalized eigenproblem A_off Psi = lambda S_off Psi in snapshot
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
@@ -194,25 +197,28 @@ def compute_spectral_weight(grid, field, pu):
     return CoefficientField(field.values * grid.H**2 * sumsq.reshape(nf, nf))
 
 
-def compute_snapshots(neighborhoods, patch_matrix, solve):
-    """Harmonic snapshots of one neighborhood, one column per rim vertex.
+def compute_snapshots(patch_A, i, solve):
+    """Harmonic snapshots of neighborhood i, one column per rim vertex.
 
-    Column j solves the zero-source problem of ``patch_matrix`` (the patch
-    stiffness, see fine_fem.patch_stiffness) with nodal data 1 at the j-th
-    vertex of the shared patch rim ``neighborhoods.rim`` (ascending id
-    order) and 0 at the others.  The interior block of ``patch_matrix`` is
-    the neighborhood's zero-trace operator, and ``solve`` maps a block of
-    right-hand sides to its solutions with that operator; build_problem
-    passes the neighborhood's slice of the stacked banded Cholesky factor
+    Column j solves the zero-source problem of neighborhood i's patch
+    stiffness (``patch_A`` is the PatchMatrices of fine_fem.patch_stiffness)
+    with nodal data 1 at the j-th vertex of the shared patch rim
+    ``neighborhoods.rim`` (ascending id order) and 0 at the others.  The
+    interior block of the patch stiffness is the neighborhood's zero-trace
+    operator, and ``solve`` maps a block of right-hand sides to its
+    solutions with that operator; build_problem passes the neighborhood's
+    slice of the stacked banded Cholesky factor
     (indicators.ResidualNormCache.solve), so the offline stage factors
-    nothing itself.  Returned as a dense (patch_size, L) array in
+    nothing itself.  The right-hand sides are the interior-rim block of the
+    patch stiffness, gathered from its stored values through one index map
+    that all patches share.  Returned as a dense (patch_size, L) array in
     patch-local ordering.
     """
+    neighborhoods = patch_A.neighborhoods
     interior, rim = neighborhoods.interior, neighborhoods.rim
-    A_ib = patch_matrix[interior][:, rim].toarray()
-    snapshots = np.zeros((patch_matrix.shape[0], len(rim)))
+    snapshots = np.zeros((patch_A.shape[0], len(rim)))
     snapshots[rim, np.arange(len(rim))] = 1.0
-    snapshots[interior] = solve(-A_ib)
+    snapshots[interior] = solve(-patch_A.interior_rim(i))
     return snapshots
 
 
@@ -242,8 +248,9 @@ def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
     """Solve the symmetric-definite pencil in snapshot coordinates.
 
     ``patch_A`` and ``patch_S`` must be assembled over the neighborhood's own
-    cells (patch_stiffness / patch_weighted_mass) so that the stiffness side
-    annihilates constants and the smallest eigenvalue is zero up to roundoff.
+    cells (``matrix(vertex_id)`` of fine_fem.patch_stiffness and
+    patch_weighted_mass) so that the stiffness side annihilates constants and
+    the smallest eigenvalue is zero up to roundoff.
     """
     A_off = snapshots.T @ (patch_A @ snapshots)
     S_off = snapshots.T @ (patch_S @ snapshots)

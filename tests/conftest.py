@@ -29,12 +29,14 @@ def _offline(grid, field):
     )
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
     spectra = []
     for i in range(len(neighborhoods)):
-        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
-        snaps = ms_space.compute_snapshots(neighborhoods, patch_A, partial(exact_norms.solve, i))
-        spectra.append(ms_space.local_spectral_decomposition(i, patch_A, patch_S, snaps))
+        snaps = ms_space.compute_snapshots(patch_A, i, partial(exact_norms.solve, i))
+        spectra.append(
+            ms_space.local_spectral_decomposition(i, patch_A.matrix(i), patch_S.matrix(i), snaps)
+        )
     return {
         "grid": grid,
         "field": field,
@@ -43,6 +45,14 @@ def _offline(grid, field):
         "weight": weight,
         "spectra": spectra,
     }
+
+
+def assemble_weighted_mass(grid, weight):
+    """Global mass matrix weighted by a per-cell coefficient: a COO assembly
+    over every fine cell, the oracle of the library's mass assemblies."""
+    fine_fem._check_field(grid, weight)
+    coeff = weight.values.ravel() * grid.h**2
+    return fine_fem._assemble(fine_fem.Q1_MASS, coeff, grid.cell_vertex_table(), grid.n_vertices)
 
 
 def benchmark_densities(grid):

@@ -1,9 +1,16 @@
+import gc
+import importlib
+import pkgutil
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from gmsfem import adapt, cli, coarse_solve, indicators, mesh, ms_space
+import gmsfem
+from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space
 from gmsfem.adapt import MarkingConfig
 
 from conftest import _offline, benchmark_densities
@@ -216,49 +223,76 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, chann
         )
 
 
+def _record_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records the shape of each
+    call's first argument; returns the list it appends to."""
+    shapes = []
+    original = getattr(owner, name)
+
+    def recorded(first, *args, **kwargs):
+        shapes.append(np.shape(first))
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return shapes
+
+
 def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypatch):
-    # the offline snapshots and the exact dual norms solve with one stacked
-    # banded factor of every zero-trace operator
-    banded, sizes = [], []
-    cholesky_banded = scipy.linalg.cholesky_banded
-    splu = scipy.sparse.linalg.splu
-
-    def counted_banded(ab, *args, **kwargs):
-        banded.append(ab.shape[1])
-        return cholesky_banded(ab, *args, **kwargs)
-
-    def counted_splu(matrix, *args, **kwargs):
-        sizes.append(matrix.shape[0])
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted_banded)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    # the offline snapshots and both dual-norm caches solve with one stacked
+    # banded factor of every zero-trace operator; the one other factorization
+    # of a problem is the fine reference's, a banded Cholesky of the free block
+    banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
+    pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
+    splu = _record_calls(monkeypatch, scipy.sparse.linalg, "splu")
     f_density, g_density = benchmark_densities(grid44)
     problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
     problem.norm_cache("exact")
+    problem.norm_cache("snapshot")
     interior = [len(ids) for ids in problem.neighborhoods.interior_vertices]
-    assert banded == [sum(interior)]
-    # the fine reference solve is the one sparse factorization
-    assert not any(size in interior for size in sizes)
+    assert [shape[1] for shape in banded] == [sum(interior)]
+    # upper band of the free block in natural order: half-bandwidth nf
+    assert pbtrf == [(grid44.nf + 1, (grid44.nf - 1) ** 2)]
+    assert splu == []
 
 
-def test_only_the_fine_reference_takes_a_sparse_factorization(grid44, unit_field44, monkeypatch):
-    # every coarse system, primal and dual, takes the one banded Cholesky path
-    sizes = []
-    splu = scipy.sparse.linalg.splu
-
-    def counted_splu(matrix, *args, **kwargs):
-        sizes.append(matrix.shape[0])
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+def test_no_solve_takes_a_sparse_factorization(grid44, unit_field44, monkeypatch):
+    # the fine reference and every coarse system, primal and dual, take the
+    # banded Cholesky path, and no module of the package reaches
+    # scipy.sparse.linalg
+    splu = _record_calls(monkeypatch, scipy.sparse.linalg, "splu")
     f_density, g_density = benchmark_densities(grid44)
     problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
     for strategy in adapt.STRATEGIES:
         trace = adapt.adapt_loop(problem, strategy, MarkingConfig(max_iterations=3))
         assert len(trace.rows) == 3, strategy
-    assert sizes == [(grid44.nf - 1) ** 2]
-    assert not any(value is scipy.sparse.linalg for value in vars(coarse_solve).values())
+    assert splu == []
+    for info in pkgutil.iter_modules(gmsfem.__path__):
+        module = importlib.import_module(f"gmsfem.{info.name}")
+        assert not any(value is scipy.sparse.linalg for value in vars(module).values()), info.name
+        assert "sparse.linalg" not in Path(module.__file__).read_text(), info.name
+
+
+def test_problem_drops_the_patch_matrices(grid44, unit_field44, monkeypatch):
+    # build_problem and the snapshot cache each assemble the patch matrices of
+    # all neighborhoods in one call and hold none of them afterwards
+    made = []
+
+    def recorded(original):
+        def assemble(*args):
+            patches = original(*args)
+            made.append((weakref.ref(patches), weakref.ref(patches.data)))
+            return patches
+
+        return assemble
+
+    for name in ("patch_stiffness", "patch_weighted_mass"):
+        monkeypatch.setattr(fine_fem, name, recorded(getattr(fine_fem, name)))
+    f_density, g_density = benchmark_densities(grid44)
+    problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
+    problem.norm_cache("snapshot")
+    gc.collect()
+    assert len(made) == 3
+    assert all(ref() is None for pair in made for ref in pair)
 
 
 def test_problem_holds_no_snapshots_or_eigenvectors():

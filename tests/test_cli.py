@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -27,6 +28,41 @@ def test_module_entry_point_runs_without_runpy_warning():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _trace_columns(path, names):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: [row[name] for row in rows] for name in names}
+
+
+def test_trajectory_independent_of_blas_thread_count(tmp_path):
+    # the same run at 1 and 2 BLAS threads, each in its own process because
+    # the thread pool is sized when numpy loads, must enrich the same way
+    src = str(Path(gmsfem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["--nc", "5", "--r", "4", "--field", "channel", "--contrast", "1e3"]
+    argv += ["--seed", "9", "--max-iters", "8", "--quiet"]
+    columns = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        env.update(OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "gmsfem.cli", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        columns[threads] = {
+            strategy: _trace_columns(out / f"trace_{strategy}.csv", ("dofs", "marked_count"))
+            for strategy in STRATEGIES
+        }
+    for strategy in STRATEGIES:
+        assert len(columns["1"][strategy]["dofs"]) == 8, strategy
+        assert columns["1"][strategy] == columns["2"][strategy], strategy
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from gmsfem import cli, coarse_solve, fine_fem, mesh, ms_space
 from gmsfem.coarse_solve import RankDeficientBasis
 from gmsfem.fine_fem import CoefficientField
 
-from conftest import _offline, benchmark_densities
+from conftest import _offline, assemble_weighted_mass, benchmark_densities
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ def test_dual_solution_localizes_near_goal_box(unit_problem1010):
     system = coarse_solve.assemble_coarse(problem.space, problem.stiffness, problem.f_load)
     z = coarse_solve.solve_dual(system, problem.g_load)
     lumped = np.asarray(
-        fine_fem.assemble_weighted_mass(grid, CoefficientField.constant(grid.nf)).sum(axis=1)
+        assemble_weighted_mass(grid, CoefficientField.constant(grid.nf)).sum(axis=1)
     ).ravel()
     coords = grid.vertex_coordinates()
     x0, x1, y0, y1 = cli.K2_BOX

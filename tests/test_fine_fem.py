@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from gmsfem import fine_fem, mesh
 from gmsfem.fine_fem import CoefficientField
 
-from conftest import poisson_center_value
+from conftest import assemble_weighted_mass, benchmark_densities, poisson_center_value
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,7 @@ def test_assembly_rejects_size_mismatch(grid44):
     with pytest.raises(ValueError):
         fine_fem.assemble_stiffness(grid44, field)
     with pytest.raises(ValueError):
-        fine_fem.assemble_weighted_mass(grid44, field)
+        assemble_weighted_mass(grid44, field)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_stiffness_scales_linearly(grid44):
 
 
 def test_mass_total_is_domain_area(grid44, unit_field44):
-    S = fine_fem.assemble_weighted_mass(grid44, unit_field44)
+    S = assemble_weighted_mass(grid44, unit_field44)
     ones = np.ones(grid44.n_vertices)
     assert ones @ (S @ ones) == pytest.approx(1.0, abs=1e-13)
 
@@ -128,19 +129,66 @@ def test_mass_total_is_domain_area(grid44, unit_field44):
 def test_mass_scales_linearly(grid44):
     rng = np.random.default_rng(4)
     values = np.exp(rng.normal(size=(grid44.nf, grid44.nf)))
-    S1 = fine_fem.assemble_weighted_mass(grid44, CoefficientField(values))
-    S5 = fine_fem.assemble_weighted_mass(grid44, CoefficientField(5.0 * values))
+    S1 = assemble_weighted_mass(grid44, CoefficientField(values))
+    S5 = assemble_weighted_mass(grid44, CoefficientField(5.0 * values))
     assert np.abs((5.0 * S1 - S5).toarray()).max() < 1e-12
 
 
 def test_mass_center_diagonal_on_2x2_grid():
     grid = mesh.GridHierarchy(2, 2)  # nf = 4; use the four cells around (2, 2)
-    S = fine_fem.assemble_weighted_mass(grid, CoefficientField.constant(grid.nf))
+    S = assemble_weighted_mass(grid, CoefficientField.constant(grid.nf))
     center = grid.vertex_id(2, 2)
     _, M_ref = _gauss_element_matrices(grid.h)
     # quadrature oracle: four surrounding cells each contribute their corner mass
     assert S[center, center] == pytest.approx(4 * M_ref[0, 0], abs=1e-15)
     assert S[center, center] == pytest.approx(4 * grid.h**2 / 9, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# patch matrices
+
+
+def _patch_oracle(ref, coeff, neighborhoods, i):
+    """Neighborhood i's matrix as a COO assembly over its own cells only."""
+    n = neighborhoods.vertices.shape[1]
+    return fine_fem._assemble(ref, coeff[neighborhoods.cells[i]], neighborhoods.cell_vertices, n)
+
+
+@pytest.mark.parametrize("nc, r", [(2, 2), (4, 3), (5, 4), (10, 10)])
+def test_batched_patch_matrices_equal_per_patch_assembly(nc, r):
+    from gmsfem import cli
+
+    grid = mesh.GridHierarchy(nc, r)
+    # channel@1e6; a grid coarser than nf = 20, which generate_field cannot
+    # host, takes the lower-left block of the nf = 20 field
+    values = cli.generate_field("channel", 1e6, max(grid.nf, 20), seed=7).values
+    field = CoefficientField(values[: grid.nf, : grid.nf])
+    neighborhoods = mesh.all_neighborhoods(grid)
+    coeff = field.values.ravel()
+    cases = (
+        (fine_fem.patch_stiffness(grid, field, neighborhoods), fine_fem.Q1_STIFFNESS, coeff),
+        (fine_fem.patch_weighted_mass(grid, field, neighborhoods), fine_fem.Q1_MASS, coeff * grid.h**2),
+    )
+    interior, rim = neighborhoods.interior, neighborhoods.rim
+    for patches, ref, cell_coeff in cases:
+        assert patches.data.shape[0] == len(neighborhoods)
+        for i in range(len(neighborhoods)):
+            oracle = _patch_oracle(ref, cell_coeff, neighborhoods, i)
+            matrix = patches.matrix(i)
+            assert np.array_equal(matrix.indptr, oracle.indptr)
+            assert np.array_equal(matrix.indices, oracle.indices)
+            assert matrix.data.tobytes() == oracle.data.tobytes()
+            block = oracle[interior][:, rim].toarray()
+            assert patches.interior_rim(i).tobytes() == block.tobytes()
+
+
+def test_patch_assembly_rejects_size_mismatch(grid44):
+    field = CoefficientField.constant(grid44.nf + 1)
+    neighborhoods = mesh.all_neighborhoods(grid44)
+    with pytest.raises(ValueError):
+        fine_fem.patch_stiffness(grid44, field, neighborhoods)
+    with pytest.raises(ValueError):
+        fine_fem.patch_weighted_mass(grid44, field, neighborhoods)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +266,15 @@ def test_solve_reports_unreachable_contract(grid44, unit_field44):
     with pytest.raises(fine_fem.SolveFailure) as err:
         fine_fem.solve_dirichlet(A, b, grid44.boundary_vertex_ids(), rtol=0.0)
     assert err.value.achieved > 0.0
+
+
+def test_solve_reports_indefinite_free_block():
+    # an SPD free block is the banded Cholesky's precondition: a failed pivot
+    # is reported, not solved past
+    A = scipy.sparse.csr_matrix(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
+    with pytest.raises(fine_fem.SolveFailure, match="not positive definite") as err:
+        fine_fem.solve_dirichlet(A, np.ones(3), [0])
+    assert err.value.achieved is None
 
 
 def test_refinement_reports_a_stall():
@@ -300,3 +357,51 @@ def test_galerkin_orthogonality_of_fine_solve(grid44):
     u = fine_fem.solve_dirichlet(A, b, fixed)
     free = np.setdiff1d(np.arange(grid44.n_vertices), fixed)
     assert np.abs((b - A @ u)[free]).max() < 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", ["channel", "inclusions"])
+def test_banded_dirichlet_solve_matches_sparse_lu(kind, monkeypatch):
+    from gmsfem import cli
+
+    # the refined iterate, rebuilt from its start and corrections in the
+    # order the refinement adds them, before it is rounded to float64
+    iterates = []
+    refine = fine_fem._refine
+
+    def recording_refine(correct, A_ld, b, x, *args):
+        steps = [x]
+
+        def recorded(resid):
+            steps.append(correct(resid))
+            return steps[-1]
+
+        result = refine(recorded, A_ld, b, x, *args)
+        final = steps[0]
+        for step in steps[1:]:
+            final = final + step
+        iterates.append(final)
+        return result
+
+    monkeypatch.setattr(fine_fem, "_refine", recording_refine)
+    grid = mesh.GridHierarchy(10, 10)
+    field = cli.generate_field(kind, 1e6, grid.nf, seed=7)
+    A = fine_fem.assemble_stiffness(grid, field)
+    b = fine_fem.assemble_load(grid, benchmark_densities(grid)[0])
+    fixed = grid.boundary_vertex_ids()
+    u = fine_fem.solve_dirichlet(A, b, fixed)
+    free = np.setdiff1d(np.arange(grid.n_vertices), fixed)
+    A_ff, b_f = A[free][:, free], b[free]
+    A_ld = A_ff.astype(np.longdouble)
+    [x] = iterates
+    assert np.array_equal(u[free], x.astype(float))
+    assert np.all(u[fixed] == 0.0)
+    resid = np.linalg.norm(np.asarray(b_f - A_ld @ x, dtype=float))
+    assert resid <= 1e-10 * np.linalg.norm(b_f)
+    # independent reference: SuperLU of the free block, refined with
+    # residuals in extended precision
+    lu = spla.splu(A_ff.tocsc())
+    y = lu.solve(b_f).astype(np.longdouble)
+    for _ in range(3):
+        y = y + lu.solve(np.asarray(b_f - A_ld @ y, dtype=float))
+    reference = np.asarray(y, dtype=float)
+    assert np.abs(u[free] - reference).max() <= 1e-9 * np.abs(reference).max()

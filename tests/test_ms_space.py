@@ -136,8 +136,8 @@ def _zero_trace_solve(grid, field, neighborhoods, i):
 def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
     neighborhoods = mesh.all_neighborhoods(grid44)
     snaps = ms_space.compute_snapshots(
-        neighborhoods,
-        fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods, 0),
+        fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods),
+        0,
         _zero_trace_solve(grid44, unit_field44, neighborhoods, 0),
     )
     rim = neighborhoods.rim
@@ -151,10 +151,10 @@ def test_snapshots_match_dense_solve_oracle():
     rng = np.random.default_rng(14)
     field = CoefficientField(np.exp(rng.normal(size=(grid.nf, grid.nf))))
     neighborhoods = mesh.all_neighborhoods(grid)
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, 0)
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
     solve = _zero_trace_solve(grid, field, neighborhoods, 0)
-    snaps = ms_space.compute_snapshots(neighborhoods, patch_A, solve)
-    A_patch = patch_A.toarray()
+    snaps = ms_space.compute_snapshots(patch_A, 0, solve)
+    A_patch = patch_A.matrix(0).toarray()
     interior, rim = neighborhoods.interior, neighborhoods.rim
     oracle = np.linalg.solve(
         A_patch[np.ix_(interior, interior)], -A_patch[np.ix_(interior, rim)]
@@ -167,10 +167,11 @@ def test_snapshots_match_dense_solve_oracle():
 
 
 def _spectrum_for(grid, field, neighborhoods, i, weight):
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods, i)
-    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods, i)
+    patches = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    patch_A = patches.matrix(i)
+    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods).matrix(i)
     solve = _zero_trace_solve(grid, field, neighborhoods, i)
-    snaps = ms_space.compute_snapshots(neighborhoods, patch_A, solve)
+    snaps = ms_space.compute_snapshots(patches, i, solve)
     return ms_space.local_spectral_decomposition(i, patch_A, patch_S, snaps), patch_A, patch_S
 
 
