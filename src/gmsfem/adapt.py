@@ -164,7 +164,7 @@ class ProblemSetup:
             patch_A = fine_fem.patch_stiffness(self.grid, self.field, self.neighborhoods)
             snapshots = (_snapshots(patch_A, exact, i) for i in range(len(self.neighborhoods)))
             self._norm_caches[mode] = indicators.ResidualNormCache(
-                self.neighborhoods, self.stiffness, mode=mode, snapshots=snapshots
+                patch_A, mode=mode, snapshots=snapshots
             )
         return self._norm_caches[mode]
 
@@ -190,7 +190,8 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     The fine reference is solved first, so its banded factor is freed before
     the candidate array exists.  The patch stiffness and weighted mass of all
     neighborhoods are assembled in one batched call each and dropped when
-    this returns.  Each neighborhood starts with ``initial_count``
+    this returns; the patch stiffness comes first, as the exact dual-norm
+    cache is built from it.  Each neighborhood starts with ``initial_count``
     eigenfunctions (clipped at L), rounded up to the end of a cluster of tied
     eigenvalues.
     """
@@ -200,10 +201,10 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     g_load = fine_fem.assemble_load(grid, g_density)
     u_ref = fine_fem.solve_dirichlet(stiffness, f_load, grid.boundary_vertex_ids())
 
-    exact_norms = indicators.ResidualNormCache(neighborhoods, stiffness)
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    exact_norms = indicators.ResidualNormCache(patch_A)
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
 
     def spectrum(i):

@@ -17,7 +17,6 @@ __all__ = [
     "assemble_coarse",
     "solve_primal",
     "solve_dual",
-    "truncate_solution",
 ]
 
 COARSE_RTOL = 1e-12
@@ -236,14 +235,3 @@ def solve_dual(system, g_load):
     """
     return system.solve(system.R.T @ np.asarray(g_load, dtype=float))
 
-
-def truncate_solution(sol, counts):
-    """Project a solution onto the per-neighborhood leading ``counts`` columns.
-
-    Idempotent by construction: coefficients beyond the kept prefix are zeroed
-    and the fine representation recomputed.
-    """
-    space = sol.space
-    i, k = np.divmod(space.candidate_numbers(space.counts), space.n_candidates)
-    coeffs = np.where(k < np.asarray(counts, dtype=int)[i], sol.coefficients, 0.0)
-    return CoarseSolution(coeffs, space.basis_columns(0, space.counts) @ coeffs, space)

@@ -4,9 +4,11 @@ The coefficient is constant on each fine cell, so element integration is
 exact: the element stiffness is ``kappa_cell * Q1_STIFFNESS`` (scale free in
 2D) and the element mass is ``weight_cell * h**2 * Q1_MASS``.  The patch
 matrices of all neighborhoods are gathered at once onto one CSR pattern
-(PatchMatrices).  The Dirichlet solve here and the coarse solves of
-coarse_solve gather a band and factor it with one helper, a LAPACK banded
-Cholesky (``_banded_cholesky``).
+(PatchMatrices), the one source of every patch operator: the snapshots'
+interior-rim blocks, and the zero-trace operators' stacked band and interior
+blocks that the dual norms use.  The Dirichlet solve here and the coarse
+solves of coarse_solve gather a band and factor it with one helper, a LAPACK
+banded Cholesky (``_banded_cholesky``).
 """
 
 import numpy as np
@@ -22,7 +24,6 @@ __all__ = [
     "patch_weighted_mass",
     "assemble_load",
     "solve_dirichlet",
-    "local_operator",
     "energy_norm",
 ]
 
@@ -136,27 +137,57 @@ class PatchMatrices:
             data[:, has] += coeff[:, cell[k, has]] * ref[ab[k, has]]
         self.neighborhoods = neighborhoods
         self.shape = (n, n)
-        self.indptr, self.indices, self.data = indptr, indices, data
-        # the stored entries of the [interior][:, rim] block: flat position in
-        # that (m, L) block and position in a row of data
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        key = rows * n + indices  # ascending, CSR order
+        # int32 and read-only: every matrix(i) shares them without a conversion
+        self.indptr, self.indices = indptr.astype(np.int32), indices.astype(np.int32)
+        for pattern in (self.indptr, self.indices):
+            pattern.setflags(write=False)
+        self.data = data
+        # index maps, computed once: each stored entry's row (a) and column (b)
+        # position in the interior and column position (c) in the rim, -1
+        # outside; then per block the stored entries it takes and where they go
         interior, rim = neighborhoods.interior, neighborhoods.rim
-        want = (interior[:, None] * n + rim).ravel()
-        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
-        self._ib_block = np.flatnonzero(key[at] == want)
-        self._ib_data = at[self._ib_block]
+        in_interior, in_rim = np.full(n, -1), np.full(n, -1)
+        in_interior[interior], in_rim[rim] = np.arange(len(interior)), np.arange(len(rim))
+        a = in_interior[np.repeat(np.arange(n), np.diff(indptr))]
+        b, c = in_interior[indices], in_rim[indices]
+        self._ib_data = np.flatnonzero((a >= 0) & (c >= 0))
+        self._ib_block = a[self._ib_data] * len(rim) + c[self._ib_data]
         self._ib_shape = (len(interior), len(rim))
+        # the upper triangle of the [interior][:, interior] block, in band storage
+        self._band_data = np.flatnonzero((a >= 0) & (a <= b))
+        a, b = a[self._band_data], b[self._band_data]
+        self._band_u = int((b - a).max())
+        self._band_col, self._band_row = b, self._band_u + a - b
 
     def matrix(self, i):
         """Neighborhood i's matrix, CSR over the patch-local vertex order."""
         return sparse.csr_matrix((self.data[i], self.indices, self.indptr), shape=self.shape)
+
+    def interior_block(self, i):
+        """Neighborhood i's block [interior][:, interior], CSR; of the patch
+        stiffness, the zero-trace (discrete H^1_0(omega)) operator."""
+        interior = self.neighborhoods.interior
+        return self.matrix(i)[interior][:, interior]
 
     def interior_rim(self, i):
         """Neighborhood i's dense block [interior][:, rim]."""
         block = np.zeros(self._ib_shape)
         block.reshape(-1)[self._ib_block] = self.data[i, self._ib_data]
         return block
+
+    def interior_band(self):
+        """Upper band storage of the block-diagonal stack of every
+        neighborhood's [interior][:, interior] block, in neighborhood order.
+
+        Entry (a, b) of block i, a <= b, is at ab[u + a - b, i * m + b] for m
+        interior vertices and the half-bandwidth u of the block's pattern
+        (u = 2r: the 9-point stencil on the (2r-1)^2 interior).  Returned
+        Fortran-ordered, (u + 1, N * m), as LAPACK's banded routines take it.
+        """
+        n_blocks, m = len(self.data), len(self.neighborhoods.interior)
+        ab = np.zeros((n_blocks, m, self._band_u + 1))
+        ab[:, self._band_col, self._band_row] = self.data[:, self._band_data]
+        return ab.reshape(n_blocks * m, -1).T
 
 
 def _patch_pattern(cell_vertices, n):
@@ -221,8 +252,11 @@ def _refine(correct, A_ld, b, x, rtol, steps, label):
     longdouble) and ``correct`` maps a float64 residual to the float64
     correction, typically a solve with an existing factorization.  Up to
     ``steps`` residuals are checked against ``||b - A x|| <= rtol * ||b||``;
-    the first that meets it returns x as float64.  Raises SolveFailure, with
-    ``label`` and the achieved relative residual, if none does.
+    the first iterate that meets it is returned rounded to float64.  The
+    contract holds for that extended-precision iterate, not for the rounded
+    result: at contrast 1e6 the rounding alone can leave a residual above
+    rtol.  Raises SolveFailure, with ``label`` and the achieved relative
+    residual, if no iterate meets it.
     """
     norm_b = np.linalg.norm(b)
     b_ld = b.astype(np.longdouble)
@@ -278,12 +312,14 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
     Eliminates fixed rows/columns (keeping the free block symmetric), factors
     the diagonally scaled free block in natural vertex order with one banded
     Cholesky (with the grid's boundary vertices fixed, its half-bandwidth is
-    nf), and applies iterative refinement until the free-dof residual
-    satisfies ``||A_ff u_f - b_f|| <= rtol * ||b_f||``.  Residuals are
-    accumulated in extended precision: at high contrast the float64 evaluation
-    noise of A @ u alone can exceed the contract.  Raises SolveFailure with the
-    achieved residual if the contract cannot be met, and without one if the
-    free block is not positive definite.
+    nf), and applies iterative refinement in extended precision until an
+    iterate satisfies ``||A_ff u_f - b_f|| <= rtol * ||b_f||``: at high
+    contrast the float64 evaluation noise of A @ u alone can exceed the
+    contract.  The returned u is that iterate rounded to float64, whose own
+    residual may miss rtol (1.3e-9 relative at nc=10, contrast 1e6, for the
+    default 1e-10).  Raises SolveFailure with the achieved residual if no
+    iterate meets the contract, and without one if the free block is not
+    positive definite.
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -305,16 +341,6 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
     A_ld = A_ff.astype(np.longdouble)
     u[free] = _banded_solve(factor, scale, A_ld, b_f, rtol, 6, "Dirichlet solve")
     return u
-
-
-def local_operator(A, neighborhoods, i):
-    """Principal submatrix of A on neighborhood i's interior fine vertices.
-
-    This is the discrete H^1_0(omega) operator, exact because the stencil of
-    an interior vertex never leaves the patch.
-    """
-    idx = neighborhoods.interior_vertices[i]
-    return A[idx][:, idx]
 
 
 def energy_norm(A, v):

@@ -13,7 +13,10 @@ the current space.  The local residual R_i is rho restricted to the
 neighborhood's interior fine vertices, exact by locality: the stencil of an
 interior patch vertex never reaches outside the patch.
 
-The exact dual norms share one LAPACK banded Cholesky factor of the
+The zero-trace operator of a neighborhood is the interior block of its
+patch stiffness, and both dual-norm modes take it from the batched patch
+stiffness (fine_fem.PatchMatrices), never from the global stiffness.  The
+exact dual norms share one LAPACK banded Cholesky factor of the
 block-diagonal stack of all zero-trace operators, made once per problem and
 (2r+1) * N * m doubles for N neighborhoods of m = (2r-1)^2 interior vertices
 (about 22 MB at nc=20, r=10).  One banded solve of a residual's stacked
@@ -25,7 +28,6 @@ import numpy as np
 import scipy.linalg
 
 from .csvout import write_csv
-from .fine_fem import local_operator
 
 __all__ = [
     "DUAL_NORM_MODES",
@@ -76,11 +78,15 @@ class ResidualNormCache:
     """Dual norms ||R_i||_{V_i*} of local residuals, with per-neighborhood data
     computed once.
 
+    Built from ``patch_A``, the PatchMatrices of fine_fem.patch_stiffness,
+    whose interior blocks are the zero-trace operators; no reference to it
+    is kept.
+
     mode='exact' returns ||w||_a of the solution of a(w, v) = R(v) on the
-    zero-trace space.  Each zero-trace operator is the 9-point stencil on the
-    (2r-1)^2 patch interior, so with the interiors numbered row-major one
-    after another their block-diagonal stack is banded with half-bandwidth
-    u = 2r.  One LAPACK banded Cholesky factors all N blocks at once; it is
+    zero-trace space.  With the interiors numbered row-major one after
+    another, the block-diagonal stack of the zero-trace operators is banded
+    with half-bandwidth u = 2r; ``patch_A.interior_band()`` gathers it, and
+    one LAPACK banded Cholesky factors all N blocks at once.  The factor is
     kept in upper band storage, (u+1) * N * m doubles for m interior vertices
     per patch (about 22 MB at nc=20, r=10).  The Cholesky factor of a
     block-diagonal matrix is block-diagonal, so the columns of block i are
@@ -90,28 +96,26 @@ class ResidualNormCache:
 
     mode='snapshot' solves that problem in the span of the zero-trace parts
     T_i of the snapshots, which can only give a smaller value (subspace
-    inequality), with each gram T_i' A_i T_i pseudo-inverted once at lstsq's
-    default cutoff L * eps.  ``snapshots`` yields the N patch snapshot blocks
-    in order (ms_space.compute_snapshots); only their interior rows T_i are
-    kept.
+    inequality), with each gram T_i' A_i T_i of the interior block A_i
+    (``patch_A.interior_block(i)``) pseudo-inverted once at lstsq's default
+    cutoff L * eps.  ``snapshots`` yields the N patch snapshot blocks in order
+    (ms_space.compute_snapshots); only their interior rows T_i are kept.
     """
 
-    def __init__(self, neighborhoods, A, mode="exact", snapshots=None):
+    def __init__(self, patch_A, mode="exact", snapshots=None):
         if mode not in DUAL_NORM_MODES:
             raise ValueError(f"mode must be one of {DUAL_NORM_MODES}, got {mode!r}")
         if mode == "snapshot" and snapshots is None:
             raise ValueError("snapshot mode needs the neighborhood snapshots")
         self.mode = mode
+        neighborhoods = patch_A.neighborhoods
         self._stacked = neighborhoods.interior_vertices.ravel()
         self._block = neighborhoods.interior_vertices.shape[1]
         if mode == "exact":
-            band = _stacked_band(neighborhoods.grid, self._stacked, A)
-            self._factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True)
+            self._factor = scipy.linalg.cholesky_banded(patch_A.interior_band(), overwrite_ab=True)
             return
         self._T = np.stack([block[neighborhoods.interior] for block in snapshots])
-        grams = np.stack(
-            [T.T @ (local_operator(A, neighborhoods, i) @ T) for i, T in enumerate(self._T)]
-        )
+        grams = np.stack([T.T @ (patch_A.interior_block(i) @ T) for i, T in enumerate(self._T)])
         grams = 0.5 * (grams + grams.swapaxes(1, 2))
         self._pinv = np.linalg.pinv(grams, rcond=grams.shape[-1] * np.finfo(float).eps)
 
@@ -123,7 +127,12 @@ class ResidualNormCache:
         return scipy.linalg.cho_solve_banded((block, False), rhs, check_finite=False)
 
     def norm(self, i, rho):
-        """Dual norm of the residual vector ``rho`` over neighborhood i."""
+        """Dual norm of the local residual ``rho`` over neighborhood i.
+
+        The loop calls ``norms``; this per-neighborhood form is kept for the
+        tests and for the benchmark's tracer (``perfbench/tracing.py``), which
+        wraps it by name.
+        """
         if self.mode == "exact":
             return float(np.sqrt(max(float(rho @ self.solve(i, rho)), 0.0)))
         rhs = self._T[i].T @ rho
@@ -140,32 +149,6 @@ class ResidualNormCache:
         # non-finite norms, which IndicatorReport rejects
         w = scipy.linalg.cho_solve_banded((self._factor, False), local, check_finite=False)
         return np.sqrt(np.maximum((local * w).reshape(-1, self._block).sum(1), 0.0))
-
-
-def _stacked_band(grid, g, A):
-    """Upper band storage of the block-diagonal stack of the zero-trace
-    operators of the patch interiors whose vertices, row-major per patch, are
-    ``g``, gathered from the stencil diagonals of A.
-
-    Column j holds ab[u - d, j] = A[g_j - D, g_j] for the stencil offsets D
-    (global) and d (patch-interior) of the same neighbor; entries whose
-    neighbor lies in another interior row or in the previous block stay zero.
-    """
-    n = grid.nf + 1
-    q = 2 * grid.r - 1  # interior vertices per patch row
-    u = q + 1
-    y, x = np.divmod(np.arange(len(g)) % (q * q), q)
-    ab = np.zeros((u + 1, len(g)), order="F")
-    # (d, D, neighbor g_j - D inside the same patch interior)
-    for d, D, inside in (
-        (0, 0, slice(None)),
-        (1, 1, x >= 1),
-        (q - 1, n - 1, (y >= 1) & (x <= q - 2)),
-        (q, n, y >= 1),
-        (q + 1, n + 1, (y >= 1) & (x >= 1)),
-    ):
-        ab[u - d, inside] = A.diagonal(D)[g[inside] - D]
-    return ab
 
 
 def _lambda_weights(space):

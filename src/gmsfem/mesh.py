@@ -54,13 +54,6 @@ class GridHierarchy:
             )
         return self._cell_vertices
 
-    def vertex_coordinates(self):
-        """(n_vertices, 2) array of fine vertex coordinates."""
-        n = self.nf + 1
-        ix = np.tile(np.arange(n), n)
-        iy = np.repeat(np.arange(n), n)
-        return np.column_stack([ix * self.h, iy * self.h])
-
     def boundary_vertex_ids(self):
         """Sorted fine vertex ids on the domain boundary."""
         n = self.nf + 1
@@ -70,24 +63,6 @@ class GridHierarchy:
         left = idx[1:-1] * n
         right = left + n - 1
         return np.sort(np.concatenate([bottom, left, right, top]))
-
-    def interior_vertex_id(self, ci, cj):
-        """Id of the interior coarse vertex at coarse coordinates (ci, cj)."""
-        if not (1 <= ci <= self.nc - 1 and 1 <= cj <= self.nc - 1):
-            raise ValueError(
-                f"coarse vertex ({ci}, {cj}) lies on the boundary of the "
-                f"{self.nc}x{self.nc} coarse grid; only interior vertices carry a basis"
-            )
-        return (cj - 1) * (self.nc - 1) + (ci - 1)
-
-    def interior_vertex_position(self, vertex_id):
-        """Coarse coordinates (ci, cj) of an interior coarse vertex id."""
-        if not 0 <= vertex_id < self.n_interior_coarse:
-            raise ValueError(
-                f"vertex_id {vertex_id} out of range [0, {self.n_interior_coarse})"
-            )
-        cj, ci = divmod(int(vertex_id), self.nc - 1)
-        return ci + 1, cj + 1
 
 
 class Neighborhoods:

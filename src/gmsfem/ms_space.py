@@ -79,12 +79,6 @@ class PartitionOfUnity:
         self.patches = patches
         self.vertices = neighborhoods.vertices
 
-    def global_function(self, i):
-        """chi_i scattered into a full fine-grid nodal vector."""
-        out = np.zeros(self.grid.n_vertices)
-        out[self.vertices[i]] = self.patches[i]
-        return out
-
     def sum_values(self):
         """Nodal values of sum_i chi_i over the whole fine grid."""
         out = np.zeros(self.grid.n_vertices)

@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gmsfem import adapt, cli, fine_fem, indicators, mesh, ms_space
+from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space
 
 
 @pytest.fixture(scope="session")
@@ -24,12 +24,10 @@ def unit_offline44(grid44, unit_field44):
 
 def _offline(grid, field):
     neighborhoods = mesh.all_neighborhoods(grid)
-    exact_norms = indicators.ResidualNormCache(
-        neighborhoods, fine_fem.assemble_stiffness(grid, field)
-    )
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    exact_norms = indicators.ResidualNormCache(patch_A)
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
     spectra = []
     for i in range(len(neighborhoods)):
@@ -53,6 +51,36 @@ def assemble_weighted_mass(grid, weight):
     fine_fem._check_field(grid, weight)
     coeff = weight.values.ravel() * grid.h**2
     return fine_fem._assemble(fine_fem.Q1_MASS, coeff, grid.cell_vertex_table(), grid.n_vertices)
+
+
+def vertex_coordinates(grid):
+    """(n_vertices, 2) array of fine vertex coordinates, in vertex id order."""
+    n = grid.nf + 1
+    iy, ix = np.divmod(np.arange(n * n), n)
+    return np.column_stack([ix * grid.h, iy * grid.h])
+
+
+def interior_vertex_position(grid, vertex_id):
+    """Coarse coordinates (ci, cj) of interior coarse vertex ``vertex_id``."""
+    cj, ci = divmod(int(vertex_id), grid.nc - 1)
+    return ci + 1, cj + 1
+
+
+def global_function(pu, i):
+    """Partition function chi_i scattered into a full fine-grid nodal vector."""
+    out = np.zeros(pu.grid.n_vertices)
+    out[pu.vertices[i]] = pu.patches[i]
+    return out
+
+
+def truncate_solution(sol, counts):
+    """Project a coarse solution onto the per-neighborhood leading ``counts``
+    columns: coefficients beyond the kept prefix are zeroed and the fine
+    representation recomputed (the pi(z) of the DWR sum identity)."""
+    space = sol.space
+    i, k = np.divmod(space.candidate_numbers(space.counts), space.n_candidates)
+    coeffs = np.where(k < np.asarray(counts, dtype=int)[i], sol.coefficients, 0.0)
+    return coarse_solve.CoarseSolution(coeffs, space.basis_columns(0, space.counts) @ coeffs, space)
 
 
 def benchmark_densities(grid):

@@ -14,7 +14,14 @@ from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_spac
 from gmsfem.adapt import MarkingConfig
 from gmsfem.fine_fem import CoefficientField
 
-from conftest import benchmark_densities, poisson_center_value
+from conftest import (
+    benchmark_densities,
+    global_function,
+    interior_vertex_position,
+    poisson_center_value,
+    truncate_solution,
+    vertex_coordinates,
+)
 
 
 def _dofs_to_reach(trace, threshold):
@@ -66,12 +73,12 @@ def test_c02_partition_of_unity_suite():
         worst_sum = max(worst_sum, deviation)
         assert deviation <= 1e-8
         if contrast == 1.0:
-            coords = grid.vertex_coordinates()
+            coords = vertex_coordinates(grid)
             for i in range(0, grid.n_interior_coarse, 8):
-                ci, cj = grid.interior_vertex_position(i)
+                ci, cj = interior_vertex_position(grid, i)
                 hat = np.maximum(0, 1 - np.abs(coords[:, 0] - ci * grid.H) / grid.H)
                 hat *= np.maximum(0, 1 - np.abs(coords[:, 1] - cj * grid.H) / grid.H)
-                assert np.abs(pu.global_function(i) - hat).max() <= 1e-10
+                assert np.abs(global_function(pu, i) - hat).max() <= 1e-10
     print(f"[criterion 2] PASS: max |sum(chi)-1| = {worst_sum:.2e}; hats exact at contrast 1")
 
 
@@ -126,7 +133,9 @@ def test_c04_residuals_vanish_for_fine_references(channel_problem):
     problem = channel_problem
     A = problem.stiffness
     z_ref = fine_fem.solve_dirichlet(A, problem.g_load, problem.grid.boundary_vertex_ids())
-    cache = indicators.ResidualNormCache(problem.neighborhoods, A)
+    cache = indicators.ResidualNormCache(
+        fine_fem.patch_stiffness(problem.grid, problem.field, problem.neighborhoods)
+    )
     worst = 0.0
     for ref, load, tag in ((problem.u_ref, problem.f_load, "primal"), (z_ref, problem.g_load, "dual")):
         rho = indicators.fine_residual(A, load, ref)
@@ -145,10 +154,10 @@ def test_c05_snapshot_norm_lower_bounds_exact(channel_problem, channel_offline):
     system = coarse_solve.assemble_coarse(space, A, problem.f_load)
     u_ms = coarse_solve.solve_primal(system)
     rho = indicators.fine_residual(A, problem.f_load, u_ms)
-    exact_cache = indicators.ResidualNormCache(problem.neighborhoods, A)
+    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.neighborhoods)
+    exact_cache = indicators.ResidualNormCache(patch_A)
     snap_cache = indicators.ResidualNormCache(
-        problem.neighborhoods,
-        A,
+        patch_A,
         mode="snapshot",
         snapshots=[s.snapshots for s in channel_offline["spectra"]],
     )
@@ -262,7 +271,7 @@ def test_c09_dwr_sum_identity_per_iteration(channel_problem):
         )
         z_enrich = coarse_solve.solve_dual(enriched_system, problem.g_load)
         report = indicators.eta_dwr(space, rho, z_enrich, iteration)
-        pi_z = coarse_solve.truncate_solution(z_enrich, space.counts)
+        pi_z = truncate_solution(z_enrich, space.counts)
         global_value = float(rho @ (z_enrich.fine - pi_z.fine))
         rel = abs(report.signed.sum() - global_value) / abs(global_value)
         worst = max(worst, rel)

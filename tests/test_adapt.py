@@ -312,8 +312,7 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
 
     cache = problem.norm_cache("snapshot")
     oracle = indicators.ResidualNormCache(
-        problem.neighborhoods,
-        problem.stiffness,
+        fine_fem.patch_stiffness(grid, field, problem.neighborhoods),
         mode="snapshot",
         snapshots=[s.snapshots for s in data["spectra"]],
     )

@@ -6,7 +6,14 @@ from gmsfem import cli, coarse_solve, fine_fem, mesh, ms_space
 from gmsfem.coarse_solve import RankDeficientBasis
 from gmsfem.fine_fem import CoefficientField
 
-from conftest import _offline, assemble_weighted_mass, benchmark_densities
+from conftest import (
+    _offline,
+    assemble_weighted_mass,
+    benchmark_densities,
+    interior_vertex_position,
+    truncate_solution,
+    vertex_coordinates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +63,7 @@ def test_hat_space_reduces_to_coarse_q1(grid44, unit_field44, unit_offline44):
     system = coarse_solve.assemble_coarse(space, A, np.zeros(grid44.n_vertices))
     scale = np.empty(space.total_dofs)
     for i in range(space.n_neighborhoods):
-        ci, cj = grid44.interior_vertex_position(i)
+        ci, cj = interior_vertex_position(grid44, i)
         center = grid44.vertex_id(ci * grid44.r, cj * grid44.r)
         scale[i] = space.candidates[i][space.neighborhoods.vertices[i] == center, 0][0]
     oracle = _coarse_q1_stiffness(grid44.nc) * np.outer(scale, scale)
@@ -212,7 +219,7 @@ def test_dual_solution_localizes_near_goal_box(unit_problem1010):
     lumped = np.asarray(
         assemble_weighted_mass(grid, CoefficientField.constant(grid.nf)).sum(axis=1)
     ).ravel()
-    coords = grid.vertex_coordinates()
+    coords = vertex_coordinates(grid)
     x0, x1, y0, y1 = cli.K2_BOX
     dx = np.maximum(np.maximum(x0 - coords[:, 0], coords[:, 0] - x1), 0.0)
     dy = np.maximum(np.maximum(y0 - coords[:, 1], coords[:, 1] - y1), 0.0)
@@ -261,7 +268,7 @@ def test_truncation_with_same_counts_is_identity(small_problem):
     space = small_problem.space
     system = coarse_solve.assemble_coarse(space, small_problem.stiffness, small_problem.f_load)
     u = coarse_solve.solve_primal(system)
-    kept = coarse_solve.truncate_solution(u, space.counts)
+    kept = truncate_solution(u, space.counts)
     assert np.array_equal(kept.coefficients, u.coefficients)
     assert np.array_equal(kept.fine, u.fine)
 
@@ -271,8 +278,8 @@ def test_truncation_is_idempotent(small_problem):
     system = coarse_solve.assemble_coarse(space, small_problem.stiffness, small_problem.f_load)
     u = coarse_solve.solve_primal(system)
     counts = small_problem.space.counts
-    once = coarse_solve.truncate_solution(u, counts)
-    twice = coarse_solve.truncate_solution(once, counts)
+    once = truncate_solution(u, counts)
+    twice = truncate_solution(once, counts)
     assert np.array_equal(once.coefficients, twice.coefficients)
     assert np.array_equal(once.fine, twice.fine)
     for i in range(space.n_neighborhoods):

@@ -6,7 +6,12 @@ import scipy.sparse.linalg as spla
 from gmsfem import fine_fem, mesh
 from gmsfem.fine_fem import CoefficientField
 
-from conftest import assemble_weighted_mass, benchmark_densities, poisson_center_value
+from conftest import (
+    assemble_weighted_mass,
+    benchmark_densities,
+    poisson_center_value,
+    vertex_coordinates,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,68 @@ def test_batched_patch_matrices_equal_per_patch_assembly(nc, r):
             assert patches.interior_rim(i).tobytes() == block.tobytes()
 
 
+def _stacked_band_oracle(grid, g, A):
+    """Upper band storage of the block-diagonal stack of the zero-trace
+    operators of the patch interiors whose vertices, row-major per patch, are
+    ``g``, gathered from the stencil diagonals of the global stiffness A.
+
+    Column j holds ab[u - d, j] = A[g_j - D, g_j] for the stencil offsets D
+    (global) and d (patch-interior) of the same neighbor; entries whose
+    neighbor lies in another interior row or in the previous block stay zero.
+    """
+    n = grid.nf + 1
+    q = 2 * grid.r - 1  # interior vertices per patch row
+    u = q + 1
+    y, x = np.divmod(np.arange(len(g)) % (q * q), q)
+    ab = np.zeros((u + 1, len(g)), order="F")
+    # (d, D, neighbor g_j - D inside the same patch interior)
+    for d, D, inside in (
+        (0, 0, slice(None)),
+        (1, 1, x >= 1),
+        (q - 1, n - 1, (y >= 1) & (x <= q - 2)),
+        (q, n, y >= 1),
+        (q + 1, n + 1, (y >= 1) & (x >= 1)),
+    ):
+        ab[u - d, inside] = A.diagonal(D)[g[inside] - D]
+    return ab
+
+
+@pytest.mark.parametrize("nc, r", [(2, 2), (3, 3), (4, 3), (5, 4), (10, 10)])
+def test_gathered_interior_operators_equal_global_slices(nc, r):
+    from gmsfem import cli
+
+    grid = mesh.GridHierarchy(nc, r)
+    rng = np.random.default_rng(3)
+    fields = [CoefficientField(np.exp(3.0 * rng.standard_normal((grid.nf, grid.nf))))]
+    if grid.nf >= 20:  # the smallest grid generate_field can host
+        fields += [
+            cli.generate_field("channel", 1e6, grid.nf, seed=7),
+            cli.generate_field("inclusions", 1e4, grid.nf, seed=7),
+        ]
+    neighborhoods = mesh.all_neighborhoods(grid)
+    for field in fields:
+        A = fine_fem.assemble_stiffness(grid, field)
+        patches = fine_fem.patch_stiffness(grid, field, neighborhoods)
+        band = patches.interior_band()
+        oracle = _stacked_band_oracle(grid, neighborhoods.interior_vertices.ravel(), A)
+        assert band.shape == oracle.shape
+        assert np.array_equal(band.view(np.uint64), oracle.view(np.uint64))
+        for i, ids in enumerate(neighborhoods.interior_vertices):
+            block, sub = patches.interior_block(i), A[ids][:, ids]
+            assert np.array_equal(block.indptr, sub.indptr)
+            assert np.array_equal(block.indices, sub.indices)
+            assert block.data.tobytes() == sub.data.tobytes()
+
+
+def test_patch_matrices_share_one_read_only_pattern(grid44, unit_field44):
+    patches = fine_fem.patch_stiffness(grid44, unit_field44, mesh.all_neighborhoods(grid44))
+    matrix = patches.matrix(1)
+    assert np.shares_memory(matrix.indices, patches.indices)
+    assert np.shares_memory(matrix.indptr, patches.indptr)
+    assert not patches.indices.flags.writeable
+    assert not patches.indptr.flags.writeable
+
+
 def test_patch_assembly_rejects_size_mismatch(grid44):
     field = CoefficientField.constant(grid44.nf + 1)
     neighborhoods = mesh.all_neighborhoods(grid44)
@@ -251,7 +318,7 @@ def test_solve_reproduces_bilinear_harmonic_interpolant(grid44, unit_field44):
     # u = x*y is harmonic and lies in the Q1 space: the Galerkin solution with
     # its boundary data (imposed by lifting) must reproduce it exactly.
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
-    coords = grid44.vertex_coordinates()
+    coords = vertex_coordinates(grid44)
     exact = coords[:, 0] * coords[:, 1]
     fixed = grid44.boundary_vertex_ids()
     lift = np.zeros(grid44.n_vertices)
@@ -313,10 +380,9 @@ def test_eigenvalue_growth_under_fixing():
 
 
 def test_local_operator_sizes_and_spd(grid44, unit_field44):
-    A = fine_fem.assemble_stiffness(grid44, unit_field44)
-    neighborhoods = mesh.all_neighborhoods(grid44)
+    patches = fine_fem.patch_stiffness(grid44, unit_field44, mesh.all_neighborhoods(grid44))
     r = grid44.r
-    zt = fine_fem.local_operator(A, neighborhoods, 0)
+    zt = patches.interior_block(0)
     assert zt.shape == ((2 * r - 1) ** 2, (2 * r - 1) ** 2)
     assert np.linalg.eigvalsh(zt.toarray())[0] > 0.0
 
@@ -324,7 +390,8 @@ def test_local_operator_sizes_and_spd(grid44, unit_field44):
 def test_local_operator_matches_global_entries(grid44, unit_field44):
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     neighborhoods = mesh.all_neighborhoods(grid44)
-    sub = fine_fem.local_operator(A, neighborhoods, 0).toarray()
+    patches = fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods)
+    sub = patches.interior_block(0).toarray()
     ids = neighborhoods.interior_vertices[0]
     assert np.array_equal(sub, A[np.ix_(ids, ids)].toarray())
 

@@ -3,6 +3,8 @@ import pytest
 
 from gmsfem import mesh
 
+from conftest import interior_vertex_position, vertex_coordinates
+
 
 def test_build_grids_benchmark_counts():
     grid = mesh.GridHierarchy(10, 10)
@@ -44,7 +46,7 @@ def test_boundary_vertex_ids():
     boundary = grid.boundary_vertex_ids()
     n = grid.nf + 1
     assert len(boundary) == 4 * grid.nf
-    coords = grid.vertex_coordinates()[boundary]
+    coords = vertex_coordinates(grid)[boundary]
     on_edge = (
         (coords[:, 0] == 0) | (coords[:, 0] == 1) | (coords[:, 1] == 0) | (coords[:, 1] == 1)
     )
@@ -68,7 +70,7 @@ def test_neighborhood_smallest_grid_covers_domain():
 
 def test_neighborhood_corner_adjacent_elements():
     grid = mesh.GridHierarchy(4, 2)
-    vid = grid.interior_vertex_id(1, 1)
+    vid = 0  # interior coarse vertex (ci, cj) = (1, 1)
     cells = mesh.all_neighborhoods(grid).cells[vid]
     # coarse cells (0,0), (1,0), (0,1), (1,1) in row-major ids
     assert list(_coarse_elements(grid, cells)) == [0, 1, 4, 5]
@@ -82,18 +84,6 @@ def test_every_neighborhood_has_four_elements():
         assert len(_coarse_elements(grid, cells)) == 4
         # and every fine cell of those four elements
         assert len(np.unique(cells)) == 4 * grid.r**2
-
-
-def test_neighborhood_rejects_boundary_vertex():
-    grid = mesh.GridHierarchy(4, 2)
-    with pytest.raises(ValueError):
-        grid.interior_vertex_id(0, 2)
-    with pytest.raises(ValueError):
-        grid.interior_vertex_id(4, 1)
-    with pytest.raises(ValueError):
-        grid.interior_vertex_position(grid.n_interior_coarse)
-    with pytest.raises(ValueError):
-        grid.interior_vertex_position(-1)
 
 
 def test_patch_partition_is_disjoint_and_complete():
@@ -156,7 +146,7 @@ def test_local_index_roundtrip():
 def _neighborhood_oracle(grid, vertex_id):
     """One neighborhood's ids and patch-local tables, built from its coarse
     position with loops over fine coordinates."""
-    ci, cj = grid.interior_vertex_position(vertex_id)
+    ci, cj = interior_vertex_position(grid, vertex_id)
     r = grid.r
     x0, x1, y0, y1 = (ci - 1) * r, (ci + 1) * r, (cj - 1) * r, (cj + 1) * r
     coords = [(ix, iy) for iy in range(y0, y1 + 1) for ix in range(x0, x1 + 1)]

@@ -8,7 +8,7 @@ import scipy.linalg
 from gmsfem import cli, coarse_solve, fine_fem, indicators, mesh, ms_space
 from gmsfem.fine_fem import CoefficientField
 
-from conftest import _offline
+from conftest import _offline, global_function, interior_vertex_position, vertex_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -25,11 +25,11 @@ def _hat_values(grid, ci, cj, coords):
 
 def test_pou_equals_hats_for_unit_coefficient(grid44, unit_field44):
     pu = ms_space.compute_partition_of_unity(grid44, unit_field44)
-    coords = grid44.vertex_coordinates()
+    coords = vertex_coordinates(grid44)
     for i in range(grid44.n_interior_coarse):
-        ci, cj = grid44.interior_vertex_position(i)
+        ci, cj = interior_vertex_position(grid44, i)
         expected = _hat_values(grid44, ci, cj, coords)
-        assert np.abs(pu.global_function(i) - expected).max() < 1e-10
+        assert np.abs(global_function(pu, i) - expected).max() < 1e-10
 
 
 def test_pou_sums_to_one_on_covered_vertices():
@@ -69,7 +69,7 @@ def _analytic_weight_oracle(grid):
     x, y = np.meshgrid(mid, mid)
     out = np.zeros((nf, nf))
     for i in range(grid.n_interior_coarse):
-        ci, cj = grid.interior_vertex_position(i)
+        ci, cj = interior_vertex_position(grid, i)
         dx = (x - ci * H) / H
         dy = (y - cj * H) / H
         inside = (np.abs(dx) < 1.0) & (np.abs(dy) < 1.0)
@@ -129,8 +129,8 @@ def test_spectral_weight_positive_on_all_cells(channel_problem):
 
 def _zero_trace_solve(grid, field, neighborhoods, i):
     """The solve with neighborhood i's zero-trace operator that build_problem shares."""
-    A = fine_fem.assemble_stiffness(grid, field)
-    return partial(indicators.ResidualNormCache(neighborhoods, A).solve, i)
+    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    return partial(indicators.ResidualNormCache(patch_A).solve, i)
 
 
 def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
