@@ -2,9 +2,11 @@
 
 The coefficient is constant on each fine cell, so element integration is
 exact: the element stiffness is ``kappa_cell * Q1_STIFFNESS`` (scale free in
-2D) and the element mass is ``weight_cell * h**2 * Q1_MASS``.  The patch
-matrices of all neighborhoods are gathered at once onto one CSR pattern
-(PatchMatrices), the one source of every patch operator: the snapshots'
+2D) and the element mass is ``weight_cell * h**2 * Q1_MASS``.  No other
+module reads these reference matrices.  The patch matrices of all patches of
+one layout are gathered at once onto one CSR pattern (PatchMatrices), the
+one source of every patch operator: over the coarse elements, the partition
+of unity's interior blocks; over the neighborhoods, the snapshots'
 interior-rim blocks, and the zero-trace operators' stacked band and interior
 blocks that the dual norms use.  The Dirichlet solve here and the coarse
 solves of coarse_solve gather a band and factor it with one helper, a LAPACK
@@ -116,11 +118,13 @@ def assemble_stiffness(grid, field):
 
 
 class PatchMatrices:
-    """One Q1 form assembled over the own cells of every neighborhood.
+    """One Q1 form assembled over the own cells of every patch of a
+    mesh.Neighborhoods layout: the coarse neighborhoods, or (width 1) the
+    coarse elements.
 
     All patches are translates of the layout that mesh.Neighborhoods holds
     once, so their matrices share one CSR pattern (``indptr``, ``indices``);
-    row i of the (N, nnz) ``data`` holds neighborhood i's values.  Each
+    row i of the (N, nnz) ``data`` holds patch i's values.  Each
     stored entry sums its at most four element terms in ascending cell order,
     as the COO -> CSR conversion of an assembly over the patch's cells alone
     does, so ``matrix(i)`` is bitwise equal to that assembly.
@@ -150,9 +154,10 @@ class PatchMatrices:
         in_interior[interior], in_rim[rim] = np.arange(len(interior)), np.arange(len(rim))
         a = in_interior[np.repeat(np.arange(n), np.diff(indptr))]
         b, c = in_interior[indices], in_rim[indices]
-        self._ib_data = np.flatnonzero((a >= 0) & (c >= 0))
-        self._ib_block = a[self._ib_data] * len(rim) + c[self._ib_data]
-        self._ib_shape = (len(interior), len(rim))
+        self._dense = {}
+        for cols, col, width in (("interior", b, len(interior)), ("rim", c, len(rim))):
+            take = np.flatnonzero((a >= 0) & (col >= 0))
+            self._dense[cols] = (take, a[take] * width + col[take], (len(interior), width))
         # the upper triangle of the [interior][:, interior] block, in band storage
         self._band_data = np.flatnonzero((a >= 0) & (a <= b))
         a, b = a[self._band_data], b[self._band_data]
@@ -160,20 +165,23 @@ class PatchMatrices:
         self._band_col, self._band_row = b, self._band_u + a - b
 
     def matrix(self, i):
-        """Neighborhood i's matrix, CSR over the patch-local vertex order."""
+        """Patch i's matrix, CSR over the patch-local vertex order."""
         return sparse.csr_matrix((self.data[i], self.indices, self.indptr), shape=self.shape)
 
     def interior_block(self, i):
-        """Neighborhood i's block [interior][:, interior], CSR; of the patch
+        """Patch i's block [interior][:, interior], CSR; of the patch
         stiffness, the zero-trace (discrete H^1_0(omega)) operator."""
         interior = self.neighborhoods.interior
         return self.matrix(i)[interior][:, interior]
 
-    def interior_rim(self, i):
-        """Neighborhood i's dense block [interior][:, rim]."""
-        block = np.zeros(self._ib_shape)
-        block.reshape(-1)[self._ib_block] = self.data[i, self._ib_data]
-        return block
+    def dense_block(self, cols, i=slice(None)):
+        """Dense block [interior][:, cols] of patch i, for ``cols`` "interior"
+        or "rim"; by default of every patch at once, stacked (N, m, ·)."""
+        take, put, shape = self._dense[cols]
+        values = self.data[i, take]
+        block = np.zeros(values.shape[:-1] + (shape[0] * shape[1],))
+        block[..., put] = values
+        return block.reshape(values.shape[:-1] + shape)
 
     def interior_band(self):
         """Upper band storage of the block-diagonal stack of every

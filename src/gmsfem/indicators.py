@@ -209,7 +209,7 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
             continue
         coeffs = z_enrich.component_coefficients(i)[l_i:l_e]
         excess = enriched.candidates[i][:, l_i:l_e] @ coeffs
-        signed[i] = float(residual[space.pu.vertices[i]] @ excess)
+        signed[i] = float(residual[space.neighborhoods.vertices[i]] @ excess)
     lam = _lambda_weights(space)
     eta_sq = np.abs(signed)
     eta_sq[space.saturated] = 0.0

@@ -66,28 +66,30 @@ class GridHierarchy:
 
 
 class Neighborhoods:
-    """The coarse neighborhoods of all interior coarse vertices, as arrays
-    over one shared patch layout.
+    """The patches of one width over the coarse grid, as arrays over one
+    shared patch layout.
 
-    Neighborhood i is the union of the four coarse elements sharing interior
-    coarse vertex i.  Its fine-vertex patch is the (2r+1) x (2r+1) block
-    centered at that vertex and its fine cells the 2r x 2r cells inside; all
+    A patch of width w is a block of w x w coarse elements, with (wr+1)^2
+    fine vertices and (wr)^2 fine cells; the (nc-w+1)^2 patches are numbered
+    row-major by their lower-left corner.  Width 2, the default, gives the
+    coarse neighborhoods: neighborhood i is the four coarse elements sharing
+    interior coarse vertex i.  Width 1 gives the nc^2 coarse elements.  All
     patches are translates of one block, so the patch-local layout is held
     once, row-major over the patch:
 
     - ``rim`` and ``interior``: local indices of the patch perimeter (one
       harmonic snapshot per rim vertex) and of its complement;
-    - ``cell_vertices``: the (4r^2, 4) local vertex indices of the patch
+    - ``cell_vertices``: the ((wr)^2, 4) local vertex indices of the patch
       cells, ordered [v00, v10, v11, v01] as ``GridHierarchy.cell_vertex_table``.
 
-    Row i of ``vertices`` (N, (2r+1)^2), ``interior_vertices``
-    (N, (2r-1)^2) and ``cells`` (N, 4r^2) holds neighborhood i's global
-    fine vertex and cell ids in that local order, which is ascending.
+    Row i of ``vertices`` (N, (wr+1)^2), ``interior_vertices``
+    (N, (wr-1)^2) and ``cells`` (N, (wr)^2) holds patch i's global fine
+    vertex and cell ids in that local order, which is ascending.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, width=2):
         self.grid = grid
-        r, p, q = grid.r, 2 * grid.r + 1, 2 * grid.r
+        r, p, q = grid.r, width * grid.r + 1, width * grid.r
         ly, lx = np.divmod(np.arange(p * p), p)
         on_rim = (lx == 0) | (lx == p - 1) | (ly == 0) | (ly == p - 1)
         self.rim = np.flatnonzero(on_rim)
@@ -96,9 +98,9 @@ class Neighborhoods:
         v00 = cy * p + cx
         self.cell_vertices = np.column_stack([v00, v00 + 1, v00 + p + 1, v00 + p])
 
-        # interior coarse vertex (ci, cj) has its patch's lower-left corner at
-        # fine vertex ((ci - 1) * r, (cj - 1) * r)
-        y0, x0 = np.divmod(np.arange(grid.n_interior_coarse), grid.nc - 1)
+        # patch (bx, by) has its lower-left corner at fine vertex (bx * r, by * r)
+        per_side = grid.nc - width + 1
+        y0, x0 = np.divmod(np.arange(per_side * per_side), per_side)
         x0, y0 = x0[:, None] * r, y0[:, None] * r
         self.vertices = grid.vertex_id(x0 + lx, y0 + ly)
         self.interior_vertices = self.vertices[:, self.interior]

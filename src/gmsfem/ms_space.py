@@ -3,7 +3,9 @@
 The offline pipeline per neighborhood omega_i is
 
   1. coefficient-harmonic partition of unity chi_i with hat traces on coarse
-     element edges (compute_partition_of_unity),
+     element edges, solved on all coarse elements at once with the blocks of
+     their patch stiffness, which fine_fem.PatchMatrices gathers over the
+     width-1 layout of mesh.Neighborhoods (compute_partition_of_unity),
   2. the spectral weight kappa * sum_i H^2 |grad chi_i|^2 feeding the local
      mass matrix (compute_spectral_weight),
   3. harmonic snapshots, one per vertex of the patch rim, solved with the
@@ -39,8 +41,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from .csvout import write_csv
-from .fine_fem import CoefficientField, Q1_STIFFNESS
-from .mesh import all_neighborhoods
+from .fine_fem import CoefficientField, _check_field, patch_stiffness
+from .mesh import Neighborhoods, all_neighborhoods
 
 __all__ = [
     "PartitionOfUnity",
@@ -68,8 +70,8 @@ class PartitionOfUnity:
     """Coefficient-harmonic partition functions, one per interior coarse vertex.
 
     ``patches[i]`` holds the nodal values of chi_i over its neighborhood patch
-    (row-major patch-local order) and ``vertices[i]`` the patch's fine vertex
-    ids (``neighborhoods.vertices``); chi_i vanishes on the patch rim and
+    (row-major patch-local order, at the fine vertex ids
+    ``neighborhoods.vertices[i]``); chi_i vanishes on the patch rim and
     outside.
     """
 
@@ -77,12 +79,11 @@ class PartitionOfUnity:
         self.grid = grid
         self.neighborhoods = neighborhoods
         self.patches = patches
-        self.vertices = neighborhoods.vertices
 
     def sum_values(self):
         """Nodal values of sum_i chi_i over the whole fine grid."""
         out = np.zeros(self.grid.n_vertices)
-        np.add.at(out, self.vertices, self.patches)
+        np.add.at(out, self.neighborhoods.vertices, self.patches)
         return out
 
     def covered_vertex_ids(self):
@@ -116,42 +117,22 @@ def compute_partition_of_unity(grid, field, neighborhoods=None):
     """Solve the element-wise harmonic problems defining the partition functions.
 
     On each coarse element the four corner functions satisfy the discrete
-    zero-source equation with the hat trace as Dirichlet data; the pieces are
-    stitched over each interior vertex's four elements, all solved at once.
+    zero-source equation with the hat trace as Dirichlet data, all solved at
+    once with the [interior][:, interior] and [interior][:, rim] blocks of
+    the patch stiffness over the coarse elements (patches one coarse cell
+    wide); the pieces are stitched over each interior vertex's four elements.
     Pointwise bounds outside [0 - tol, 1 + tol] are warned about, not fatal.
     """
     if neighborhoods is None:
         neighborhoods = all_neighborhoods(grid)
     nc, r = grid.nc, grid.r
-    p = 2 * r + 1
-    n_elements = nc * nc
-
-    # Element-local subgrid layout: (r+1)^2 vertices, r^2 cells, row-major.
-    m = r + 1
-    ly, lx = np.divmod(np.arange(r * r), r)
-    v00 = ly * m + lx
-    cell_verts = np.column_stack([v00, v00 + 1, v00 + m + 1, v00 + m])
-    gj, gi = np.divmod(np.arange(m * m), m)
-    on_rim = (gi % r == 0) | (gj % r == 0)
-    interior = np.flatnonzero(~on_rim)
-    rim = np.flatnonzero(on_rim)
-    position = np.where(on_rim, np.cumsum(on_rim), np.cumsum(~on_rim)) - 1  # in rim or interior
+    p, m = 2 * r + 1, r + 1
+    # element (ex, ey) is patch ey * nc + ex, its (r+1)^2 vertices row-major
+    elements = patch_stiffness(grid, field, Neighborhoods(grid, width=1))
+    interior, rim = elements.neighborhoods.interior, elements.neighborhoods.rim
     hats = _element_hat_values(r)
-
-    # Entry (c, a, b) of an element is kappa_c * Q1[a, b] at the vertices a and b
-    # of cell c, summed in ascending cell order as a sparse assembly sums it.
-    kappa = field.values.reshape(nc, r, nc, r).swapaxes(1, 2).reshape(n_elements, r * r)
-    data = (kappa[:, :, None, None] * Q1_STIFFNESS).reshape(n_elements, -1)
-    rows = np.repeat(cell_verts, 4, axis=1).ravel()
-    cols = np.tile(cell_verts, (1, 4)).ravel()
-    ni = len(interior)
-    element = np.arange(n_elements)[:, None]
-    A_ii, A_ib = np.zeros((n_elements, ni, ni)), np.zeros((n_elements, ni, len(rim)))
-    for block, col_set in ((A_ii, ~on_rim), (A_ib, on_rim)):
-        keep = ~on_rim[rows] & col_set[cols]
-        flat = (element * ni + position[rows[keep]]) * block.shape[2] + position[cols[keep]]
-        np.add.at(block.reshape(-1), flat, data[:, keep])
-    sol = np.repeat(hats[None], n_elements, axis=0)
+    A_ii, A_ib = elements.dense_block("interior"), elements.dense_block("rim")
+    sol = np.repeat(hats[None], nc * nc, axis=0)
     sol[:, interior] = np.linalg.solve(A_ii, -A_ib @ hats[rim])
 
     # Neighborhood (ci, cj) is corner (1 - a, 1 - b) of its element
@@ -180,6 +161,7 @@ def compute_spectral_weight(grid, field, pu):
     Gradients of the Q1 interpolant are evaluated at cell midpoints (one-point
     rule), consistent with cellwise-constant coefficients.
     """
+    _check_field(grid, field)
     nf, h = grid.nf, grid.h
     p = 2 * grid.r + 1
     v = pu.patches.reshape(-1, p, p)
@@ -212,7 +194,7 @@ def compute_snapshots(patch_A, i, solve):
     interior, rim = neighborhoods.interior, neighborhoods.rim
     snapshots = np.zeros((patch_A.shape[0], len(rim)))
     snapshots[rim, np.arange(len(rim))] = 1.0
-    snapshots[interior] = solve(-patch_A.interior_rim(i))
+    snapshots[interior] = solve(-patch_A.dense_block("rim", i))
     return snapshots
 
 
@@ -336,7 +318,7 @@ class OfflineSpace:
         i, k = np.divmod(self.candidate_numbers(stop, start), self.n_candidates)
         indptr = np.arange(len(i) + 1) * self.candidates.shape[1]
         return sparse.csc_matrix(
-            (self.candidates[i, :, k].ravel(), self.pu.vertices[i].ravel(), indptr),
+            (self.candidates[i, :, k].ravel(), self.neighborhoods.vertices[i].ravel(), indptr),
             shape=(self.grid.n_vertices, len(i)),
         )
 

@@ -69,7 +69,7 @@ def interior_vertex_position(grid, vertex_id):
 def global_function(pu, i):
     """Partition function chi_i scattered into a full fine-grid nodal vector."""
     out = np.zeros(pu.grid.n_vertices)
-    out[pu.vertices[i]] = pu.patches[i]
+    out[pu.neighborhoods.vertices[i]] = pu.patches[i]
     return out
 
 

@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
+import gmsfem
 from gmsfem import fine_fem, mesh
 from gmsfem.fine_fem import CoefficientField
 
@@ -154,7 +159,7 @@ def test_mass_center_diagonal_on_2x2_grid():
 
 
 def _patch_oracle(ref, coeff, neighborhoods, i):
-    """Neighborhood i's matrix as a COO assembly over its own cells only."""
+    """Patch i's matrix as a COO assembly over its own cells only."""
     n = neighborhoods.vertices.shape[1]
     return fine_fem._assemble(ref, coeff[neighborhoods.cells[i]], neighborhoods.cell_vertices, n)
 
@@ -168,23 +173,28 @@ def test_batched_patch_matrices_equal_per_patch_assembly(nc, r):
     # host, takes the lower-left block of the nf = 20 field
     values = cli.generate_field("channel", 1e6, max(grid.nf, 20), seed=7).values
     field = CoefficientField(values[: grid.nf, : grid.nf])
-    neighborhoods = mesh.all_neighborhoods(grid)
     coeff = field.values.ravel()
-    cases = (
-        (fine_fem.patch_stiffness(grid, field, neighborhoods), fine_fem.Q1_STIFFNESS, coeff),
-        (fine_fem.patch_weighted_mass(grid, field, neighborhoods), fine_fem.Q1_MASS, coeff * grid.h**2),
-    )
-    interior, rim = neighborhoods.interior, neighborhoods.rim
-    for patches, ref, cell_coeff in cases:
-        assert patches.data.shape[0] == len(neighborhoods)
-        for i in range(len(neighborhoods)):
-            oracle = _patch_oracle(ref, cell_coeff, neighborhoods, i)
-            matrix = patches.matrix(i)
-            assert np.array_equal(matrix.indptr, oracle.indptr)
-            assert np.array_equal(matrix.indices, oracle.indices)
-            assert matrix.data.tobytes() == oracle.data.tobytes()
-            block = oracle[interior][:, rim].toarray()
-            assert patches.interior_rim(i).tobytes() == block.tobytes()
+    # the coarse neighborhoods, and the coarse elements the partition of unity uses
+    for neighborhoods in (mesh.all_neighborhoods(grid), mesh.Neighborhoods(grid, width=1)):
+        cases = (
+            (fine_fem.patch_stiffness(grid, field, neighborhoods), fine_fem.Q1_STIFFNESS, coeff),
+            (fine_fem.patch_weighted_mass(grid, field, neighborhoods), fine_fem.Q1_MASS, coeff * grid.h**2),
+        )
+        interior, rim = neighborhoods.interior, neighborhoods.rim
+        for patches, ref, cell_coeff in cases:
+            assert patches.data.shape[0] == len(neighborhoods)
+            stacked = {cols: patches.dense_block(cols) for cols in ("interior", "rim")}
+            for i in range(len(neighborhoods)):
+                oracle = _patch_oracle(ref, cell_coeff, neighborhoods, i)
+                matrix = patches.matrix(i)
+                assert np.array_equal(matrix.indptr, oracle.indptr)
+                assert np.array_equal(matrix.indices, oracle.indices)
+                assert matrix.data.tobytes() == oracle.data.tobytes()
+                for cols, ids in (("interior", interior), ("rim", rim)):
+                    block = oracle[interior][:, ids].toarray()
+                    for gathered in (patches.dense_block(cols, i), stacked[cols][i]):
+                        assert gathered.shape == block.shape
+                        assert gathered.tobytes() == block.tobytes()
 
 
 def _stacked_band_oracle(grid, g, A):
@@ -247,6 +257,19 @@ def test_patch_matrices_share_one_read_only_pattern(grid44, unit_field44):
     assert np.shares_memory(matrix.indptr, patches.indptr)
     assert not patches.indices.flags.writeable
     assert not patches.indptr.flags.writeable
+
+
+def test_no_other_module_reads_the_reference_element_matrices():
+    # fine_fem is the one Q1 assembler: every other module takes its
+    # operators from assemble_stiffness or PatchMatrices
+    for info in pkgutil.iter_modules(gmsfem.__path__):
+        if info.name == "fine_fem":
+            continue
+        module = importlib.import_module(f"gmsfem.{info.name}")
+        source = Path(module.__file__).read_text()
+        for name in ("Q1_STIFFNESS", "Q1_MASS"):
+            assert not hasattr(module, name), (info.name, name)
+            assert name not in source, (info.name, name)
 
 
 def test_patch_assembly_rejects_size_mismatch(grid44):

@@ -143,12 +143,11 @@ def test_local_index_roundtrip():
     )
 
 
-def _neighborhood_oracle(grid, vertex_id):
-    """One neighborhood's ids and patch-local tables, built from its coarse
-    position with loops over fine coordinates."""
-    ci, cj = interior_vertex_position(grid, vertex_id)
-    r = grid.r
-    x0, x1, y0, y1 = (ci - 1) * r, (ci + 1) * r, (cj - 1) * r, (cj + 1) * r
+def _patch_oracle(grid, x0, y0, width):
+    """One patch's ids and patch-local tables, built from its lower-left fine
+    vertex (x0, y0) and its width in coarse cells with loops over fine
+    coordinates."""
+    x1, y1 = x0 + width * grid.r, y0 + width * grid.r
     coords = [(ix, iy) for iy in range(y0, y1 + 1) for ix in range(x0, x1 + 1)]
     vertices = np.array([grid.vertex_id(ix, iy) for ix, iy in coords])
     on_rim = np.array([ix in (x0, x1) or iy in (y0, y1) for ix, iy in coords])
@@ -157,20 +156,39 @@ def _neighborhood_oracle(grid, vertex_id):
     return vertices, np.flatnonzero(on_rim), np.flatnonzero(~on_rim), cells, cell_vertices
 
 
+def _neighborhood_corner(grid, vertex_id):
+    ci, cj = interior_vertex_position(grid, vertex_id)
+    return (ci - 1) * grid.r, (cj - 1) * grid.r
+
+
+def _element_corner(grid, element_id):
+    ey, ex = divmod(element_id, grid.nc)
+    return ex * grid.r, ey * grid.r
+
+
 @pytest.mark.parametrize("nc,r", [(2, 2), (3, 4), (4, 3), (5, 2), (10, 10)])
 def test_neighborhoods_match_per_neighborhood_construction(nc, r):
     grid = mesh.GridHierarchy(nc, r)
-    neighborhoods = mesh.all_neighborhoods(grid)
-    assert len(neighborhoods) == grid.n_interior_coarse
-    p = 2 * r + 1
-    for i in range(grid.n_interior_coarse):
-        vertices, rim, interior, cells, cell_vertices = _neighborhood_oracle(grid, i)
-        assert np.array_equal(neighborhoods.vertices[i], vertices)
-        assert np.array_equal(neighborhoods.rim, rim)
-        assert np.array_equal(neighborhoods.interior, interior)
-        assert np.array_equal(neighborhoods.interior_vertices[i], vertices[interior])
-        assert np.array_equal(neighborhoods.cells[i], cells)
-        assert np.array_equal(neighborhoods.cell_vertices, cell_vertices)
-        # a cell's id is the id of its lower-left vertex less that vertex's row
-        corner = vertices.reshape(p, p)[:-1, :-1].ravel()
-        assert np.array_equal(neighborhoods.cells[i], corner - corner // (grid.nf + 1))
+    elements = mesh.Neighborhoods(grid, width=1)
+    cases = (
+        (mesh.all_neighborhoods(grid), 2, grid.n_interior_coarse, _neighborhood_corner),
+        (elements, 1, nc * nc, _element_corner),
+    )
+    for neighborhoods, width, count, corner_of in cases:
+        assert len(neighborhoods) == count
+        p = width * r + 1
+        for i in range(count):
+            vertices, rim, interior, cells, cell_vertices = _patch_oracle(
+                grid, *corner_of(grid, i), width
+            )
+            assert np.array_equal(neighborhoods.vertices[i], vertices)
+            assert np.array_equal(neighborhoods.rim, rim)
+            assert np.array_equal(neighborhoods.interior, interior)
+            assert np.array_equal(neighborhoods.interior_vertices[i], vertices[interior])
+            assert np.array_equal(neighborhoods.cells[i], cells)
+            assert np.array_equal(neighborhoods.cell_vertices, cell_vertices)
+            # a cell's id is the id of its lower-left vertex less that vertex's row
+            corner = vertices.reshape(p, p)[:-1, :-1].ravel()
+            assert np.array_equal(neighborhoods.cells[i], corner - corner // (grid.nf + 1))
+    # the coarse elements tile the grid: each fine cell lies in exactly one
+    assert np.array_equal(np.sort(elements.cells.ravel()), np.arange(grid.n_cells))

@@ -58,6 +58,77 @@ def test_pou_vanishes_on_patch_rim(grid44, unit_field44):
         assert np.abs(pu.patches[i][pu.neighborhoods.rim]).max() == 0.0
 
 
+def _pou_oracle(grid, field):
+    """Partition functions from a hand-rolled element assembly: each coarse
+    element's interior-interior and interior-rim stiffness blocks scattered
+    with np.add.at, whose terms of one entry add in ascending cell order,
+    then the batched solve and the stitching over each vertex's elements."""
+    nc, r = grid.nc, grid.r
+    p = 2 * r + 1
+    n_elements = nc * nc
+
+    m = r + 1
+    ly, lx = np.divmod(np.arange(r * r), r)
+    v00 = ly * m + lx
+    cell_verts = np.column_stack([v00, v00 + 1, v00 + m + 1, v00 + m])
+    gj, gi = np.divmod(np.arange(m * m), m)
+    on_rim = (gi % r == 0) | (gj % r == 0)
+    interior = np.flatnonzero(~on_rim)
+    rim = np.flatnonzero(on_rim)
+    position = np.where(on_rim, np.cumsum(on_rim), np.cumsum(~on_rim)) - 1
+    hats = ms_space._element_hat_values(r)
+
+    kappa = field.values.reshape(nc, r, nc, r).swapaxes(1, 2).reshape(n_elements, r * r)
+    data = (kappa[:, :, None, None] * fine_fem.Q1_STIFFNESS).reshape(n_elements, -1)
+    rows = np.repeat(cell_verts, 4, axis=1).ravel()
+    cols = np.tile(cell_verts, (1, 4)).ravel()
+    ni = len(interior)
+    element = np.arange(n_elements)[:, None]
+    A_ii, A_ib = np.zeros((n_elements, ni, ni)), np.zeros((n_elements, ni, len(rim)))
+    for block, col_set in ((A_ii, ~on_rim), (A_ib, on_rim)):
+        keep = ~on_rim[rows] & col_set[cols]
+        flat = (element * ni + position[rows[keep]]) * block.shape[2] + position[cols[keep]]
+        np.add.at(block.reshape(-1), flat, data[:, keep])
+    sol = np.repeat(hats[None], n_elements, axis=0)
+    sol[:, interior] = np.linalg.solve(A_ii, -A_ib @ hats[rim])
+
+    cj, ci = np.divmod(np.arange(grid.n_interior_coarse), nc - 1)
+    patches = np.zeros((grid.n_interior_coarse, p, p))
+    for b in (0, 1):
+        for a in (0, 1):
+            pieces = sol[(cj + b) * nc + ci + a, :, (1 - a) + 2 * (1 - b)]
+            patches[:, b * r : b * r + m, a * r : a * r + m] = pieces.reshape(-1, m, m)
+    return patches.reshape(-1, p * p)
+
+
+@pytest.mark.parametrize("nc, r", [(2, 2), (3, 3), (4, 3), (4, 5), (5, 4), (10, 10), (20, 10)])
+def test_pou_equals_element_scatter_oracle(nc, r):
+    grid = mesh.GridHierarchy(nc, r)
+    rng = np.random.default_rng(3)
+    fields = [CoefficientField(np.exp(3.0 * rng.standard_normal((grid.nf, grid.nf))))]
+    if grid.nf >= 20:  # the smallest grid generate_field can host
+        fields += [
+            cli.generate_field("channel", 1e6, grid.nf, seed=7),
+            cli.generate_field("inclusions", 1e4, grid.nf, seed=7),
+        ]
+    for field in fields:
+        patches = ms_space.compute_partition_of_unity(grid, field).patches
+        oracle = _pou_oracle(grid, field)
+        assert patches.shape == oracle.shape
+        assert patches.tobytes() == oracle.tobytes()
+
+
+def test_offline_rejects_field_of_wrong_size():
+    grid = mesh.GridHierarchy(4, 4)
+    wrong = CoefficientField.constant(12)
+    message = "coefficient field is 12x12 but grid has nf=16"
+    with pytest.raises(ValueError, match=message):
+        ms_space.compute_partition_of_unity(grid, wrong)
+    pu = ms_space.compute_partition_of_unity(grid, CoefficientField.constant(grid.nf))
+    with pytest.raises(ValueError, match=message):
+        ms_space.compute_spectral_weight(grid, wrong, pu)
+
+
 # ---------------------------------------------------------------------------
 # spectral weight
 
