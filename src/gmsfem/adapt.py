@@ -1,5 +1,6 @@
 """Marking strategies and the adaptive enrichment loop."""
 
+import numbers
 import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
@@ -52,6 +53,10 @@ class MarkingConfig:
     dual_norm_mode: str = "exact"
 
     def __post_init__(self):
+        for name in ("s", "m_enrich", "max_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if self.s < 1:
@@ -135,8 +140,12 @@ class ProblemSetup:
     Offline data (partition of unity, spectra, initial space; the snapshots
     are not kept), the global stiffness, load vectors of the source and the
     goal, the exact ResidualNormCache whose stacked factor the snapshots were
-    solved with, and the fine reference solution used only for trace error
-    reporting.
+    solved with, the fine reference solution used only for trace error
+    reporting, and ``galerkin_store``, the GalerkinStore of the stiffness and
+    the source load, which every strategy run on this problem selects from
+    and grows.  Besides that growth, the only state added after construction
+    is the snapshot dual-norm cache, built on its first request (see
+    ``norm_cache``).
     """
 
     def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms):
@@ -147,9 +156,8 @@ class ProblemSetup:
         self.g_load = g_load
         self.space = space
         self.u_ref = u_ref
-        self.neighborhoods = space.neighborhoods
+        self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness, f_load)
         self._norm_caches = {"exact": exact_norms}
-        self._galerkin_store = None
 
     def norm_cache(self, mode):
         """The ResidualNormCache of dual-norm ``mode``.
@@ -161,21 +169,13 @@ class ProblemSetup:
         """
         if mode not in self._norm_caches:
             exact = self._norm_caches["exact"]
-            patch_A = fine_fem.patch_stiffness(self.grid, self.field, self.neighborhoods)
-            snapshots = (_snapshots(patch_A, exact, i) for i in range(len(self.neighborhoods)))
+            neighborhoods = self.space.neighborhoods
+            patch_A = fine_fem.patch_stiffness(self.grid, self.field, neighborhoods)
+            snapshots = (_snapshots(patch_A, exact, i) for i in range(len(neighborhoods)))
             self._norm_caches[mode] = indicators.ResidualNormCache(
                 patch_A, mode=mode, snapshots=snapshots
             )
         return self._norm_caches[mode]
-
-    def galerkin_store(self):
-        """The GalerkinStore of the stiffness and the source load, built on
-        first use and grown by every strategy run on this problem."""
-        if self._galerkin_store is None:
-            self._galerkin_store = coarse_solve.GalerkinStore(
-                self.space, self.stiffness, self.f_load
-            )
-        return self._galerkin_store
 
 
 def _snapshots(patch_A, exact_norms, i):
@@ -195,6 +195,8 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     eigenfunctions (clipped at L), rounded up to the end of a cluster of tied
     eigenvalues.
     """
+    if not isinstance(initial_count, numbers.Integral) or initial_count < 1:
+        raise ValueError(f"initial_count must be an integer >= 1, got {initial_count!r}")
     neighborhoods = mesh.all_neighborhoods(grid)
     stiffness = fine_fem.assemble_stiffness(grid, field)
     f_load = fine_fem.assemble_load(grid, f_density)
@@ -233,7 +235,7 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
     A = problem.stiffness
     space = problem.space
     norm_cache = None if strategy == "goal_dwr" else problem.norm_cache(cfg.dual_norm_mode)
-    store = problem.galerkin_store()
+    store = problem.galerkin_store
     trace = AdaptTrace(strategy=strategy)
     start = time.perf_counter()
 
@@ -241,13 +243,13 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
         try:
             system = coarse_solve.assemble_coarse(space, A, problem.f_load, store)
             u_ms = coarse_solve.solve_primal(system)
-            rho_u = indicators.fine_residual(A, problem.f_load, u_ms)
+            rho_u = indicators.fine_residual(A, problem.f_load, u_ms.fine)
 
             if strategy == "standard":
                 report = indicators.eta_standard(space, norm_cache.norms(rho_u), iteration)
             elif strategy == "goal_h1":
                 z_ms = coarse_solve.solve_dual(system, problem.g_load)
-                rho_z = indicators.fine_residual(A, problem.g_load, z_ms)
+                rho_z = indicators.fine_residual(A, problem.g_load, z_ms.fine)
                 report = indicators.eta_goal_h1(
                     space, norm_cache.norms(rho_u), norm_cache.norms(rho_z), iteration
                 )

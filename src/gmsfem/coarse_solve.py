@@ -51,13 +51,13 @@ class CoarseSystem:
     indices) and the primal load R' b, as selected from a GalerkinStore.
     Its columns are in candidate numbering i * L + k, where neighborhood i
     couples only with its at most 8 neighbors, so A_c is banded without any
-    reordering.  The first solve gathers the upper band of the unit-diagonal
+    reordering.  The constructor gathers the upper band of the unit-diagonal
     matrix D^-1/2 A_c D^-1/2 and factors it with LAPACK's banded Cholesky,
     without pivoting.  Pivot j of that factor is the squared energy distance
     of basis function j, scaled to unit energy, from the span of the ones
     numbered before it, so a factor that fails, or has a pivot at most
-    dim * eps, means A_c is not SPD and raises RankDeficientBasis naming
-    column j.  Each solve is refined with residuals
+    dim * eps, means A_c is not SPD and the constructor raises
+    RankDeficientBasis naming column j.  Each solve is refined with residuals
     in extended precision to a relative residual of 1e-12.
     """
 
@@ -71,8 +71,8 @@ class CoarseSystem:
         if np.any(diag <= 0):
             raise RankDeficientBasis("coarse stiffness has a nonpositive diagonal entry")
         self._scale = np.sqrt(diag)
-        self._factor = None
-        self._matrix_ld = None
+        self._factor = self._factorize()
+        self._matrix_ld = self.matrix.astype(np.longdouble)
 
     @property
     def dense(self):
@@ -115,20 +115,8 @@ class CoarseSystem:
         noise of A_c @ c alone can exceed it.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if np.linalg.norm(rhs) == 0.0:
-            return CoarseSolution(np.zeros(self.dim), np.zeros(self.R.shape[0]), self.space)
-        if self._factor is None:
-            self._factor = self._factorize()
-            self._matrix_ld = self.matrix.astype(np.longdouble)
-        c = _banded_solve(
-            self._factor,
-            self._scale,
-            self._matrix_ld,
-            rhs,
-            COARSE_RTOL,
-            10,
-            f"coarse solve (dim {self.dim})",
-        )
+        label = f"coarse solve (dim {self.dim})"
+        c = _banded_solve(self._factor, self._scale, self._matrix_ld, rhs, COARSE_RTOL, 10, label)
         return CoarseSolution(c, self.R @ c, self.space)
 
 
@@ -214,7 +202,8 @@ def assemble_coarse(space, A, b, store=None):
     """Couple the basis into the global form: A_c = R' A R, b_c = R' b.
 
     ``store`` is the GalerkinStore of (A, b) to select from and grow; without
-    one the system is selected from a fresh store.
+    one the system is selected from a fresh store.  The system is factored
+    here, so a dependent basis raises RankDeficientBasis from this call.
     """
     if store is None:
         store = GalerkinStore(space, A, b)

@@ -336,8 +336,6 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
     free = np.setdiff1d(np.arange(n), np.asarray(fixed, dtype=int))
     u = np.zeros(n)
     b_f = b[free]
-    if np.linalg.norm(b_f) == 0.0:
-        return u
     A_ff = A[free][:, free].tocsc()
     scale = np.sqrt(A_ff.diagonal())
     factor, info = _banded_cholesky(A_ff, scale)

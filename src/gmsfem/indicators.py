@@ -69,9 +69,8 @@ class IndicatorReport:
 
 
 def fine_residual(A, load, u):
-    """Global fine-grid residual b - A u for a coarse solution or nodal vector."""
-    fine = getattr(u, "fine", u)
-    return load - A @ fine
+    """Global fine-grid residual b - A u of the nodal vector ``u``."""
+    return load - A @ u
 
 
 class ResidualNormCache:

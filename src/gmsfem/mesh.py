@@ -20,7 +20,8 @@ class GridHierarchy:
     only these carry multiscale basis functions, so homogeneous Dirichlet data
     on the outer boundary is automatic.
 
-    Instances are immutable after construction and safe to share.
+    The fine cell table is built in the constructor; instances are
+    immutable after construction and safe to share.
     """
 
     def __init__(self, nc, r):
@@ -36,7 +37,9 @@ class GridHierarchy:
         self.n_vertices = (self.nf + 1) ** 2
         self.n_cells = self.nf**2
         self.n_interior_coarse = (self.nc - 1) ** 2
-        self._cell_vertices = None
+        cx, cy = np.meshgrid(np.arange(self.nf), np.arange(self.nf))
+        v00 = self.vertex_id(cx.ravel(), cy.ravel())
+        self._cell_vertices = np.column_stack([v00, v00 + 1, v00 + self.nf + 2, v00 + self.nf + 1])
 
     def vertex_id(self, ix, iy):
         return iy * (self.nf + 1) + ix
@@ -46,12 +49,6 @@ class GridHierarchy:
 
     def cell_vertex_table(self):
         """(n_cells, 4) fine vertex ids per cell, ordered [v00, v10, v11, v01]."""
-        if self._cell_vertices is None:
-            cx, cy = np.meshgrid(np.arange(self.nf), np.arange(self.nf))
-            v00 = self.vertex_id(cx.ravel(), cy.ravel())
-            self._cell_vertices = np.column_stack(
-                [v00, v00 + 1, v00 + self.nf + 2, v00 + self.nf + 1]
-            )
         return self._cell_vertices
 
     def boundary_vertex_ids(self):

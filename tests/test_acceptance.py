@@ -85,7 +85,7 @@ def test_c02_partition_of_unity_suite():
 def test_c03_spectral_suite(channel_problem, channel_offline):
     problem = channel_problem
     grid, field = problem.grid, problem.field
-    space, neighborhoods = problem.space, problem.neighborhoods
+    space, neighborhoods = problem.space, problem.space.neighborhoods
     weight = ms_space.compute_spectral_weight(grid, field, space.pu)
     patches_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
     patches_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
@@ -134,13 +134,13 @@ def test_c04_residuals_vanish_for_fine_references(channel_problem):
     A = problem.stiffness
     z_ref = fine_fem.solve_dirichlet(A, problem.g_load, problem.grid.boundary_vertex_ids())
     cache = indicators.ResidualNormCache(
-        fine_fem.patch_stiffness(problem.grid, problem.field, problem.neighborhoods)
+        fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
     )
     worst = 0.0
     for ref, load, tag in ((problem.u_ref, problem.f_load, "primal"), (z_ref, problem.g_load, "dual")):
         rho = indicators.fine_residual(A, load, ref)
         bound = 1e-8 * np.linalg.norm(load)
-        for i, interior in enumerate(problem.neighborhoods.interior_vertices):
+        for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
             norm = cache.norm(i, rho[interior])
             worst = max(worst, norm / bound)
             assert norm <= bound, f"{tag} residual norm {norm:.3e} at neighborhood {i}"
@@ -153,8 +153,8 @@ def test_c05_snapshot_norm_lower_bounds_exact(channel_problem, channel_offline):
     A = problem.stiffness
     system = coarse_solve.assemble_coarse(space, A, problem.f_load)
     u_ms = coarse_solve.solve_primal(system)
-    rho = indicators.fine_residual(A, problem.f_load, u_ms)
-    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.neighborhoods)
+    rho = indicators.fine_residual(A, problem.f_load, u_ms.fine)
+    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
     exact_cache = indicators.ResidualNormCache(patch_A)
     snap_cache = indicators.ResidualNormCache(
         patch_A,
@@ -162,7 +162,7 @@ def test_c05_snapshot_norm_lower_bounds_exact(channel_problem, channel_offline):
         snapshots=[s.snapshots for s in channel_offline["spectra"]],
     )
     worst = -np.inf
-    for i, interior in enumerate(problem.neighborhoods.interior_vertices):
+    for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
         local = rho[interior]
         gap = snap_cache.norm(i, local) - exact_cache.norm(i, local)
         worst = max(worst, gap)
@@ -265,7 +265,7 @@ def test_c09_dwr_sum_identity_per_iteration(channel_problem):
     for iteration in range(6):
         system = coarse_solve.assemble_coarse(space, A, problem.f_load)
         u_ms = coarse_solve.solve_primal(system)
-        rho = indicators.fine_residual(A, problem.f_load, u_ms)
+        rho = indicators.fine_residual(A, problem.f_load, u_ms.fine)
         enriched_system = coarse_solve.assemble_coarse(
             space.extended(cfg.m_enrich), A, problem.f_load
         )

@@ -63,13 +63,48 @@ def test_marking_config_validation():
         ("goal_tol", -1.0, "goal_tol must be finite and >= 0, got -1.0"),
         ("dof_cap", 0, "dof_cap must be >= 1, got 0"),
         ("dof_cap", -5, "dof_cap must be >= 1, got -5"),
+        ("s", 1.5, "s must be an integer, got 1.5"),
+        ("m_enrich", 1.5, "m_enrich must be an integer, got 1.5"),
+        ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
     ],
-    ids=["goal_tol-nan", "goal_tol-inf", "goal_tol-negative", "dof_cap-0", "dof_cap-negative"],
+    ids=[
+        "goal_tol-nan",
+        "goal_tol-inf",
+        "goal_tol-negative",
+        "dof_cap-0",
+        "dof_cap-negative",
+        "s-fraction",
+        "m_enrich-fraction",
+        "max_iterations-fraction",
+    ],
 )
 def test_marking_config_rejects_bad_stop_values(field, value, message):
     with pytest.raises(ValueError) as excinfo:
         MarkingConfig(**{field: value})
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("count", [0, 1.5])
+def test_build_problem_rejects_bad_initial_count(grid44, unit_field44, count):
+    with pytest.raises(ValueError) as excinfo:
+        adapt.build_problem(grid44, unit_field44, *benchmark_densities(grid44), initial_count=count)
+    assert str(excinfo.value) == f"initial_count must be an integer >= 1, got {count}"
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_initial_count_takes_whole_clusters(grid44, unit_field44, count):
+    # the unit medium's fully symmetric centre patch ties lambda_2 = lambda_3,
+    # so a count of 2 is rounded up to 3 there
+    problem = adapt.build_problem(
+        grid44, unit_field44, *benchmark_densities(grid44), initial_count=count
+    )
+    space = problem.space
+    ends = space.cluster_ends[np.arange(space.n_neighborhoods), min(count, space.n_candidates)]
+    assert np.array_equal(space.counts, ends)
+    assert np.all(space.counts >= count)
+    assert (space.counts > count).any() == (count == 2)
+    trace = adapt.adapt_loop(problem, "standard", MarkingConfig(max_iterations=1))
+    assert trace.rows[0].dofs == space.counts.sum()
 
 
 def test_mark_worked_example():
@@ -248,7 +283,7 @@ def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypa
     problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
     problem.norm_cache("exact")
     problem.norm_cache("snapshot")
-    interior = [len(ids) for ids in problem.neighborhoods.interior_vertices]
+    interior = [len(ids) for ids in problem.space.neighborhoods.interior_vertices]
     assert [shape[1] for shape in banded] == [sum(interior)]
     # upper band of the free block in natural order: half-bandwidth nf
     assert pbtrf == [(grid44.nf + 1, (grid44.nf - 1) ** 2)]
@@ -312,7 +347,7 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
 
     cache = problem.norm_cache("snapshot")
     oracle = indicators.ResidualNormCache(
-        fine_fem.patch_stiffness(grid, field, problem.neighborhoods),
+        fine_fem.patch_stiffness(grid, field, problem.space.neighborhoods),
         mode="snapshot",
         snapshots=[s.snapshots for s in data["spectra"]],
     )
@@ -419,10 +454,40 @@ def test_dwr_trace_independent_of_store_history(tmp_path):
         problem = adapt.build_problem(grid, field, f_density, g_density)
         for strategy in history:
             adapt.adapt_loop(problem, strategy, cfg)
-        assert (problem.galerkin_store().have.sum() > 0) == bool(history)
+        assert (problem.galerkin_store.have.sum() > 0) == bool(history)
         paths.append(tmp_path / f"dwr_{len(history)}.csv")
         adapt.write_trace_csv(adapt.adapt_loop(problem, "goal_dwr", cfg), paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _assert_unchanged(obj, attributes):
+    """``vars(obj)`` holds the keys and the very objects of ``attributes``."""
+    assert vars(obj).keys() == attributes.keys(), type(obj).__name__
+    for name, value in attributes.items():
+        assert vars(obj)[name] is value, (type(obj).__name__, name)
+
+
+def test_online_objects_are_complete_at_construction(grid44, unit_field44):
+    # a coarse system is factored, a grid holds its cell table and a problem
+    # its Galerkin store from construction on: using them changes no attribute
+    grid = mesh.GridHierarchy(4, 4)
+    attributes = dict(vars(grid))
+    grid.cell_vertex_table()
+    _assert_unchanged(grid, attributes)
+
+    problem = adapt.build_problem(grid44, unit_field44, *benchmark_densities(grid44))
+    system = coarse_solve.assemble_coarse(problem.space, problem.stiffness, problem.f_load)
+    attributes = dict(vars(system))
+    coarse_solve.solve_primal(system)
+    coarse_solve.solve_dual(system, problem.g_load)
+    _assert_unchanged(system, attributes)
+
+    store = problem.galerkin_store
+    attributes = dict(vars(problem))
+    for strategy in adapt.STRATEGIES:
+        adapt.adapt_loop(problem, strategy, MarkingConfig(max_iterations=3))
+        assert problem.galerkin_store is store, strategy
+    _assert_unchanged(problem, attributes)
 
 
 def test_trace_csv_schema_and_determinism(tmp_path, small_problem):

@@ -102,9 +102,8 @@ def test_rank_deficiency_reports_offending_pair(grid44, unit_field44, unit_offli
         doctored.grid, doctored.neighborhoods, doctored.pu, doctored.spectra, candidates, counts
     )
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
-    system = coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
     with pytest.raises(RankDeficientBasis) as err:
-        system.solve(np.ones(system.dim))
+        coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
     assert err.value.columns == (0, 1)
 
 
@@ -152,9 +151,8 @@ def test_duplicated_basis_column_is_rejected(channel_problem, nb):
     broken = ms_space.OfflineSpace(
         space.grid, space.neighborhoods, space.pu, space.spectra, candidates, space.counts
     )
-    system = coarse_solve.assemble_coarse(broken, channel_problem.stiffness, channel_problem.f_load)
     with pytest.raises(RankDeficientBasis) as err:
-        coarse_solve.solve_primal(system)
+        coarse_solve.assemble_coarse(broken, channel_problem.stiffness, channel_problem.f_load)
     start = int(space.offsets[nb])
     assert err.value.columns == (start, start + 2)
 

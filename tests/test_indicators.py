@@ -16,8 +16,8 @@ def channel_state(channel_problem):
     system = coarse_solve.assemble_coarse(space, problem.stiffness, problem.f_load)
     u_ms = coarse_solve.solve_primal(system)
     z_ms = coarse_solve.solve_dual(system, problem.g_load)
-    rho_u = indicators.fine_residual(problem.stiffness, problem.f_load, u_ms)
-    rho_z = indicators.fine_residual(problem.stiffness, problem.g_load, z_ms)
+    rho_u = indicators.fine_residual(problem.stiffness, problem.f_load, u_ms.fine)
+    rho_z = indicators.fine_residual(problem.stiffness, problem.g_load, z_ms.fine)
     enriched = coarse_solve.assemble_coarse(
         space.extended(2), problem.stiffness, problem.f_load
     )
@@ -41,7 +41,7 @@ def test_local_residual_vanishes_for_fine_reference(channel_state):
     problem = channel_state["problem"]
     scale = np.linalg.norm(problem.f_load)
     rho = indicators.fine_residual(problem.stiffness, problem.f_load, problem.u_ref)
-    for interior in problem.neighborhoods.interior_vertices[::17]:
+    for interior in problem.space.neighborhoods.interior_vertices[::17]:
         assert np.abs(rho[interior]).max() <= 1e-9 * scale
 
 
@@ -51,7 +51,7 @@ def test_local_residual_vanishes_for_fine_reference(channel_state):
 
 def test_dual_norm_zero_and_homogeneity(channel_state):
     problem = channel_state["problem"]
-    interior = problem.neighborhoods.interior_vertices[40]
+    interior = problem.space.neighborhoods.interior_vertices[40]
     cache = problem.norm_cache("exact")
     assert cache.norm(40, np.zeros(len(interior))) == 0.0
     rho = channel_state["rho_u"][interior]
@@ -65,7 +65,7 @@ def test_snapshot_norm_below_exact(channel_state):
     exact = problem.norm_cache("exact")
     snap = problem.norm_cache("snapshot")
     for i in (0, 27, 55, 80):
-        rho_i = rho[problem.neighborhoods.interior_vertices[i]]
+        rho_i = rho[problem.space.neighborhoods.interior_vertices[i]]
         assert snap.norm(i, rho_i) <= exact.norm(i, rho_i) + 1e-10
 
 
@@ -78,7 +78,7 @@ def test_norm_cache_matches_dense_reference(channel_state, channel_offline):
     for mode in ("exact", "snapshot"):
         cache = problem.norm_cache(mode)
         for i in (3, 44):
-            neighborhoods = problem.neighborhoods
+            neighborhoods = problem.space.neighborhoods
             rho_i = rho[neighborhoods.interior_vertices[i]]
             ids = neighborhoods.interior_vertices[i]
             A_zt = A[ids][:, ids].toarray()
@@ -101,7 +101,7 @@ def test_norm_cache_built_once_per_mode(channel_problem):
 
 def test_dual_norm_rejects_unknown_mode(channel_state):
     problem = channel_state["problem"]
-    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.neighborhoods)
+    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
     with pytest.raises(ValueError):
         indicators.ResidualNormCache(patch_A, mode="approximate")
     with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ def high_contrast_residual():
     problem = adapt.build_problem(grid, field, *benchmark_densities(grid))
     system = coarse_solve.assemble_coarse(problem.space, problem.stiffness, problem.f_load)
     u_ms = coarse_solve.solve_primal(system)
-    return problem, indicators.fine_residual(problem.stiffness, problem.f_load, u_ms)
+    return problem, indicators.fine_residual(problem.stiffness, problem.f_load, u_ms.fine)
 
 
 def test_stacked_norms_match_dense_oracle(high_contrast_residual):
@@ -125,8 +125,8 @@ def test_stacked_norms_match_dense_oracle(high_contrast_residual):
     # 3e-11 off the refined value here; the banded factor is within 1.2e-11.
     problem, rho = high_contrast_residual
     norms = problem.norm_cache("exact").norms(rho)
-    assert norms.shape == (len(problem.neighborhoods),)
-    for i, interior in enumerate(problem.neighborhoods.interior_vertices):
+    assert norms.shape == (len(problem.space.neighborhoods),)
+    for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
         r = rho[interior]
         A_i = problem.stiffness[interior][:, interior].toarray()
         w = scipy.linalg.solve(A_i, r).astype(np.longdouble)
@@ -140,7 +140,7 @@ def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual):
     problem, rho = high_contrast_residual
     cache = problem.norm_cache("exact")
     norms = cache.norms(rho)
-    for i, interior in enumerate(problem.neighborhoods.interior_vertices):
+    for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
         assert cache.norm(i, rho[interior]) == pytest.approx(
             norms[i], rel=1e-13
         ), i
@@ -153,9 +153,8 @@ def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual):
 def _norms(state, rho):
     problem = state["problem"]
     cache = problem.norm_cache("exact")
-    return np.array(
-        [cache.norm(i, rho[ids]) for i, ids in enumerate(problem.neighborhoods.interior_vertices)]
-    )
+    interiors = problem.space.neighborhoods.interior_vertices
+    return np.array([cache.norm(i, rho[ids]) for i, ids in enumerate(interiors)])
 
 
 def test_eta_standard_weights_and_saturation(channel_state):
@@ -284,8 +283,8 @@ def test_locality_of_indicators(channel_state):
     problem = channel_state["problem"]
     space = channel_state["space"]
     i = 33
-    rho_local = channel_state["rho_u"][problem.neighborhoods.interior_vertices[i]]
-    ids = problem.neighborhoods.interior_vertices[i]
+    rho_local = channel_state["rho_u"][problem.space.neighborhoods.interior_vertices[i]]
+    ids = problem.space.neighborhoods.interior_vertices[i]
     A_zt = problem.stiffness[ids][:, ids].toarray()
     w = np.linalg.solve(A_zt, rho_local)
     norms = _norms(channel_state, channel_state["rho_u"])
