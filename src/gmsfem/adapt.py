@@ -53,10 +53,12 @@ class MarkingConfig:
     dual_norm_mode: str = "exact"
 
     def __post_init__(self):
-        for name in ("s", "m_enrich", "max_iterations"):
+        for name in ("s", "m_enrich", "max_iterations", "dof_cap"):
+            mesh._check_integer(name, getattr(self, name))
+        for name in ("theta", "goal_tol"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if self.s < 1:

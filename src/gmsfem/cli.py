@@ -26,7 +26,7 @@ from .adapt import (
 )
 from .fine_fem import CoefficientField, SolveFailure
 from .indicators import DUAL_NORM_MODES, dump_indicators
-from .mesh import GridHierarchy
+from .mesh import GridHierarchy, _check_integer
 from .ms_space import dump_spectra
 
 __all__ = [
@@ -74,8 +74,7 @@ class ExperimentConfig:
         marking=MarkingConfig.strategy,
         **loop,
     ):
-        self.nc = int(nc)
-        self.r = int(r)
+        self.nc, self.r = _check_integer("nc", nc), _check_integer("r", r)
         self.field = field
         self.contrast = float(contrast)
         _check_contrast(self.contrast)
@@ -88,7 +87,7 @@ class ExperimentConfig:
             if name in self.strategies[:k]:
                 raise ValueError(f"strategy {name!r} is repeated in {self.strategies}")
         self.marking = MarkingConfig(strategy=marking, **loop)
-        self.seed = int(seed)
+        self.seed = _check_integer("seed", seed)
         self.out_dir = out_dir
         self.k1_box = _check_box(k1_box, "K1")
         self.k2_box = _check_box(k2_box, "K2")
@@ -98,7 +97,7 @@ class ExperimentConfig:
         self.goal_scale = goal_scale
         self.dump_indicator_csv = bool(dump_indicator_csv)
         self.dump_spectra_csv = bool(dump_spectra_csv)
-        self.initial_count = int(initial_count)
+        self.initial_count = _check_integer("initial_count", initial_count)
         if self.initial_count < 1:
             raise ValueError(f"initial basis count must be >= 1, got {self.initial_count}")
 
@@ -257,7 +256,7 @@ def run_experiment(config, verbose=True):
 
     os.makedirs(config.out_dir, exist_ok=True)
     if config.dump_spectra_csv:
-        dump_spectra(problem.space.spectra, os.path.join(config.out_dir, "spectra.csv"))
+        dump_spectra(problem.space, os.path.join(config.out_dir, "spectra.csv"))
 
     extra = {
         "theta": config.marking.theta,

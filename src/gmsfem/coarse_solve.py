@@ -7,7 +7,7 @@ candidate numbering with refinement in extended precision (see CoarseSystem).
 import numpy as np
 import scipy.sparse as sparse
 
-from .fine_fem import _banded_cholesky, _banded_solve
+from .fine_fem import _banded_cholesky
 
 __all__ = [
     "CoarseSystem",
@@ -51,14 +51,14 @@ class CoarseSystem:
     indices) and the primal load R' b, as selected from a GalerkinStore.
     Its columns are in candidate numbering i * L + k, where neighborhood i
     couples only with its at most 8 neighbors, so A_c is banded without any
-    reordering.  The constructor gathers the upper band of the unit-diagonal
-    matrix D^-1/2 A_c D^-1/2 and factors it with LAPACK's banded Cholesky,
-    without pivoting.  Pivot j of that factor is the squared energy distance
-    of basis function j, scaled to unit energy, from the span of the ones
+    reordering.  The constructor factors the unit-diagonal D^-1/2 A_c D^-1/2
+    with fine_fem's ``_banded_cholesky``, without pivoting, and keeps the
+    refined solve it returns.  Pivot j is the squared energy distance of
+    basis function j, scaled to unit energy, from the span of the ones
     numbered before it, so a factor that fails, or has a pivot at most
     dim * eps, means A_c is not SPD and the constructor raises
-    RankDeficientBasis naming column j.  Each solve is refined with residuals
-    in extended precision to a relative residual of 1e-12.
+    RankDeficientBasis naming column j.  Each solve is refined with
+    residuals in extended precision to a relative residual of 1e-12.
     """
 
     def __init__(self, space, matrix, load, R):
@@ -67,12 +67,9 @@ class CoarseSystem:
         self.matrix = matrix
         self.dim = space.total_dofs
         self.load = load
-        diag = self.matrix.diagonal()
-        if np.any(diag <= 0):
+        if np.any(self.matrix.diagonal() <= 0):
             raise RankDeficientBasis("coarse stiffness has a nonpositive diagonal entry")
-        self._scale = np.sqrt(diag)
-        self._factor = self._factorize()
-        self._matrix_ld = self.matrix.astype(np.longdouble)
+        self._solve = self._factorize()
 
     @property
     def dense(self):
@@ -84,16 +81,14 @@ class CoarseSystem:
         return False
 
     def _factorize(self):
-        factor, info = _banded_cholesky(self.matrix, self._scale)
-        # info > 0: the leading minor of order info failed, its earlier
-        # columns are factored; a pivot is the square of the factor's diagonal
-        u = factor.shape[0] - 1
-        done = info - 1 if info > 0 else self.dim
-        small = np.flatnonzero(factor[u, :done] ** 2 <= self.dim * np.finfo(float).eps)
+        solve, pivots, info = _banded_cholesky(self.matrix)
+        # info > 0: the leading minor of order info failed, and ``pivots``
+        # covers only the columns before it
+        small = np.flatnonzero(pivots <= self.dim * np.finfo(float).eps)
         if info > 0 or small.size:
-            j = int(small[0]) if small.size else done
+            j = int(small[0]) if small.size else len(pivots)
             # the earlier column with the largest scaled entry in column j
-            M, inv = self.matrix, 1.0 / self._scale
+            M, inv = self.matrix, 1 / np.sqrt(self.matrix.diagonal())
             lo, hi = M.indptr[j], M.indptr[j + 1]
             earlier = M.indices[lo:hi] < j
             rows = M.indices[lo:hi][earlier]
@@ -105,7 +100,7 @@ class CoarseSystem:
                 f"column {p} (normalized inner product {scaled[k]:.6f})",
                 columns=(p, j),
             )
-        return factor
+        return solve
 
     def solve(self, rhs):
         """Solve A_c c = rhs to 1e-12 relative residual; attach R c.
@@ -115,8 +110,7 @@ class CoarseSystem:
         noise of A_c @ c alone can exceed it.
         """
         rhs = np.asarray(rhs, dtype=float)
-        label = f"coarse solve (dim {self.dim})"
-        c = _banded_solve(self._factor, self._scale, self._matrix_ld, rhs, COARSE_RTOL, 10, label)
+        c = self._solve(rhs, COARSE_RTOL, 10, f"coarse solve (dim {self.dim})")
         return CoarseSolution(c, self.R @ c, self.space)
 
 

@@ -9,8 +9,8 @@ one source of every patch operator: over the coarse elements, the partition
 of unity's interior blocks; over the neighborhoods, the snapshots'
 interior-rim blocks, and the zero-trace operators' stacked band and interior
 blocks that the dual norms use.  The Dirichlet solve here and the coarse
-solves of coarse_solve gather a band and factor it with one helper, a LAPACK
-banded Cholesky (``_banded_cholesky``).
+solves of coarse_solve take one path: ``_banded_cholesky`` factors the band
+of the unit-diagonal matrix and returns its pivots and its refined solve.
 """
 
 import numpy as np
@@ -281,18 +281,19 @@ def _refine(correct, A_ld, b, x, rtol, steps, label):
     )
 
 
-def _banded_cholesky(M, scale):
-    """LAPACK banded Cholesky factor of D^-1/2 M D^-1/2, D = diag(scale**2).
+def _banded_cholesky(M):
+    """Banded Cholesky of D^-1/2 M D^-1/2, D = diag(M): (solve, pivots, info).
 
     M is a symmetric CSC matrix in the order it is to be factored, without
-    pivoting.  The upper band of the scaled matrix is gathered into upper band
-    storage, entry (row, col) at ab[u + row - col, col] for the half-bandwidth
-    u of M's pattern, and factored in place with ``dpbtrf`` (what
-    ``scipy.linalg.cholesky_banded`` calls; called directly for its
-    ``info``).  Returns the factor and ``info``: 0, or the order of the first
-    leading minor that is not positive definite, whose earlier columns are
-    factored.
+    pivoting.  The scaled upper band is gathered into band storage, entry
+    (row, col) at ab[u + row - col, col] for the half-bandwidth u of M's
+    pattern, and factored with ``dpbtrf`` (called directly for its ``info``:
+    0, or the order of the first leading minor that is not positive definite,
+    whose earlier columns are factored).  ``pivots`` are the factor's squared
+    diagonal over those columns; ``solve(b, rtol, steps, label)`` (for info
+    0) solves M x = b, refined by ``_refine`` against M in longdouble.
     """
+    scale = np.sqrt(M.diagonal())
     inv = 1.0 / scale
     cols = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
     upper = M.indices <= cols
@@ -300,18 +301,18 @@ def _banded_cholesky(M, scale):
     u = int((cols - rows).max())
     ab = np.zeros((u + 1, M.shape[1]), order="F")
     ab[u + rows - cols, cols] = M.data[upper] * inv[rows] * inv[cols]
-    return scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
-
-
-def _banded_solve(factor, scale, M_ld, b, rtol, steps, label):
-    """Solve M x = b with the ``_banded_cholesky`` factor of M, scaled by
-    ``scale``, refined by ``_refine`` against ``M_ld`` (M in longdouble)."""
+    factor, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
+    done = info - 1 if info > 0 else M.shape[1]
+    M_ld = M.astype(np.longdouble)
 
     def scaled_solve(rhs):
         return scipy.linalg.cho_solve_banded((factor, False), rhs / scale, check_finite=False)
 
-    x = scaled_solve(b).astype(np.longdouble) / scale
-    return _refine(lambda resid: scaled_solve(resid) / scale, M_ld, b, x, rtol, steps, label)
+    def solve(b, rtol, steps, label):
+        x = scaled_solve(b).astype(np.longdouble) / scale
+        return _refine(lambda resid: scaled_solve(resid) / scale, M_ld, b, x, rtol, steps, label)
+
+    return solve, factor[u, :done] ** 2, info
 
 
 def solve_dirichlet(A, b, fixed, rtol=1e-10):
@@ -334,18 +335,14 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
     if not np.all(np.isfinite(b)):
         raise ValueError("load vector contains non-finite values")
     free = np.setdiff1d(np.arange(n), np.asarray(fixed, dtype=int))
-    u = np.zeros(n)
-    b_f = b[free]
-    A_ff = A[free][:, free].tocsc()
-    scale = np.sqrt(A_ff.diagonal())
-    factor, info = _banded_cholesky(A_ff, scale)
+    solve, _, info = _banded_cholesky(A[free][:, free].tocsc())
     if info != 0:
         raise SolveFailure(
             f"Dirichlet solve: free block is not positive definite "
             f"(LAPACK dpbtrf info {info})"
         )
-    A_ld = A_ff.astype(np.longdouble)
-    u[free] = _banded_solve(factor, scale, A_ld, b_f, rtol, 6, "Dirichlet solve")
+    u = np.zeros(n)
+    u[free] = solve(b[free], rtol, 6, "Dirichlet solve")
     return u
 
 

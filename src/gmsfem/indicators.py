@@ -11,7 +11,8 @@ where ||.|| is the dual norm over the zero-trace space of the neighborhood
 and lambda_{l_i+1} the first eigenvalue whose eigenvector is excluded from
 the current space.  The local residual R_i is rho restricted to the
 neighborhood's interior fine vertices, exact by locality: the stencil of an
-interior patch vertex never reaches outside the patch.
+interior patch vertex never reaches outside the patch.  Each family computes
+its raw eta_i^2 only; one tail, ``_report``, zeroes saturated neighborhoods.
 
 The zero-trace operator of a neighborhood is the interior block of its
 patch stiffness, and both dual-norm modes take it from the batched patch
@@ -158,33 +159,36 @@ def _lambda_weights(space):
     return lam
 
 
-def _inverse_weights(space, lam):
+def _inverse_weights(space):
     # Guard against a nonpositive lambda from roundoff at extreme contrast;
     # the floor is far below any physically meaningful eigenvalue.
-    out = np.zeros_like(lam)
-    live = ~np.isnan(lam)
-    floors = 1e-14 * space.eigenvalues[:, -1]
-    out[live] = 1.0 / np.maximum(lam[live], floors[live])
+    out = np.zeros(space.n_neighborhoods)
+    live = ~space.saturated
+    out[live] = 1.0 / np.maximum(_lambda_weights(space)[live], 1e-14 * space.eigenvalues[live, -1])
     return out
+
+
+def _report(strategy, space, eta_sq, iteration, signed=None):
+    """The report of raw values ``eta_sq``: zero where saturated, with the
+    weights lambda_{l_i+1}, the counts and the saturation mask of ``space``."""
+    eta_sq[space.saturated] = 0.0
+    return IndicatorReport(
+        strategy, eta_sq, _lambda_weights(space), space.counts, space.saturated, iteration, signed
+    )
 
 
 def eta_standard(space, primal_norms, iteration=0):
     """Residual-based indicator driving energy-error reduction."""
-    primal_norms = np.asarray(primal_norms, dtype=float)
-    lam = _lambda_weights(space)
-    eta_sq = primal_norms**2 * _inverse_weights(space, lam)
-    eta_sq[space.saturated] = 0.0
-    return IndicatorReport("standard", eta_sq, lam, space.counts, space.saturated, iteration)
+    eta_sq = np.asarray(primal_norms, dtype=float) ** 2 * _inverse_weights(space)
+    return _report("standard", space, eta_sq, iteration)
 
 
 def eta_goal_h1(space, primal_norms, dual_norms, iteration=0):
     """Product indicator of primal and dual residual norms (same space)."""
     primal_norms = np.asarray(primal_norms, dtype=float)
     dual_norms = np.asarray(dual_norms, dtype=float)
-    lam = _lambda_weights(space)
-    eta_sq = primal_norms * dual_norms * _inverse_weights(space, lam)
-    eta_sq[space.saturated] = 0.0
-    return IndicatorReport("goal_h1", eta_sq, lam, space.counts, space.saturated, iteration)
+    eta_sq = primal_norms * dual_norms * _inverse_weights(space)
+    return _report("goal_h1", space, eta_sq, iteration)
 
 
 def eta_dwr(space, residual, z_enrich, iteration=0):
@@ -209,12 +213,7 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
         coeffs = z_enrich.component_coefficients(i)[l_i:l_e]
         excess = enriched.candidates[i][:, l_i:l_e] @ coeffs
         signed[i] = float(residual[space.neighborhoods.vertices[i]] @ excess)
-    lam = _lambda_weights(space)
-    eta_sq = np.abs(signed)
-    eta_sq[space.saturated] = 0.0
-    return IndicatorReport(
-        "goal_dwr", eta_sq, lam, space.counts, space.saturated, iteration, signed=signed
-    )
+    return _report("goal_dwr", space, np.abs(signed), iteration, signed=signed)
 
 
 def dump_indicators(reports, path):

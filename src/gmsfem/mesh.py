@@ -9,6 +9,13 @@ __all__ = [
 ]
 
 
+def _check_integer(name, value):
+    """``value`` as an int if it is an integer (numpy's included)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class GridHierarchy:
     """Uniform nc x nc coarse grid over (0,1)^2 with each coarse cell split
     into r x r fine cells.
@@ -25,12 +32,11 @@ class GridHierarchy:
     """
 
     def __init__(self, nc, r):
+        self.nc, self.r = _check_integer("nc", nc), _check_integer("r", r)
         if nc < 2:
             raise ValueError("nc must be >= 2 (no interior coarse vertex otherwise)")
         if r < 2:
             raise ValueError("r must be >= 2 (no interior fine structure otherwise)")
-        self.nc = int(nc)
-        self.r = int(r)
         self.nf = self.nc * self.r
         self.H = 1.0 / self.nc
         self.h = 1.0 / self.nf

@@ -268,7 +268,9 @@ class OfflineSpace:
     columns are the selected candidates in ascending number i * L + k, so
     enrichment keeps earlier columns as a prefix within every neighborhood.
     Instances are immutable; with_counts, enrich and extended return new ones
-    sharing the grid's arrays.
+    sharing the grid's arrays.  The program reads ``eigenvalues``; ``spectra``
+    is kept because the benchmark's checks (``perfbench/checks.py``) and the
+    tests read it.
     """
 
     def __init__(self, grid, neighborhoods, pu, spectra, candidates, counts):
@@ -396,7 +398,7 @@ def enrich(space, marked, s=1):
     return space.with_counts(counts)
 
 
-def dump_spectra(spectra, path):
-    """Write per-neighborhood eigenvalues as CSV (vertex_id, k, lambda_k)."""
-    rows = ((sp.vertex_id, k, lam) for sp in spectra for k, lam in enumerate(sp.eigenvalues, 1))
+def dump_spectra(space, path):
+    """Write the eigenvalues of ``space`` as CSV (vertex_id, k, lambda_k)."""
+    rows = ((i, k, lam) for i, row in enumerate(space.eigenvalues) for k, lam in enumerate(row, 1))
     write_csv(path, ["vertex_id", "k", "lambda"], rows)

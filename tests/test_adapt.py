@@ -66,6 +66,9 @@ def test_marking_config_validation():
         ("s", 1.5, "s must be an integer, got 1.5"),
         ("m_enrich", 1.5, "m_enrich must be an integer, got 1.5"),
         ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+        ("dof_cap", 2000.5, "dof_cap must be an integer, got 2000.5"),
+        ("theta", "0.5", "theta must be a real number, got '0.5'"),
+        ("goal_tol", "1e-3", "goal_tol must be a real number, got '1e-3'"),
     ],
     ids=[
         "goal_tol-nan",
@@ -76,6 +79,9 @@ def test_marking_config_validation():
         "s-fraction",
         "m_enrich-fraction",
         "max_iterations-fraction",
+        "dof_cap-fraction",
+        "theta-string",
+        "goal_tol-string",
     ],
 )
 def test_marking_config_rejects_bad_stop_values(field, value, message):

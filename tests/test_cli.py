@@ -213,6 +213,23 @@ def test_experiment_config_validation():
 
 
 @pytest.mark.parametrize(
+    "field, value", [("nc", 5.7), ("r", 4.9), ("initial_count", 1.5), ("seed", 2.5)]
+)
+def test_experiment_config_rejects_fractional_whole_numbers(field, value):
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentConfig(**{field: value})
+    assert str(excinfo.value) == f"{field} must be an integer, got {value}"
+
+
+def test_experiment_config_accepts_numpy_integers():
+    config = ExperimentConfig(
+        nc=np.int64(5), r=np.int32(4), seed=np.int64(3), initial_count=np.int64(2)
+    )
+    assert (config.nc, config.r, config.seed, config.initial_count) == (5, 4, 3, 2)
+    assert type(config.nc) is int
+
+
+@pytest.mark.parametrize(
     "strategies, message",
     [([], "the strategy list is empty"), (["standard", "goal_h1", "standard"], "'standard' is repeated")],
 )

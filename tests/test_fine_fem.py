@@ -272,6 +272,18 @@ def test_no_other_module_reads_the_reference_element_matrices():
             assert name not in source, (info.name, name)
 
 
+def test_no_other_module_refines_or_factors_a_band_itself():
+    # every refined SPD solve goes through the solve fine_fem._banded_cholesky
+    # returns: no other module holds a longdouble copy or calls dpbtrf
+    for info in pkgutil.iter_modules(gmsfem.__path__):
+        if info.name == "fine_fem":
+            continue
+        module = importlib.import_module(f"gmsfem.{info.name}")
+        source = Path(module.__file__).read_text()
+        for name in ("longdouble", "dpbtrf", "_refine"):
+            assert name not in source, (info.name, name)
+
+
 def test_patch_assembly_rejects_size_mismatch(grid44):
     field = CoefficientField.constant(grid44.nf + 1)
     neighborhoods = mesh.all_neighborhoods(grid44)

@@ -30,6 +30,17 @@ def test_build_grids_rejects_degenerate(nc, r):
         mesh.GridHierarchy(nc, r)
 
 
+@pytest.mark.parametrize(
+    "nc, r, message",
+    [(5.7, 4, "nc must be an integer, got 5.7"), (5, 4.9, "r must be an integer, got 4.9")],
+    ids=["nc", "r"],
+)
+def test_build_grids_rejects_fractional_sizes(nc, r, message):
+    with pytest.raises(ValueError) as excinfo:
+        mesh.GridHierarchy(nc, r)
+    assert str(excinfo.value) == message
+
+
 def test_vertex_and_cell_indexing():
     grid = mesh.GridHierarchy(2, 3)
     assert grid.vertex_id(0, 0) == 0

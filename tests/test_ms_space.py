@@ -529,7 +529,9 @@ def test_near_zero_eigenvalue_count_stable_under_contrast():
 
 def test_dump_spectra_roundtrip(tmp_path, unit_offline44):
     path = tmp_path / "spectra.csv"
-    ms_space.dump_spectra(unit_offline44["spectra"], path)
+    spectra = unit_offline44["spectra"]
+    counts = np.ones(len(spectra), dtype=int)
+    ms_space.dump_spectra(ms_space.build_basis(unit_offline44["pu"], spectra, counts), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "vertex_id,k,lambda"
     expected_rows = sum(s.n_snapshots for s in unit_offline44["spectra"])
