@@ -125,12 +125,14 @@ class TraceRow:
 
 @dataclass
 class AdaptTrace:
-    """Per-iteration convergence record of one adaptive run."""
+    """Per-iteration convergence record of one adaptive run; ``reports``
+    holds each iteration's IndicatorReport."""
 
     strategy: str
     rows: list = dataclass_field(default_factory=list)
     final_counts: np.ndarray = None
     stop_reason: str = ""
+    reports: list = dataclass_field(default_factory=list)
 
     def column(self, name):
         return np.array([getattr(row, name) for row in self.rows])
@@ -225,12 +227,11 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     return ProblemSetup(grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms)
 
 
-def adapt_loop(problem, strategy, cfg, collect_reports=None):
+def adapt_loop(problem, strategy, cfg):
     """Iterate solve -> indicators -> mark -> enrich for one strategy.
 
     The indicators never consume the fine reference; it only feeds the trace's
-    energy and goal error columns.  ``collect_reports``, if a list, receives
-    the per-iteration IndicatorReport objects.
+    energy and goal error columns.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -266,8 +267,7 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
                 f"{strategy} iteration {iteration} ({space.total_dofs} dofs): {exc}"
             ) from exc
 
-        if collect_reports is not None:
-            collect_reports.append(report)
+        trace.reports.append(report)
         marked = mark(report, cfg)
         diff = problem.u_ref - u_ms.fine
         energy_error = fine_fem.energy_norm(A, diff)
@@ -293,11 +293,7 @@ def adapt_loop(problem, strategy, cfg, collect_reports=None):
         if space.total_dofs >= cfg.dof_cap:
             trace.stop_reason = "dof cap reached"
             break
-        new_space = ms_space.enrich(space, marked, cfg.s)
-        if new_space.total_dofs == space.total_dofs:
-            trace.stop_reason = "marked set saturated"
-            break
-        space = new_space
+        space = ms_space.enrich(space, marked, cfg.s)
     else:
         trace.stop_reason = "max iterations"
 
@@ -320,6 +316,6 @@ def _write_csv(traces, path, extra):
     write_csv(path, ["strategy", *columns, *extra], rows)
 
 
-def write_trace_csv(trace, path, extra=None):
-    """Write one trace as CSV; ``extra`` appends fixed configuration columns."""
-    _write_csv([trace], path, extra or {})
+def write_trace_csv(trace, path):
+    """Write one trace as CSV."""
+    _write_csv([trace], path, {})

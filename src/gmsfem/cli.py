@@ -266,13 +266,12 @@ def run_experiment(config, verbose=True):
     }
     traces = {}
     for strategy in config.strategies:
-        reports = [] if config.dump_indicator_csv else None
-        trace = adapt_loop(problem, strategy, config.marking, collect_reports=reports)
+        trace = adapt_loop(problem, strategy, config.marking)
         traces[strategy] = trace
         write_trace_csv(trace, os.path.join(config.out_dir, f"trace_{strategy}.csv"))
-        if reports is not None:
+        if config.dump_indicator_csv:
             dump_indicators(
-                reports, os.path.join(config.out_dir, f"indicators_{strategy}.csv")
+                trace.reports, os.path.join(config.out_dir, f"indicators_{strategy}.csv")
             )
         if verbose:
             last = trace.rows[-1]

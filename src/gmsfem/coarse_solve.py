@@ -24,7 +24,8 @@ COARSE_RTOL = 1e-12
 
 class RankDeficientBasis(RuntimeError):
     """The coarse stiffness is not SPD; carries the column whose pivot failed
-    and the earlier column most collinear with it."""
+    and the earlier column with the largest scaled coupling to it.  Where the
+    dependency spans more than two columns, that pair need not be collinear."""
 
     def __init__(self, message, columns=None):
         super().__init__(message)
@@ -96,8 +97,8 @@ class CoarseSystem:
             k = int(np.argmax(np.abs(scaled)))
             p = int(rows[k])
             raise RankDeficientBasis(
-                f"coarse stiffness is not SPD at column {j}; most collinear earlier "
-                f"column {p} (normalized inner product {scaled[k]:.6f})",
+                f"coarse stiffness is not SPD at column {j}; the earlier column with "
+                f"the largest scaled coupling to it is {p} ({scaled[k]:.6f})",
                 columns=(p, j),
             )
         return solve

@@ -4,11 +4,12 @@ The coefficient is constant on each fine cell, so element integration is
 exact: the element stiffness is ``kappa_cell * Q1_STIFFNESS`` (scale free in
 2D) and the element mass is ``weight_cell * h**2 * Q1_MASS``.  No other
 module reads these reference matrices.  The patch matrices of all patches of
-one layout are gathered at once onto one CSR pattern (PatchMatrices), the
-one source of every patch operator: over the coarse elements, the partition
-of unity's interior blocks; over the neighborhoods, the snapshots'
-interior-rim blocks, and the zero-trace operators' stacked band and interior
-blocks that the dual norms use.  The Dirichlet solve here and the coarse
+one layout are assembled at once, by one sparse product with their assembly
+operator, onto one CSR pattern (PatchMatrices), the one source of every
+patch operator: over the coarse elements, the partition of unity's interior
+blocks; over the neighborhoods, the snapshots' interior-rim blocks, and the
+zero-trace operators' stacked band and interior blocks that the dual norms
+use.  The Dirichlet solve here and the coarse
 solves of coarse_solve take one path: ``_banded_cholesky`` factors the band
 of the unit-diagonal matrix and returns its pivots and its refined solve.
 """
@@ -124,40 +125,44 @@ class PatchMatrices:
 
     All patches are translates of the layout that mesh.Neighborhoods holds
     once, so their matrices share one CSR pattern (``indptr``, ``indices``);
-    row i of the (N, nnz) ``data`` holds patch i's values.  Each
-    stored entry sums its at most four element terms in ascending cell order,
-    as the COO -> CSR conversion of an assembly over the patch's cells alone
-    does, so ``matrix(i)`` is bitwise equal to that assembly.
+    row i of the (N, nnz) ``data`` holds patch i's values.  The pattern is
+    the sorted unique (row, column) keys of the patch cells' element terms,
+    and ``data`` is the transpose of one sparse product, the (nnz, cells)
+    assembly operator, whose entry (e, c) is cell c's reference term in
+    stored entry e, times the (cells, N) coefficients.  Each stored entry
+    sums its at most four element terms in ascending cell order, as the
+    COO -> CSR conversion of an assembly over the patch's cells alone does,
+    so ``matrix(i)`` is bitwise equal to that assembly.
     """
 
     def __init__(self, neighborhoods, ref, coeff):
-        n = neighborhoods.vertices.shape[1]
-        indptr, indices, terms = _patch_pattern(neighborhoods.cell_vertices, n)
-        cell, ab = np.divmod(terms, 16)
-        ref = ref.ravel()
-        data = coeff[:, cell[0]] * ref[ab[0]]
-        for k in range(1, 4):
-            has = terms[k] >= 0
-            data[:, has] += coeff[:, cell[k, has]] * ref[ab[k, has]]
+        n, cell_vertices = neighborhoods.vertices.shape[1], neighborhoods.cell_vertices
+        keys = np.repeat(cell_vertices, 4, axis=1) * n + np.tile(cell_vertices, (1, 4))
+        keys, entry = np.unique(keys.ravel(), return_inverse=True)
+        rows, cols = np.divmod(keys, n)
+        # the assembly operator: W[e, c] is cell c's reference term in stored
+        # entry e; scipy sums each row of W @ coeff.T in ascending cell order
+        cells = np.repeat(np.arange(len(cell_vertices)), 16)
+        W = sparse.csr_matrix((np.tile(ref.ravel(), len(cell_vertices)), (entry, cells)))
+        self.data = (W @ coeff.T).T  # column-major: the product is not copied
         self.neighborhoods = neighborhoods
         self.shape = (n, n)
         # int32 and read-only: every matrix(i) shares them without a conversion
-        self.indptr, self.indices = indptr.astype(np.int32), indices.astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        self.indices = cols.astype(np.int32)
         for pattern in (self.indptr, self.indices):
             pattern.setflags(write=False)
-        self.data = data
         # index maps, computed once: each stored entry's row (a) and column (b)
         # position in the interior and column position (c) in the rim, -1
         # outside; then per block the stored entries it takes and where they go
         interior, rim = neighborhoods.interior, neighborhoods.rim
         in_interior, in_rim = np.full(n, -1), np.full(n, -1)
         in_interior[interior], in_rim[rim] = np.arange(len(interior)), np.arange(len(rim))
-        a = in_interior[np.repeat(np.arange(n), np.diff(indptr))]
-        b, c = in_interior[indices], in_rim[indices]
+        a, b, c = in_interior[rows], in_interior[cols], in_rim[cols]
         self._dense = {}
-        for cols, col, width in (("interior", b, len(interior)), ("rim", c, len(rim))):
+        for block, col, width in (("interior", b, len(interior)), ("rim", c, len(rim))):
             take = np.flatnonzero((a >= 0) & (col >= 0))
-            self._dense[cols] = (take, a[take] * width + col[take], (len(interior), width))
+            self._dense[block] = (take, a[take] * width + col[take], (len(interior), width))
         # the upper triangle of the [interior][:, interior] block, in band storage
         self._band_data = np.flatnonzero((a >= 0) & (a <= b))
         a, b = a[self._band_data], b[self._band_data]
@@ -196,28 +201,6 @@ class PatchMatrices:
         ab = np.zeros((n_blocks, m, self._band_u + 1))
         ab[:, self._band_col, self._band_row] = self.data[:, self._band_data]
         return ab.reshape(n_blocks * m, -1).T
-
-
-def _patch_pattern(cell_vertices, n):
-    """CSR pattern of a form assembled over the cells ``cell_vertices`` of a
-    patch, and the element terms of each stored entry.
-
-    ``_assemble``'s COO -> CSR conversion sorts the entries by (row, column)
-    and sums the duplicates of one entry in COO order, that is by ascending
-    cell.  Column e of the returned (4, nnz) ``terms`` lists the COO
-    positions (cell * 4 + a) * 4 + b of entry e's terms in that order, with
-    -1 past its last term; n is the number of patch vertices.
-    """
-    rows = np.repeat(cell_vertices, 4, axis=1).ravel()
-    cols = np.tile(cell_vertices, (1, 4)).ravel()
-    order = np.lexsort((cols, rows))  # stable: the terms of an entry stay in COO order
-    key = rows[order] * n + cols[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    entry = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(key)]))
-    terms = np.full((4, len(first)), -1)
-    terms[np.arange(len(key)) - first[entry], entry] = order
-    indptr = np.searchsorted(rows[order][first], np.arange(n + 1))
-    return indptr, cols[order][first], terms
 
 
 def patch_stiffness(grid, field, neighborhoods):

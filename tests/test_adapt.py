@@ -418,9 +418,8 @@ def test_loop_snapshot_norm_mode_runs(small_problem):
 
 
 def test_loop_collects_reports(small_problem):
-    reports = []
     cfg = MarkingConfig(max_iterations=4)
-    adapt.adapt_loop(small_problem, "goal_dwr", cfg, collect_reports=reports)
+    reports = adapt.adapt_loop(small_problem, "goal_dwr", cfg).reports
     assert [r.iteration for r in reports] == [0, 1, 2, 3]
     assert all(r.strategy == "goal_dwr" for r in reports)
     assert all(r.signed is not None for r in reports)
@@ -509,9 +508,3 @@ def test_trace_csv_schema_and_determinism(tmp_path, small_problem):
     )
     assert len(text.splitlines()) == 5
     assert text == p2.read_text()  # byte-identical across repeated runs
-
-    extra = {"theta": 0.5, "contrast": 1e4}
-    p3 = tmp_path / "c.csv"
-    adapt.write_trace_csv(trace, p3, extra=extra)
-    header = p3.read_text().splitlines()[0]
-    assert header.endswith(",theta,contrast")

@@ -369,6 +369,43 @@ def test_main_reports_failed_fine_reference_solve(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_switch_values_act_as_flags(tmp_path, capsys):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(
+        "nc = 5\nr = 4\nmax-iters = 1\nstrategies = standard\n"
+        "dump-indicators = yes\ndump-spectra = off\nquiet = on\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config_file), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert (out / "indicators_standard.csv").exists()
+    assert not (out / "spectra.csv").exists()
+
+
+def test_cancelled_source_stops_every_strategy_at_once(tmp_path, capsys):
+    # K1 = K2: the source cancels, every indicator is zero and nothing is marked
+    out = tmp_path / "out"
+    argv = ["--nc", "5", "--r", "4", "--max-iters", "3", "--k1-box", "0.8,0.9,0.1,0.2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("(all indicators zero)") == len(STRATEGIES)
+    for strategy in STRATEGIES:
+        assert len((out / f"trace_{strategy}.csv").read_text().splitlines()) == 2
+
+
+def test_field_file_run_equals_generated_field_run(tmp_path):
+    grid = mesh.GridHierarchy(5, 4)
+    path = tmp_path / "field.txt"
+    cli.write_field(cli.generate_field("channel", 1e3, grid.nf, seed=1), path)
+    for name, field in (("generated", "channel"), ("file", f"file:{path}")):
+        config = _tiny_config(tmp_path / name, field=field, contrast=1e3)
+        cli.run_experiment(config, verbose=False)
+    names = sorted(p.name for p in (tmp_path / "generated").glob("*.csv"))
+    assert len(names) == 4
+    assert names == sorted(p.name for p in (tmp_path / "file").glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "generated" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
 def test_flags_override_config_file_strategies(tmp_path):
     config_file = tmp_path / "run.cfg"
     config_file.write_text("nc = 5\nr = 4\nmax-iters = 1\nstrategies = standard\n")

@@ -88,6 +88,8 @@ def test_assembly_rejects_size_mismatch(grid44):
         fine_fem.assemble_stiffness(grid44, field)
     with pytest.raises(ValueError):
         assemble_weighted_mass(grid44, field)
+    with pytest.raises(ValueError, match=r"density must be \(16, 16\), got \(15, 16\)"):
+        fine_fem.assemble_load(grid44, np.ones((15, 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +326,15 @@ def test_solve_zero_load(grid44, unit_field44):
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     u = fine_fem.solve_dirichlet(A, np.zeros(grid44.n_vertices), grid44.boundary_vertex_ids())
     assert np.all(u == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_rejects_non_finite_load(grid44, unit_field44, bad):
+    A = fine_fem.assemble_stiffness(grid44, unit_field44)
+    b = np.ones(grid44.n_vertices)
+    b[40] = bad
+    with pytest.raises(ValueError, match="load vector contains non-finite values"):
+        fine_fem.solve_dirichlet(A, b, grid44.boundary_vertex_ids())
 
 
 def test_solve_poisson_center_value_series_oracle():

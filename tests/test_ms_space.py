@@ -307,6 +307,31 @@ def test_degenerate_strip_pencil_matches_dense_oracle():
     assert np.abs(spectrum.eigenvalues - oracle).max() <= 1e-8 * max(1.0, abs(oracle[-1]))
 
 
+def _patch_pencil(data, i):
+    """Neighborhood i's patch stiffness, weighted mass and snapshots."""
+    grid, neighborhoods = data["grid"], data["neighborhoods"]
+    patch_A = fine_fem.patch_stiffness(grid, data["field"], neighborhoods).matrix(i)
+    patch_S = fine_fem.patch_weighted_mass(grid, data["weight"], neighborhoods).matrix(i)
+    return patch_A, patch_S, data["spectra"][i].snapshots
+
+
+def test_singular_snapshot_mass_is_jittered(unit_offline44):
+    # a repeated snapshot column makes S_off singular: the diagonal shift
+    # 1e-12 * tr(S_off) / L is added and the pencil still solves
+    patch_A, patch_S, snaps = _patch_pencil(unit_offline44, 4)
+    snaps = np.column_stack([snaps, snaps[:, 0]])
+    spectrum = ms_space.local_spectral_decomposition(4, patch_A, patch_S, snaps)
+    S_off = snaps.T @ (patch_S @ snaps)
+    assert spectrum.jitter == 1e-12 * np.trace(S_off) / len(S_off) > 0.0
+    assert np.all(np.isfinite(spectrum.eigenvalues))
+
+
+def test_zero_weighted_mass_names_the_neighborhood(unit_offline44):
+    patch_A, patch_S, snaps = _patch_pencil(unit_offline44, 4)
+    with pytest.raises(RuntimeError, match="neighborhood 4: local mass matrix numerically indefinite"):
+        ms_space.local_spectral_decomposition(4, patch_A, 0.0 * patch_S, snaps)
+
+
 # ---------------------------------------------------------------------------
 # offline space and enrichment
 
@@ -347,6 +372,14 @@ def test_basis_counts_validation(unit_offline44):
         ms_space.build_basis(data["pu"], data["spectra"], limits + 1)
     with pytest.raises(ValueError):  # one count per neighborhood, not one for all
         ms_space.build_basis(data["pu"], data["spectra"], 1)
+    n = len(data["spectra"])
+    with pytest.raises(ValueError, match=f"{n - 1} spectra for {n} neighborhoods"):
+        ms_space.build_basis(data["pu"], data["spectra"][:-1], np.ones(n, dtype=int))
+
+
+def test_extended_rejects_negative_width(unit_offline44):
+    with pytest.raises(ValueError, match="extension width must be >= 0"):
+        _space_from(unit_offline44).extended(-1)
 
 
 def test_enrich_empty_marked_is_identity(unit_offline44):
