@@ -50,7 +50,6 @@ class MarkingConfig:
     dof_cap: int = 2000
     goal_tol: float = 0.0
     m_enrich: int = 2
-    dual_norm_mode: str = "exact"
 
     def __post_init__(self):
         for name in ("s", "m_enrich", "max_iterations", "dof_cap"):
@@ -73,8 +72,6 @@ class MarkingConfig:
             raise ValueError(f"goal_tol must be finite and >= 0, got {self.goal_tol}")
         if self.strategy not in MARKING_RULES:
             raise ValueError(f"unknown marking strategy {self.strategy!r}")
-        if self.dual_norm_mode not in indicators.DUAL_NORM_MODES:
-            raise ValueError(f"unknown dual norm mode {self.dual_norm_mode!r}")
 
 
 def mark(report, cfg):
@@ -143,16 +140,14 @@ class ProblemSetup:
 
     Offline data (partition of unity, spectra, initial space; the snapshots
     are not kept), the global stiffness, load vectors of the source and the
-    goal, the exact ResidualNormCache whose stacked factor the snapshots were
-    solved with, the fine reference solution used only for trace error
+    goal, ``dual_norms``, the ResidualNormCache of the problem's one
+    dual-norm mode, the fine reference solution used only for trace error
     reporting, and ``galerkin_store``, the GalerkinStore of the stiffness and
     the source load, which every strategy run on this problem selects from
-    and grows.  Besides that growth, the only state added after construction
-    is the snapshot dual-norm cache, built on its first request (see
-    ``norm_cache``).
+    and grows.  That growth is the only state added after construction.
     """
 
-    def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms):
+    def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref, dual_norms):
         self.grid = grid
         self.field = field
         self.stiffness = stiffness
@@ -160,47 +155,29 @@ class ProblemSetup:
         self.g_load = g_load
         self.space = space
         self.u_ref = u_ref
+        self.dual_norms = dual_norms
         self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness, f_load)
-        self._norm_caches = {"exact": exact_norms}
-
-    def norm_cache(self, mode):
-        """The ResidualNormCache of dual-norm ``mode``.
-
-        Every strategy run on this problem shares it.  The exact cache is built
-        in ``build_problem``, whose snapshot solves use its factor; the
-        snapshot cache is built on first use, from snapshots solved again
-        with that factor, so they have the offline stage's bits.
-        """
-        if mode not in self._norm_caches:
-            exact = self._norm_caches["exact"]
-            neighborhoods = self.space.neighborhoods
-            patch_A = fine_fem.patch_stiffness(self.grid, self.field, neighborhoods)
-            snapshots = (_snapshots(patch_A, exact, i) for i in range(len(neighborhoods)))
-            self._norm_caches[mode] = indicators.ResidualNormCache(
-                patch_A, mode=mode, snapshots=snapshots
-            )
-        return self._norm_caches[mode]
 
 
-def _snapshots(patch_A, exact_norms, i):
-    """Harmonic snapshots of neighborhood i from the batched patch stiffness
-    ``patch_A``, solved with its block of the exact dual norms' stacked factor."""
-    return ms_space.compute_snapshots(patch_A, i, partial(exact_norms.solve, i))
-
-
-def build_problem(grid, field, f_density, g_density, initial_count=1):
+def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_mode="exact"):
     """Run the fine reference solve and the offline pipeline for one problem.
 
     The fine reference is solved first, so its banded factor is freed before
     the candidate array exists.  The patch stiffness and weighted mass of all
     neighborhoods are assembled in one batched call each and dropped when
     this returns; the patch stiffness comes first, as the exact dual-norm
-    cache is built from it.  Each neighborhood starts with ``initial_count``
-    eigenfunctions (clipped at L), rounded up to the end of a cluster of tied
-    eigenvalues.
+    cache is built from it, and that cache's factor solves the snapshots.
+    Each neighborhood starts with ``initial_count`` eigenfunctions (clipped
+    at L), rounded up to the end of a cluster of tied eigenvalues.  The
+    problem's ``dual_norms`` are of ``dual_norm_mode``: in snapshot mode the
+    snapshots' interior rows fill one (N, m, L) array as they are solved, and
+    the snapshot cache is built from it once the exact factor and the patch
+    mass are released, so nothing is assembled or solved twice.
     """
     if not isinstance(initial_count, numbers.Integral) or initial_count < 1:
         raise ValueError(f"initial_count must be an integer >= 1, got {initial_count!r}")
+    if dual_norm_mode not in indicators.DUAL_NORM_MODES:
+        raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
     neighborhoods = mesh.all_neighborhoods(grid)
     stiffness = fine_fem.assemble_stiffness(grid, field)
     f_load = fine_fem.assemble_load(grid, f_density)
@@ -208,14 +185,18 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     u_ref = fine_fem.solve_dirichlet(stiffness, f_load, grid.boundary_vertex_ids())
 
     patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
-    exact_norms = indicators.ResidualNormCache(patch_A)
+    dual_norms = indicators.ResidualNormCache(patch_A)  # exact: its factor solves the snapshots
     pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
+    if dual_norm_mode == "snapshot":
+        parts = np.empty(neighborhoods.interior_vertices.shape + (len(neighborhoods.rim),))
 
     def spectrum(i):
         # one call per neighborhood: the benchmark's tracer wraps and counts each
-        snapshots = _snapshots(patch_A, exact_norms, i)
+        snapshots = ms_space.compute_snapshots(patch_A, i, partial(dual_norms.solve, i))
+        if dual_norm_mode == "snapshot":
+            parts[i] = snapshots[neighborhoods.interior]
         return ms_space.local_spectral_decomposition(
             i, patch_A.matrix(i), patch_S.matrix(i), snapshots
         )
@@ -224,7 +205,10 @@ def build_problem(grid, field, f_density, g_density, initial_count=1):
     spectra = map(spectrum, range(len(neighborhoods)))
     space = ms_space.build_basis(pu, spectra, np.ones(len(neighborhoods), dtype=int))
     space = space.extended(initial_count - 1)
-    return ProblemSetup(grid, field, stiffness, f_load, g_load, space, u_ref, exact_norms)
+    if dual_norm_mode == "snapshot":
+        del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
+        dual_norms = indicators.ResidualNormCache(patch_A, "snapshot", zero_trace_parts=parts)
+    return ProblemSetup(grid, field, stiffness, f_load, g_load, space, u_ref, dual_norms)
 
 
 def adapt_loop(problem, strategy, cfg):
@@ -237,7 +221,7 @@ def adapt_loop(problem, strategy, cfg):
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     A = problem.stiffness
     space = problem.space
-    norm_cache = None if strategy == "goal_dwr" else problem.norm_cache(cfg.dual_norm_mode)
+    dual_norms = problem.dual_norms
     store = problem.galerkin_store
     trace = AdaptTrace(strategy=strategy)
     start = time.perf_counter()
@@ -249,12 +233,12 @@ def adapt_loop(problem, strategy, cfg):
             rho_u = indicators.fine_residual(A, problem.f_load, u_ms.fine)
 
             if strategy == "standard":
-                report = indicators.eta_standard(space, norm_cache.norms(rho_u), iteration)
+                report = indicators.eta_standard(space, dual_norms.norms(rho_u), iteration)
             elif strategy == "goal_h1":
                 z_ms = coarse_solve.solve_dual(system, problem.g_load)
                 rho_z = indicators.fine_residual(A, problem.g_load, z_ms.fine)
                 report = indicators.eta_goal_h1(
-                    space, norm_cache.norms(rho_u), norm_cache.norms(rho_z), iteration
+                    space, dual_norms.norms(rho_u), dual_norms.norms(rho_z), iteration
                 )
             else:
                 enriched_system = coarse_solve.assemble_coarse(

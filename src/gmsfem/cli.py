@@ -53,7 +53,7 @@ class ExperimentConfig:
 
     ``self.marking`` is a MarkingConfig built from ``marking``, its marking
     rule ``strategy``, and ``loop``, its other fields; MarkingConfig holds
-    their defaults."""
+    their defaults.  ``dual_norm_mode`` is handed to build_problem."""
 
     def __init__(
         self,
@@ -71,6 +71,7 @@ class ExperimentConfig:
         dump_indicator_csv=False,
         dump_spectra_csv=False,
         initial_count=1,
+        dual_norm_mode="exact",
         marking=MarkingConfig.strategy,
         **loop,
     ):
@@ -100,6 +101,9 @@ class ExperimentConfig:
         self.initial_count = _check_integer("initial_count", initial_count)
         if self.initial_count < 1:
             raise ValueError(f"initial basis count must be >= 1, got {self.initial_count}")
+        if dual_norm_mode not in DUAL_NORM_MODES:
+            raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
+        self.dual_norm_mode = dual_norm_mode
 
 
 def _check_box(box, name):
@@ -250,8 +254,9 @@ def run_experiment(config, verbose=True):
     grid = GridHierarchy(config.nc, config.r)
     field = _load_field(config, grid)
     f_density = box_fraction(grid, config.k1_box) - box_fraction(grid, config.k2_box)
+    g_density = _goal_density(config, grid)
     problem = build_problem(
-        grid, field, f_density, _goal_density(config, grid), initial_count=config.initial_count
+        grid, field, f_density, g_density, config.initial_count, config.dual_norm_mode
     )
 
     os.makedirs(config.out_dir, exist_ok=True)

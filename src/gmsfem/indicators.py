@@ -22,7 +22,9 @@ block-diagonal stack of all zero-trace operators, made once per problem and
 (2r+1) * N * m doubles for N neighborhoods of m = (2r-1)^2 interior vertices
 (about 22 MB at nc=20, r=10).  One banded solve of a residual's stacked
 interior restrictions gives every neighborhood's norm, and the factor's
-column block of one neighborhood also solves its offline snapshots.
+column block of one neighborhood also solves its offline snapshots.  A
+problem has one dual-norm mode, chosen in adapt.build_problem, whose
+snapshot mode keeps the snapshots' interior rows and drops that factor.
 """
 
 import numpy as np
@@ -98,15 +100,16 @@ class ResidualNormCache:
     T_i of the snapshots, which can only give a smaller value (subspace
     inequality), with each gram T_i' A_i T_i of the interior block A_i
     (``patch_A.interior_block(i)``) pseudo-inverted once at lstsq's default
-    cutoff L * eps.  ``snapshots`` yields the N patch snapshot blocks in order
-    (ms_space.compute_snapshots); only their interior rows T_i are kept.
+    cutoff L * eps.  ``zero_trace_parts`` is the (N, m, L) stack of the T_i,
+    the interior rows of the snapshot blocks (ms_space.compute_snapshots);
+    build_problem fills it during the offline pass, and it is kept as given.
     """
 
-    def __init__(self, patch_A, mode="exact", snapshots=None):
+    def __init__(self, patch_A, mode="exact", zero_trace_parts=None):
         if mode not in DUAL_NORM_MODES:
             raise ValueError(f"mode must be one of {DUAL_NORM_MODES}, got {mode!r}")
-        if mode == "snapshot" and snapshots is None:
-            raise ValueError("snapshot mode needs the neighborhood snapshots")
+        if mode == "snapshot" and zero_trace_parts is None:
+            raise ValueError("snapshot mode needs the snapshots' zero-trace parts")
         self.mode = mode
         neighborhoods = patch_A.neighborhoods
         self._stacked = neighborhoods.interior_vertices.ravel()
@@ -114,7 +117,9 @@ class ResidualNormCache:
         if mode == "exact":
             self._factor = scipy.linalg.cholesky_banded(patch_A.interior_band(), overwrite_ab=True)
             return
-        self._T = np.stack([block[neighborhoods.interior] for block in snapshots])
+        self._T = np.asarray(zero_trace_parts)
+        if self._T.shape != neighborhoods.interior_vertices.shape + (len(neighborhoods.rim),):
+            raise ValueError(f"zero-trace parts must be (N, m, L), got shape {self._T.shape}")
         grams = np.stack([T.T @ (patch_A.interior_block(i) @ T) for i, T in enumerate(self._T)])
         grams = 0.5 * (grams + grams.swapaxes(1, 2))
         self._pinv = np.linalg.pinv(grams, rcond=grams.shape[-1] * np.finfo(float).eps)

@@ -42,7 +42,7 @@ import scipy.sparse as sparse
 
 from .csvout import write_csv
 from .fine_fem import CoefficientField, _check_field, patch_stiffness
-from .mesh import Neighborhoods, all_neighborhoods
+from .mesh import Neighborhoods, _check_integer, all_neighborhoods
 
 __all__ = [
     "PartitionOfUnity",
@@ -268,14 +268,15 @@ class OfflineSpace:
     columns are the selected candidates in ascending number i * L + k, so
     enrichment keeps earlier columns as a prefix within every neighborhood.
     Instances are immutable; with_counts, enrich and extended return new ones
-    sharing the grid's arrays.  The program reads ``eigenvalues``; ``spectra``
-    is kept because the benchmark's checks (``perfbench/checks.py``) and the
-    tests read it.
+    sharing the grid's arrays.  The grid and the neighborhoods are those of
+    the partition of unity ``pu``.  The program reads ``eigenvalues``;
+    ``spectra`` is kept because the benchmark's checks
+    (``perfbench/checks.py``) and the tests read it.
     """
 
-    def __init__(self, grid, neighborhoods, pu, spectra, candidates, counts):
-        self.grid = grid
-        self.neighborhoods = neighborhoods
+    def __init__(self, pu, spectra, candidates, counts):
+        self.grid = pu.grid
+        self.neighborhoods = neighborhoods = pu.neighborhoods
         self.pu = pu
         self.spectra = spectra
         self.n_neighborhoods = len(neighborhoods)
@@ -290,6 +291,8 @@ class OfflineSpace:
         self._select(counts)
 
     def _select(self, counts):
+        if np.asarray(counts).dtype.kind not in "iu":
+            raise ValueError(f"basis counts must be integers, got dtype {np.asarray(counts).dtype}")
         counts = np.array(counts, dtype=int).reshape(self.n_neighborhoods)
         if np.any(counts < 1) or np.any(counts > self.n_candidates):
             raise ValueError("basis counts must satisfy 1 <= l_i <= L")
@@ -342,7 +345,7 @@ class OfflineSpace:
         eigenvalues, so the extended space does not depend on the basis
         LAPACK picked inside a degenerate eigenspace.
         """
-        if m < 0:
+        if _check_integer("extension width", m) < 0:
             raise ValueError("extension width must be >= 0")
         return self.with_counts(self._whole_clusters(self.counts + m))
 
@@ -371,7 +374,7 @@ def build_basis(pu, spectra, counts):
         del spectrum  # free the block before the next spectrum is computed
     if len(held) != len(neighborhoods):
         raise ValueError(f"{len(held)} spectra for {len(neighborhoods)} neighborhoods")
-    return OfflineSpace(pu.grid, neighborhoods, pu, held, candidates, counts)
+    return OfflineSpace(pu, held, candidates, counts)
 
 
 def enrich(space, marked, s=1):
@@ -384,11 +387,13 @@ def enrich(space, marked, s=1):
     returned for a degenerate eigenspace.  Saturated neighborhoods
     (l_i = L) are skipped; the new space's ``saturated`` mask reports them.
     Unmarked neighborhoods are unchanged.  A marked id that is not an integer
-    in [0, N) raises a ValueError.
+    in [0, N), and a boolean mask in place of the ids, raise a ValueError.
     """
-    if s < 1:
+    if _check_integer("enrichment width s", s) < 1:
         raise ValueError("enrichment width s must be >= 1")
     ids = np.asarray(marked).ravel()
+    if ids.dtype == bool:
+        raise ValueError("marked must be neighborhood ids, not a boolean mask")
     bad = (ids < 0) | (ids >= space.n_neighborhoods) | (ids != np.floor(ids))
     if bad.any():
         raise ValueError(f"marked id {ids[bad][0]} names no neighborhood of the space")

@@ -89,13 +89,23 @@ def benchmark_densities(grid):
     return f_density, g_density
 
 
-@pytest.fixture(scope="session")
-def channel_problem():
-    """The benchmark channel medium at contrast 1e4 on the nc=10, r=10 grids."""
+def _channel_problem(dual_norm_mode):
     grid = mesh.GridHierarchy(10, 10)
     field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
     f_density, g_density = benchmark_densities(grid)
-    return adapt.build_problem(grid, field, f_density, g_density)
+    return adapt.build_problem(grid, field, f_density, g_density, dual_norm_mode=dual_norm_mode)
+
+
+@pytest.fixture(scope="session")
+def channel_problem():
+    """The benchmark channel medium at contrast 1e4 on the nc=10, r=10 grids."""
+    return _channel_problem("exact")
+
+
+@pytest.fixture(scope="session")
+def channel_problem_snapshot():
+    """channel_problem built with snapshot dual norms."""
+    return _channel_problem("snapshot")
 
 
 @pytest.fixture(scope="session")

@@ -50,8 +50,6 @@ def test_marking_config_validation():
     with pytest.raises(ValueError):
         MarkingConfig(strategy="largest")
     with pytest.raises(ValueError):
-        MarkingConfig(dual_norm_mode="cheap")
-    with pytest.raises(ValueError):
         MarkingConfig(max_iterations=0)
 
 
@@ -250,7 +248,7 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, chann
         channel_problem.g_load,
         ms_space.build_basis(space.pu, rotated_spectra, space.counts),
         channel_problem.u_ref,
-        channel_problem.norm_cache("exact"),
+        channel_problem.dual_norms,
     )
     cfg = MarkingConfig(theta=0.5, s=1, m_enrich=2, max_iterations=12, dof_cap=100_000)
     for strategy in adapt.STRATEGIES:
@@ -279,21 +277,37 @@ def _record_calls(monkeypatch, owner, name):
 
 
 def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypatch):
-    # the offline snapshots and both dual-norm caches solve with one stacked
-    # banded factor of every zero-trace operator; the one other factorization
-    # of a problem is the fine reference's, a banded Cholesky of the free block
+    # in both modes the offline snapshots solve with one stacked banded factor
+    # of every zero-trace operator, which the exact dual norms keep and the
+    # snapshot norms take their zero-trace parts from; the one other
+    # factorization of a problem is the fine reference's, a banded Cholesky
+    # of the free block
     banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
     pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
     splu = _record_calls(monkeypatch, scipy.sparse.linalg, "splu")
     f_density, g_density = benchmark_densities(grid44)
-    problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
-    problem.norm_cache("exact")
-    problem.norm_cache("snapshot")
-    interior = [len(ids) for ids in problem.space.neighborhoods.interior_vertices]
-    assert [shape[1] for shape in banded] == [sum(interior)]
-    # upper band of the free block in natural order: half-bandwidth nf
-    assert pbtrf == [(grid44.nf + 1, (grid44.nf - 1) ** 2)]
+    for mode in indicators.DUAL_NORM_MODES:
+        banded.clear()
+        pbtrf.clear()
+        problem = adapt.build_problem(
+            grid44, unit_field44, f_density, g_density, dual_norm_mode=mode
+        )
+        assert problem.dual_norms.mode == mode
+        interior = [len(ids) for ids in problem.space.neighborhoods.interior_vertices]
+        assert [shape[1] for shape in banded] == [sum(interior)], mode
+        # upper band of the free block in natural order: half-bandwidth nf
+        assert pbtrf == [(grid44.nf + 1, (grid44.nf - 1) ** 2)], mode
     assert splu == []
+
+
+def test_build_problem_rejects_unknown_dual_norm_mode(grid44, unit_field44, monkeypatch):
+    # the mode is checked before any offline work
+    neighborhoods = _record_calls(monkeypatch, mesh, "all_neighborhoods")
+    stiffness = _record_calls(monkeypatch, fine_fem, "assemble_stiffness")
+    f_density, g_density = benchmark_densities(grid44)
+    with pytest.raises(ValueError, match="unknown dual norm mode 'cheap'"):
+        adapt.build_problem(grid44, unit_field44, f_density, g_density, dual_norm_mode="cheap")
+    assert neighborhoods == [] and stiffness == []
 
 
 def test_no_solve_takes_a_sparse_factorization(grid44, unit_field44, monkeypatch):
@@ -314,8 +328,9 @@ def test_no_solve_takes_a_sparse_factorization(grid44, unit_field44, monkeypatch
 
 
 def test_problem_drops_the_patch_matrices(grid44, unit_field44, monkeypatch):
-    # build_problem and the snapshot cache each assemble the patch matrices of
-    # all neighborhoods in one call and hold none of them afterwards
+    # build_problem assembles the patch stiffness and weighted mass of all
+    # neighborhoods in one call each, the snapshot dual norms included, and
+    # holds neither afterwards
     made = []
 
     def recorded(original):
@@ -329,19 +344,23 @@ def test_problem_drops_the_patch_matrices(grid44, unit_field44, monkeypatch):
     for name in ("patch_stiffness", "patch_weighted_mass"):
         monkeypatch.setattr(fine_fem, name, recorded(getattr(fine_fem, name)))
     f_density, g_density = benchmark_densities(grid44)
-    problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
-    problem.norm_cache("snapshot")
+    problem = adapt.build_problem(
+        grid44, unit_field44, f_density, g_density, dual_norm_mode="snapshot"
+    )
+    assert problem.dual_norms.mode == "snapshot"
     gc.collect()
-    assert len(made) == 3
+    assert len(made) == 2
     assert all(ref() is None for pair in made for ref in pair)
 
 
 def test_problem_holds_no_snapshots_or_eigenvectors():
-    # build_problem fills the candidates one neighborhood at a time and drops
-    # each snapshot block; a recomputation with every block kept is the oracle
+    # build_problem fills the candidates, and in snapshot mode the zero-trace
+    # parts, one neighborhood at a time and drops each snapshot block; a
+    # recomputation with every block kept is the oracle
     grid = mesh.GridHierarchy(5, 4)
     field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
-    problem = adapt.build_problem(grid, field, *benchmark_densities(grid))
+    densities = benchmark_densities(grid)
+    problem = adapt.build_problem(grid, field, *densities, dual_norm_mode="snapshot")
     spectra = problem.space.spectra
     assert all(s.snapshots is None and s.eigenvectors is None for s in spectra)
 
@@ -351,13 +370,15 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     assert np.array_equal(problem.space.candidates, expected)
     assert np.array_equal(problem.space.eigenvalues, [s.eigenvalues for s in data["spectra"]])
 
-    cache = problem.norm_cache("snapshot")
+    cache = problem.dual_norms
+    interior = problem.space.neighborhoods.interior
+    parts = np.stack([s.snapshots[interior] for s in data["spectra"]])
+    assert np.array_equal(cache._T, parts)
     oracle = indicators.ResidualNormCache(
         fine_fem.patch_stiffness(grid, field, problem.space.neighborhoods),
         mode="snapshot",
-        snapshots=[s.snapshots for s in data["spectra"]],
+        zero_trace_parts=parts,
     )
-    assert np.array_equal(cache._T, oracle._T)
     assert np.array_equal(cache._pinv, oracle._pinv)
 
 
@@ -388,9 +409,7 @@ def test_loop_annotates_solver_failures(small_problem):
     space = small_problem.space.extended(1)
     candidates = [c.copy() for c in space.candidates]
     candidates[2][:, 1] = candidates[2][:, 0]  # duplicated basis function
-    broken_space = ms_space.OfflineSpace(
-        space.grid, space.neighborhoods, space.pu, space.spectra, candidates, space.counts
-    )
+    broken_space = ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
     broken = adapt.ProblemSetup(
         small_problem.grid,
         small_problem.field,
@@ -399,7 +418,7 @@ def test_loop_annotates_solver_failures(small_problem):
         small_problem.g_load,
         broken_space,
         small_problem.u_ref,
-        small_problem.norm_cache("exact"),
+        small_problem.dual_norms,
     )
     with pytest.raises(adapt.AdaptFailure, match="standard iteration 0"):
         adapt.adapt_loop(broken, "standard", MarkingConfig(max_iterations=2))
@@ -410,9 +429,12 @@ def test_loop_dwr_requires_m(small_problem):
         adapt.adapt_loop(small_problem, "goal_dwr", MarkingConfig(m_enrich=0, max_iterations=1))
 
 
-def test_loop_snapshot_norm_mode_runs(small_problem):
-    cfg = MarkingConfig(max_iterations=3, dual_norm_mode="snapshot")
-    trace = adapt.adapt_loop(small_problem, "goal_h1", cfg)
+def test_loop_snapshot_norm_mode_runs(grid44, unit_field44):
+    f_density, g_density = benchmark_densities(grid44)
+    problem = adapt.build_problem(
+        grid44, unit_field44, f_density, g_density, dual_norm_mode="snapshot"
+    )
+    trace = adapt.adapt_loop(problem, "goal_h1", MarkingConfig(max_iterations=3))
     assert len(trace.rows) == 3
     assert np.all(np.diff(trace.column("energy_error")) <= 1e-12)
 
@@ -474,7 +496,8 @@ def _assert_unchanged(obj, attributes):
 
 def test_online_objects_are_complete_at_construction(grid44, unit_field44):
     # a coarse system is factored, a grid holds its cell table and a problem
-    # its Galerkin store from construction on: using them changes no attribute
+    # its Galerkin store and dual-norm cache, in either mode, from
+    # construction on: using them changes no attribute
     grid = mesh.GridHierarchy(4, 4)
     attributes = dict(vars(grid))
     grid.cell_vertex_table()
@@ -487,12 +510,16 @@ def test_online_objects_are_complete_at_construction(grid44, unit_field44):
     coarse_solve.solve_dual(system, problem.g_load)
     _assert_unchanged(system, attributes)
 
-    store = problem.galerkin_store
-    attributes = dict(vars(problem))
-    for strategy in adapt.STRATEGIES:
-        adapt.adapt_loop(problem, strategy, MarkingConfig(max_iterations=3))
-        assert problem.galerkin_store is store, strategy
-    _assert_unchanged(problem, attributes)
+    snapshot = adapt.build_problem(
+        grid44, unit_field44, *benchmark_densities(grid44), dual_norm_mode="snapshot"
+    )
+    for problem in (problem, snapshot):
+        store = problem.galerkin_store
+        attributes = dict(vars(problem))
+        for strategy in adapt.STRATEGIES:
+            adapt.adapt_loop(problem, strategy, MarkingConfig(max_iterations=3))
+            assert problem.galerkin_store is store, strategy
+        _assert_unchanged(problem, attributes)
 
 
 def test_trace_csv_schema_and_determinism(tmp_path, small_problem):

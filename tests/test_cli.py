@@ -9,7 +9,7 @@ import pytest
 import scipy.ndimage
 
 import gmsfem
-from gmsfem import cli, mesh
+from gmsfem import adapt, cli, mesh
 from gmsfem.adapt import STRATEGIES, MarkingConfig
 from gmsfem.cli import ExperimentConfig
 
@@ -210,6 +210,8 @@ def test_experiment_config_validation():
         ExperimentConfig(goal_scale="average")
     with pytest.raises(ValueError):
         ExperimentConfig(initial_count=0)
+    with pytest.raises(ValueError, match="unknown dual norm mode 'cheap'"):
+        ExperimentConfig(dual_norm_mode="cheap")
 
 
 @pytest.mark.parametrize(
@@ -236,6 +238,21 @@ def test_experiment_config_accepts_numpy_integers():
 def test_strategy_list_must_be_nonempty_without_repeats(strategies, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(strategies=strategies)
+
+
+def test_dual_norm_mode_is_handed_to_build_problem(tmp_path, monkeypatch):
+    modes = []
+
+    def recorded(*args, **kwargs):
+        problem = adapt.build_problem(*args, **kwargs)
+        modes.append(problem.dual_norms.mode)
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", recorded)
+    for mode in ({}, {"dual_norm_mode": "snapshot"}):
+        config = _tiny_config(tmp_path / str(len(modes)), strategies=["standard"], **mode)
+        cli.run_experiment(config, verbose=False)
+    assert modes == ["exact", "snapshot"]
 
 
 def test_loop_defaults_are_marking_config_defaults():

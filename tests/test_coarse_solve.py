@@ -98,13 +98,21 @@ def test_rank_deficiency_reports_offending_pair(grid44, unit_field44, unit_offli
     doctored = space.with_counts(counts)
     candidates = [c.copy() for c in doctored.candidates]
     candidates[0][:, 1] = candidates[0][:, 0]  # duplicate basis function
-    broken = ms_space.OfflineSpace(
-        doctored.grid, doctored.neighborhoods, doctored.pu, doctored.spectra, candidates, counts
-    )
+    broken = ms_space.OfflineSpace(doctored.pu, doctored.spectra, candidates, counts)
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     with pytest.raises(RankDeficientBasis) as err:
         coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
     assert err.value.columns == (0, 1)
+
+
+def test_zero_candidate_column_is_rejected(grid44, unit_field44, unit_offline44):
+    space = _hat_space(unit_offline44)
+    candidates = space.candidates.copy()
+    candidates[2][:, 0] = 0.0  # a basis function of zero energy
+    broken = ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
+    A = fine_fem.assemble_stiffness(grid44, unit_field44)
+    with pytest.raises(RankDeficientBasis, match="nonpositive diagonal entry"):
+        coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
 
 
 def test_solve_residual_contract(channel_problem):
@@ -148,9 +156,7 @@ def test_duplicated_basis_column_is_rejected(channel_problem, nb):
     space = channel_problem.space.extended(3)
     candidates = [c.copy() for c in space.candidates]
     candidates[nb][:, 2] = candidates[nb][:, 0]
-    broken = ms_space.OfflineSpace(
-        space.grid, space.neighborhoods, space.pu, space.spectra, candidates, space.counts
-    )
+    broken = ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
     with pytest.raises(RankDeficientBasis) as err:
         coarse_solve.assemble_coarse(broken, channel_problem.stiffness, channel_problem.f_load)
     start = int(space.offsets[nb])

@@ -52,31 +52,33 @@ def test_local_residual_vanishes_for_fine_reference(channel_state):
 def test_dual_norm_zero_and_homogeneity(channel_state):
     problem = channel_state["problem"]
     interior = problem.space.neighborhoods.interior_vertices[40]
-    cache = problem.norm_cache("exact")
+    cache = problem.dual_norms
     assert cache.norm(40, np.zeros(len(interior))) == 0.0
     rho = channel_state["rho_u"][interior]
     base = cache.norm(40, rho)
     assert cache.norm(40, -3.0 * rho) == pytest.approx(3.0 * base, rel=1e-12)
 
 
-def test_snapshot_norm_below_exact(channel_state):
+def test_snapshot_norm_below_exact(channel_state, channel_problem_snapshot):
     problem = channel_state["problem"]
     rho = channel_state["rho_u"]
-    exact = problem.norm_cache("exact")
-    snap = problem.norm_cache("snapshot")
+    exact = problem.dual_norms
+    snap = channel_problem_snapshot.dual_norms
     for i in (0, 27, 55, 80):
         rho_i = rho[problem.space.neighborhoods.interior_vertices[i]]
         assert snap.norm(i, rho_i) <= exact.norm(i, rho_i) + 1e-10
 
 
-def test_norm_cache_matches_dense_reference(channel_state, channel_offline):
+def test_norm_cache_matches_dense_reference(
+    channel_state, channel_offline, channel_problem_snapshot
+):
     # reference: the auxiliary problem a(w, v) = R(v) solved densely on the
     # zero-trace space (exact) or in the snapshots' zero-trace span (snapshot)
     problem = channel_state["problem"]
     A = problem.stiffness
     rho = channel_state["rho_u"]
-    for mode in ("exact", "snapshot"):
-        cache = problem.norm_cache(mode)
+    for cache in (problem.dual_norms, channel_problem_snapshot.dual_norms):
+        mode = cache.mode
         for i in (3, 44):
             neighborhoods = problem.space.neighborhoods
             rho_i = rho[neighborhoods.interior_vertices[i]]
@@ -94,9 +96,11 @@ def test_norm_cache_matches_dense_reference(channel_state, channel_offline):
             assert cached == pytest.approx(reference, rel=1e-10, abs=1e-14)
 
 
-def test_norm_cache_built_once_per_mode(channel_problem):
-    assert channel_problem.norm_cache("exact") is channel_problem.norm_cache("exact")
-    assert channel_problem.norm_cache("exact").mode == "exact"
+def test_problem_holds_the_cache_of_its_mode(channel_problem, channel_problem_snapshot):
+    assert channel_problem.dual_norms.mode == "exact"
+    assert channel_problem_snapshot.dual_norms.mode == "snapshot"
+    assert not hasattr(channel_problem.dual_norms, "_T")
+    assert not hasattr(channel_problem_snapshot.dual_norms, "_factor")
 
 
 def test_dual_norm_rejects_unknown_mode(channel_state):
@@ -106,6 +110,8 @@ def test_dual_norm_rejects_unknown_mode(channel_state):
         indicators.ResidualNormCache(patch_A, mode="approximate")
     with pytest.raises(ValueError):
         indicators.ResidualNormCache(patch_A, mode="snapshot")
+    with pytest.raises(ValueError, match=r"must be \(N, m, L\), got shape \(2, 3, 4\)"):
+        indicators.ResidualNormCache(patch_A, mode="snapshot", zero_trace_parts=np.ones((2, 3, 4)))
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +130,7 @@ def test_stacked_norms_match_dense_oracle(high_contrast_residual):
     # with residuals in extended precision.  The float64 dense solve alone is
     # 3e-11 off the refined value here; the banded factor is within 1.2e-11.
     problem, rho = high_contrast_residual
-    norms = problem.norm_cache("exact").norms(rho)
+    norms = problem.dual_norms.norms(rho)
     assert norms.shape == (len(problem.space.neighborhoods),)
     for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
         r = rho[interior]
@@ -138,7 +144,7 @@ def test_stacked_norms_match_dense_oracle(high_contrast_residual):
 
 def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual):
     problem, rho = high_contrast_residual
-    cache = problem.norm_cache("exact")
+    cache = problem.dual_norms
     norms = cache.norms(rho)
     for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
         assert cache.norm(i, rho[interior]) == pytest.approx(
@@ -152,7 +158,7 @@ def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual):
 
 def _norms(state, rho):
     problem = state["problem"]
-    cache = problem.norm_cache("exact")
+    cache = problem.dual_norms
     interiors = problem.space.neighborhoods.interior_vertices
     return np.array([cache.norm(i, rho[ids]) for i, ids in enumerate(interiors)])
 
@@ -171,9 +177,7 @@ def test_eta_standard_weights_and_saturation(channel_state):
         )
         for s in space.spectra
     ]
-    space2 = ms_space.OfflineSpace(
-        space.grid, space.neighborhoods, space.pu, doubled, space.candidates, space.counts
-    )
+    space2 = ms_space.OfflineSpace(space.pu, doubled, space.candidates, space.counts)
     report2 = indicators.eta_standard(space2, norms)
     assert np.allclose(report2.eta_sq, 0.5 * report.eta_sq, rtol=1e-12)
     assert np.array_equal(np.argsort(report2.eta_sq), np.argsort(report.eta_sq))
@@ -252,6 +256,19 @@ def test_eta_dwr_signed_sum_identity(channel_state):
     pi_z = truncate_solution(z_enrich, space.counts)
     global_value = float(rho @ (z_enrich.fine - pi_z.fine))
     assert report.signed.sum() == pytest.approx(global_value, rel=1e-9)
+
+
+def test_eta_dwr_skips_neighborhoods_without_added_band(channel_state):
+    # a dual space enriched on neighborhoods 0 and 4 only: every other
+    # neighborhood has no added band and takes a zero pairing
+    problem = channel_state["problem"]
+    space = channel_state["space"]
+    enriched = ms_space.enrich(space, [0, 4], 1)
+    system = coarse_solve.assemble_coarse(enriched, problem.stiffness, problem.f_load)
+    z = coarse_solve.solve_dual(system, problem.g_load)
+    report = indicators.eta_dwr(space, channel_state["rho_u"], z)
+    assert np.flatnonzero(report.signed).tolist() == [0, 4]
+    assert np.array_equal(report.eta_sq, np.abs(report.signed))
 
 
 def test_eta_dwr_requires_enrichment(channel_state):

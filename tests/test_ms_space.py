@@ -382,6 +382,29 @@ def test_extended_rejects_negative_width(unit_offline44):
         _space_from(unit_offline44).extended(-1)
 
 
+def test_with_counts_rejects_fractional_counts(unit_offline44):
+    space = _space_from(unit_offline44)
+    with pytest.raises(ValueError, match="basis counts must be integers, got dtype float64"):
+        space.with_counts(np.full(space.n_neighborhoods, 1.7))
+
+
+def test_extended_rejects_fractional_width(unit_offline44):
+    with pytest.raises(ValueError, match="extension width must be an integer, got 1.5"):
+        _space_from(unit_offline44).extended(1.5)
+
+
+def test_enrich_rejects_fractional_width(unit_offline44):
+    with pytest.raises(ValueError, match="enrichment width s must be an integer, got 1.5"):
+        ms_space.enrich(_space_from(unit_offline44), [0], 1.5)
+
+
+def test_enrich_rejects_boolean_mask(unit_offline44):
+    space = _space_from(unit_offline44)
+    mask = np.arange(space.n_neighborhoods) == 5
+    with pytest.raises(ValueError, match="not a boolean mask"):
+        ms_space.enrich(space, mask)
+
+
 def test_enrich_empty_marked_is_identity(unit_offline44):
     space = _space_from(unit_offline44)
     enriched = ms_space.enrich(space, np.empty(0, dtype=int), s=1)
@@ -497,14 +520,10 @@ def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
         ms_space.build_basis(data["pu"], spectra, space.counts)
     candidates = list(space.candidates)
     with pytest.raises(ValueError, match="neighborhood 3 has"):
-        ms_space.OfflineSpace(
-            space.grid, space.neighborhoods, space.pu, spectra, candidates, space.counts
-        )
+        ms_space.OfflineSpace(space.pu, spectra, candidates, space.counts)
     candidates[3] = candidates[3][:, :-1]
     with pytest.raises(ValueError, match="neighborhood 3 has"):
-        ms_space.OfflineSpace(
-            space.grid, space.neighborhoods, space.pu, space.spectra, candidates, space.counts
-        )
+        ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
 
 
 def test_enrichment_nests_columns(unit_offline44):
