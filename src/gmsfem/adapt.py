@@ -174,7 +174,11 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     the snapshot cache is built from it once the exact factor and the patch
     mass are released, so nothing is assembled or solved twice.
     """
-    if not isinstance(initial_count, numbers.Integral) or initial_count < 1:
+    if (
+        isinstance(initial_count, bool)
+        or not isinstance(initial_count, numbers.Integral)
+        or initial_count < 1
+    ):
         raise ValueError(f"initial_count must be an integer >= 1, got {initial_count!r}")
     if dual_norm_mode not in indicators.DUAL_NORM_MODES:
         raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
@@ -215,7 +219,8 @@ def adapt_loop(problem, strategy, cfg):
     """Iterate solve -> indicators -> mark -> enrich for one strategy.
 
     The indicators never consume the fine reference; it only feeds the trace's
-    energy and goal error columns.
+    energy and goal error columns.  Each coarse system is dropped after its
+    last solve, so at most one is alive at a time.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -230,12 +235,14 @@ def adapt_loop(problem, strategy, cfg):
         try:
             system = coarse_solve.assemble_coarse(space, A, problem.f_load, store)
             u_ms = coarse_solve.solve_primal(system)
+            if strategy == "goal_h1":
+                z_ms = coarse_solve.solve_dual(system, problem.g_load)
+            del system
             rho_u = indicators.fine_residual(A, problem.f_load, u_ms.fine)
 
             if strategy == "standard":
                 report = indicators.eta_standard(space, dual_norms.norms(rho_u), iteration)
             elif strategy == "goal_h1":
-                z_ms = coarse_solve.solve_dual(system, problem.g_load)
                 rho_z = indicators.fine_residual(A, problem.g_load, z_ms.fine)
                 report = indicators.eta_goal_h1(
                     space, dual_norms.norms(rho_u), dual_norms.norms(rho_z), iteration
@@ -245,6 +252,7 @@ def adapt_loop(problem, strategy, cfg):
                     space.extended(cfg.m_enrich), A, problem.f_load, store
                 )
                 z_enrich = coarse_solve.solve_dual(enriched_system, problem.g_load)
+                del enriched_system
                 report = indicators.eta_dwr(space, rho_u, z_enrich, iteration)
         except (fine_fem.SolveFailure, coarse_solve.RankDeficientBasis) as exc:
             raise AdaptFailure(

@@ -140,6 +140,9 @@ class GalerkinStore:
     basis matrix forms it, so each selection is bitwise equal to that
     one-shot R'AR.  Both halves of G come from such products: R'AR is not
     bitwise symmetric, so neither is filled in by transposing the other.
+    A basis column stores only its patch interior
+    (OfflineSpace.basis_columns), so the rim zeros of chi_i add no term to
+    these sums; its column of A R still covers the whole patch.
     """
 
     def __init__(self, space, A, b):

@@ -127,6 +127,8 @@ class ResidualNormCache:
     def solve(self, i, rhs):
         """Solve neighborhood i's zero-trace system for one or more right-hand
         sides (exact mode only)."""
+        if self.mode != "exact":
+            raise ValueError("only an exact-mode cache can solve; this one is in snapshot mode")
         m = self._block
         block = self._factor[:, i * m : (i + 1) * m]
         return scipy.linalg.cho_solve_banded((block, False), rhs, check_finite=False)
@@ -202,22 +204,28 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
     ``residual`` is the global fine residual vector of the current primal
     solution; ``z_enrich`` the dual solution in the extended space.  The
     indicator is the absolute pairing; the signed values are kept on the
-    report for the global sum identity.
+    report for the global sum identity.  Each pairing is a dot product over
+    the whole patch: the excess, held on the patch interior (see
+    ms_space.OfflineSpace), is scattered into a zeroed patch vector first,
+    since a dot over the interior rows alone sums in another order and
+    changes the bits of the pairing.
     """
     enriched = z_enrich.space
     if np.all(enriched.counts <= space.counts):
         raise ValueError("DWR indicator needs an enriched dual space (m >= 1)")
+    neighborhoods = space.neighborhoods
     # a Python loop: the added bands have ragged widths, and each pairing is
     # summed in the order that fixes goal_dwr's marking
     signed = np.zeros(space.n_neighborhoods)
+    excess = np.zeros(neighborhoods.vertices.shape[1])
     for i in range(space.n_neighborhoods):
         l_i = int(space.counts[i])
         l_e = int(enriched.counts[i])
         if l_e <= l_i:
             continue
         coeffs = z_enrich.component_coefficients(i)[l_i:l_e]
-        excess = enriched.candidates[i][:, l_i:l_e] @ coeffs
-        signed[i] = float(residual[space.neighborhoods.vertices[i]] @ excess)
+        excess[neighborhoods.interior] = enriched.candidates[i][:, l_i:l_e] @ coeffs
+        signed[i] = float(residual[neighborhoods.vertices[i]] @ excess)
     return _report("goal_dwr", space, np.abs(signed), iteration, signed=signed)
 
 

@@ -10,8 +10,8 @@ __all__ = [
 
 
 def _check_integer(name, value):
-    """``value`` as an int if it is an integer (numpy's included)."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int if it is an integer (numpy's included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

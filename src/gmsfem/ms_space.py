@@ -18,12 +18,13 @@ The offline pipeline per neighborhood omega_i is
   4. the generalized eigenproblem A_off Psi = lambda S_off Psi in snapshot
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
-     eigenvalue (build_basis).  Each neighborhood fills its block of the
-     candidate array as soon as its eigensolve returns; its snapshots and
-     eigenvectors are then dropped, so the offline stage holds at most one
-     snapshot block and the space keeps only the eigenvalues.  All patches
-     are translates of one block,
-     whose layout mesh.Neighborhoods holds once (its rim has L = 8r
+     eigenvalue (build_basis).  chi_i vanishes on the patch rim, so only
+     the m = (2r-1)^2 patch interior rows of each candidate are stored.
+     Each neighborhood fills its block of the candidate array as soon as
+     its eigensolve returns; its snapshots and eigenvectors are then
+     dropped, so the offline stage holds at most one snapshot block and the
+     space keeps only the eigenvalues.  All patches are translates of one
+     block, whose layout mesh.Neighborhoods holds once (its rim has L = 8r
      vertices), so candidate k of neighborhood i is entry (i, k) of one
      N x L grid, and an OfflineSpace is the mask k < counts[i] on it.
      Enrichment and extension only ever stop a count at a cluster boundary:
@@ -261,8 +262,11 @@ def _stacked(arrays, L, what):
 class OfflineSpace:
     """Global multiscale space: the mask k < counts[i] on the N x L candidate grid.
 
-    ``candidates[i, :, k]`` is candidate k of neighborhood i as a patch-local
-    column (chi_i times an eigenvector representative), ``eigenvalues[i, k]``
+    ``candidates[i, :, k]`` is candidate k of neighborhood i (chi_i times an
+    eigenvector representative) on the patch interior: the (N, m, L) array
+    holds the m rows ``neighborhoods.interior``, at the fine vertex ids
+    ``neighborhoods.interior_vertices[i]``, and leaves out the rim, where
+    chi_i vanishes.  ``eigenvalues[i, k]``
     its eigenvalue, and ``cluster_ends[i, c]`` the smallest count >= c that
     does not split a cluster of tied eigenvalues (see CLUSTER_TOL).  Global
     columns are the selected candidates in ascending number i * L + k, so
@@ -317,13 +321,14 @@ class OfflineSpace:
         """Sparse CSC matrix of the candidates start[i] <= k < stop[i] of every
         neighborhood, one column each in ascending candidate number.
 
-        Each column stores its whole patch, in ascending vertex order and
-        including the zeros of chi_i on the patch rim.
+        Each column stores the interior vertices of its patch in ascending
+        order; the rim, where chi_i vanishes, is left out.
         """
         i, k = np.divmod(self.candidate_numbers(stop, start), self.n_candidates)
         indptr = np.arange(len(i) + 1) * self.candidates.shape[1]
+        rows = self.neighborhoods.interior_vertices[i]
         return sparse.csc_matrix(
-            (self.candidates[i, :, k].ravel(), self.neighborhoods.vertices[i].ravel(), indptr),
+            (self.candidates[i, :, k].ravel(), rows.ravel(), indptr),
             shape=(self.grid.n_vertices, len(i)),
         )
 
@@ -354,22 +359,23 @@ def build_basis(pu, spectra, counts):
     """Assemble the offline space chi_i * psi_k^off for the given counts.
 
     ``spectra`` yields the N neighborhood spectra in order, each with its
-    snapshots and eigenvectors.  Each fills its block of the candidate array
-    as it arrives and is then dropped; the space keeps its eigenvalues only.
+    snapshots and eigenvectors.  Each fills its block of the candidate array,
+    the patch interior rows of chi_i * (snapshots @ eigenvectors), as it
+    arrives and is then dropped; the space keeps its eigenvalues only.
     Given a generator that computes one spectrum per step, as build_problem
     passes, at most one snapshot block is alive at a time.
     """
     neighborhoods = pu.neighborhoods
-    L = len(neighborhoods.rim)
-    candidates = np.empty((len(neighborhoods), pu.patches.shape[1], L))
+    interior, L = neighborhoods.interior, len(neighborhoods.rim)
+    candidates = np.empty((len(neighborhoods), len(interior), L))
     held = []
     for spectrum in spectra:
         i = len(held)  # not enumerate, whose reused result tuple would keep the block alive
         lam = spectrum.eigenvalues
         if len(lam) != L:
             raise ValueError(f"neighborhood {i} has {len(lam)} eigenvalues, not L = {L}")
-        chi = pu.patches[i][:, None]
-        np.multiply(chi, spectrum.snapshots @ spectrum.eigenvectors, out=candidates[i])
+        chi = pu.patches[i][interior, None]
+        np.multiply(chi, spectrum.snapshots[interior] @ spectrum.eigenvectors, out=candidates[i])
         held.append(NeighborhoodSpectrum(spectrum.vertex_id, None, lam, None, spectrum.jitter))
         del spectrum  # free the block before the next spectrum is computed
     if len(held) != len(neighborhoods):

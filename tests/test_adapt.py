@@ -65,6 +65,8 @@ def test_marking_config_validation():
         ("m_enrich", 1.5, "m_enrich must be an integer, got 1.5"),
         ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
         ("dof_cap", 2000.5, "dof_cap must be an integer, got 2000.5"),
+        ("s", True, "s must be an integer, got True"),
+        ("max_iterations", True, "max_iterations must be an integer, got True"),
         ("theta", "0.5", "theta must be a real number, got '0.5'"),
         ("goal_tol", "1e-3", "goal_tol must be a real number, got '1e-3'"),
     ],
@@ -78,6 +80,8 @@ def test_marking_config_validation():
         "m_enrich-fraction",
         "max_iterations-fraction",
         "dof_cap-fraction",
+        "s-bool",
+        "max_iterations-bool",
         "theta-string",
         "goal_tol-string",
     ],
@@ -88,7 +92,7 @@ def test_marking_config_rejects_bad_stop_values(field, value, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("count", [0, 1.5])
+@pytest.mark.parametrize("count", [0, 1.5, True])
 def test_build_problem_rejects_bad_initial_count(grid44, unit_field44, count):
     with pytest.raises(ValueError) as excinfo:
         adapt.build_problem(grid44, unit_field44, *benchmark_densities(grid44), initial_count=count)
@@ -367,11 +371,12 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     data = _offline(grid, field)
     pairs = zip(data["pu"].patches, data["spectra"])
     expected = np.stack([chi[:, None] * (s.snapshots @ s.eigenvectors) for chi, s in pairs])
-    assert np.array_equal(problem.space.candidates, expected)
+    interior, rim = problem.space.neighborhoods.interior, problem.space.neighborhoods.rim
+    assert np.array_equal(problem.space.candidates, expected[:, interior])
+    assert np.all(expected[:, rim] == 0.0)
     assert np.array_equal(problem.space.eigenvalues, [s.eigenvalues for s in data["spectra"]])
 
     cache = problem.dual_norms
-    interior = problem.space.neighborhoods.interior
     parts = np.stack([s.snapshots[interior] for s in data["spectra"]])
     assert np.array_equal(cache._T, parts)
     oracle = indicators.ResidualNormCache(
@@ -380,6 +385,26 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
         zero_trace_parts=parts,
     )
     assert np.array_equal(cache._pinv, oracle._pinv)
+
+
+def test_loop_frees_each_coarse_system_before_the_next(small_problem, monkeypatch):
+    # a system holds its basis, its matrix and its band factor: no earlier
+    # one may be alive when the next is built, in any strategy
+    alive, seen = weakref.WeakSet(), []
+
+    class Tracked(coarse_solve.CoarseSystem):
+        def __init__(self, *args):
+            seen.append(len(alive))
+            alive.add(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(coarse_solve, "CoarseSystem", Tracked)
+    cfg = MarkingConfig(max_iterations=3)
+    for strategy in adapt.STRATEGIES:
+        trace = adapt.adapt_loop(small_problem, strategy, cfg)
+        assert len(trace.rows) == 3
+    assert len(seen) == 3 + 3 + 2 * 3
+    assert seen == [0] * len(seen)
 
 
 def test_loop_stop_conditions(small_problem):

@@ -65,7 +65,7 @@ def test_hat_space_reduces_to_coarse_q1(grid44, unit_field44, unit_offline44):
     for i in range(space.n_neighborhoods):
         ci, cj = interior_vertex_position(grid44, i)
         center = grid44.vertex_id(ci * grid44.r, cj * grid44.r)
-        scale[i] = space.candidates[i][space.neighborhoods.vertices[i] == center, 0][0]
+        scale[i] = space.candidates[i][space.neighborhoods.interior_vertices[i] == center, 0][0]
     oracle = _coarse_q1_stiffness(grid44.nc) * np.outer(scale, scale)
     assert np.abs(system.matrix - oracle).max() < 1e-10
 
@@ -262,7 +262,7 @@ def test_components_sum_to_solution(small_problem):
     system = coarse_solve.assemble_coarse(space, small_problem.stiffness, small_problem.f_load)
     u = coarse_solve.solve_primal(system)
     total = np.zeros(space.grid.n_vertices)
-    for i, vertices in enumerate(space.neighborhoods.vertices):
+    for i, vertices in enumerate(space.neighborhoods.interior_vertices):
         for k, c in enumerate(u.component_coefficients(i)):
             total[vertices] += c * space.candidates[i][:, k]
     assert np.abs(total - u.fine).max() < 1e-12 * max(1.0, np.abs(u.fine).max())

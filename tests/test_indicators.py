@@ -103,6 +103,12 @@ def test_problem_holds_the_cache_of_its_mode(channel_problem, channel_problem_sn
     assert not hasattr(channel_problem_snapshot.dual_norms, "_factor")
 
 
+def test_snapshot_cache_cannot_solve(channel_problem_snapshot):
+    cache = channel_problem_snapshot.dual_norms
+    with pytest.raises(ValueError, match="only an exact-mode cache can solve"):
+        cache.solve(0, np.ones(cache._block))
+
+
 def test_dual_norm_rejects_unknown_mode(channel_state):
     problem = channel_state["problem"]
     patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
