@@ -3,7 +3,6 @@
 import numbers
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
 import numpy as np
 
@@ -141,14 +140,15 @@ class ProblemSetup:
     Offline data (partition of unity, spectra, initial space; the snapshots
     are not kept), the global stiffness, load vectors of the source and the
     goal, ``dual_norms``, the ResidualNormCache of the problem's one
-    dual-norm mode, the fine reference solution used only for trace error
-    reporting, and ``galerkin_store``, the GalerkinStore of the stiffness and
-    the source load, which every strategy run on this problem selects from
-    and grows.  That growth is the only state added after construction.
+    dual-norm mode, the fine reference solution, which gives the trace's
+    error columns and the loop's goal_tol stop, and ``galerkin_store``, the
+    GalerkinStore of the stiffness and the source load, which every strategy
+    run on this problem selects from and grows.  That growth is the only
+    state added after construction.  The grid is that of the space.
     """
 
-    def __init__(self, grid, field, stiffness, f_load, g_load, space, u_ref, dual_norms):
-        self.grid = grid
+    def __init__(self, field, stiffness, f_load, g_load, space, u_ref, dual_norms):
+        self.grid = space.grid
         self.field = field
         self.stiffness = stiffness
         self.f_load = f_load
@@ -163,10 +163,12 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     """Run the fine reference solve and the offline pipeline for one problem.
 
     The fine reference is solved first, so its banded factor is freed before
-    the candidate array exists.  The patch stiffness and weighted mass of all
-    neighborhoods are assembled in one batched call each and dropped when
-    this returns; the patch stiffness comes first, as the exact dual-norm
-    cache is built from it, and that cache's factor solves the snapshots.
+    the candidate array exists.  The partition of unity comes next, and its
+    neighborhoods are the problem's one patch layout.  The patch stiffness
+    and weighted mass of all neighborhoods are assembled in one batched call
+    each and dropped when this returns; the patch stiffness comes first, as
+    the exact dual-norm cache is built from it, and that cache's factor
+    solves the snapshots.
     Each neighborhood starts with ``initial_count`` eigenfunctions (clipped
     at L), rounded up to the end of a cluster of tied eigenvalues.  The
     problem's ``dual_norms`` are of ``dual_norm_mode``: in snapshot mode the
@@ -182,15 +184,15 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
         raise ValueError(f"initial_count must be an integer >= 1, got {initial_count!r}")
     if dual_norm_mode not in indicators.DUAL_NORM_MODES:
         raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
-    neighborhoods = mesh.all_neighborhoods(grid)
     stiffness = fine_fem.assemble_stiffness(grid, field)
     f_load = fine_fem.assemble_load(grid, f_density)
     g_load = fine_fem.assemble_load(grid, g_density)
     u_ref = fine_fem.solve_dirichlet(stiffness, f_load, grid.boundary_vertex_ids())
 
+    pu = ms_space.compute_partition_of_unity(grid, field)
+    neighborhoods = pu.neighborhoods
     patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
     dual_norms = indicators.ResidualNormCache(patch_A)  # exact: its factor solves the snapshots
-    pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
     if dual_norm_mode == "snapshot":
@@ -198,7 +200,7 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
 
     def spectrum(i):
         # one call per neighborhood: the benchmark's tracer wraps and counts each
-        snapshots = ms_space.compute_snapshots(patch_A, i, partial(dual_norms.solve, i))
+        snapshots = ms_space.compute_snapshots(patch_A, i, dual_norms)
         if dual_norm_mode == "snapshot":
             parts[i] = snapshots[neighborhoods.interior]
         return ms_space.local_spectral_decomposition(
@@ -212,15 +214,16 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     if dual_norm_mode == "snapshot":
         del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
         dual_norms = indicators.ResidualNormCache(patch_A, "snapshot", zero_trace_parts=parts)
-    return ProblemSetup(grid, field, stiffness, f_load, g_load, space, u_ref, dual_norms)
+    return ProblemSetup(field, stiffness, f_load, g_load, space, u_ref, dual_norms)
 
 
 def adapt_loop(problem, strategy, cfg):
     """Iterate solve -> indicators -> mark -> enrich for one strategy.
 
-    The indicators never consume the fine reference; it only feeds the trace's
-    energy and goal error columns.  Each coarse system is dropped after its
-    last solve, so at most one is alive at a time.
+    The indicators never consume the fine reference; it feeds the trace's
+    energy and goal error columns, and the goal error against it is what the
+    goal_tol stop reads.  Each coarse system is dropped after its last
+    solve, so at most one is alive at a time.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

@@ -79,6 +79,8 @@ class ExperimentConfig:
         self.field = field
         self.contrast = float(contrast)
         _check_contrast(self.contrast)
+        if isinstance(strategies, str):
+            raise ValueError(f"strategies must be a list of names, not the string {strategies!r}")
         self.strategies = list(strategies)
         if not self.strategies:
             raise ValueError(f"the strategy list is empty; expected some of {STRATEGIES}")
@@ -92,12 +94,12 @@ class ExperimentConfig:
         self.out_dir = out_dir
         self.k1_box = _check_box(k1_box, "K1")
         self.k2_box = _check_box(k2_box, "K2")
-        self.goal_box = _check_box(goal_box, "goal") if goal_box else self.k2_box
+        self.goal_box = self.k2_box if goal_box is None else _check_box(goal_box, "goal")
         if goal_scale not in GOAL_SCALES:
             raise ValueError(f"goal_scale must be one of {GOAL_SCALES}, got {goal_scale!r}")
         self.goal_scale = goal_scale
-        self.dump_indicator_csv = bool(dump_indicator_csv)
-        self.dump_spectra_csv = bool(dump_spectra_csv)
+        self.dump_indicator_csv = _check_switch("dump_indicator_csv", dump_indicator_csv)
+        self.dump_spectra_csv = _check_switch("dump_spectra_csv", dump_spectra_csv)
         self.initial_count = _check_integer("initial_count", initial_count)
         if self.initial_count < 1:
             raise ValueError(f"initial basis count must be >= 1, got {self.initial_count}")
@@ -106,8 +108,17 @@ class ExperimentConfig:
         self.dual_norm_mode = dual_norm_mode
 
 
+def _check_switch(name, value):
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
 def _check_box(box, name):
-    x0, x1, y0, y1 = (float(v) for v in box)
+    try:
+        x0, x1, y0, y1 = (float(v) for v in box)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} box must be four numbers x0, x1, y0, y1, got {box!r}") from None
     if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
         raise ValueError(f"{name} box {box} must be a nonempty rectangle inside (0,1)^2")
     return (x0, x1, y0, y1)
@@ -162,7 +173,8 @@ def _check_contrast(contrast):
 
 def generate_field(kind, contrast, nf, seed):
     """Seeded synthetic coefficient field: background 1, features at `contrast`."""
-    if nf < MIN_FIELD_NF:
+    _check_integer("seed", seed)
+    if _check_integer("nf", nf) < MIN_FIELD_NF:
         raise ValueError(f"nf={nf} too small to host the generated geometry (need >= {MIN_FIELD_NF})")
     if kind not in ("channel", "inclusions"):
         raise ValueError(f"unknown field kind {kind!r}")

@@ -41,9 +41,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
+from . import mesh
 from .csvout import write_csv
 from .fine_fem import CoefficientField, _check_field, patch_stiffness
-from .mesh import Neighborhoods, _check_integer, all_neighborhoods
 
 __all__ = [
     "PartitionOfUnity",
@@ -73,11 +73,11 @@ class PartitionOfUnity:
     ``patches[i]`` holds the nodal values of chi_i over its neighborhood patch
     (row-major patch-local order, at the fine vertex ids
     ``neighborhoods.vertices[i]``); chi_i vanishes on the patch rim and
-    outside.
+    outside.  The grid is that of the neighborhoods.
     """
 
-    def __init__(self, grid, neighborhoods, patches):
-        self.grid = grid
+    def __init__(self, neighborhoods, patches):
+        self.grid = neighborhoods.grid
         self.neighborhoods = neighborhoods
         self.patches = patches
 
@@ -114,7 +114,7 @@ def _element_hat_values(r):
     )
 
 
-def compute_partition_of_unity(grid, field, neighborhoods=None):
+def compute_partition_of_unity(grid, field):
     """Solve the element-wise harmonic problems defining the partition functions.
 
     On each coarse element the four corner functions satisfy the discrete
@@ -123,13 +123,13 @@ def compute_partition_of_unity(grid, field, neighborhoods=None):
     the patch stiffness over the coarse elements (patches one coarse cell
     wide); the pieces are stitched over each interior vertex's four elements.
     Pointwise bounds outside [0 - tol, 1 + tol] are warned about, not fatal.
+    The result's ``neighborhoods`` are the problem's one coarse-neighborhood
+    layout (mesh.all_neighborhoods), which the rest of the offline stage uses.
     """
-    if neighborhoods is None:
-        neighborhoods = all_neighborhoods(grid)
     nc, r = grid.nc, grid.r
     p, m = 2 * r + 1, r + 1
     # element (ex, ey) is patch ey * nc + ex, its (r+1)^2 vertices row-major
-    elements = patch_stiffness(grid, field, Neighborhoods(grid, width=1))
+    elements = patch_stiffness(grid, field, mesh.Neighborhoods(grid, width=1))
     interior, rim = elements.neighborhoods.interior, elements.neighborhoods.rim
     hats = _element_hat_values(r)
     A_ii, A_ib = elements.dense_block("interior"), elements.dense_block("rim")
@@ -153,7 +153,7 @@ def compute_partition_of_unity(grid, field, neighborhoods=None):
             f"partition function values leave [0, 1]: min {low:.3e}, max {high:.3e}",
             RuntimeWarning,
         )
-    return PartitionOfUnity(grid, neighborhoods, patches)
+    return PartitionOfUnity(mesh.all_neighborhoods(grid), patches)
 
 
 def compute_spectral_weight(grid, field, pu):
@@ -174,7 +174,7 @@ def compute_spectral_weight(grid, field, pu):
     return CoefficientField(field.values * grid.H**2 * sumsq.reshape(nf, nf))
 
 
-def compute_snapshots(patch_A, i, solve):
+def compute_snapshots(patch_A, i, zero_trace):
     """Harmonic snapshots of neighborhood i, one column per rim vertex.
 
     Column j solves the zero-source problem of neighborhood i's patch
@@ -182,20 +182,19 @@ def compute_snapshots(patch_A, i, solve):
     with nodal data 1 at the j-th vertex of the shared patch rim
     ``neighborhoods.rim`` (ascending id order) and 0 at the others.  The
     interior block of the patch stiffness is the neighborhood's zero-trace
-    operator, and ``solve`` maps a block of right-hand sides to its
-    solutions with that operator; build_problem passes the neighborhood's
-    slice of the stacked banded Cholesky factor
-    (indicators.ResidualNormCache.solve), so the offline stage factors
-    nothing itself.  The right-hand sides are the interior-rim block of the
-    patch stiffness, gathered from its stored values through one index map
-    that all patches share.  Returned as a dense (patch_size, L) array in
-    patch-local ordering.
+    operator, and ``zero_trace`` is the exact-mode
+    indicators.ResidualNormCache built from ``patch_A``: its ``solve(i, ...)``
+    uses the neighborhood's slice of the stacked banded Cholesky factor, so
+    the offline stage factors nothing itself.  The right-hand sides are the
+    interior-rim block of the patch stiffness, gathered from its stored
+    values through one index map that all patches share.  Returned as a
+    dense (patch_size, L) array in patch-local ordering.
     """
     neighborhoods = patch_A.neighborhoods
     interior, rim = neighborhoods.interior, neighborhoods.rim
     snapshots = np.zeros((patch_A.shape[0], len(rim)))
     snapshots[rim, np.arange(len(rim))] = 1.0
-    snapshots[interior] = solve(-patch_A.dense_block("rim", i))
+    snapshots[interior] = zero_trace.solve(i, -patch_A.dense_block("rim", i))
     return snapshots
 
 
@@ -350,7 +349,7 @@ class OfflineSpace:
         eigenvalues, so the extended space does not depend on the basis
         LAPACK picked inside a degenerate eigenspace.
         """
-        if _check_integer("extension width", m) < 0:
+        if mesh._check_integer("extension width", m) < 0:
             raise ValueError("extension width must be >= 0")
         return self.with_counts(self._whole_clusters(self.counts + m))
 
@@ -395,7 +394,7 @@ def enrich(space, marked, s=1):
     Unmarked neighborhoods are unchanged.  A marked id that is not an integer
     in [0, N), and a boolean mask in place of the ids, raise a ValueError.
     """
-    if _check_integer("enrichment width s", s) < 1:
+    if mesh._check_integer("enrichment width s", s) < 1:
         raise ValueError("enrichment width s must be >= 1")
     ids = np.asarray(marked).ravel()
     if ids.dtype == bool:

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -23,15 +21,15 @@ def unit_offline44(grid44, unit_field44):
 
 
 def _offline(grid, field):
-    neighborhoods = mesh.all_neighborhoods(grid)
+    pu = ms_space.compute_partition_of_unity(grid, field)
+    neighborhoods = pu.neighborhoods
     patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
     exact_norms = indicators.ResidualNormCache(patch_A)
-    pu = ms_space.compute_partition_of_unity(grid, field, neighborhoods)
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
     spectra = []
     for i in range(len(neighborhoods)):
-        snaps = ms_space.compute_snapshots(patch_A, i, partial(exact_norms.solve, i))
+        snaps = ms_space.compute_snapshots(patch_A, i, exact_norms)
         spectra.append(
             ms_space.local_spectral_decomposition(i, patch_A.matrix(i), patch_S.matrix(i), snaps)
         )

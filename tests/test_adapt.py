@@ -245,7 +245,6 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, chann
     )
     assert moved > 0  # the channel medium has homogeneous, symmetric patches
     rotated = adapt.ProblemSetup(
-        channel_problem.grid,
         channel_problem.field,
         channel_problem.stiffness,
         channel_problem.f_load,
@@ -436,7 +435,6 @@ def test_loop_annotates_solver_failures(small_problem):
     candidates[2][:, 1] = candidates[2][:, 0]  # duplicated basis function
     broken_space = ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
     broken = adapt.ProblemSetup(
-        small_problem.grid,
         small_problem.field,
         small_problem.stiffness,
         small_problem.f_load,

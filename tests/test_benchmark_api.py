@@ -44,3 +44,31 @@ def test_benchmark_output_checks_pass_on_a_tiny_run():
     assert trace.rows[0].goal_error == measure._initial_goal_error(gmsfem, problem)
     walls = trace.column("wall_time")
     assert len(walls) == len(trace.rows) and np.all(np.diff(walls) >= 0)
+
+
+def test_build_problem_traced_call_counts():
+    # each offline layer runs once per problem, the snapshots and eigensolves
+    # once per neighborhood (N = 4 at nc=3), at the attributes the tracer wraps
+    grid = mesh.GridHierarchy(3, 10)
+    field = cli.generate_field("channel", 1e4, grid.nf, 7)
+    densities = measure._densities(gmsfem, grid)
+    tracer = tracing.Tracer()
+    with tracer.installed(gmsfem):
+        since = tracer.mark()
+        adapt.build_problem(grid, field, *densities)
+        summary = tracer.summary(since)
+    once = (
+        "mesh.all_neighborhoods",
+        "fine_fem.assemble_stiffness",
+        "fine_fem.patch_stiffness",
+        "fine_fem.patch_weighted_mass",
+        "fine_fem.solve_dirichlet",
+        "ms_space.compute_partition_of_unity",
+        "ms_space.compute_spectral_weight",
+        "ms_space.build_basis",
+        "indicators.ResidualNormCache.__init__",
+        "adapt.build_problem",
+    )
+    per_neighborhood = ("ms_space.compute_snapshots", "ms_space.local_spectral_decomposition")
+    expected = {**dict.fromkeys(once, 1), **dict.fromkeys(per_neighborhood, 4)}
+    assert {name: summary[f"{name}.calls"] for name in expected} == expected

@@ -84,6 +84,14 @@ def test_generate_field_rejects_bad_input():
         cli.generate_field("channel", 0.5, 40, seed=0)
 
 
+@pytest.mark.parametrize("name, value", [("nf", 20.5), ("seed", 7.5)])
+def test_generate_field_rejects_fractional_whole_numbers(name, value):
+    args = {"nf": 40, "seed": 0, name: value}
+    with pytest.raises(ValueError) as excinfo:
+        cli.generate_field("channel", 1e4, **args)
+    assert str(excinfo.value) == f"{name} must be an integer, got {value}"
+
+
 @pytest.mark.parametrize("contrast", [float("nan"), float("inf")])
 def test_non_finite_contrast_fails_early(contrast):
     message = f"contrast must be finite and >= 1, got {contrast}"
@@ -238,6 +246,36 @@ def test_experiment_config_accepts_numpy_integers():
 def test_strategy_list_must_be_nonempty_without_repeats(strategies, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(strategies=strategies)
+
+
+_BOX = "box must be four numbers x0, x1, y0, y1, got"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dump_indicator_csv": "no"}, "dump_indicator_csv must be True or False, got 'no'"),
+        ({"dump_spectra_csv": "false"}, "dump_spectra_csv must be True or False, got 'false'"),
+        ({"k1_box": (0.1, 0.2, 0.3)}, f"K1 {_BOX} (0.1, 0.2, 0.3)"),
+        ({"k2_box": (0.8, "east", 0.1, 0.2)}, f"K2 {_BOX} (0.8, 'east', 0.1, 0.2)"),
+        (
+            {"strategies": "standard"},
+            "strategies must be a list of names, not the string 'standard'",
+        ),
+        ({"goal_box": ()}, f"goal {_BOX} ()"),
+    ],
+    ids=["indicator-switch", "spectra-switch", "short-box", "text-box", "string", "empty-goal"],
+)
+def test_experiment_config_names_the_bad_argument(kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentConfig(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_experiment_config_accepts_numpy_switches():
+    config = ExperimentConfig(dump_indicator_csv=np.True_, dump_spectra_csv=np.False_)
+    assert (config.dump_indicator_csv, config.dump_spectra_csv) == (True, False)
+    assert type(config.dump_indicator_csv) is bool
 
 
 def test_dual_norm_mode_is_handed_to_build_problem(tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -198,19 +197,10 @@ def test_spectral_weight_positive_on_all_cells(channel_problem):
 # snapshots
 
 
-def _zero_trace_solve(grid, field, neighborhoods, i):
-    """The solve with neighborhood i's zero-trace operator that build_problem shares."""
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
-    return partial(indicators.ResidualNormCache(patch_A).solve, i)
-
-
 def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
     neighborhoods = mesh.all_neighborhoods(grid44)
-    snaps = ms_space.compute_snapshots(
-        fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods),
-        0,
-        _zero_trace_solve(grid44, unit_field44, neighborhoods, 0),
-    )
+    patch_A = fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods)
+    snaps = ms_space.compute_snapshots(patch_A, 0, indicators.ResidualNormCache(patch_A))
     rim = neighborhoods.rim
     assert np.array_equal(snaps[rim], np.eye(len(rim)))
     # linearity + maximum principle: harmonic extension of all-ones data is one
@@ -223,8 +213,7 @@ def test_snapshots_match_dense_solve_oracle():
     field = CoefficientField(np.exp(rng.normal(size=(grid.nf, grid.nf))))
     neighborhoods = mesh.all_neighborhoods(grid)
     patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
-    solve = _zero_trace_solve(grid, field, neighborhoods, 0)
-    snaps = ms_space.compute_snapshots(patch_A, 0, solve)
+    snaps = ms_space.compute_snapshots(patch_A, 0, indicators.ResidualNormCache(patch_A))
     A_patch = patch_A.matrix(0).toarray()
     interior, rim = neighborhoods.interior, neighborhoods.rim
     oracle = np.linalg.solve(
@@ -241,8 +230,7 @@ def _spectrum_for(grid, field, neighborhoods, i, weight):
     patches = fine_fem.patch_stiffness(grid, field, neighborhoods)
     patch_A = patches.matrix(i)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods).matrix(i)
-    solve = _zero_trace_solve(grid, field, neighborhoods, i)
-    snaps = ms_space.compute_snapshots(patches, i, solve)
+    snaps = ms_space.compute_snapshots(patches, i, indicators.ResidualNormCache(patches))
     return ms_space.local_spectral_decomposition(i, patch_A, patch_S, snaps), patch_A, patch_S
 
 
