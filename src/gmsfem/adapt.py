@@ -168,7 +168,10 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     and weighted mass of all neighborhoods are assembled in one batched call
     each and dropped when this returns; the patch stiffness comes first, as
     the exact dual-norm cache is built from it, and that cache's factor
-    solves the snapshots.
+    solves the snapshots.  ms_space.build_basis runs the per-neighborhood
+    snapshots and eigensolves on one worker per CPU in the process's
+    affinity mask, each holding at most one snapshot block at a time; the
+    result does not depend on the number of workers.
     Each neighborhood starts with ``initial_count`` eigenfunctions (clipped
     at L), rounded up to the end of a cluster of tied eigenvalues.  The
     problem's ``dual_norms`` are of ``dual_norm_mode``: in snapshot mode the
@@ -195,25 +198,22 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     dual_norms = indicators.ResidualNormCache(patch_A)  # exact: its factor solves the snapshots
     weight = ms_space.compute_spectral_weight(grid, field, pu)
     patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
-    if dual_norm_mode == "snapshot":
-        parts = np.empty(neighborhoods.interior_vertices.shape + (len(neighborhoods.rim),))
 
     def spectrum(i):
         # one call per neighborhood: the benchmark's tracer wraps and counts each
         snapshots = ms_space.compute_snapshots(patch_A, i, dual_norms)
-        if dual_norm_mode == "snapshot":
-            parts[i] = snapshots[neighborhoods.interior]
         return ms_space.local_spectral_decomposition(
             i, patch_A.matrix(i), patch_S.matrix(i), snapshots
         )
 
-    # build_basis consumes each spectrum as it is computed
-    spectra = map(spectrum, range(len(neighborhoods)))
-    space = ms_space.build_basis(pu, spectra, np.ones(len(neighborhoods), dtype=int))
-    space = space.extended(initial_count - 1)
-    if dual_norm_mode == "snapshot":
+    ones = np.ones(len(neighborhoods), dtype=int)
+    if dual_norm_mode == "exact":
+        space = ms_space.build_basis(pu, spectrum, ones)
+    else:
+        space, parts = ms_space.build_basis(pu, spectrum, ones, keep_parts=True)
         del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
         dual_norms = indicators.ResidualNormCache(patch_A, "snapshot", zero_trace_parts=parts)
+    space = space.extended(initial_count - 1)
     return ProblemSetup(field, stiffness, f_load, g_load, space, u_ref, dual_norms)
 
 

@@ -9,6 +9,7 @@ rasters can be supplied through the field file format instead.
 """
 
 import argparse
+import numbers
 import os
 import sys
 
@@ -46,6 +47,7 @@ K2_BOX = (0.8, 0.9, 0.1, 0.2)
 GOAL_SCALES = ("integral", "mean")
 
 MIN_FIELD_NF = 20
+FIELD_KINDS = ("channel", "inclusions")
 
 
 class ExperimentConfig:
@@ -76,7 +78,9 @@ class ExperimentConfig:
         **loop,
     ):
         self.nc, self.r = _check_integer("nc", nc), _check_integer("r", r)
-        self.field = field
+        self.field = _check_field_name(field)
+        if isinstance(contrast, bool) or not isinstance(contrast, numbers.Real):
+            raise ValueError(f"contrast must be a real number, got {contrast!r}")
         self.contrast = float(contrast)
         _check_contrast(self.contrast)
         if isinstance(strategies, str):
@@ -165,6 +169,12 @@ def _diagonal_band(mask, rng):
         mask[max(lo, 0) : min(hi, nf - 1) + 1, cx] = True
 
 
+def _check_field_name(field):
+    if not (isinstance(field, str) and (field in FIELD_KINDS or field.startswith("file:"))):
+        raise ValueError(f"field must be one of {FIELD_KINDS} or file:PATH, got {field!r}")
+    return field
+
+
 def _check_contrast(contrast):
     # written so that nan, which compares false with everything, fails too
     if not (np.isfinite(contrast) and contrast >= 1.0):
@@ -176,7 +186,7 @@ def generate_field(kind, contrast, nf, seed):
     _check_integer("seed", seed)
     if _check_integer("nf", nf) < MIN_FIELD_NF:
         raise ValueError(f"nf={nf} too small to host the generated geometry (need >= {MIN_FIELD_NF})")
-    if kind not in ("channel", "inclusions"):
+    if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     _check_contrast(contrast)
     rng = np.random.default_rng(seed)

@@ -1,6 +1,8 @@
 import gc
 import importlib
+import os
 import pkgutil
+import threading
 import weakref
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import gmsfem
 from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space
 from gmsfem.adapt import MarkingConfig
 
-from conftest import _offline, benchmark_densities
+from conftest import _offline, benchmark_densities, cpu_affinity
 
 
 def _report(eta_sq):
@@ -249,7 +251,7 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, chann
         channel_problem.stiffness,
         channel_problem.f_load,
         channel_problem.g_load,
-        ms_space.build_basis(space.pu, rotated_spectra, space.counts),
+        ms_space.build_basis(space.pu, rotated_spectra.__getitem__, space.counts),
         channel_problem.u_ref,
         channel_problem.dual_norms,
     )
@@ -384,6 +386,94 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
         zero_trace_parts=parts,
     )
     assert np.array_equal(cache._pinv, oracle._pinv)
+
+
+def _offline_problem(dual_norm_mode="exact"):
+    grid = mesh.GridHierarchy(5, 4)
+    field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
+    return adapt.build_problem(grid, field, *benchmark_densities(grid), dual_norm_mode=dual_norm_mode)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _eigensolves_seen_here(monkeypatch):
+    """The neighborhoods whose eigensolve runs in this process, in order."""
+    seen = []
+    solve = ms_space.local_spectral_decomposition
+    monkeypatch.setattr(
+        ms_space, "local_spectral_decomposition", lambda i, *args: seen.append(i) or solve(i, *args)
+    )
+    return seen
+
+
+@pytest.mark.parametrize("mode", indicators.DUAL_NORM_MODES)
+def test_offline_stage_is_bitwise_equal_on_one_and_two_cpus(mode, monkeypatch):
+    # build_basis forks one worker per CPU of the affinity mask; the parent
+    # sees only the eigensolves of its own share
+    seen = _eigensolves_seen_here(monkeypatch)
+    problems = {}
+    for cpus in (1, 2):
+        seen.clear()
+        with cpu_affinity(cpus):
+            mask = os.sched_getaffinity(0)
+            problems[cpus] = _offline_problem(mode)
+            assert os.sched_getaffinity(0) == mask  # the workers' pinning is undone
+        _assert_no_child_left()
+        N = problems[cpus].space.n_neighborhoods
+        assert seen == list(range(N if cpus == 1 else N // 2))
+    one, two = problems[1], problems[2]
+    assert np.array_equal(one.space.candidates, two.space.candidates)
+    assert np.array_equal(one.space.eigenvalues, two.space.eigenvalues)
+    assert [s.jitter for s in one.space.spectra] == [s.jitter for s in two.space.spectra]
+    if mode == "snapshot":
+        assert np.array_equal(one.dual_norms._T, two.dual_norms._T)
+
+
+def test_offline_stage_forks_no_worker_beside_other_threads(monkeypatch):
+    seen = _eigensolves_seen_here(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    with cpu_affinity(2):
+        other.start()
+        try:
+            problem = _offline_problem()
+        finally:
+            release.set()
+            other.join(timeout=10)
+    assert not other.is_alive()
+    assert seen == list(range(problem.space.n_neighborhoods))
+
+
+def _indefinite_mass_at(vertex, monkeypatch):
+    """Make neighborhood ``vertex``'s local mass negative definite."""
+    solve = ms_space.local_spectral_decomposition
+
+    def failing(i, patch_A, patch_S, snapshots):
+        return solve(i, patch_A, -patch_S if i == vertex else patch_S, snapshots)
+
+    monkeypatch.setattr(ms_space, "local_spectral_decomposition", failing)
+
+
+@pytest.mark.parametrize("vertex", [13, 0], ids=["child-share", "parent-share"])
+def test_offline_failure_raises_the_serial_error(vertex, monkeypatch):
+    # N = 16 at nc=5: on two CPUs the parent runs 0..7 and the child 8..15.
+    # A child's failure is recomputed in the parent, so the error is the
+    # serial one; a failure in the parent's share kills the child.
+    _indefinite_mass_at(vertex, monkeypatch)
+    messages = []
+    for cpus in (1, 2):
+        with cpu_affinity(cpus):
+            mask = os.sched_getaffinity(0)
+            with pytest.raises(RuntimeError) as failure:
+                _offline_problem()
+            assert os.sched_getaffinity(0) == mask
+        _assert_no_child_left()
+        messages.append(str(failure.value))
+    assert messages[0].startswith(f"neighborhood {vertex}: local mass matrix numerically indefinite")
+    assert messages[1] == messages[0]
 
 
 def test_loop_frees_each_coarse_system_before_the_next(small_problem, monkeypatch):

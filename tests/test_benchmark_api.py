@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import gmsfem
+from conftest import cpu_affinity
 from gmsfem import adapt, cli, coarse_solve, mesh
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -48,12 +49,13 @@ def test_benchmark_output_checks_pass_on_a_tiny_run():
 
 def test_build_problem_traced_call_counts():
     # each offline layer runs once per problem, the snapshots and eigensolves
-    # once per neighborhood (N = 4 at nc=3), at the attributes the tracer wraps
+    # once per neighborhood (N = 4 at nc=3), at the attributes the tracer wraps;
+    # on one CPU build_basis forks no worker, whose calls the tracer would miss
     grid = mesh.GridHierarchy(3, 10)
     field = cli.generate_field("channel", 1e4, grid.nf, 7)
     densities = measure._densities(gmsfem, grid)
     tracer = tracing.Tracer()
-    with tracer.installed(gmsfem):
+    with tracer.installed(gmsfem), cpu_affinity(1):
         since = tracer.mark()
         adapt.build_problem(grid, field, *densities)
         summary = tracer.summary(since)

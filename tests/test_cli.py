@@ -263,13 +263,34 @@ _BOX = "box must be four numbers x0, x1, y0, y1, got"
             "strategies must be a list of names, not the string 'standard'",
         ),
         ({"goal_box": ()}, f"goal {_BOX} ()"),
+        ({"field": 5}, f"field must be one of {cli.FIELD_KINDS} or file:PATH, got 5"),
+        ({"field": "maze"}, f"field must be one of {cli.FIELD_KINDS} or file:PATH, got 'maze'"),
+        ({"contrast": "high"}, "contrast must be a real number, got 'high'"),
+        ({"contrast": True}, "contrast must be a real number, got True"),
     ],
-    ids=["indicator-switch", "spectra-switch", "short-box", "text-box", "string", "empty-goal"],
+    ids=[
+        "indicator-switch",
+        "spectra-switch",
+        "short-box",
+        "text-box",
+        "string",
+        "empty-goal",
+        "field-number",
+        "field-unknown",
+        "contrast-text",
+        "contrast-bool",
+    ],
 )
 def test_experiment_config_names_the_bad_argument(kwargs, message):
     with pytest.raises(ValueError) as excinfo:
         ExperimentConfig(**kwargs)
     assert str(excinfo.value) == message
+
+
+def test_experiment_config_accepts_field_files_and_numpy_contrast():
+    config = ExperimentConfig(field="file:medium.txt", contrast=np.float32(1e4))
+    assert config.field == "file:medium.txt"
+    assert type(config.contrast) is float and config.contrast == 1e4
 
 
 def test_experiment_config_accepts_numpy_switches():

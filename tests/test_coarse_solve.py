@@ -28,7 +28,7 @@ def unit_problem1010():
 
 def _hat_space(data):
     counts = np.ones(len(data["spectra"]), dtype=int)
-    return ms_space.build_basis(data["pu"], data["spectra"], counts)
+    return ms_space.build_basis(data["pu"], data["spectra"].__getitem__, counts)
 
 
 def _coarse_q1_stiffness(nc):
@@ -83,7 +83,7 @@ def test_zero_load_gives_zero_coarse_load_and_solution(grid44, unit_field44, uni
 def test_coarse_dimension_is_sum_of_counts(unit_offline44):
     data = unit_offline44
     counts = 1 + (np.arange(len(data["spectra"])) % 3)
-    space = ms_space.build_basis(data["pu"], data["spectra"], counts)
+    space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__, counts)
     grid = data["grid"]
     A = fine_fem.assemble_stiffness(grid, data["field"])
     system = coarse_solve.assemble_coarse(space, A, np.zeros(grid.n_vertices))

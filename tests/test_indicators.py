@@ -203,7 +203,7 @@ def test_eta_saturated_neighborhood_is_zero():
     field = CoefficientField.constant(grid.nf)
     data = _offline(grid, field)
     L = data["spectra"][0].n_snapshots
-    space = ms_space.build_basis(data["pu"], data["spectra"], [L])
+    space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__, [L])
     report = indicators.eta_standard(space, np.array([7.0]))
     assert report.saturated[0]
     assert report.eta_sq[0] == 0.0
