@@ -2,7 +2,7 @@
 
 import importlib
 
-from . import adapt, coarse_solve, fine_fem, indicators, mesh, ms_space
+from . import adapt, coarse_solve, fine_fem, indicators, mesh, ms_space, workers
 
 __version__ = "0.1.0"
 

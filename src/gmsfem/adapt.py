@@ -6,7 +6,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import coarse_solve, fine_fem, indicators, mesh, ms_space
+from . import coarse_solve, fine_fem, indicators, mesh, ms_space, workers
 from .csvout import write_csv
 
 __all__ = [
@@ -162,9 +162,16 @@ class ProblemSetup:
 def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_mode="exact"):
     """Run the fine reference solve and the offline pipeline for one problem.
 
-    The fine reference is solved first, so its banded factor is freed before
-    the candidate array exists.  The partition of unity comes next, and its
-    neighborhoods are the problem's one patch layout.  The patch stiffness
+    The fine reference is solved beside the offline stage: where the
+    process may fork workers (workers.worker_cpus), a child pinned to the
+    last CPU of the affinity mask solves it as soon as the stiffness and the
+    load exist, while this process, pinned to the first CPU, builds the
+    partition of unity, the patch matrices and the exact dual-norm factor,
+    and then fills the basis with one worker per CPU.  The child is reaped
+    before this returns.  Elsewhere the reference is solved first, in this
+    process.  Its failure is raised in place of any later one, as in that
+    serial order.  The partition of unity's neighborhoods are the
+    problem's one patch layout.  The patch stiffness
     and weighted mass of all neighborhoods are assembled in one batched call
     each and dropped when this returns; the patch stiffness comes first, as
     the exact dual-norm cache is built from it, and that cache's factor
@@ -189,32 +196,37 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
         raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
     stiffness = fine_fem.assemble_stiffness(grid, field)
     f_load = fine_fem.assemble_load(grid, f_density)
-    g_load = fine_fem.assemble_load(grid, g_density)
-    u_ref = fine_fem.solve_dirichlet(stiffness, f_load, grid.boundary_vertex_ids())
 
-    pu = ms_space.compute_partition_of_unity(grid, field)
-    neighborhoods = pu.neighborhoods
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
-    dual_norms = indicators.ResidualNormCache(patch_A)  # exact: its factor solves the snapshots
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
-    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
+    def solve_reference():
+        return fine_fem.solve_dirichlet(stiffness, f_load, grid.boundary_vertex_ids())
 
-    def spectrum(i):
-        # one call per neighborhood: the benchmark's tracer wraps and counts each
-        snapshots = ms_space.compute_snapshots(patch_A, i, dual_norms)
-        return ms_space.local_spectral_decomposition(
-            i, patch_A.matrix(i), patch_S.matrix(i), snapshots
-        )
+    with workers.Beside(solve_reference, grid.n_vertices) as reference:
+        g_load = fine_fem.assemble_load(grid, g_density)
+        with workers.first_cpu():
+            pu = ms_space.compute_partition_of_unity(grid, field)
+            neighborhoods = pu.neighborhoods
+            patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+            # exact: its factor solves the snapshots
+            dual_norms = indicators.ResidualNormCache(patch_A)
+            weight = ms_space.compute_spectral_weight(grid, field, pu)
+            patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
 
-    ones = np.ones(len(neighborhoods), dtype=int)
-    if dual_norm_mode == "exact":
-        space = ms_space.build_basis(pu, spectrum, ones)
-    else:
-        space, parts = ms_space.build_basis(pu, spectrum, ones, keep_parts=True)
-        del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
-        dual_norms = indicators.ResidualNormCache(patch_A, "snapshot", zero_trace_parts=parts)
+        def spectrum(i):
+            # one call per neighborhood: the benchmark's tracer wraps and counts each
+            snapshots = ms_space.compute_snapshots(patch_A, i, dual_norms)
+            return ms_space.local_spectral_decomposition(
+                i, patch_A.matrix(i), patch_S.matrix(i), snapshots
+            )
+
+        ones = np.ones(len(neighborhoods), dtype=int)
+        if dual_norm_mode == "exact":
+            space = ms_space.build_basis(pu, spectrum, ones)
+        else:
+            space, parts = ms_space.build_basis(pu, spectrum, ones, keep_parts=True)
+            del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
+            dual_norms = indicators.ResidualNormCache(patch_A, "snapshot", zero_trace_parts=parts)
     space = space.extended(initial_count - 1)
-    return ProblemSetup(field, stiffness, f_load, g_load, space, u_ref, dual_norms)
+    return ProblemSetup(field, stiffness, f_load, g_load, space, reference.result, dual_norms)
 
 
 def adapt_loop(problem, strategy, cfg):

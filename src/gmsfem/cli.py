@@ -28,7 +28,7 @@ from .adapt import (
 from .fine_fem import CoefficientField, SolveFailure
 from .indicators import DUAL_NORM_MODES, dump_indicators
 from .mesh import GridHierarchy, _check_integer
-from .ms_space import dump_spectra
+from .ms_space import OfflineFailure, dump_spectra
 
 __all__ = [
     "ExperimentConfig",
@@ -435,7 +435,7 @@ def main(argv=None):
     verbose = not options.pop("quiet", False)
     try:
         run_experiment(ExperimentConfig(**options), verbose=verbose)
-    except (ValueError, OSError, AdaptFailure, SolveFailure) as exc:
+    except (ValueError, OSError, AdaptFailure, OfflineFailure, SolveFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

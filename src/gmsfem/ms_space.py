@@ -25,8 +25,8 @@ The offline pipeline per neighborhood omega_i is
      dropped, so the offline stage holds at most one snapshot block per
      worker and the space keeps only the eigenvalues.  The neighborhoods
      are independent: in a single-threaded process, one forked worker per
-     CPU of the affinity mask fills a contiguous share of them into one
-     shared mapping, with outputs bitwise equal to a serial fill.  All
+     CPU of the affinity mask draws them from one queue and fills them into
+     one shared mapping, with outputs bitwise equal to a serial fill.  All
      patches are translates of one block, whose layout mesh.Neighborhoods
      holds once (its rim has L = 8r vertices), so candidate k of
      neighborhood i is entry (i, k) of one N x L grid, and an OfflineSpace
@@ -39,20 +39,18 @@ The offline pipeline per neighborhood omega_i is
 """
 
 import copy
-import mmap
-import os
-import signal
 import warnings
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from . import mesh
+from . import mesh, workers
 from .csvout import write_csv
 from .fine_fem import CoefficientField, _check_field, patch_stiffness
 
 __all__ = [
+    "OfflineFailure",
     "PartitionOfUnity",
     "NeighborhoodSpectrum",
     "OfflineSpace",
@@ -72,6 +70,10 @@ POU_TOL = 1e-8
 # LAPACK with relative gaps near 1e-13; distinct eigenvalues of the benchmark
 # media are at least 1e-4 apart.
 CLUSTER_TOL = 1e-8
+
+
+class OfflineFailure(RuntimeError):
+    """A neighborhood's local spectral problem could not be solved."""
 
 
 class PartitionOfUnity:
@@ -250,7 +252,7 @@ def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
     try:
         eigenvalues, eigenvectors = scipy.linalg.eigh(A_off, S_off)
     except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(
+        raise OfflineFailure(
             f"neighborhood {vertex_id}: local mass matrix numerically "
             f"indefinite (smallest Ritz value {smallest:.3e})"
         ) from exc
@@ -361,95 +363,6 @@ class OfflineSpace:
         return self.with_counts(self._whole_clusters(self.counts + m))
 
 
-def _single_threaded():
-    """Whether this process runs one OS thread (read from /proc/self/task)."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _worker_shares(n):
-    """(cpu, (start, stop)) pairs: contiguous shares of range(n), one per CPU
-    this process may run on (``os.sched_getaffinity``), at most n.
-
-    One share, with cpu None, where the platform cannot fork or report the
-    affinity, or where the process runs other threads: a fork can deadlock
-    on a lock another thread holds, and a multi-threaded BLAS pool (which
-    OpenBLAS starts at import when it may use more than one thread) would
-    compete with the workers for the same CPUs.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and _single_threaded()):
-        return [(None, (0, n))]
-    cpus = sorted(os.sched_getaffinity(0))[: max(n, 1)]
-    workers = len(cpus)
-    return [(cpu, (n * k // workers, n * (k + 1) // workers)) for k, cpu in enumerate(cpus)]
-
-
-def _fill_shares(n, fill):
-    """Run ``fill(start, stop)`` over range(n), forking one child per share
-    after the first, which this process runs itself.
-
-    The children must write only to memory shared with this process.  Each
-    worker is pinned to its own CPU of the mask, and this process's mask is
-    restored on the way out: left to the scheduler, a forked child often ran
-    its whole share on its parent's CPU while the other CPU idled.  A child
-    exits through os._exit, so it never returns into the caller or flushes
-    inherited buffers.  A share whose child failed, or that could not be
-    forked, is run again here, in ascending order, so an error raised is the
-    serial one.  No child outlives the call: on the way out every child is
-    waited for, and killed first if this process is raising.
-    """
-    (cpu, first), *others = _worker_shares(n)
-    mask = os.sched_getaffinity(0) if others else None
-    children, again = {}, []
-    try:
-        for child_cpu, share in others:
-            try:
-                pid = os.fork()
-            except OSError:
-                again.append(share)
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    os.sched_setaffinity(0, [child_cpu])
-                    fill(*share)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = share
-        if others:
-            os.sched_setaffinity(0, [cpu])
-        fill(*first)
-        for pid in list(children):
-            _, status = os.waitpid(pid, 0)
-            if status != 0:
-                again.append(children[pid])
-            del children[pid]
-        for share in sorted(again):
-            fill(*share)
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid in children:
-            os.waitpid(pid, 0)
-        if others:
-            os.sched_setaffinity(0, mask)
-
-
-def _shared_arrays(*shapes):
-    """Float arrays of the given shapes in one anonymous shared mapping, which
-    forked children write into; every page is touched here, before any fork."""
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    whole = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
-    whole[:] = 0.0
-    pieces = np.split(whole, np.cumsum(sizes)[:-1])
-    return [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
-
-
 def build_basis(pu, spectrum, counts, keep_parts=False):
     """Assemble the offline space chi_i * psi_k^off for the given counts.
 
@@ -462,36 +375,37 @@ def build_basis(pu, spectrum, counts, keep_parts=False):
     (the zero-trace parts of the snapshot dual norms, see
     indicators.ResidualNormCache), and (space, parts) is returned.
 
-    The neighborhoods are independent, so _fill_shares runs them on one
-    forked worker per CPU of the process's affinity mask (_worker_shares
-    says when it runs one), writing into one anonymous shared mapping:
-    nothing is sent back, the outputs are bitwise those of a serial fill,
-    and ``taskset -c 0`` gives the serial run.  At most one snapshot block
-    per worker is alive at a time.
+    The neighborhoods are independent, so workers.fill_queued runs them on
+    one forked worker per CPU of the process's affinity mask, each drawing
+    neighborhood ids from one queue, writing into one anonymous shared
+    mapping: nothing is sent back, the outputs are bitwise those of a
+    serial fill, an error is the one the serial fill raises, and
+    ``taskset -c 0`` gives the serial run.  At most one snapshot block per
+    worker is alive at a time.
     """
     neighborhoods = pu.neighborhoods
     interior, L = neighborhoods.interior, len(neighborhoods.rim)
     N, m = len(neighborhoods), len(interior)
-    arrays = _shared_arrays((N, m, L), (N, L), (N,), *([(N, m, L)] if keep_parts else []))
+    arrays = workers.shared_arrays(
+        (N, m, L), (N, L), (N,), *([(N, m, L)] if keep_parts else [])
+    )
     candidates, eigenvalues, jitter = arrays[:3]
     parts = arrays[3] if keep_parts else None
 
-    def fill(start, stop):
-        for i in range(start, stop):
-            result = spectrum(i)
-            if len(result.eigenvalues) != L:
-                raise ValueError(
-                    f"neighborhood {i} has {len(result.eigenvalues)} eigenvalues, not L = {L}"
-                )
-            T = result.snapshots[interior]
-            np.multiply(pu.patches[i][interior, None], T @ result.eigenvectors, out=candidates[i])
-            eigenvalues[i] = result.eigenvalues
-            jitter[i] = result.jitter
-            if parts is not None:
-                parts[i] = T
-            del result, T  # free the block before the next spectrum is computed
+    def fill(i):
+        result = spectrum(i)
+        if len(result.eigenvalues) != L:
+            raise ValueError(
+                f"neighborhood {i} has {len(result.eigenvalues)} eigenvalues, not L = {L}"
+            )
+        T = result.snapshots[interior]
+        np.multiply(pu.patches[i][interior, None], T @ result.eigenvectors, out=candidates[i])
+        eigenvalues[i] = result.eigenvalues
+        jitter[i] = result.jitter
+        if parts is not None:
+            parts[i] = T
 
-    _fill_shares(N, fill)
+    workers.fill_queued(N, fill)
     held = [NeighborhoodSpectrum(i, None, eigenvalues[i], None, float(jitter[i])) for i in range(N)]
     space = OfflineSpace(pu, held, candidates, counts)
     return (space, parts) if keep_parts else space

@@ -1,0 +1,247 @@
+"""Forked workers of the offline stage, one per CPU of the affinity mask.
+
+A process forks workers only where that is safe and can help (worker_cpus):
+the platform has os.fork and os.sched_getaffinity, the process runs one
+thread, and its affinity mask holds more than one CPU.  Forking a process
+with threads can deadlock on a lock another thread holds, and a
+multi-threaded BLAS pool (which OpenBLAS starts at import when it may use
+more than one thread) would compete with the workers for the same CPUs.
+Elsewhere every call here runs its work in this process, in serial order.
+
+- fill_queued runs fill(i) for every i in range(n) on one worker per CPU,
+  this process included, each drawing ids from one queue, so a worker whose
+  CPU is busy with other work simply takes fewer.
+- Beside runs one computation in a child on the last CPU while the body of
+  a ``with`` block runs here.
+
+Workers write their results only into anonymous shared mappings
+(shared_arrays) made before the fork, so nothing is sent back.  Each worker
+is pinned to its own CPU: left to the scheduler, a forked child often ran
+on its parent's CPU while another CPU idled.  A child exits through
+os._exit, so it never returns into the caller or flushes inherited
+buffers.  A failure is always the one a serial run raises: work that
+failed in a child is run again in this process before anything is raised.
+No child outlives the call or block that forked it.
+"""
+
+import contextlib
+import mmap
+import os
+import select
+import signal
+
+import numpy as np
+
+__all__ = ["worker_cpus", "shared_arrays", "first_cpu", "fill_queued", "Beside"]
+
+# Bytes per entry of fill_queued's queue: a little-endian uint32 id.
+_TOKEN = 4
+
+
+def _single_threaded():
+    """Whether this process runs one OS thread (read from /proc/self/task)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def worker_cpus():
+    """The CPUs of this process's affinity mask, ascending, if it may fork
+    workers onto them (see the module docstring); None otherwise, and on a
+    mask of one CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and _single_threaded()):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) > 1 else None
+
+
+def shared_arrays(*shapes, dtype=float):
+    """Arrays of the given shapes in one anonymous shared mapping, which
+    forked children write into.
+
+    The mapping reads as zeros.  No page is touched here: each becomes
+    resident when a worker first writes it, so a child forked earlier does
+    not find the whole mapping resident beside its own memory.
+    """
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    whole = np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * sum(sizes)), dtype=dtype)
+    pieces = np.split(whole, np.cumsum(sizes)[:-1])
+    return [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
+
+
+@contextlib.contextmanager
+def _pinned(cpu):
+    """Pin this process to ``cpu`` for the block; its mask is restored on
+    the way out, whether the block returns or raises."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, [cpu])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def first_cpu():
+    """Context manager that pins this process to the first CPU of its mask
+    where it may fork workers, clear of the child that Beside runs on the
+    last; elsewhere it does nothing."""
+    cpus = worker_cpus()
+    return contextlib.nullcontext() if cpus is None else _pinned(cpus[0])
+
+
+def _queue(n):
+    """(read end, chunk): a pipe holding the starts of the chunks of range(n),
+    ascending, ``chunk`` ids each.
+
+    At most select.PIPE_BUF bytes are written, which an empty pipe takes
+    whole without a reader (one id a chunk for n up to 1024 on Linux).  The
+    write end is closed, so a read of an empty queue returns b"" at once.
+    Linux serializes reads of one pipe, so each read of _TOKEN bytes takes
+    exactly one start.
+    """
+    chunk = -(-n * _TOKEN // select.PIPE_BUF)
+    read, write = os.pipe()
+    try:
+        os.write(write, np.arange(0, n, chunk, dtype="<u4").tobytes())
+    except BaseException:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return read, chunk
+
+
+def _draw(queue, chunk, n, fill, done):
+    """Run fill over the ids drawn from ``queue`` until it is empty, setting
+    done[i] after each success.
+
+    On the first failure the queue is emptied and the failure dropped: every
+    id left in the queue is above the failed one, so none of them can be
+    the failure a serial run raises, and the other workers stop after their
+    current chunk.  The caller runs every id not done again.
+    """
+    while token := os.read(queue, _TOKEN):
+        start = int.from_bytes(token, "little")
+        for i in range(start, min(start + chunk, n)):
+            try:
+                fill(i)
+            except Exception:
+                while os.read(queue, select.PIPE_BUF):
+                    pass
+                return
+            done[i] = True
+
+
+def fill_queued(n, fill):
+    """Run ``fill(i)`` for every i in range(n), where i writes only its own
+    part of memory shared with this process.
+
+    Where worker_cpus gives CPUs, one child is forked per CPU after the
+    first, at most n workers in all, and this process works too, pinned to
+    the first.  Every worker draws ids from one queue, in ascending order.
+    A child that fails on an id, or could not be forked, leaves ids undone;
+    once every child is reaped this process runs the undone ids in
+    ascending order, so the error raised is that of the lowest failing id,
+    as in a serial run.  If this process is interrupted, every child is
+    killed before the exception propagates.
+    """
+    cpus = worker_cpus()
+    if cpus is None or n < 2:
+        for i in range(n):
+            fill(i)
+        return
+    (done,) = shared_arrays((n,), dtype=bool)
+    queue, chunk = _queue(n)
+    children = []
+    try:
+        with _pinned(cpus[0]):
+            for cpu in cpus[1:n]:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    continue  # the workers that did start draw its ids
+                if pid == 0:
+                    try:
+                        os.sched_setaffinity(0, [cpu])
+                        _draw(queue, chunk, n, fill, done)
+                    finally:
+                        os._exit(0)
+                children.append(pid)
+            _draw(queue, chunk, n, fill, done)
+            while children:
+                os.waitpid(children[-1], 0)
+                children.pop()
+            for i in np.flatnonzero(~done):
+                fill(int(i))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+        os.close(queue)
+
+
+class Beside:
+    """``compute()``, which returns an array of ``shape``, run beside the
+    body of a ``with`` block; ``result`` holds it once the block is left.
+
+    Where worker_cpus gives CPUs, ``compute`` runs in a child forked on
+    entry and pinned to the last CPU, which writes its result into a shared
+    mapping and is reaped on exit.  Elsewhere, or if the fork fails,
+    ``compute`` runs here on entry, before the body, as in a serial run.
+    A failure of ``compute`` wins over any failure of the body, as in that
+    serial run: a child that failed is run again here on exit, whose error
+    is raised in place of the body's.  If the body raises anything but an
+    Exception, the child is killed.
+    """
+
+    def __init__(self, compute, shape):
+        self.compute = compute
+        self.shape = shape
+        self.result = None
+        self._pid = None
+
+    def __enter__(self):
+        cpus = worker_cpus()
+        if cpus is not None:
+            (self._out,) = shared_arrays(self.shape)
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                code = 1
+                try:
+                    os.sched_setaffinity(0, [cpus[-1]])
+                    self._out[...] = self.compute()
+                    code = 0
+                finally:
+                    os._exit(code)
+            self._pid = pid
+        if self._pid is None:
+            self.result = self.compute()
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        if self._pid is None:
+            return False
+        pid, self._pid = self._pid, None
+        interrupted = kind is not None and not issubclass(kind, Exception)
+        try:
+            if interrupted:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if interrupted:
+            return False
+        if status != 0:
+            self.result = self.compute()  # raises the serial error
+        elif kind is None:
+            self.result = self._out
+        return False

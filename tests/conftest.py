@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space
+from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space, workers
 
 
 @pytest.fixture(scope="session")
@@ -49,19 +49,19 @@ def _offline(grid, field):
 @contextlib.contextmanager
 def cpu_affinity(count):
     """Run the block pinned to the first ``count`` CPUs of this process's
-    affinity mask, which sets how many workers ms_space.build_basis forks;
+    affinity mask, which sets how many workers adapt.build_problem forks;
     the mask is restored afterwards.  Skips the test if fewer are available,
     or if more than one is asked for and the process runs other threads."""
     if not hasattr(os, "sched_setaffinity"):
         if count > 1:
             pytest.skip("os.sched_setaffinity is not available on this platform")
-        yield  # build_basis runs one worker where it cannot read the mask
+        yield  # build_problem forks no worker where it cannot read the mask
         return
     saved = os.sched_getaffinity(0)
     if len(saved) < count:
         pytest.skip(f"needs {count} CPUs in the affinity mask, found {len(saved)}")
-    if count > 1 and not ms_space._single_threaded():
-        pytest.skip("the process runs other threads (a BLAS pool), so build_basis forks no worker")
+    if count > 1 and workers.worker_cpus() is None:
+        pytest.skip("the process runs other threads (a BLAS pool), so build_problem forks no worker")
     os.sched_setaffinity(0, sorted(saved)[:count])
     try:
         yield

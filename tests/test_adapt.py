@@ -3,6 +3,7 @@ import importlib
 import os
 import pkgutil
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -286,7 +287,7 @@ def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypa
     # of every zero-trace operator, which the exact dual norms keep and the
     # snapshot norms take their zero-trace parts from; the one other
     # factorization of a problem is the fine reference's, a banded Cholesky
-    # of the free block
+    # of the free block, which one CPU makes in this process
     banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
     pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
     splu = _record_calls(monkeypatch, scipy.sparse.linalg, "splu")
@@ -294,15 +295,34 @@ def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypa
     for mode in indicators.DUAL_NORM_MODES:
         banded.clear()
         pbtrf.clear()
-        problem = adapt.build_problem(
-            grid44, unit_field44, f_density, g_density, dual_norm_mode=mode
-        )
+        with cpu_affinity(1):
+            problem = adapt.build_problem(
+                grid44, unit_field44, f_density, g_density, dual_norm_mode=mode
+            )
         assert problem.dual_norms.mode == mode
         interior = [len(ids) for ids in problem.space.neighborhoods.interior_vertices]
         assert [shape[1] for shape in banded] == [sum(interior)], mode
         # upper band of the free block in natural order: half-bandwidth nf
         assert pbtrf == [(grid44.nf + 1, (grid44.nf - 1) ** 2)], mode
     assert splu == []
+
+
+def test_fine_reference_is_factored_beside_the_offline_stage(grid44, unit_field44, monkeypatch):
+    # on two CPUs a child solves the fine reference, so this process makes
+    # the stacked zero-trace factorization and no factorization of the free
+    # block, and the child is reaped before build_problem returns
+    banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
+    pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
+    f_density, g_density = benchmark_densities(grid44)
+    with cpu_affinity(2):
+        problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
+    _assert_no_child_left()
+    interior = [len(ids) for ids in problem.space.neighborhoods.interior_vertices]
+    assert [shape[1] for shape in banded] == [sum(interior)]
+    assert pbtrf == []
+    with cpu_affinity(1):
+        serial = adapt.build_problem(grid44, unit_field44, f_density, g_density)
+    assert np.array_equal(problem.u_ref, serial.u_ref)
 
 
 def test_build_problem_rejects_unknown_dual_norm_mode(grid44, unit_field44, monkeypatch):
@@ -399,32 +419,57 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _eigensolves_seen_here(monkeypatch):
-    """The neighborhoods whose eigensolve runs in this process, in order."""
-    seen = []
+def _log_eigensolves(monkeypatch, log, slow_here=0.0, slow_elsewhere=0.0):
+    """Append (pid, neighborhood) of every eigensolve, in whichever process
+    runs it, to the file ``log``; returns a function that reads the pairs
+    logged since its last call.  Before each eigensolve this process sleeps
+    ``slow_here`` seconds and a forked worker ``slow_elsewhere``."""
+    here = os.getpid()
     solve = ms_space.local_spectral_decomposition
-    monkeypatch.setattr(
-        ms_space, "local_spectral_decomposition", lambda i, *args: seen.append(i) or solve(i, *args)
-    )
-    return seen
+    log.touch()
+
+    def logged(i, *args):
+        with open(log, "a") as out:  # append mode: each line is one atomic write
+            out.write(f"{os.getpid()} {i}\n")
+        time.sleep(slow_here if os.getpid() == here else slow_elsewhere)
+        return solve(i, *args)
+
+    monkeypatch.setattr(ms_space, "local_spectral_decomposition", logged)
+    read = 0
+
+    def since():
+        nonlocal read
+        lines = log.read_text().splitlines()
+        pairs = [tuple(map(int, line.split())) for line in lines[read:]]
+        read = len(lines)
+        return pairs
+
+    return since
 
 
 @pytest.mark.parametrize("mode", indicators.DUAL_NORM_MODES)
-def test_offline_stage_is_bitwise_equal_on_one_and_two_cpus(mode, monkeypatch):
-    # build_basis forks one worker per CPU of the affinity mask; the parent
-    # sees only the eigensolves of its own share
-    seen = _eigensolves_seen_here(monkeypatch)
+def test_offline_stage_is_bitwise_equal_on_one_and_two_cpus(mode, monkeypatch, tmp_path):
+    # on two CPUs every worker draws neighborhoods from one queue and a child
+    # solves the fine reference beside them; with this process's eigensolves
+    # slowed, the forked worker takes most neighborhoods, not a fixed half
+    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves", slow_here=0.02)
     problems = {}
     for cpus in (1, 2):
-        seen.clear()
         with cpu_affinity(cpus):
             mask = os.sched_getaffinity(0)
             problems[cpus] = _offline_problem(mode)
             assert os.sched_getaffinity(0) == mask  # the workers' pinning is undone
         _assert_no_child_left()
+        runs = since()
         N = problems[cpus].space.n_neighborhoods
-        assert seen == list(range(N if cpus == 1 else N // 2))
+        assert sorted(i for _, i in runs) == list(range(N))  # each solved once
+        here = [i for pid, i in runs if pid == os.getpid()]
+        if cpus == 1:
+            assert here == list(range(N))
+        else:
+            assert here == sorted(here) and len(here) < N // 2
     one, two = problems[1], problems[2]
+    assert np.array_equal(one.u_ref, two.u_ref)
     assert np.array_equal(one.space.candidates, two.space.candidates)
     assert np.array_equal(one.space.eigenvalues, two.space.eigenvalues)
     assert [s.jitter for s in one.space.spectra] == [s.jitter for s in two.space.spectra]
@@ -432,8 +477,8 @@ def test_offline_stage_is_bitwise_equal_on_one_and_two_cpus(mode, monkeypatch):
         assert np.array_equal(one.dual_norms._T, two.dual_norms._T)
 
 
-def test_offline_stage_forks_no_worker_beside_other_threads(monkeypatch):
-    seen = _eigensolves_seen_here(monkeypatch)
+def test_offline_stage_forks_no_worker_beside_other_threads(monkeypatch, tmp_path):
+    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves")
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     with cpu_affinity(2):
@@ -444,36 +489,83 @@ def test_offline_stage_forks_no_worker_beside_other_threads(monkeypatch):
             release.set()
             other.join(timeout=10)
     assert not other.is_alive()
-    assert seen == list(range(problem.space.n_neighborhoods))
+    assert since() == [(os.getpid(), i) for i in range(problem.space.n_neighborhoods)]
 
 
-def _indefinite_mass_at(vertex, monkeypatch):
-    """Make neighborhood ``vertex``'s local mass negative definite."""
+def _failure_message(cpus, kind):
+    """The message of the ``kind`` error that building the nc=5 problem on
+    ``cpus`` CPUs raises, checking that the affinity mask is restored and
+    that no child is left."""
+    with cpu_affinity(cpus):
+        mask = os.sched_getaffinity(0)
+        with pytest.raises(kind) as failure:
+            _offline_problem()
+        assert os.sched_getaffinity(0) == mask
+    _assert_no_child_left()
+    return str(failure.value)
+
+
+def _indefinite_mass_at(vertices, monkeypatch, delay_elsewhere=0.0):
+    """Make the local mass of each neighborhood in ``vertices`` negative
+    definite.  In a forked worker, the eigensolve of the first of them
+    sleeps ``delay_elsewhere`` seconds before it fails."""
+    here = os.getpid()
     solve = ms_space.local_spectral_decomposition
 
     def failing(i, patch_A, patch_S, snapshots):
-        return solve(i, patch_A, -patch_S if i == vertex else patch_S, snapshots)
+        if i == vertices[0] and os.getpid() != here:
+            time.sleep(delay_elsewhere)
+        return solve(i, patch_A, -patch_S if i in vertices else patch_S, snapshots)
 
     monkeypatch.setattr(ms_space, "local_spectral_decomposition", failing)
 
 
-@pytest.mark.parametrize("vertex", [13, 0], ids=["child-share", "parent-share"])
-def test_offline_failure_raises_the_serial_error(vertex, monkeypatch):
-    # N = 16 at nc=5: on two CPUs the parent runs 0..7 and the child 8..15.
-    # A child's failure is recomputed in the parent, so the error is the
-    # serial one; a failure in the parent's share kills the child.
-    _indefinite_mass_at(vertex, monkeypatch)
-    messages = []
+@pytest.mark.parametrize(
+    "vertices, slow_here, delay, first_ran_here",
+    [
+        ((13,), True, 0.0, {13: False}),
+        ((13,), False, 0.0, {13: True}),
+        ((5, 13), True, 1.0, {5: False, 13: True}),
+    ],
+    ids=["failure-in-child", "failure-here", "higher-failure-here-first"],
+)
+def test_offline_failure_raises_the_serial_error(
+    vertices, slow_here, delay, first_ran_here, monkeypatch, tmp_path
+):
+    # N = 16 at nc=5.  With this process's eigensolves slowed the forked
+    # worker draws neighborhood 13, and with the worker's slowed this process
+    # does.  A neighborhood that fails in the child is solved again here, so
+    # the error is the serial one.  In the last case the child is still on
+    # neighborhood 5 when this process fails on 13, and the lower one's
+    # error is raised, as in a serial run.
+    _indefinite_mass_at(vertices, monkeypatch, delay)
+    serial = _failure_message(1, ms_space.OfflineFailure)
+    expected = f"neighborhood {vertices[0]}: local mass matrix numerically indefinite"
+    assert serial.startswith(expected)
+    slowed = {"slow_here" if slow_here else "slow_elsewhere": 0.05}
+    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves", **slowed)
+    assert _failure_message(2, ms_space.OfflineFailure) == serial
+    runs = since()
+    # on two CPUs: which process first ran each failing neighborhood, and
+    # that the lowest ran again here
+    ran_here = {v: [pid == os.getpid() for pid, i in runs if i == v] for v in vertices}
+    assert {v: ran[0] for v, ran in ran_here.items()} == first_ran_here
+    assert ran_here[vertices[0]][-1]
+
+
+def test_failed_fine_reference_wins_over_an_offline_failure(monkeypatch):
+    # a serial build solves the fine reference first; on two CPUs the child's
+    # failure is solved again here once the offline stage has failed, and its
+    # error is raised in place of the neighborhood's
+    def stalled(A, b, fixed):
+        time.sleep(0.2)  # fail after the offline stage does
+        raise fine_fem.SolveFailure("Dirichlet solve stalled at relative residual 1.000e+00")
+
+    monkeypatch.setattr(fine_fem, "solve_dirichlet", stalled)
+    _indefinite_mass_at((3,), monkeypatch)
     for cpus in (1, 2):
-        with cpu_affinity(cpus):
-            mask = os.sched_getaffinity(0)
-            with pytest.raises(RuntimeError) as failure:
-                _offline_problem()
-            assert os.sched_getaffinity(0) == mask
-        _assert_no_child_left()
-        messages.append(str(failure.value))
-    assert messages[0].startswith(f"neighborhood {vertex}: local mass matrix numerically indefinite")
-    assert messages[1] == messages[0]
+        message = _failure_message(cpus, fine_fem.SolveFailure)
+        assert message == "Dirichlet solve stalled at relative residual 1.000e+00", cpus
 
 
 def test_loop_frees_each_coarse_system_before_the_next(small_problem, monkeypatch):

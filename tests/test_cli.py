@@ -9,9 +9,11 @@ import pytest
 import scipy.ndimage
 
 import gmsfem
-from gmsfem import adapt, cli, mesh
+from gmsfem import adapt, cli, mesh, ms_space
 from gmsfem.adapt import STRATEGIES, MarkingConfig
 from gmsfem.cli import ExperimentConfig
+
+from conftest import cpu_affinity
 
 
 def test_module_entry_point_runs_without_runpy_warning():
@@ -442,6 +444,27 @@ def test_main_reports_failed_fine_reference_solve(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Dirichlet solve stalled at relative residual")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_main_reports_failed_offline_stage(cpus, tmp_path, capfd, monkeypatch):
+    # a neighborhood whose local mass is indefinite ends the run with one
+    # error line, and no forked worker writes to the streams
+    solve = ms_space.local_spectral_decomposition
+
+    def failing(i, patch_A, patch_S, snapshots):
+        return solve(i, patch_A, -patch_S if i == 3 else patch_S, snapshots)
+
+    monkeypatch.setattr(ms_space, "local_spectral_decomposition", failing)
+    out = tmp_path / "out"
+    with cpu_affinity(cpus):
+        code = cli.main(["--nc", "5", "--r", "4", "--max-iters", "1", "--quiet", "--out", str(out)])
+    assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: neighborhood 3: local mass matrix numerically indefinite")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 
