@@ -55,7 +55,7 @@ class MarkingConfig:
             mesh._check_integer(name, getattr(self, name))
         for name in ("theta", "goal_tol"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
@@ -162,29 +162,21 @@ class ProblemSetup:
 def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_mode="exact"):
     """Run the fine reference solve and the offline pipeline for one problem.
 
-    The fine reference is solved beside the offline stage: where the
-    process may fork workers (workers.worker_cpus), a child pinned to the
-    last CPU of the affinity mask solves it as soon as the stiffness and the
-    load exist, while this process, pinned to the first CPU, builds the
-    partition of unity, the patch matrices and the exact dual-norm factor,
-    and then fills the basis with one worker per CPU.  The child is reaped
-    before this returns.  Elsewhere the reference is solved first, in this
-    process.  Its failure is raised in place of any later one, as in that
-    serial order.  The partition of unity's neighborhoods are the
-    problem's one patch layout.  The patch stiffness
-    and weighted mass of all neighborhoods are assembled in one batched call
-    each and dropped when this returns; the patch stiffness comes first, as
-    the exact dual-norm cache is built from it, and that cache's factor
-    solves the snapshots.  ms_space.build_basis runs the per-neighborhood
-    snapshots and eigensolves on one worker per CPU in the process's
-    affinity mask, each holding at most one snapshot block at a time; the
-    result does not depend on the number of workers.
-    Each neighborhood starts with ``initial_count`` eigenfunctions (clipped
-    at L), rounded up to the end of a cluster of tied eigenvalues.  The
-    problem's ``dual_norms`` are of ``dual_norm_mode``: in snapshot mode the
-    snapshots' interior rows fill one (N, m, L) array as they are solved, and
-    the snapshot cache is built from it once the exact factor and the patch
-    mass are released, so nothing is assembled or solved twice.
+    The fine reference is solved beside the offline stage (workers.Beside),
+    started as soon as the stiffness and the source load exist; its failure
+    is raised in place of any later one, as in a serial run, and no result
+    depends on the number of CPUs.  The partition of unity's neighborhoods
+    are the problem's one patch layout.  The patch stiffness and weighted
+    mass of all neighborhoods are assembled in one batched call each and
+    dropped when this returns; the patch stiffness comes first, as the
+    exact dual-norm cache is built from it, and that cache's factor solves
+    the snapshots.  Each neighborhood starts with ``initial_count``
+    eigenfunctions (clipped at L), rounded up to the end of a cluster of
+    tied eigenvalues.  The problem's ``dual_norms`` are of
+    ``dual_norm_mode``: in snapshot mode the snapshots' interior rows fill
+    one (N, m, L) array as they are solved, and the snapshot cache is built
+    from it once the exact factor and the patch mass are released, so
+    nothing is assembled or solved twice.
     """
     if (
         isinstance(initial_count, bool)
@@ -202,14 +194,13 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
 
     with workers.Beside(solve_reference, grid.n_vertices) as reference:
         g_load = fine_fem.assemble_load(grid, g_density)
-        with workers.first_cpu():
-            pu = ms_space.compute_partition_of_unity(grid, field)
-            neighborhoods = pu.neighborhoods
-            patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
-            # exact: its factor solves the snapshots
-            dual_norms = indicators.ResidualNormCache(patch_A)
-            weight = ms_space.compute_spectral_weight(grid, field, pu)
-            patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
+        pu = ms_space.compute_partition_of_unity(grid, field)
+        neighborhoods = pu.neighborhoods
+        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+        # exact: its factor solves the snapshots
+        dual_norms = indicators.ResidualNormCache(patch_A)
+        weight = ms_space.compute_spectral_weight(grid, field, pu)
+        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
 
         def spectrum(i):
             # one call per neighborhood: the benchmark's tracer wraps and counts each
@@ -224,7 +215,7 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
         else:
             space, parts = ms_space.build_basis(pu, spectrum, ones, keep_parts=True)
             del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
-            dual_norms = indicators.ResidualNormCache(patch_A, "snapshot", zero_trace_parts=parts)
+            dual_norms = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)
     space = space.extended(initial_count - 1)
     return ProblemSetup(field, stiffness, f_load, g_load, space, reference.result, dual_norms)
 

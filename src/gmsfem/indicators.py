@@ -84,7 +84,8 @@ class ResidualNormCache:
     whose interior blocks are the zero-trace operators; no reference to it
     is kept.
 
-    mode='exact' returns ||w||_a of the solution of a(w, v) = R(v) on the
+    Without ``zero_trace_parts`` the cache is in exact mode (``mode`` reads
+    'exact'), and returns ||w||_a of the solution of a(w, v) = R(v) on the
     zero-trace space.  With the interiors numbered row-major one after
     another, the block-diagonal stack of the zero-trace operators is banded
     with half-bandwidth u = 2r; ``patch_A.interior_band()`` gathers it, and
@@ -96,25 +97,22 @@ class ResidualNormCache:
     offline snapshots do too, see ms_space.compute_snapshots) and ``norms``
     solves with the whole stack at once.
 
-    mode='snapshot' solves that problem in the span of the zero-trace parts
-    T_i of the snapshots, which can only give a smaller value (subspace
-    inequality), with each gram T_i' A_i T_i of the interior block A_i
-    (``patch_A.interior_block(i)``) pseudo-inverted once at lstsq's default
-    cutoff L * eps.  ``zero_trace_parts`` is the (N, m, L) stack of the T_i,
-    the interior rows of the snapshot blocks (ms_space.compute_snapshots);
-    build_problem fills it during the offline pass, and it is kept as given.
+    Given ``zero_trace_parts`` it is in snapshot mode, and solves that
+    problem in the span of the zero-trace parts T_i of the snapshots, which
+    can only give a smaller value (subspace inequality), with each gram
+    T_i' A_i T_i of the interior block A_i (``patch_A.interior_block(i)``)
+    pseudo-inverted once at lstsq's default cutoff L * eps.
+    ``zero_trace_parts`` is the (N, m, L) stack of the T_i, the interior
+    rows of the snapshot blocks (ms_space.compute_snapshots); build_problem
+    fills it during the offline pass, and it is kept as given.
     """
 
-    def __init__(self, patch_A, mode="exact", zero_trace_parts=None):
-        if mode not in DUAL_NORM_MODES:
-            raise ValueError(f"mode must be one of {DUAL_NORM_MODES}, got {mode!r}")
-        if mode == "snapshot" and zero_trace_parts is None:
-            raise ValueError("snapshot mode needs the snapshots' zero-trace parts")
-        self.mode = mode
+    def __init__(self, patch_A, zero_trace_parts=None):
+        self.mode = "exact" if zero_trace_parts is None else "snapshot"
         neighborhoods = patch_A.neighborhoods
         self._stacked = neighborhoods.interior_vertices.ravel()
         self._block = neighborhoods.interior_vertices.shape[1]
-        if mode == "exact":
+        if zero_trace_parts is None:
             self._factor = scipy.linalg.cholesky_banded(patch_A.interior_band(), overwrite_ab=True)
             return
         self._T = np.asarray(zero_trace_parts)

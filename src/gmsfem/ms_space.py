@@ -23,11 +23,8 @@ The offline pipeline per neighborhood omega_i is
      Each neighborhood fills its block of the candidate array as soon as
      its eigensolve returns; its snapshots and eigenvectors are then
      dropped, so the offline stage holds at most one snapshot block per
-     worker and the space keeps only the eigenvalues.  The neighborhoods
-     are independent: in a single-threaded process, one forked worker per
-     CPU of the affinity mask draws them from one queue and fills them into
-     one shared mapping, with outputs bitwise equal to a serial fill.  All
-     patches are translates of one block, whose layout mesh.Neighborhoods
+     worker (workers.fill_queued) and the space keeps only the
+     eigenvalues.  All patches are translates of one block, whose layout mesh.Neighborhoods
      holds once (its rim has L = 8r vertices), so candidate k of
      neighborhood i is entry (i, k) of one N x L grid, and an OfflineSpace
      is the mask k < counts[i] on it.
@@ -375,13 +372,9 @@ def build_basis(pu, spectrum, counts, keep_parts=False):
     (the zero-trace parts of the snapshot dual norms, see
     indicators.ResidualNormCache), and (space, parts) is returned.
 
-    The neighborhoods are independent, so workers.fill_queued runs them on
-    one forked worker per CPU of the process's affinity mask, each drawing
-    neighborhood ids from one queue, writing into one anonymous shared
-    mapping: nothing is sent back, the outputs are bitwise those of a
-    serial fill, an error is the one the serial fill raises, and
-    ``taskset -c 0`` gives the serial run.  At most one snapshot block per
-    worker is alive at a time.
+    The neighborhoods are independent, so workers.fill_queued fills them on
+    one worker per CPU into shared arrays; the outputs and any error are
+    bitwise those of a serial fill, which ``taskset -c 0`` gives.
     """
     neighborhoods = pu.neighborhoods
     interior, L = neighborhoods.interior, len(neighborhoods.rim)

@@ -17,11 +17,13 @@ Elsewhere every call here runs its work in this process, in serial order.
 Workers write their results only into anonymous shared mappings
 (shared_arrays) made before the fork, so nothing is sent back.  Each worker
 is pinned to its own CPU: left to the scheduler, a forked child often ran
-on its parent's CPU while another CPU idled.  A child exits through
-os._exit, so it never returns into the caller or flushes inherited
-buffers.  A failure is always the one a serial run raises: work that
-failed in a child is run again in this process before anything is raised.
-No child outlives the call or block that forked it.
+on its parent's CPU while another CPU idled.  Both share one child
+lifecycle (_forked): a child exits through os._exit, so it never returns
+into the caller or flushes inherited buffers, and no child outlives the
+call or block that forked it.  They share one failure rule too: each
+finished piece of work is flagged in a shared mapping, and once every
+child is reaped this process reruns the unflagged work in ascending
+order, so a failure is always the one a serial run raises.
 """
 
 import contextlib
@@ -29,10 +31,11 @@ import mmap
 import os
 import select
 import signal
+import types
 
 import numpy as np
 
-__all__ = ["worker_cpus", "shared_arrays", "first_cpu", "fill_queued", "Beside"]
+__all__ = ["worker_cpus", "shared_arrays", "fill_queued", "Beside"]
 
 # Bytes per entry of fill_queued's queue: a little-endian uint32 id.
 _TOKEN = 4
@@ -82,14 +85,6 @@ def _pinned(cpu):
         os.sched_setaffinity(0, mask)
 
 
-def first_cpu():
-    """Context manager that pins this process to the first CPU of its mask
-    where it may fork workers, clear of the child that Beside runs on the
-    last; elsewhere it does nothing."""
-    cpus = worker_cpus()
-    return contextlib.nullcontext() if cpus is None else _pinned(cpus[0])
-
-
 def _queue(n):
     """(read end, chunk): a pipe holding the starts of the chunks of range(n),
     ascending, ``chunk`` ids each.
@@ -133,115 +128,111 @@ def _draw(queue, chunk, n, fill, done):
             done[i] = True
 
 
+def _reap(children):
+    """Wait for each child in ``children``, dropping it once reaped."""
+    while children:
+        os.waitpid(children[-1], 0)
+        children.pop()
+
+
+@contextlib.contextmanager
+def _forked(cpus, work):
+    """Run ``work()`` in one child per CPU of ``cpus``, pinned to it, beside
+    the block; a CPU whose fork fails gets no child.
+
+    A child ends through os._exit, whatever ``work`` does.  Every child is
+    reaped before the block is left: waited for if the block returns or
+    raises an Exception, killed first if it is interrupted, also while this
+    process waits.
+    """
+    children = []
+    try:
+        for cpu in cpus:
+            try:
+                pid = os.fork()
+            except OSError:
+                continue  # the caller reruns the work it leaves undone
+            if pid == 0:
+                try:
+                    os.sched_setaffinity(0, [cpu])
+                    work()
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        try:
+            yield
+        except Exception:
+            _reap(children)
+            raise
+        _reap(children)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _reap(children)
+
+
 def fill_queued(n, fill):
     """Run ``fill(i)`` for every i in range(n), where i writes only its own
     part of memory shared with this process.
 
     Where worker_cpus gives CPUs, one child is forked per CPU after the
     first, at most n workers in all, and this process works too, pinned to
-    the first.  Every worker draws ids from one queue, in ascending order.
-    A child that fails on an id, or could not be forked, leaves ids undone;
-    once every child is reaped this process runs the undone ids in
-    ascending order, so the error raised is that of the lowest failing id,
-    as in a serial run.  If this process is interrupted, every child is
-    killed before the exception propagates.
+    the first.  Every worker draws ids from one queue, in ascending order,
+    and flags each id it finishes.  Once every child is reaped this process
+    runs the unflagged ids in ascending order, which elsewhere is all of
+    them: the error raised is that of the lowest failing id, as in a serial
+    run.
     """
     cpus = worker_cpus()
     if cpus is None or n < 2:
-        for i in range(n):
-            fill(i)
-        return
-    (done,) = shared_arrays((n,), dtype=bool)
-    queue, chunk = _queue(n)
-    children = []
-    try:
-        with _pinned(cpus[0]):
-            for cpu in cpus[1:n]:
-                try:
-                    pid = os.fork()
-                except OSError:
-                    continue  # the workers that did start draw its ids
-                if pid == 0:
-                    try:
-                        os.sched_setaffinity(0, [cpu])
-                        _draw(queue, chunk, n, fill, done)
-                    finally:
-                        os._exit(0)
-                children.append(pid)
-            _draw(queue, chunk, n, fill, done)
-            while children:
-                os.waitpid(children[-1], 0)
-                children.pop()
-            for i in np.flatnonzero(~done):
-                fill(int(i))
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid in children:
-            os.waitpid(pid, 0)
-        os.close(queue)
-
-
-class Beside:
-    """``compute()``, which returns an array of ``shape``, run beside the
-    body of a ``with`` block; ``result`` holds it once the block is left.
-
-    Where worker_cpus gives CPUs, ``compute`` runs in a child forked on
-    entry and pinned to the last CPU, which writes its result into a shared
-    mapping and is reaped on exit.  Elsewhere, or if the fork fails,
-    ``compute`` runs here on entry, before the body, as in a serial run.
-    A failure of ``compute`` wins over any failure of the body, as in that
-    serial run: a child that failed is run again here on exit, whose error
-    is raised in place of the body's.  If the body raises anything but an
-    Exception, the child is killed.
-    """
-
-    def __init__(self, compute, shape):
-        self.compute = compute
-        self.shape = shape
-        self.result = None
-        self._pid = None
-
-    def __enter__(self):
-        cpus = worker_cpus()
-        if cpus is not None:
-            (self._out,) = shared_arrays(self.shape)
-            try:
-                pid = os.fork()
-            except OSError:
-                pid = None
-            if pid == 0:
-                code = 1
-                try:
-                    os.sched_setaffinity(0, [cpus[-1]])
-                    self._out[...] = self.compute()
-                    code = 0
-                finally:
-                    os._exit(code)
-            self._pid = pid
-        if self._pid is None:
-            self.result = self.compute()
-        return self
-
-    def __exit__(self, kind, value, traceback):
-        if self._pid is None:
-            return False
-        pid, self._pid = self._pid, None
-        interrupted = kind is not None and not issubclass(kind, Exception)
+        done = np.zeros(n, dtype=bool)
+    else:
+        (done,) = shared_arrays((n,), dtype=bool)
+        queue, chunk = _queue(n)
         try:
-            if interrupted:
-                os.kill(pid, signal.SIGKILL)
-            _, status = os.waitpid(pid, 0)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if interrupted:
-            return False
-        if status != 0:
-            self.result = self.compute()  # raises the serial error
-        elif kind is None:
-            self.result = self._out
-        return False
+            with _pinned(cpus[0]), _forked(cpus[1:n], lambda: _draw(queue, chunk, n, fill, done)):
+                _draw(queue, chunk, n, fill, done)
+        finally:
+            os.close(queue)
+    for i in np.flatnonzero(~done):
+        fill(int(i))
+
+
+@contextlib.contextmanager
+def Beside(compute, shape):
+    """Context manager that runs ``compute()``, which returns an array of
+    ``shape``, beside its block; the ``result`` of the object it gives holds
+    that array once the block is left.
+
+    Where worker_cpus gives CPUs, ``compute`` runs in a child on the last
+    CPU, which writes its result into a shared mapping and flags it.
+    Elsewhere ``compute`` runs here on entry, before the block, as in a
+    serial run.  If the child did not flag its result, ``compute`` runs here
+    once the child is reaped, and its error replaces any Exception of the
+    block, as in that serial run.
+    """
+    beside = types.SimpleNamespace(result=None)
+    cpus = worker_cpus()
+    if cpus is None:
+        beside.result = compute()
+        yield beside
+        return
+    (out,) = shared_arrays(shape)
+    (done,) = shared_arrays((1,), dtype=bool)
+
+    def work():
+        out[...] = compute()
+        done[0] = True
+
+    try:
+        with _forked(cpus[-1:], work):
+            yield beside
+    except Exception:
+        if not done[0]:
+            work()
+        raise
+    if not done[0]:
+        work()
+    beside.result = out

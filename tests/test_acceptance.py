@@ -157,7 +157,7 @@ def test_c05_snapshot_norm_lower_bounds_exact(channel_problem, channel_offline):
     patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
     exact_cache = indicators.ResidualNormCache(patch_A)
     parts = [s.snapshots[space.neighborhoods.interior] for s in channel_offline["spectra"]]
-    snap_cache = indicators.ResidualNormCache(patch_A, mode="snapshot", zero_trace_parts=parts)
+    snap_cache = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)
     worst = -np.inf
     for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
         local = rho[interior]

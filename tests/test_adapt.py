@@ -72,6 +72,8 @@ def test_marking_config_validation():
         ("max_iterations", True, "max_iterations must be an integer, got True"),
         ("theta", "0.5", "theta must be a real number, got '0.5'"),
         ("goal_tol", "1e-3", "goal_tol must be a real number, got '1e-3'"),
+        ("theta", True, "theta must be a real number, got True"),
+        ("goal_tol", True, "goal_tol must be a real number, got True"),
     ],
     ids=[
         "goal_tol-nan",
@@ -87,6 +89,8 @@ def test_marking_config_validation():
         "max_iterations-bool",
         "theta-string",
         "goal_tol-string",
+        "theta-bool",
+        "goal_tol-bool",
     ],
 )
 def test_marking_config_rejects_bad_stop_values(field, value, message):
@@ -401,9 +405,7 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     parts = np.stack([s.snapshots[interior] for s in data["spectra"]])
     assert np.array_equal(cache._T, parts)
     oracle = indicators.ResidualNormCache(
-        fine_fem.patch_stiffness(grid, field, problem.space.neighborhoods),
-        mode="snapshot",
-        zero_trace_parts=parts,
+        fine_fem.patch_stiffness(grid, field, problem.space.neighborhoods), zero_trace_parts=parts
     )
     assert np.array_equal(cache._pinv, oracle._pinv)
 

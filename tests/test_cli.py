@@ -269,6 +269,7 @@ _BOX = "box must be four numbers x0, x1, y0, y1, got"
         ({"field": "maze"}, f"field must be one of {cli.FIELD_KINDS} or file:PATH, got 'maze'"),
         ({"contrast": "high"}, "contrast must be a real number, got 'high'"),
         ({"contrast": True}, "contrast must be a real number, got True"),
+        ({"goal_tol": True}, "goal_tol must be a real number, got True"),
     ],
     ids=[
         "indicator-switch",
@@ -281,6 +282,7 @@ _BOX = "box must be four numbers x0, x1, y0, y1, got"
         "field-unknown",
         "contrast-text",
         "contrast-bool",
+        "goal_tol-bool",
     ],
 )
 def test_experiment_config_names_the_bad_argument(kwargs, message):

@@ -109,15 +109,11 @@ def test_snapshot_cache_cannot_solve(channel_problem_snapshot):
         cache.solve(0, np.ones(cache._block))
 
 
-def test_dual_norm_rejects_unknown_mode(channel_state):
+def test_dual_norm_rejects_misshapen_zero_trace_parts(channel_state):
     problem = channel_state["problem"]
     patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
-    with pytest.raises(ValueError):
-        indicators.ResidualNormCache(patch_A, mode="approximate")
-    with pytest.raises(ValueError):
-        indicators.ResidualNormCache(patch_A, mode="snapshot")
     with pytest.raises(ValueError, match=r"must be \(N, m, L\), got shape \(2, 3, 4\)"):
-        indicators.ResidualNormCache(patch_A, mode="snapshot", zero_trace_parts=np.ones((2, 3, 4)))
+        indicators.ResidualNormCache(patch_A, zero_trace_parts=np.ones((2, 3, 4)))
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 import time
 
 import numpy as np
@@ -35,3 +37,179 @@ def test_shared_arrays_read_as_zeros_before_any_write():
     assert a.shape == (3, 4) and b.shape == (5,) and flags.dtype == bool
     assert not a.any() and not b.any() and not flags.any()
     assert not np.shares_memory(a, b)
+
+
+def _assert_clean(mask):
+    """No child of this process is left, and its affinity mask is ``mask``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+
+
+def _slow_elsewhere(seconds, then=None):
+    """A function that sleeps ``seconds`` in any process but this one, and
+    then returns ``then()`` (None if not given)."""
+    here = os.getpid()
+
+    def run(*args):
+        if os.getpid() != here:
+            time.sleep(seconds)
+        return None if then is None else then()
+
+    return run
+
+
+@contextlib.contextmanager
+def _interrupt_after(seconds):
+    """Raise KeyboardInterrupt in this process ``seconds`` into the block."""
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fill_queued_of_no_ids_returns_at_once():
+    calls = []
+    with cpu_affinity(2):
+        workers.fill_queued(0, calls.append)
+    assert calls == []
+
+
+def test_interrupt_in_fill_queued_draw_kills_every_child():
+    # the forked worker sleeps on each id it draws; this process's first
+    # draw raises, and the worker must not be waited for
+    here = os.getpid()
+
+    def fill(i):
+        if os.getpid() == here:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            workers.fill_queued(2, fill)
+        assert time.perf_counter() - start < 10
+        _assert_clean(mask)
+
+
+def test_interrupt_while_fill_queued_waits_kills_the_child():
+    # the forked worker sleeps on the first id it draws; this process waits
+    # for it to start, draws every other id, and is interrupted in the wait
+    n = 16
+    here = os.getpid()
+    (started,) = workers.shared_arrays((1,), dtype=bool)
+    ran_here = []
+
+    def fill(i):
+        if os.getpid() != here:
+            started[0] = True
+            time.sleep(30)
+        deadline = time.perf_counter() + 5
+        while not started[0] and time.perf_counter() < deadline:
+            time.sleep(1e-3)
+        ran_here.append(i)
+
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt), _interrupt_after(1.0):
+            workers.fill_queued(n, fill)
+        assert time.perf_counter() - start < 10
+        _assert_clean(mask)
+    assert started[0] and len(ran_here) == n - 1  # this process's draw was over
+
+
+def test_interrupt_in_beside_body_kills_the_child():
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            with workers.Beside(_slow_elsewhere(30, lambda: np.ones(3)), 3):
+                raise KeyboardInterrupt
+        assert time.perf_counter() - start < 10
+        _assert_clean(mask)
+
+
+def test_interrupt_while_beside_waits_kills_the_child():
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt), _interrupt_after(0.5):
+            with workers.Beside(_slow_elsewhere(30, lambda: np.ones(3)), 3):
+                pass
+        assert time.perf_counter() - start < 10
+        _assert_clean(mask)
+
+
+def _failing_fork():
+    raise OSError("fork refused")
+
+
+def test_fill_queued_runs_every_id_here_when_no_child_forks(monkeypatch):
+    n = 16
+    runs, pids = workers.shared_arrays((n,), (n,))
+
+    def fill(i):
+        runs[i] += 1
+        pids[i] = os.getpid()
+
+    monkeypatch.setattr(os, "fork", _failing_fork)
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        workers.fill_queued(n, fill)
+        _assert_clean(mask)
+    assert np.all(runs == 1) and np.all(pids == os.getpid())
+
+
+def test_beside_computes_here_when_no_child_forks(monkeypatch):
+    monkeypatch.setattr(os, "fork", _failing_fork)
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        with workers.Beside(lambda: np.arange(4.0), 4) as beside:
+            pass
+        _assert_clean(mask)
+    assert np.array_equal(beside.result, np.arange(4.0))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_beside_result_is_read_after_the_block(cpus):
+    with cpu_affinity(cpus):
+        mask = os.sched_getaffinity(0)
+        with workers.Beside(_slow_elsewhere(0.1, lambda: np.arange(5.0)), 5) as beside:
+            pass
+        _assert_clean(mask)
+    assert np.array_equal(beside.result, np.arange(5.0))
+
+
+def _compute_error():
+    raise ValueError("compute failed")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_beside_compute_error_replaces_the_body_error(cpus):
+    # as in a serial run, which computes before the body
+    with cpu_affinity(cpus):
+        mask = os.sched_getaffinity(0)
+        with pytest.raises(ValueError, match="compute failed"):
+            with workers.Beside(_slow_elsewhere(0.1, _compute_error), 2):
+                raise RuntimeError("body failed")
+        _assert_clean(mask)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_beside_body_error_propagates_when_compute_succeeds(cpus):
+    with cpu_affinity(cpus):
+        mask = os.sched_getaffinity(0)
+        with pytest.raises(RuntimeError, match="body failed"):
+            with workers.Beside(_slow_elsewhere(0.1, lambda: np.zeros(2)), 2):
+                raise RuntimeError("body failed")
+        _assert_clean(mask)
