@@ -159,6 +159,7 @@ class ProblemSetup:
         self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness, f_load)
 
 
+@workers.one_blas_thread()
 def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_mode="exact"):
     """Run the fine reference solve and the offline pipeline for one problem.
 
@@ -176,7 +177,9 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     ``dual_norm_mode``: in snapshot mode the snapshots' interior rows fill
     one (N, m, L) array as they are solved, and the snapshot cache is built
     from it once the exact factor and the patch mass are released, so
-    nothing is assembled or solved twice.
+    nothing is assembled or solved twice.  It runs at one BLAS thread with
+    the OpenBLAS pools shut (workers.one_blas_thread), so its results do not
+    depend on the thread count and its workers may fork.
     """
     if (
         isinstance(initial_count, bool)
@@ -220,13 +223,16 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     return ProblemSetup(field, stiffness, f_load, g_load, space, reference.result, dual_norms)
 
 
+@workers.one_blas_thread()
 def adapt_loop(problem, strategy, cfg):
     """Iterate solve -> indicators -> mark -> enrich for one strategy.
 
     The indicators never consume the fine reference; it feeds the trace's
     energy and goal error columns, and the goal error against it is what the
     goal_tol stop reads.  Each coarse system is dropped after its last
-    solve, so at most one is alive at a time.
+    solve, so at most one is alive at a time.  goal_h1 takes the dual norms
+    of its primal and dual residuals in one call.  Like build_problem, it
+    runs at one BLAS thread (workers.one_blas_thread).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -250,9 +256,8 @@ def adapt_loop(problem, strategy, cfg):
                 report = indicators.eta_standard(space, dual_norms.norms(rho_u), iteration)
             elif strategy == "goal_h1":
                 rho_z = indicators.fine_residual(A, problem.g_load, z_ms.fine)
-                report = indicators.eta_goal_h1(
-                    space, dual_norms.norms(rho_u), dual_norms.norms(rho_z), iteration
-                )
+                norms = dual_norms.norms(np.column_stack((rho_u, rho_z)))
+                report = indicators.eta_goal_h1(space, norms[:, 0], norms[:, 1], iteration)
             else:
                 enriched_system = coarse_solve.assemble_coarse(
                     space.extended(cfg.m_enrich), A, problem.f_load, store

@@ -20,9 +20,10 @@ stiffness (fine_fem.PatchMatrices), never from the global stiffness.  The
 exact dual norms share one LAPACK banded Cholesky factor of the
 block-diagonal stack of all zero-trace operators, made once per problem and
 (2r+1) * N * m doubles for N neighborhoods of m = (2r-1)^2 interior vertices
-(about 22 MB at nc=20, r=10).  One banded solve of a residual's stacked
-interior restrictions gives every neighborhood's norm, and the factor's
-column block of one neighborhood also solves its offline snapshots.  A
+(about 22 MB at nc=20, r=10).  One banded solve of the stacked interior
+restrictions of an iteration's residuals, made in cache-sized chunks of
+neighborhoods, gives every neighborhood's norms, and the factor's column
+block of one neighborhood also solves its offline snapshots.  A
 problem has one dual-norm mode, chosen in adapt.build_problem, whose
 snapshot mode keeps the snapshots' interior rows and drops that factor.
 """
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 DUAL_NORM_MODES = ("exact", "snapshot")
+# Bytes of stacked factor per chunk of the exact-mode solve: a chunk of about
+# 1 MiB (17 neighborhoods at r=10) stays in cache for all its right-hand sides.
+_CHUNK_BYTES = 1 << 20
 
 
 class IndicatorReport:
@@ -95,7 +99,8 @@ class ResidualNormCache:
     block-diagonal matrix is block-diagonal, so the columns of block i are
     neighborhood i's own banded factor: ``solve(i, rhs)`` solves with it (the
     offline snapshots do too, see ms_space.compute_snapshots) and ``norms``
-    solves with the whole stack at once.
+    solves with the whole stack, chunk by chunk, for all its residuals at
+    once.
 
     Given ``zero_trace_parts`` it is in snapshot mode, and solves that
     problem in the span of the zero-trace parts T_i of the snapshots, which
@@ -114,6 +119,7 @@ class ResidualNormCache:
         self._block = neighborhoods.interior_vertices.shape[1]
         if zero_trace_parts is None:
             self._factor = scipy.linalg.cholesky_banded(patch_A.interior_band(), overwrite_ab=True)
+            (self._pbtrs,) = scipy.linalg.get_lapack_funcs(("pbtrs",), (self._factor,))
             return
         self._T = np.asarray(zero_trace_parts)
         if self._T.shape != neighborhoods.interior_vertices.shape + (len(neighborhoods.rim),):
@@ -144,16 +150,44 @@ class ResidualNormCache:
         return float(np.sqrt(max(float(rhs @ (self._pinv[i] @ rhs)), 0.0)))
 
     def norms(self, rho):
-        """Dual norm of the global residual ``rho`` over every neighborhood."""
-        local = rho[self._stacked]
+        """Dual norms of the global residual ``rho`` over every neighborhood:
+        (N,) for an (n,) residual, (N, k) for the k residuals in the columns
+        of an (n, k) one, each column as its own (n,) call gives it."""
+        local = np.stack([column[self._stacked] for column in np.reshape(rho, (len(rho), -1)).T])
         if self.mode != "exact":
-            rhs = local.reshape(-1, 1, self._block) @ self._T
-            y = rhs @ self._pinv.swapaxes(1, 2)  # (pinv_i @ rhs_i)'
-            return np.sqrt(np.maximum((rhs * y).sum((1, 2)), 0.0))
-        # the factor was checked when it was made; a non-finite rho gives
-        # non-finite norms, which IndicatorReport rejects
-        w = scipy.linalg.cho_solve_banded((self._factor, False), local, check_finite=False)
-        return np.sqrt(np.maximum((local * w).reshape(-1, self._block).sum(1), 0.0))
+            out = np.column_stack([self._snapshot_norms(row) for row in local])
+        else:
+            # local and the solution are both C-ordered (k, N * m), so each
+            # neighborhood's products are summed along one contiguous row, in
+            # the order of a one-residual call
+            products = local * self._stacked_solve(local.T).T
+            out = np.sqrt(np.maximum(products.reshape(len(local), -1, self._block).sum(2), 0.0)).T
+        return out if np.ndim(rho) > 1 else out[:, 0]
+
+    def _snapshot_norms(self, local):
+        rhs = local.reshape(-1, 1, self._block) @ self._T
+        y = rhs @ self._pinv.swapaxes(1, 2)  # (pinv_i @ rhs_i)'
+        return np.sqrt(np.maximum((rhs * y).sum((1, 2)), 0.0))
+
+    def _stacked_solve(self, b):
+        """Solve the stacked zero-trace system for the (N * m, k) ``b`` with
+        the whole factor, in chunks of whole neighborhoods of about
+        _CHUNK_BYTES of factor each.
+
+        Each chunk's dpbtrs call starts u columns early, in the previous
+        neighborhood's tail, where the factor couples nothing to the chunk.
+        So every column's inner products keep the length u they have in one
+        call over the whole stack, and each chunk is bitwise that call's.
+        """
+        u = self._factor.shape[0] - 1
+        size = self._block * max(1, _CHUNK_BYTES // self._factor[:, : self._block].nbytes)
+        x = np.empty_like(b, order="F")
+        for start in range(0, len(b), size):
+            lo, stop = max(start - u, 0), start + size
+            # the factor was checked when it was made; a non-finite rho gives
+            # non-finite norms, which IndicatorReport rejects
+            x[start:stop] = self._pbtrs(self._factor[:, lo:stop], b[lo:stop])[0][start - lo :]
+        return x
 
 
 def _lambda_weights(space):

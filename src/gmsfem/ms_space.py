@@ -232,7 +232,11 @@ def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
     ``patch_A`` and ``patch_S`` must be assembled over the neighborhood's own
     cells (``matrix(vertex_id)`` of fine_fem.patch_stiffness and
     patch_weighted_mass) so that the stiffness side annihilates constants and
-    the smallest eigenvalue is zero up to roundoff.
+    the smallest eigenvalue is zero up to roundoff.  S_off is shifted by
+    ``jitter`` = 1e-12 * tr(S_off) / L when its smallest eigenvalue lies below
+    that floor, which one Cholesky factorization of S_off - floor * I
+    decides.  A pencil LAPACK cannot solve, or one that is not finite,
+    raises OfflineFailure.
     """
     A_off = snapshots.T @ (patch_A @ snapshots)
     S_off = snapshots.T @ (patch_S @ snapshots)
@@ -241,18 +245,22 @@ def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
 
     L = S_off.shape[0]
     floor = 1e-12 * np.trace(S_off) / L
+    potrf, sygvd = scipy.linalg.get_lapack_funcs(("potrf", "sygvd"), (S_off,))
     jitter = 0.0
-    smallest = scipy.linalg.eigvalsh(S_off)[0]
-    if smallest < floor:
+    # the Cholesky factorization of S_off - floor * I fails iff lambda_min(S_off) < floor
+    if potrf(S_off - floor * np.eye(L), lower=True, overwrite_a=True, clean=False)[1] != 0:
         jitter = floor
-        S_off = S_off + jitter * np.eye(L)
-    try:
-        eigenvalues, eigenvectors = scipy.linalg.eigh(A_off, S_off)
-    except scipy.linalg.LinAlgError as exc:
+    mass = S_off + jitter * np.eye(L) if jitter else S_off
+    # the LAPACK driver and arguments scipy.linalg.eigh(A_off, mass) takes
+    eigenvalues, eigenvectors, info = sygvd(A_off, mass, itype=1, jobz="V", uplo="L")
+    if info != 0 or not np.isfinite(eigenvalues).all():
+        if not (np.isfinite(A_off).all() and np.isfinite(S_off).all()):
+            raise OfflineFailure(f"neighborhood {vertex_id}: local spectral problem is not finite")
+        smallest = scipy.linalg.eigvalsh(S_off)[0]
         raise OfflineFailure(
             f"neighborhood {vertex_id}: local mass matrix numerically "
             f"indefinite (smallest Ritz value {smallest:.3e})"
-        ) from exc
+        )
     return NeighborhoodSpectrum(vertex_id, snapshots, eigenvalues, eigenvectors, jitter)
 
 

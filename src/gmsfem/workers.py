@@ -5,7 +5,9 @@ the platform has os.fork and os.sched_getaffinity, the process runs one
 thread, and its affinity mask holds more than one CPU.  Forking a process
 with threads can deadlock on a lock another thread holds, and a
 multi-threaded BLAS pool (which OpenBLAS starts at import when it may use
-more than one thread) would compete with the workers for the same CPUs.
+more than one thread) would compete with the workers for the same CPUs;
+one_blas_thread shuts numpy's and scipy's pools for a block, so a process
+at the default thread count forks as one at OPENBLAS_NUM_THREADS=1 does.
 Elsewhere every call here runs its work in this process, in serial order.
 
 - fill_queued runs fill(i) for every i in range(n) on one worker per CPU,
@@ -27,15 +29,17 @@ order, so a failure is always the one a serial run raises.
 """
 
 import contextlib
+import ctypes
 import mmap
 import os
 import select
 import signal
+import sys
 import types
 
 import numpy as np
 
-__all__ = ["worker_cpus", "shared_arrays", "fill_queued", "Beside"]
+__all__ = ["worker_cpus", "one_blas_thread", "shared_arrays", "fill_queued", "Beside"]
 
 # Bytes per entry of fill_queued's queue: a little-endian uint32 id.
 _TOKEN = 4
@@ -57,6 +61,62 @@ def worker_cpus():
         return None
     cpus = sorted(os.sched_getaffinity(0))
     return cpus if len(cpus) > 1 else None
+
+
+def _openblas():
+    """(get, set, shutdown) thread functions of each OpenBLAS that numpy and
+    scipy bundle in their own ``<package>.libs`` directories and that this
+    process has loaded; none elsewhere."""
+    found = []
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return found
+    for package in ("numpy", "scipy"):
+        if package not in sys.modules:
+            continue
+        site = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
+        libs = os.path.join(site, package + ".libs")
+        names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+        for name in (name for name in names if name.startswith("libscipy_openblas")):
+            symbol = "scipy_openblas_{}_num_threads" + ("64_" if "openblas64_" in name else "")
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD)
+                get, set_threads = (getattr(lib, symbol.format(op)) for op in ("get", "set"))
+                shutdown = lib.blas_thread_shutdown_
+            except (OSError, AttributeError):
+                continue  # not loaded, or not an OpenBLAS this knows
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            found.append((get, set_threads, shutdown))
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's and scipy's OpenBLAS at one thread and
+    their thread pools shut.
+
+    A library that reports more than one thread is set to one and its pool
+    is shut (blas_thread_shutdown_), so its threads end and worker_cpus lets
+    this process fork; at one thread no BLAS call restarts the pool.  Every
+    result is then that of a run at OPENBLAS_NUM_THREADS=1.  The counts are
+    restored when the block is left, whether it returns or raises, and a
+    later threaded call restarts the pool.  A library already at one thread
+    is only read, and where no known OpenBLAS is loaded this does nothing.
+    Also usable as a decorator.
+    """
+    saved = []
+    for get, set_threads, shutdown in _openblas():
+        count = get()
+        if count > 1:
+            set_threads(1)
+            shutdown()
+            saved.append((set_threads, count))
+    try:
+        yield
+    finally:
+        for set_threads, count in saved:
+            set_threads(count)
 
 
 def shared_arrays(*shapes, dtype=float):

@@ -49,9 +49,11 @@ def _offline(grid, field):
 @contextlib.contextmanager
 def cpu_affinity(count):
     """Run the block pinned to the first ``count`` CPUs of this process's
-    affinity mask, which sets how many workers adapt.build_problem forks;
-    the mask is restored afterwards.  Skips the test if fewer are available,
-    or if more than one is asked for and the process runs other threads."""
+    affinity mask, which sets how many workers adapt.build_problem forks,
+    and with the BLAS pools shut (workers.one_blas_thread), as build_problem
+    runs; the mask and the BLAS thread counts are restored afterwards.
+    Skips the test if fewer CPUs are available, or if more than one is
+    asked for and the process still runs other threads."""
     if not hasattr(os, "sched_setaffinity"):
         if count > 1:
             pytest.skip("os.sched_setaffinity is not available on this platform")
@@ -60,13 +62,14 @@ def cpu_affinity(count):
     saved = os.sched_getaffinity(0)
     if len(saved) < count:
         pytest.skip(f"needs {count} CPUs in the affinity mask, found {len(saved)}")
-    if count > 1 and workers.worker_cpus() is None:
-        pytest.skip("the process runs other threads (a BLAS pool), so build_problem forks no worker")
-    os.sched_setaffinity(0, sorted(saved)[:count])
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, saved)
+    with workers.one_blas_thread():
+        if count > 1 and workers.worker_cpus() is None:
+            pytest.skip("the process runs other threads, so build_problem forks no worker")
+        os.sched_setaffinity(0, sorted(saved)[:count])
+        try:
+            yield
+        finally:
+            os.sched_setaffinity(0, saved)
 
 
 def assemble_weighted_mass(grid, weight):

@@ -40,7 +40,8 @@ def _trace_columns(path, names):
 
 def test_trajectory_independent_of_blas_thread_count(tmp_path):
     # the same run at 1 and 2 BLAS threads, each in its own process because
-    # the thread pool is sized when numpy loads, must enrich the same way
+    # the thread pool is sized when numpy loads, must enrich the same way and
+    # write the same bytes: build_problem and adapt_loop run at one BLAS thread
     src = str(Path(gmsfem.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = ["--nc", "5", "--r", "4", "--field", "channel", "--contrast", "1e3"]
@@ -65,6 +66,11 @@ def test_trajectory_independent_of_blas_thread_count(tmp_path):
     for strategy in STRATEGIES:
         assert len(columns["1"][strategy]["dofs"]) == 8, strategy
         assert columns["1"][strategy] == columns["2"][strategy], strategy
+    names = sorted(path.name for path in (tmp_path / "threads1").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "threads2").iterdir())
+    for name in names:
+        one, two = (tmp_path / f"threads{t}" / name for t in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

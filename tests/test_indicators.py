@@ -154,6 +154,61 @@ def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual):
         ), i
 
 
+def _one_shot_norms(problem, rho):
+    """Exact dual norms from one cho_solve_banded over the whole stacked
+    zero-trace factor, the path the chunked solve must reproduce bit for bit."""
+    neighborhoods = problem.space.neighborhoods
+    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, neighborhoods)
+    factor = scipy.linalg.cholesky_banded(patch_A.interior_band())
+    local = rho[neighborhoods.interior_vertices.ravel()]
+    w = scipy.linalg.cho_solve_banded((factor, False), local)
+    return np.sqrt(np.maximum((local * w).reshape(len(neighborhoods), -1).sum(1), 0.0))
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, 81, None])
+def test_chunked_norms_are_bitwise_one_whole_solve(channel_state, per_chunk, monkeypatch):
+    # chunks of 1 neighborhood, 7 (the last of the 81 neighborhoods ragged),
+    # all of them, and the module's own size (17); one and two right-hand sides
+    problem = channel_state["problem"]
+    N, m = problem.space.neighborhoods.interior_vertices.shape
+    u = 2 * problem.grid.r
+    if per_chunk is None:
+        per_chunk = 17
+    else:
+        monkeypatch.setattr(indicators, "_CHUNK_BYTES", per_chunk * (u + 1) * m * 8)
+    rho_u, rho_z = channel_state["rho_u"], channel_state["rho_z"]
+    cache = problem.dual_norms
+    calls = []
+    pbtrs = cache._pbtrs
+
+    def recorded(ab, b):
+        calls.append((ab.shape[1], b.shape))
+        return pbtrs(ab, b)
+
+    monkeypatch.setattr(cache, "_pbtrs", recorded)
+    oracle = np.column_stack([_one_shot_norms(problem, rho) for rho in (rho_u, rho_z)])
+    assert np.array_equal(cache.norms(rho_u), oracle[:, 0])
+    assert np.array_equal(cache.norms(np.column_stack((rho_u, rho_z))), oracle)
+    # each call after the first starts u columns early, in the previous
+    # neighborhood's tail, and solves every right-hand side at once
+    firsts = range(0, N, per_chunk)
+    widths = [min(per_chunk, N - first) * m + (u if first else 0) for first in firsts]
+    assert calls == [(w, (w, 1)) for w in widths] + [(w, (w, 2)) for w in widths]
+
+
+@pytest.mark.parametrize("mode", ["exact", "snapshot"])
+def test_norms_of_residual_columns_equal_one_call_each(
+    channel_state, channel_problem_snapshot, mode
+):
+    problem = channel_state["problem"] if mode == "exact" else channel_problem_snapshot
+    rho_u, rho_z = channel_state["rho_u"], channel_state["rho_z"]
+    cache = problem.dual_norms
+    both = cache.norms(np.column_stack((rho_u, rho_z)))
+    assert both.shape == (len(problem.space.neighborhoods), 2)
+    assert np.array_equal(both, np.column_stack((cache.norms(rho_u), cache.norms(rho_z))))
+    assert cache.norms(rho_u[:, None]).shape == (len(problem.space.neighborhoods), 1)
+
+
 # ---------------------------------------------------------------------------
 # indicator assembly
 

@@ -320,6 +320,67 @@ def test_zero_weighted_mass_names_the_neighborhood(unit_offline44):
         ms_space.local_spectral_decomposition(4, patch_A, 0.0 * patch_S, snaps)
 
 
+def _symmetric_pencil(patch_A, patch_S, snaps):
+    """A_off and S_off of the snapshots, symmetrized as the library does."""
+    A_off = snaps.T @ (patch_A @ snaps)
+    S_off = snaps.T @ (patch_S @ snaps)
+    return 0.5 * (A_off + A_off.T), 0.5 * (S_off + S_off.T)
+
+
+@pytest.mark.parametrize("kind", ["channel", "inclusions"])
+@pytest.mark.parametrize("contrast", [1e4, 1e6])
+def test_jitter_and_spectrum_match_eigvalsh_and_eigh_oracles(kind, contrast):
+    # every neighborhood of the criterion-8 fields at nc=10: the Cholesky
+    # jitter test agrees with the smallest eigenvalue of S_off, and the
+    # LAPACK pencil solve is bitwise scipy.linalg.eigh's
+    grid = mesh.GridHierarchy(10, 10)
+    field = cli.generate_field(kind, contrast, grid.nf, seed=7)
+    pu = ms_space.compute_partition_of_unity(grid, field)
+    weight = ms_space.compute_spectral_weight(grid, field, pu)
+    patches = fine_fem.patch_stiffness(grid, field, pu.neighborhoods)
+    masses = fine_fem.patch_weighted_mass(grid, weight, pu.neighborhoods)
+    zero_trace = indicators.ResidualNormCache(patches)
+    for i in range(len(pu.neighborhoods)):
+        patch_A, patch_S = patches.matrix(i), masses.matrix(i)
+        snaps = ms_space.compute_snapshots(patches, i, zero_trace)
+        spectrum = ms_space.local_spectral_decomposition(i, patch_A, patch_S, snaps)
+        A_off, S_off = _symmetric_pencil(patch_A, patch_S, snaps)
+        floor = 1e-12 * np.trace(S_off) / len(S_off)
+        jitter = floor if scipy.linalg.eigvalsh(S_off)[0] < floor else 0.0
+        assert spectrum.jitter == jitter, i
+        eigenvalues, eigenvectors = scipy.linalg.eigh(A_off, S_off + jitter * np.eye(len(S_off)))
+        assert np.array_equal(spectrum.eigenvalues, eigenvalues), i
+        assert np.array_equal(spectrum.eigenvectors, eigenvectors), i
+
+
+@pytest.mark.parametrize("ratio, jittered", [(0.5, True), (2.0, False)])
+def test_mass_shifted_about_the_floor_is_jittered_below_it(unit_offline44, ratio, jittered):
+    # shift S_off so that its smallest eigenvalue is ``ratio`` times the floor
+    # 1e-12 * tr(S_off) / L; identity snapshots hand the pencil over as is
+    A_off, S_off = _symmetric_pencil(*_patch_pencil(unit_offline44, 4))
+    L = len(S_off)
+    target = ratio * 1e-12
+    shift = (target * np.trace(S_off) / L - scipy.linalg.eigvalsh(S_off)[0]) / (1.0 - target)
+    S_off = S_off + shift * np.eye(L)
+    floor = 1e-12 * np.trace(S_off) / L
+    assert scipy.linalg.eigvalsh(S_off)[0] / floor == pytest.approx(ratio, rel=0.05)
+    spectrum = ms_space.local_spectral_decomposition(4, A_off, S_off, np.eye(L))
+    assert spectrum.jitter == (floor if jittered else 0.0)
+    assert np.all(np.isfinite(spectrum.eigenvalues))
+
+
+@pytest.mark.parametrize("side", ["stiffness", "mass"])
+def test_non_finite_pencil_names_the_neighborhood(unit_offline44, side):
+    patch_A, patch_S, snaps = _patch_pencil(unit_offline44, 4)
+    if side == "stiffness":
+        patch_A = np.nan * patch_A.toarray()
+    else:
+        patch_S = np.nan * patch_S.toarray()
+    message = "neighborhood 4: local spectral problem is not finite"
+    with pytest.raises(ms_space.OfflineFailure, match=message):
+        ms_space.local_spectral_decomposition(4, patch_A, patch_S, snaps)
+
+
 # ---------------------------------------------------------------------------
 # offline space and enrichment
 

@@ -1,11 +1,16 @@
+import ast
 import contextlib
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmsfem
 from gmsfem import workers
 
 from conftest import cpu_affinity
@@ -213,3 +218,54 @@ def test_beside_body_error_propagates_when_compute_succeeds(cpus):
             with workers.Beside(_slow_elsewhere(0.1, lambda: np.zeros(2)), 2):
                 raise RuntimeError("body failed")
         _assert_clean(mask)
+
+
+_BLAS_PROBE = """
+import os
+import numpy as np
+from gmsfem import adapt, workers  # loads numpy's and scipy's OpenBLAS
+
+def state():
+    return [get() for get, _, _ in workers._openblas()], len(os.listdir("/proc/self/task"))
+
+print(state())
+with workers.one_blas_thread():
+    print(state())
+print(state())
+try:
+    with workers.one_blas_thread():
+        raise KeyError("body failed")
+except KeyError:
+    pass
+print(state())
+a = np.ones((400, 400))
+a @ a
+print(state())
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_blas_thread_shuts_the_pools_and_restores_the_counts(threads):
+    # in a fresh process, since OpenBLAS sizes its pool when it loads; unpinned,
+    # since OpenBLAS starts no more threads than the affinity mask has CPUs
+    if not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs /proc/self/task and two CPUs in the affinity mask")
+    src = str(Path(gmsfem.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    before, inside, returned, raised, reused = map(ast.literal_eval, result.stdout.splitlines())
+    counts, tasks = before
+    if not counts:
+        pytest.skip("numpy and scipy bundle no OpenBLAS this knows")
+    assert counts == [threads] * len(counts)
+    assert inside == ([1] * len(counts), 1)
+    assert returned[0] == raised[0] == counts
+    if threads == 1:
+        assert tasks == returned[1] == raised[1] == reused[1] == 1
+    else:
+        assert tasks == 1 + len(counts)  # one pool thread per library beside this one
+        assert reused[1] > 1  # a threaded call after the block runs a pool again
