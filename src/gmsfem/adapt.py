@@ -137,14 +137,15 @@ class AdaptTrace:
 class ProblemSetup:
     """Everything the adaptive loop consumes, precomputed once per problem.
 
-    Offline data (partition of unity, spectra, initial space; the snapshots
-    are not kept), the global stiffness, load vectors of the source and the
-    goal, ``dual_norms``, the ResidualNormCache of the problem's one
-    dual-norm mode, the fine reference solution, which gives the trace's
-    error columns and the loop's goal_tol stop, and ``galerkin_store``, the
-    GalerkinStore of the stiffness and the source load, which every strategy
-    run on this problem selects from and grows.  That growth is the only
-    state added after construction.  The grid is that of the space.
+    Offline data (partition of unity and initial space; the snapshots are
+    kept only as the snapshot-mode dual norms' zero-trace parts), the global
+    stiffness, load vectors of the source and the goal, ``dual_norms``, the
+    ResidualNormCache of the problem's one dual-norm mode, the fine
+    reference solution, which gives the trace's error columns and the loop's
+    goal_tol stop, and ``galerkin_store``, the GalerkinStore of the
+    stiffness and the source load, which every strategy run on this problem
+    selects from and grows.  That growth is the only state added after
+    construction.  The grid is that of the space.
     """
 
     def __init__(self, field, stiffness, f_load, g_load, space, u_ref, dual_norms):
@@ -174,12 +175,13 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     the snapshots.  Each neighborhood starts with ``initial_count``
     eigenfunctions (clipped at L), rounded up to the end of a cluster of
     tied eigenvalues.  The problem's ``dual_norms`` are of
-    ``dual_norm_mode``: in snapshot mode the snapshots' interior rows fill
-    one (N, m, L) array as they are solved, and the snapshot cache is built
-    from it once the exact factor and the patch mass are released, so
-    nothing is assembled or solved twice.  It runs at one BLAS thread with
-    the OpenBLAS pools shut (workers.one_blas_thread), so its results do not
-    depend on the thread count and its workers may fork.
+    ``dual_norm_mode``: in snapshot mode the ``spectrum`` closure copies the
+    snapshots' interior rows into one shared (N, m, L) array as the workers
+    solve them, and the snapshot cache is built from it once the exact
+    factor and the patch mass are released, so nothing is assembled or
+    solved twice.  It runs at one BLAS thread with the OpenBLAS pools shut
+    (workers.one_blas_thread), so its results do not depend on the thread
+    count and its workers may fork.
     """
     if (
         isinstance(initial_count, bool)
@@ -205,18 +207,22 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
         weight = ms_space.compute_spectral_weight(grid, field, pu)
         patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
 
+        parts = None  # snapshot mode's zero-trace parts, which spectrum(i) fills
+        if dual_norm_mode == "snapshot":
+            N, m = neighborhoods.interior_vertices.shape
+            (parts,) = workers.shared_arrays((N, m, len(neighborhoods.rim)))
+
         def spectrum(i):
             # one call per neighborhood: the benchmark's tracer wraps and counts each
             snapshots = ms_space.compute_snapshots(patch_A, i, dual_norms)
+            if parts is not None:
+                parts[i] = snapshots[neighborhoods.interior]
             return ms_space.local_spectral_decomposition(
                 i, patch_A.matrix(i), patch_S.matrix(i), snapshots
             )
 
-        ones = np.ones(len(neighborhoods), dtype=int)
-        if dual_norm_mode == "exact":
-            space = ms_space.build_basis(pu, spectrum, ones)
-        else:
-            space, parts = ms_space.build_basis(pu, spectrum, ones, keep_parts=True)
+        space = ms_space.build_basis(pu, spectrum, np.ones(len(neighborhoods), dtype=int))
+        if parts is not None:
             del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
             dual_norms = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)
     space = space.extended(initial_count - 1)

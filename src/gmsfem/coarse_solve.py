@@ -40,10 +40,6 @@ class CoarseSolution:
         self.fine = fine
         self.space = space
 
-    def component_coefficients(self, i):
-        """Coefficient slice of neighborhood i."""
-        return self.coefficients[self.space.column_slice(i)]
-
 
 class CoarseSystem:
     """Galerkin system on the span of an offline space's basis columns.

@@ -108,8 +108,9 @@ class ResidualNormCache:
     T_i' A_i T_i of the interior block A_i (``patch_A.interior_block(i)``)
     pseudo-inverted once at lstsq's default cutoff L * eps.
     ``zero_trace_parts`` is the (N, m, L) stack of the T_i, the interior
-    rows of the snapshot blocks (ms_space.compute_snapshots); build_problem
-    fills it during the offline pass, and it is kept as given.
+    rows of the snapshot blocks (ms_space.compute_snapshots); in snapshot
+    mode build_problem's ``spectrum`` closure copies each block into it as
+    it is solved during the offline pass, and it is kept as given.
     """
 
     def __init__(self, patch_A, zero_trace_parts=None):
@@ -255,7 +256,8 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
         l_e = int(enriched.counts[i])
         if l_e <= l_i:
             continue
-        coeffs = z_enrich.component_coefficients(i)[l_i:l_e]
+        start = int(enriched.offsets[i])
+        coeffs = z_enrich.coefficients[start + l_i : start + l_e]
         excess[neighborhoods.interior] = enriched.candidates[i][:, l_i:l_e] @ coeffs
         signed[i] = float(residual[neighborhoods.vertices[i]] @ excess)
     return _report("goal_dwr", space, np.abs(signed), iteration, signed=signed)

@@ -20,14 +20,14 @@ The offline pipeline per neighborhood omega_i is
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
      eigenvalue (build_basis).  chi_i vanishes on the patch rim, so only
      the m = (2r-1)^2 patch interior rows of each candidate are stored.
-     Each neighborhood fills its block of the candidate array as soon as
-     its eigensolve returns; its snapshots and eigenvectors are then
-     dropped, so the offline stage holds at most one snapshot block per
-     worker (workers.fill_queued) and the space keeps only the
-     eigenvalues.  All patches are translates of one block, whose layout mesh.Neighborhoods
-     holds once (its rim has L = 8r vertices), so candidate k of
-     neighborhood i is entry (i, k) of one N x L grid, and an OfflineSpace
-     is the mask k < counts[i] on it.
+     Each neighborhood fills its block of the candidate array, its
+     eigenvalue row and its jitter as soon as its eigensolve returns; its
+     snapshots and eigenvectors are then dropped, so the offline stage
+     holds at most one snapshot block per worker (workers.fill_queued),
+     and the space is these three arrays.  All patches are translates of
+     one block, whose layout mesh.Neighborhoods holds once (its rim has
+     L = 8r vertices), so candidate k of neighborhood i is entry (i, k) of
+     one N x L grid, and an OfflineSpace is the mask k < counts[i] on it.
      Enrichment and extension only ever stop a count at a cluster boundary:
      eigenvalues whose relative gap is at most CLUSTER_TOL are one cluster,
      and LAPACK returns an arbitrary basis of a tied eigenspace, so a count
@@ -209,9 +209,9 @@ class NeighborhoodSpectrum:
 
     ``eigenvectors`` are S_off-orthonormal and live in snapshot coordinates;
     fine-grid representatives are ``snapshots @ eigenvectors``.  ``jitter`` is
-    the diagonal shift added to S_off if it was numerically indefinite.  The
-    spectra an OfflineSpace holds keep only the eigenvalues: their
-    ``snapshots`` and ``eigenvectors`` are None (see build_basis).
+    the diagonal shift added to S_off if it was numerically indefinite.
+    local_spectral_decomposition returns one; OfflineSpace.spectra builds
+    them from its arrays, with ``snapshots`` and ``eigenvectors`` None.
     """
 
     def __init__(self, vertex_id, snapshots, eigenvalues, eigenvectors, jitter=0.0):
@@ -264,14 +264,6 @@ def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
     return NeighborhoodSpectrum(vertex_id, snapshots, eigenvalues, eigenvectors, jitter)
 
 
-def _stacked(arrays, L, what):
-    """The per-neighborhood ``arrays``, each with a last axis of length L, as one array."""
-    for i, array in enumerate(arrays):
-        if np.shape(array)[-1] != L:
-            raise ValueError(f"neighborhood {i} has {np.shape(array)[-1]} {what}, not L = {L}")
-    return np.asarray(arrays)
-
-
 class OfflineSpace:
     """Global multiscale space: the mask k < counts[i] on the N x L candidate grid.
 
@@ -279,33 +271,48 @@ class OfflineSpace:
     eigenvector representative) on the patch interior: the (N, m, L) array
     holds the m rows ``neighborhoods.interior``, at the fine vertex ids
     ``neighborhoods.interior_vertices[i]``, and leaves out the rim, where
-    chi_i vanishes.  ``eigenvalues[i, k]``
-    its eigenvalue, and ``cluster_ends[i, c]`` the smallest count >= c that
-    does not split a cluster of tied eigenvalues (see CLUSTER_TOL).  Global
-    columns are the selected candidates in ascending number i * L + k, so
-    enrichment keeps earlier columns as a prefix within every neighborhood.
+    chi_i vanishes.  ``eigenvalues[i, k]`` is its eigenvalue, ``jitter[i]``
+    neighborhood i's mass shift, and ``cluster_ends[i, c]`` the smallest
+    count >= c that does not split a cluster of tied eigenvalues (see
+    CLUSTER_TOL).  The three arrays are kept as given (build_basis passes
+    those its fill writes).  Global columns are the selected candidates in
+    ascending number i * L + k, so enrichment keeps earlier columns as a
+    prefix within every neighborhood.
     Instances are immutable; with_counts, enrich and extended return new ones
     sharing the grid's arrays.  The grid and the neighborhoods are those of
-    the partition of unity ``pu``.  The program reads ``eigenvalues``;
-    ``spectra`` is kept because the benchmark's checks
-    (``perfbench/checks.py``) and the tests read it.
+    the partition of unity ``pu``.
     """
 
-    def __init__(self, pu, spectra, candidates, counts):
+    def __init__(self, pu, eigenvalues, jitter, candidates, counts):
         self.grid = pu.grid
         self.neighborhoods = neighborhoods = pu.neighborhoods
         self.pu = pu
-        self.spectra = spectra
-        self.n_neighborhoods = len(neighborhoods)
+        self.n_neighborhoods = N = len(neighborhoods)
         self.n_candidates = L = len(neighborhoods.rim)
-        self.eigenvalues = _stacked([sp.eigenvalues for sp in spectra], L, "eigenvalues")
-        self.candidates = _stacked(candidates, L, "candidates")
-        lam = self.eigenvalues
+        m = len(neighborhoods.interior)
+        shapes = {"eigenvalues": (N, L), "jitter": (N,), "candidates": (N, m, L)}
+        for name, array in zip(shapes, (eigenvalues, jitter, candidates)):
+            if np.shape(array) != shapes[name]:
+                raise ValueError(f"{name} must have shape {shapes[name]}, got {np.shape(array)}")
+        self.eigenvalues = lam = np.asarray(eigenvalues)
+        self.jitter = np.asarray(jitter)
+        self.candidates = np.asarray(candidates)
         tied = np.diff(lam, axis=1) <= CLUSTER_TOL * np.maximum(abs(lam[:, :-1]), abs(lam[:, 1:]))
         # count c splits a cluster iff lambda_c and lambda_{c+1} are tied
         ends = np.where(np.pad(tied, ((0, 0), (1, 1))), L, np.arange(L + 1))
         self.cluster_ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
         self._select(counts)
+
+    @property
+    def spectra(self):
+        """One NeighborhoodSpectrum per neighborhood, built from the arrays:
+        vertex id, eigenvalues and jitter, with ``snapshots`` and
+        ``eigenvectors`` None.  The program does not read it; it stays only
+        for the benchmark's checks (perfbench/checks.py)."""
+        return [
+            NeighborhoodSpectrum(i, None, lam, None, float(jitter))
+            for i, (lam, jitter) in enumerate(zip(self.eigenvalues, self.jitter))
+        ]
 
     def _select(self, counts):
         if np.asarray(counts).dtype.kind not in "iu":
@@ -321,9 +328,6 @@ class OfflineSpace:
     def saturated(self):
         """Mask of neighborhoods whose snapshot spectrum is fully used."""
         return self.counts >= self.n_candidates
-
-    def column_slice(self, i):
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
     def candidate_numbers(self, stop, start=0):
         """Numbers i * L + k of the candidates start[i] <= k < stop[i], ascending."""
@@ -368,17 +372,14 @@ class OfflineSpace:
         return self.with_counts(self._whole_clusters(self.counts + m))
 
 
-def build_basis(pu, spectrum, counts, keep_parts=False):
+def build_basis(pu, spectrum, counts):
     """Assemble the offline space chi_i * psi_k^off for the given counts.
 
     ``spectrum(i)`` computes neighborhood i's spectrum, with its snapshots
     and eigenvectors, for each i in range(N).  Each result fills its
     block of the candidate array, the patch interior rows of
     chi_i * (snapshots @ eigenvectors), its eigenvalue row and its jitter,
-    and is then dropped; the space keeps its eigenvalues only.  With
-    ``keep_parts`` the snapshots' interior rows fill an (N, m, L) array too
-    (the zero-trace parts of the snapshot dual norms, see
-    indicators.ResidualNormCache), and (space, parts) is returned.
+    and is then dropped; the space is built from these three arrays.
 
     The neighborhoods are independent, so workers.fill_queued fills them on
     one worker per CPU into shared arrays; the outputs and any error are
@@ -387,11 +388,7 @@ def build_basis(pu, spectrum, counts, keep_parts=False):
     neighborhoods = pu.neighborhoods
     interior, L = neighborhoods.interior, len(neighborhoods.rim)
     N, m = len(neighborhoods), len(interior)
-    arrays = workers.shared_arrays(
-        (N, m, L), (N, L), (N,), *([(N, m, L)] if keep_parts else [])
-    )
-    candidates, eigenvalues, jitter = arrays[:3]
-    parts = arrays[3] if keep_parts else None
+    candidates, eigenvalues, jitter = workers.shared_arrays((N, m, L), (N, L), (N,))
 
     def fill(i):
         result = spectrum(i)
@@ -399,17 +396,13 @@ def build_basis(pu, spectrum, counts, keep_parts=False):
             raise ValueError(
                 f"neighborhood {i} has {len(result.eigenvalues)} eigenvalues, not L = {L}"
             )
-        T = result.snapshots[interior]
-        np.multiply(pu.patches[i][interior, None], T @ result.eigenvectors, out=candidates[i])
+        representatives = result.snapshots[interior] @ result.eigenvectors
+        np.multiply(pu.patches[i][interior, None], representatives, out=candidates[i])
         eigenvalues[i] = result.eigenvalues
         jitter[i] = result.jitter
-        if parts is not None:
-            parts[i] = T
 
     workers.fill_queued(N, fill)
-    held = [NeighborhoodSpectrum(i, None, eigenvalues[i], None, float(jitter[i])) for i in range(N)]
-    space = OfflineSpace(pu, held, candidates, counts)
-    return (space, parts) if keep_parts else space
+    return OfflineSpace(pu, eigenvalues, jitter, candidates, counts)
 
 
 def enrich(space, marked, s=1):

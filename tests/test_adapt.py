@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import gmsfem
-from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space
+from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space, workers
 from gmsfem.adapt import MarkingConfig
 
 from conftest import _offline, benchmark_densities, cpu_affinity
@@ -410,6 +410,24 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     assert np.array_equal(cache._pinv, oracle._pinv)
 
 
+@pytest.mark.parametrize("mode, wide_arrays", [("exact", 1), ("snapshot", 2)])
+def test_only_snapshot_mode_allocates_the_zero_trace_parts(mode, wide_arrays, monkeypatch):
+    # the candidates are one shared (N, m, L) array, the snapshot dual norms'
+    # zero-trace parts the other; exact mode allocating the parts too would
+    # hold 79.5 MiB more at nc=20, r=10
+    shapes = []
+    allocate = workers.shared_arrays
+
+    def recorded(*args, **kwargs):
+        shapes.extend(args)
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(workers, "shared_arrays", recorded)
+    space = _offline_problem(mode).space
+    N, m = space.neighborhoods.interior_vertices.shape
+    assert shapes.count((N, m, space.n_candidates)) == wide_arrays
+
+
 def _offline_problem(dual_norm_mode="exact"):
     grid = mesh.GridHierarchy(5, 4)
     field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
@@ -615,9 +633,11 @@ def test_loop_rejects_unknown_strategy(small_problem):
 
 def test_loop_annotates_solver_failures(small_problem):
     space = small_problem.space.extended(1)
-    candidates = [c.copy() for c in space.candidates]
+    candidates = space.candidates.copy()
     candidates[2][:, 1] = candidates[2][:, 0]  # duplicated basis function
-    broken_space = ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
+    broken_space = ms_space.OfflineSpace(
+        space.pu, space.eigenvalues, space.jitter, candidates, space.counts
+    )
     broken = adapt.ProblemSetup(
         small_problem.field,
         small_problem.stiffness,

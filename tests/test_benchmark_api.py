@@ -41,6 +41,13 @@ def test_benchmark_output_checks_pass_on_a_tiny_run():
     cfg = adapt.MarkingConfig(max_iterations=2)
     trace = adapt.adapt_loop(problem, "standard", cfg)
     assert checks.check_problem(problem) == []
+    # check_problem reads the spectra, which the space builds from its arrays
+    space = problem.space
+    assert len(space.spectra) == space.n_neighborhoods
+    for i, spectrum in enumerate(space.spectra):
+        assert spectrum.vertex_id == i
+        assert spectrum.eigenvalues.tobytes() == space.eigenvalues[i].tobytes()
+        assert spectrum.jitter == space.jitter[i]
     assert checks.check_trace(trace, cfg) == []
     assert trace.rows[0].goal_error == measure._initial_goal_error(gmsfem, problem)
     walls = trace.column("wall_time")

@@ -96,9 +96,11 @@ def test_rank_deficiency_reports_offending_pair(grid44, unit_field44, unit_offli
     counts = space.counts.copy()
     counts[0] = 2
     doctored = space.with_counts(counts)
-    candidates = [c.copy() for c in doctored.candidates]
+    candidates = doctored.candidates.copy()
     candidates[0][:, 1] = candidates[0][:, 0]  # duplicate basis function
-    broken = ms_space.OfflineSpace(doctored.pu, doctored.spectra, candidates, counts)
+    broken = ms_space.OfflineSpace(
+        doctored.pu, doctored.eigenvalues, doctored.jitter, candidates, counts
+    )
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     with pytest.raises(RankDeficientBasis) as err:
         coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
@@ -109,7 +111,9 @@ def test_zero_candidate_column_is_rejected(grid44, unit_field44, unit_offline44)
     space = _hat_space(unit_offline44)
     candidates = space.candidates.copy()
     candidates[2][:, 0] = 0.0  # a basis function of zero energy
-    broken = ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
+    broken = ms_space.OfflineSpace(
+        space.pu, space.eigenvalues, space.jitter, candidates, space.counts
+    )
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     with pytest.raises(RankDeficientBasis, match="nonpositive diagonal entry"):
         coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
@@ -154,9 +158,11 @@ def test_duplicated_basis_column_is_rejected(channel_problem, nb):
     # pivot of order eps instead of a nonpositive one, so a factorization
     # that only fails on nonpositive pivots accepts the basis
     space = channel_problem.space.extended(3)
-    candidates = [c.copy() for c in space.candidates]
+    candidates = space.candidates.copy()
     candidates[nb][:, 2] = candidates[nb][:, 0]
-    broken = ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
+    broken = ms_space.OfflineSpace(
+        space.pu, space.eigenvalues, space.jitter, candidates, space.counts
+    )
     with pytest.raises(RankDeficientBasis) as err:
         coarse_solve.assemble_coarse(broken, channel_problem.stiffness, channel_problem.f_load)
     start = int(space.offsets[nb])
@@ -263,7 +269,7 @@ def test_components_sum_to_solution(small_problem):
     u = coarse_solve.solve_primal(system)
     total = np.zeros(space.grid.n_vertices)
     for i, vertices in enumerate(space.neighborhoods.interior_vertices):
-        for k, c in enumerate(u.component_coefficients(i)):
+        for k, c in enumerate(u.coefficients[space.offsets[i] : space.offsets[i + 1]]):
             total[vertices] += c * space.candidates[i][:, k]
     assert np.abs(total - u.fine).max() < 1e-12 * max(1.0, np.abs(u.fine).max())
 
@@ -287,11 +293,10 @@ def test_truncation_is_idempotent(small_problem):
     assert np.array_equal(once.coefficients, twice.coefficients)
     assert np.array_equal(once.fine, twice.fine)
     for i in range(space.n_neighborhoods):
-        keep = int(counts[i])
-        assert np.array_equal(
-            once.component_coefficients(i)[:keep], u.component_coefficients(i)[:keep]
-        )
-        assert not once.component_coefficients(i)[keep:].any()
+        start, stop = space.offsets[i], space.offsets[i + 1]
+        keep = start + counts[i]
+        assert np.array_equal(once.coefficients[start:keep], u.coefficients[start:keep])
+        assert not once.coefficients[keep:stop].any()
 
 
 def test_store_systems_equal_fresh_one_shot_systems(small_problem):

@@ -572,12 +572,16 @@ def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
     )
     with pytest.raises(ValueError, match="neighborhood 3 has"):
         ms_space.build_basis(data["pu"], spectra.__getitem__, space.counts)
-    candidates = list(space.candidates)
-    with pytest.raises(ValueError, match="neighborhood 3 has"):
-        ms_space.OfflineSpace(space.pu, spectra, candidates, space.counts)
-    candidates[3] = candidates[3][:, :-1]
-    with pytest.raises(ValueError, match="neighborhood 3 has"):
-        ms_space.OfflineSpace(space.pu, space.spectra, candidates, space.counts)
+    arrays = {
+        "eigenvalues": space.eigenvalues,
+        "jitter": space.jitter,
+        "candidates": space.candidates,
+    }
+    for name, array in arrays.items():
+        for wrong in (array[..., :-1], array[:-1], array[None]):
+            given = {**arrays, name: wrong}
+            with pytest.raises(ValueError, match=f"^{name} must have shape"):
+                ms_space.OfflineSpace(space.pu, *given.values(), space.counts)
 
 
 def test_enrichment_nests_columns(unit_offline44):
@@ -586,8 +590,8 @@ def test_enrichment_nests_columns(unit_offline44):
     R_old = space.basis_columns(0, space.counts)
     R_new = enriched.basis_columns(0, enriched.counts)
     for i in range(space.n_neighborhoods):
-        old_cols = R_old[:, space.column_slice(i)].toarray()
-        new_cols = R_new[:, enriched.column_slice(i)].toarray()
+        old_cols = R_old[:, space.offsets[i] : space.offsets[i + 1]].toarray()
+        new_cols = R_new[:, enriched.offsets[i] : enriched.offsets[i + 1]].toarray()
         assert np.array_equal(new_cols[:, : space.counts[i]], old_cols)
 
 
