@@ -44,8 +44,10 @@ class CoarseSolution:
 class CoarseSystem:
     """Galerkin system on the span of an offline space's basis columns.
 
-    Holds R (basis matrix, CSC), the sparse A_c = R' A R (CSC, sorted row
-    indices) and the primal load R' b, as selected from a GalerkinStore.
+    Holds R, the basis matrix its space gathers from the candidates
+    (``space.basis_columns(0, space.counts)``, CSC), and the sparse
+    A_c = R' A R (CSC, sorted row indices) and primal load R' b, as
+    selected from a GalerkinStore.
     Its columns are in candidate numbering i * L + k, where neighborhood i
     couples only with its at most 8 neighbors, so A_c is banded without any
     reordering.  The constructor factors the unit-diagonal D^-1/2 A_c D^-1/2
@@ -58,9 +60,9 @@ class CoarseSystem:
     residuals in extended precision to a relative residual of 1e-12.
     """
 
-    def __init__(self, space, matrix, load, R):
+    def __init__(self, space, matrix, load):
         self.space = space
-        self.R = R
+        self.R = space.basis_columns(0, space.counts)
         self.matrix = matrix
         self.dim = space.total_dofs
         self.load = load
@@ -119,17 +121,20 @@ class GalerkinStore:
     grid, so its R'AR is a row/column selection of one matrix that only
     grows; candidates are numbered by OfflineSpace.candidate_numbers.  The
     store holds the leading ``have[i]`` candidates of every neighborhood,
-    each computed once, when a requested space first needs it: its basis
-    column in R, its column of A R and its load entry of R'b, all in the
-    order they were computed (``column`` maps a candidate number to that
-    position and ``number`` back), and its row and column of the coupling
-    G = R'AR.  G is a T x T matrix in candidate numbering, T = N * L, whose
-    rows and columns of candidates not yet held are empty, so a growth only
-    fills empty rows and columns, and a space's matrix is the rows and
-    columns of its candidates in ascending number, which come out sorted.
-    That order keeps each neighborhood's columns next to its neighbors', so
-    CoarseSystem factors the selection as a band without reordering.  The
-    full candidate set is never formed.
+    each computed once, when a requested space first needs it: its column
+    of A R and its load entry of R'b, in the order they were computed
+    (``column`` maps a candidate number to that position and ``number``
+    back), and its row and column of the coupling G = R'AR.  It holds no
+    basis matrix: the candidate array of its space is the one copy of the
+    basis, and each growth and each CoarseSystem gathers the columns it
+    needs from it (OfflineSpace.basis_columns).  G is a T x T matrix in
+    candidate numbering, T = N * L, whose rows and columns of candidates
+    not yet held are empty, so a growth only fills empty rows and columns,
+    and a space's matrix is the rows and columns of its candidates in
+    ascending number, which come out sorted.  That order keeps each
+    neighborhood's columns next to its neighbors', so CoarseSystem factors
+    the selection as a band without reordering.  The full candidate set is
+    never formed.
 
     Entry (p, q) of G is the sum over fine vertices v, in ascending order, of
     R[v, p] * (A R)[v, q], exactly as the sparse product of a space's own
@@ -149,9 +154,7 @@ class GalerkinStore:
         total = space.n_neighborhoods * space.n_candidates
         self.column = np.full(total, -1)
         self.number = np.empty(0, dtype=int)
-        n = space.grid.n_vertices
-        self.R = sparse.csc_matrix((n, 0))
-        self.AR = sparse.csc_matrix((n, 0))
+        self.AR = sparse.csc_matrix((space.grid.n_vertices, 0))
         self.load = np.empty(0)
         self.G = sparse.csc_matrix((total, total))
 
@@ -164,19 +167,21 @@ class GalerkinStore:
         new = self.space.candidate_numbers(need, self.have)
         R_new = self.space.basis_columns(self.have, need)
         AR_new = (self.A @ R_new).tocsc()
+        # G[p, q] for every held p and new q, rows in candidate order; G[p, q]
+        # for new p and old q at (q, p)
+        R_all = self.space.basis_columns(0, need)
+        upper = (R_all.T @ AR_new).tocoo()
+        del R_all
+        lower = (self.AR.T @ R_new).tocoo()
         self.have = need
         self.column[new] = np.arange(old, old + len(new))
         self.number = np.concatenate([self.number, new])
-        self.R = sparse.hstack([self.R, R_new], format="csc")
-        # G[p, q] for every held p and new q; G[p, q] for new p and old q at (q, p)
-        upper = (self.R.T @ AR_new).tocoo()
-        lower = (self.AR.T @ R_new).tocoo()
         self.AR = sparse.hstack([self.AR, AR_new], format="csc")
         self.load = np.concatenate([self.load, R_new.T @ self.b])
         # the new entries lie in rows or columns of new candidates, where G is
         # empty, and sparse products store no exact zeros: the sum is exact
-        rows = self.number[np.concatenate([upper.row, lower.col + old])]
-        cols = self.number[np.concatenate([upper.col + old, lower.row])]
+        rows = np.concatenate([self.space.candidate_numbers(need)[upper.row], new[lower.col]])
+        cols = np.concatenate([new[upper.col], self.number[lower.row]])
         data = np.concatenate([upper.data, lower.data])
         self.G = self.G + sparse.csc_matrix((data, (rows, cols)), shape=self.G.shape)
 
@@ -187,9 +192,8 @@ class GalerkinStore:
             raise ValueError("space was not built from this store's candidates")
         self._grow(space.counts)
         numbers = space.candidate_numbers(space.counts)
-        columns = self.column[numbers]
         matrix = self.G[:, numbers][numbers, :]
-        return CoarseSystem(space, matrix, self.load[columns], self.R[:, columns])
+        return CoarseSystem(space, matrix, self.load[self.column[numbers]])
 
 
 def assemble_coarse(space, A, b, store=None):

@@ -116,7 +116,8 @@ class ResidualNormCache:
     def __init__(self, patch_A, zero_trace_parts=None):
         self.mode = "exact" if zero_trace_parts is None else "snapshot"
         neighborhoods = patch_A.neighborhoods
-        self._stacked = neighborhoods.interior_vertices.ravel()
+        # intp: numpy converts an int32 index array at every gather
+        self._stacked = neighborhoods.interior_vertices.ravel().astype(np.intp)
         self._block = neighborhoods.interior_vertices.shape[1]
         if zero_trace_parts is None:
             self._factor = scipy.linalg.cholesky_banded(patch_A.interior_band(), overwrite_ab=True)
@@ -241,7 +242,11 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
     the whole patch: the excess, held on the patch interior (see
     ms_space.OfflineSpace), is scattered into a zeroed patch vector first,
     since a dot over the interior rows alone sums in another order and
-    changes the bits of the pairing.
+    changes the bits of the pairing.  The excess is the (m, l_e - l_i)
+    matrix of the added candidate rows, copied to C order, times their
+    coefficients: one dot product per interior vertex over the added
+    candidates.  The product with the rows as stored (coefficients on the
+    left) sums in another order and changes those bits too.
     """
     enriched = z_enrich.space
     if np.all(enriched.counts <= space.counts):
@@ -258,7 +263,8 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
             continue
         start = int(enriched.offsets[i])
         coeffs = z_enrich.coefficients[start + l_i : start + l_e]
-        excess[neighborhoods.interior] = enriched.candidates[i][:, l_i:l_e] @ coeffs
+        added = np.ascontiguousarray(enriched.candidates[i, l_i:l_e].T)
+        excess[neighborhoods.interior] = added @ coeffs
         signed[i] = float(residual[neighborhoods.vertices[i]] @ excess)
     return _report("goal_dwr", space, np.abs(signed), iteration, signed=signed)
 

@@ -88,6 +88,9 @@ class Neighborhoods:
     Row i of ``vertices`` (N, (wr+1)^2), ``interior_vertices``
     (N, (wr-1)^2) and ``cells`` (N, (wr)^2) holds patch i's global fine
     vertex and cell ids in that local order, which is ascending.
+    ``interior_vertices`` is int32, the index type of scipy's sparse
+    matrices, so the basis matrices take their row indices from it
+    unconverted (ms_space.OfflineSpace.basis_columns).
     """
 
     def __init__(self, grid, width=2):
@@ -106,7 +109,7 @@ class Neighborhoods:
         y0, x0 = np.divmod(np.arange(per_side * per_side), per_side)
         x0, y0 = x0[:, None] * r, y0[:, None] * r
         self.vertices = grid.vertex_id(x0 + lx, y0 + ly)
-        self.interior_vertices = self.vertices[:, self.interior]
+        self.interior_vertices = self.vertices[:, self.interior].astype(np.int32)
         self.cells = grid.cell_id(x0 + cx, y0 + cy)
 
     def __len__(self):

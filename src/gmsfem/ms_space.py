@@ -19,7 +19,8 @@ The offline pipeline per neighborhood omega_i is
      coordinates with all eigenpairs retained (local_spectral_decomposition),
   5. basis candidates chi_i * (snapshots @ Psi_k), ordered by ascending
      eigenvalue (build_basis).  chi_i vanishes on the patch rim, so only
-     the m = (2r-1)^2 patch interior rows of each candidate are stored.
+     the m = (2r-1)^2 patch interior values of each candidate are stored,
+     as one contiguous row.
      Each neighborhood fills its block of the candidate array, its
      eigenvalue row and its jitter as soon as its eigensolve returns; its
      snapshots and eigenvectors are then dropped, so the offline stage
@@ -267,17 +268,18 @@ def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
 class OfflineSpace:
     """Global multiscale space: the mask k < counts[i] on the N x L candidate grid.
 
-    ``candidates[i, :, k]`` is candidate k of neighborhood i (chi_i times an
-    eigenvector representative) on the patch interior: the (N, m, L) array
-    holds the m rows ``neighborhoods.interior``, at the fine vertex ids
-    ``neighborhoods.interior_vertices[i]``, and leaves out the rim, where
-    chi_i vanishes.  ``eigenvalues[i, k]`` is its eigenvalue, ``jitter[i]``
-    neighborhood i's mass shift, and ``cluster_ends[i, c]`` the smallest
-    count >= c that does not split a cluster of tied eigenvalues (see
-    CLUSTER_TOL).  The three arrays are kept as given (build_basis passes
-    those its fill writes).  Global columns are the selected candidates in
-    ascending number i * L + k, so enrichment keeps earlier columns as a
-    prefix within every neighborhood.
+    ``candidates[i, k]`` is candidate k of neighborhood i (chi_i times an
+    eigenvector representative) on the patch interior, one contiguous row of
+    the (N, L, m) array: it holds the m rows ``neighborhoods.interior``, at
+    the fine vertex ids ``neighborhoods.interior_vertices[i]``, and leaves
+    out the rim, where chi_i vanishes.  ``eigenvalues[i, k]`` is its
+    eigenvalue, ``jitter[i]`` neighborhood i's mass shift, and
+    ``cluster_ends[i, c]`` the smallest count >= c that does not split a
+    cluster of tied eigenvalues (see CLUSTER_TOL).  The three arrays are
+    kept as given (build_basis passes those its fill writes), and every
+    basis matrix is a gather of the candidate rows (basis_columns).  Global
+    columns are the selected candidates in ascending number i * L + k, so
+    enrichment keeps earlier columns as a prefix within every neighborhood.
     Instances are immutable; with_counts, enrich and extended return new ones
     sharing the grid's arrays.  The grid and the neighborhoods are those of
     the partition of unity ``pu``.
@@ -290,7 +292,7 @@ class OfflineSpace:
         self.n_neighborhoods = N = len(neighborhoods)
         self.n_candidates = L = len(neighborhoods.rim)
         m = len(neighborhoods.interior)
-        shapes = {"eigenvalues": (N, L), "jitter": (N,), "candidates": (N, m, L)}
+        shapes = {"eigenvalues": (N, L), "jitter": (N,), "candidates": (N, L, m)}
         for name, array in zip(shapes, (eigenvalues, jitter, candidates)):
             if np.shape(array) != shapes[name]:
                 raise ValueError(f"{name} must have shape {shapes[name]}, got {np.shape(array)}")
@@ -338,14 +340,17 @@ class OfflineSpace:
         """Sparse CSC matrix of the candidates start[i] <= k < stop[i] of every
         neighborhood, one column each in ascending candidate number.
 
-        Each column stores the interior vertices of its patch in ascending
-        order; the rim, where chi_i vanishes, is left out.
+        Each column is a gather of one candidate row and stores the interior
+        vertices of its patch in ascending order; the rim, where chi_i
+        vanishes, is left out.  The row indices and ``indptr`` are int32, so
+        scipy takes them as they are.
         """
         i, k = np.divmod(self.candidate_numbers(stop, start), self.n_candidates)
-        indptr = np.arange(len(i) + 1) * self.candidates.shape[1]
-        rows = self.neighborhoods.interior_vertices[i]
+        indptr = np.arange(len(i) + 1, dtype=np.int32) * self.candidates.shape[2]
+        # take: twice as fast as fancy indexing on these int32 rows
+        rows = self.neighborhoods.interior_vertices.take(i, axis=0)
         return sparse.csc_matrix(
-            (self.candidates[i, :, k].ravel(), rows.ravel(), indptr),
+            (self.candidates[i, k].ravel(), rows.ravel(), indptr),
             shape=(self.grid.n_vertices, len(i)),
         )
 
@@ -377,9 +382,9 @@ def build_basis(pu, spectrum, counts):
 
     ``spectrum(i)`` computes neighborhood i's spectrum, with its snapshots
     and eigenvectors, for each i in range(N).  Each result fills its
-    block of the candidate array, the patch interior rows of
-    chi_i * (snapshots @ eigenvectors), its eigenvalue row and its jitter,
-    and is then dropped; the space is built from these three arrays.
+    block of the candidate array, row k the patch interior values of
+    chi_i * (snapshots @ eigenvectors[:, k]), its eigenvalue row and its
+    jitter, and is then dropped; the space is built from these three arrays.
 
     The neighborhoods are independent, so workers.fill_queued fills them on
     one worker per CPU into shared arrays; the outputs and any error are
@@ -388,7 +393,7 @@ def build_basis(pu, spectrum, counts):
     neighborhoods = pu.neighborhoods
     interior, L = neighborhoods.interior, len(neighborhoods.rim)
     N, m = len(neighborhoods), len(interior)
-    candidates, eigenvalues, jitter = workers.shared_arrays((N, m, L), (N, L), (N,))
+    candidates, eigenvalues, jitter = workers.shared_arrays((N, L, m), (N, L), (N,))
 
     def fill(i):
         result = spectrum(i)
@@ -397,7 +402,7 @@ def build_basis(pu, spectrum, counts):
                 f"neighborhood {i} has {len(result.eigenvalues)} eigenvalues, not L = {L}"
             )
         representatives = result.snapshots[interior] @ result.eigenvectors
-        np.multiply(pu.patches[i][interior, None], representatives, out=candidates[i])
+        np.multiply(pu.patches[i][None, interior], representatives.T, out=candidates[i])
         eigenvalues[i] = result.eigenvalues
         jitter[i] = result.jitter
 

@@ -397,7 +397,7 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     pairs = zip(data["pu"].patches, data["spectra"])
     expected = np.stack([chi[:, None] * (s.snapshots @ s.eigenvectors) for chi, s in pairs])
     interior, rim = problem.space.neighborhoods.interior, problem.space.neighborhoods.rim
-    assert np.array_equal(problem.space.candidates, expected[:, interior])
+    assert np.array_equal(problem.space.candidates, expected[:, interior].transpose(0, 2, 1))
     assert np.all(expected[:, rim] == 0.0)
     assert np.array_equal(problem.space.eigenvalues, [s.eigenvalues for s in data["spectra"]])
 
@@ -412,9 +412,9 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
 
 @pytest.mark.parametrize("mode, wide_arrays", [("exact", 1), ("snapshot", 2)])
 def test_only_snapshot_mode_allocates_the_zero_trace_parts(mode, wide_arrays, monkeypatch):
-    # the candidates are one shared (N, m, L) array, the snapshot dual norms'
-    # zero-trace parts the other; exact mode allocating the parts too would
-    # hold 79.5 MiB more at nc=20, r=10
+    # the candidates are one shared (N, L, m) array, the snapshot dual norms'
+    # (N, m, L) zero-trace parts the other; exact mode allocating the parts
+    # too would hold 79.5 MiB more at nc=20, r=10
     shapes = []
     allocate = workers.shared_arrays
 
@@ -425,7 +425,9 @@ def test_only_snapshot_mode_allocates_the_zero_trace_parts(mode, wide_arrays, mo
     monkeypatch.setattr(workers, "shared_arrays", recorded)
     space = _offline_problem(mode).space
     N, m = space.neighborhoods.interior_vertices.shape
-    assert shapes.count((N, m, space.n_candidates)) == wide_arrays
+    L = space.n_candidates
+    assert shapes.count((N, L, m)) + shapes.count((N, m, L)) == wide_arrays
+    assert shapes.count((N, L, m)) == 1
 
 
 def _offline_problem(dual_norm_mode="exact"):
@@ -634,7 +636,7 @@ def test_loop_rejects_unknown_strategy(small_problem):
 def test_loop_annotates_solver_failures(small_problem):
     space = small_problem.space.extended(1)
     candidates = space.candidates.copy()
-    candidates[2][:, 1] = candidates[2][:, 0]  # duplicated basis function
+    candidates[2, 1] = candidates[2, 0]  # duplicated basis function
     broken_space = ms_space.OfflineSpace(
         space.pu, space.eigenvalues, space.jitter, candidates, space.counts
     )

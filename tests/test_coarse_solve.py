@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 
 from gmsfem import cli, coarse_solve, fine_fem, mesh, ms_space
 from gmsfem.coarse_solve import RankDeficientBasis
@@ -65,7 +66,7 @@ def test_hat_space_reduces_to_coarse_q1(grid44, unit_field44, unit_offline44):
     for i in range(space.n_neighborhoods):
         ci, cj = interior_vertex_position(grid44, i)
         center = grid44.vertex_id(ci * grid44.r, cj * grid44.r)
-        scale[i] = space.candidates[i][space.neighborhoods.interior_vertices[i] == center, 0][0]
+        scale[i] = space.candidates[i, 0][space.neighborhoods.interior_vertices[i] == center][0]
     oracle = _coarse_q1_stiffness(grid44.nc) * np.outer(scale, scale)
     assert np.abs(system.matrix - oracle).max() < 1e-10
 
@@ -97,7 +98,7 @@ def test_rank_deficiency_reports_offending_pair(grid44, unit_field44, unit_offli
     counts[0] = 2
     doctored = space.with_counts(counts)
     candidates = doctored.candidates.copy()
-    candidates[0][:, 1] = candidates[0][:, 0]  # duplicate basis function
+    candidates[0, 1] = candidates[0, 0]  # duplicate basis function
     broken = ms_space.OfflineSpace(
         doctored.pu, doctored.eigenvalues, doctored.jitter, candidates, counts
     )
@@ -110,7 +111,7 @@ def test_rank_deficiency_reports_offending_pair(grid44, unit_field44, unit_offli
 def test_zero_candidate_column_is_rejected(grid44, unit_field44, unit_offline44):
     space = _hat_space(unit_offline44)
     candidates = space.candidates.copy()
-    candidates[2][:, 0] = 0.0  # a basis function of zero energy
+    candidates[2, 0] = 0.0  # a basis function of zero energy
     broken = ms_space.OfflineSpace(
         space.pu, space.eigenvalues, space.jitter, candidates, space.counts
     )
@@ -159,7 +160,7 @@ def test_duplicated_basis_column_is_rejected(channel_problem, nb):
     # that only fails on nonpositive pivots accepts the basis
     space = channel_problem.space.extended(3)
     candidates = space.candidates.copy()
-    candidates[nb][:, 2] = candidates[nb][:, 0]
+    candidates[nb, 2] = candidates[nb, 0]
     broken = ms_space.OfflineSpace(
         space.pu, space.eigenvalues, space.jitter, candidates, space.counts
     )
@@ -270,7 +271,7 @@ def test_components_sum_to_solution(small_problem):
     total = np.zeros(space.grid.n_vertices)
     for i, vertices in enumerate(space.neighborhoods.interior_vertices):
         for k, c in enumerate(u.coefficients[space.offsets[i] : space.offsets[i + 1]]):
-            total[vertices] += c * space.candidates[i][:, k]
+            total[vertices] += c * space.candidates[i, k]
     assert np.abs(total - u.fine).max() < 1e-12 * max(1.0, np.abs(u.fine).max())
 
 
@@ -324,7 +325,50 @@ def test_store_systems_equal_fresh_one_shot_systems(small_problem):
         assert np.array_equal(grown.load, R.T @ b)
     # the narrower space was selected without growing the store
     assert np.array_equal(store.have, enriched.extended(2).counts)
-    assert store.R.shape[1] == store.have.sum()
+    assert len(store.number) == store.AR.shape[1] == store.have.sum()
+
+
+def test_store_holds_no_basis_matrix(small_problem):
+    # the candidate array is the one copy of the basis: after a selection the
+    # store's only arrays with one entry per held column are A R, the load
+    # and the candidate-number map
+    problem = small_problem
+    store = coarse_solve.GalerkinStore(problem.space, problem.stiffness, problem.f_load)
+    space = ms_space.enrich(problem.space, [0, 4], 1).extended(1)
+    store.system(space)
+    held = int(store.have.sum())
+    assert held not in (space.n_neighborhoods, space.n_neighborhoods * space.n_candidates)
+    arrays = {
+        name: value
+        for name, value in vars(store).items()
+        if isinstance(value, np.ndarray) or sparse.issparse(value)
+    }
+    assert {name for name, value in arrays.items() if held in value.shape} == {
+        "AR",
+        "load",
+        "number",
+    }
+
+
+def test_system_basis_is_gathered_from_its_space(small_problem):
+    # each system's R is its space's own basis matrix: the same int32 index
+    # arrays, whose row indices come from the int32 interior-vertex table
+    problem = small_problem
+    neighborhoods = problem.space.neighborhoods
+    assert neighborhoods.interior_vertices.dtype == np.int32
+    assert np.array_equal(
+        neighborhoods.interior_vertices, neighborhoods.vertices[:, neighborhoods.interior]
+    )
+    store = coarse_solve.GalerkinStore(problem.space, problem.stiffness, problem.f_load)
+    enriched = ms_space.enrich(problem.space, [1, 3, 5], 2)
+    for space in (problem.space, enriched, enriched.extended(1), problem.space.extended(2)):
+        R = coarse_solve.assemble_coarse(space, problem.stiffness, problem.f_load, store).R
+        own = space.basis_columns(0, space.counts)
+        assert R.format == own.format == "csc"
+        for name in ("indptr", "indices"):
+            assert getattr(R, name).dtype == getattr(own, name).dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(R, name), getattr(own, name))
 
 
 def test_store_rejects_another_problem(small_problem, channel_problem):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gmsfem import cli, coarse_solve, fine_fem, indicators, mesh, ms_space
+from gmsfem import cli, coarse_solve, fine_fem, indicators, mesh, ms_space, workers
 from gmsfem.fine_fem import CoefficientField
 
 from conftest import _offline, global_function, interior_vertex_position, vertex_coordinates
@@ -396,7 +396,7 @@ def test_first_basis_function_is_proportional_to_pou(unit_offline44):
     for i in range(space.n_neighborhoods):
         assert np.all(space.pu.patches[i][rim] == 0.0)
         chi = space.pu.patches[i][interior]
-        psi = space.candidates[i][:, 0]
+        psi = space.candidates[i, 0]
         mask = np.abs(chi) > 1e-12
         ratios = psi[mask] / chi[mask]
         assert np.abs(ratios - ratios[0]).max() < 1e-8 * abs(ratios[0])
@@ -530,7 +530,7 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
         for i, vertices in enumerate(space.neighborhoods.interior_vertices):
             for k in range(start[i], stop[i]):
                 rows.append(vertices)
-                data.append(space.candidates[i][:, k])
+                data.append(space.candidates[i, k])
                 numbers.append(i * L + k)
         R = space.basis_columns(start, stop)
         assert R.shape == (space.grid.n_vertices, len(numbers))
@@ -560,6 +560,23 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
         held = [i * L + k for i in range(N) for k in range(store.have[i])]
         assert np.array_equal(np.sort(store.number), held)
         assert np.array_equal(store.column[store.number], np.arange(len(held)))
+
+
+def test_candidates_are_contiguous_rows_of_interior_values(channel_problem):
+    # candidate (i, k) is one C-contiguous row of the m patch interior values
+    # of chi_i * (snapshots @ eigenvectors[:, k]), bit for bit against the
+    # offline data recomputed at one BLAS thread, as build_problem runs
+    space = channel_problem.space
+    interior = space.neighborhoods.interior
+    assert space.candidates.shape == (space.n_neighborhoods, space.n_candidates, len(interior))
+    with workers.one_blas_thread():
+        offline = _offline(channel_problem.grid, channel_problem.field)
+        for i, k in ((0, 0), (17, 3), (40, 12), (80, space.n_candidates - 1)):
+            row = space.candidates[i, k]
+            assert row.flags.c_contiguous
+            spectrum = offline["spectra"][i]
+            representatives = spectrum.snapshots[interior] @ spectrum.eigenvectors
+            assert np.array_equal(row, offline["pu"].patches[i][interior] * representatives[:, k])
 
 
 def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
