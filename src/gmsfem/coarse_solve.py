@@ -122,19 +122,19 @@ class GalerkinStore:
     grows; candidates are numbered by OfflineSpace.candidate_numbers.  The
     store holds the leading ``have[i]`` candidates of every neighborhood,
     each computed once, when a requested space first needs it: its column
-    of A R and its load entry of R'b, in the order they were computed
-    (``column`` maps a candidate number to that position and ``number``
-    back), and its row and column of the coupling G = R'AR.  It holds no
-    basis matrix: the candidate array of its space is the one copy of the
-    basis, and each growth and each CoarseSystem gathers the columns it
-    needs from it (OfflineSpace.basis_columns).  G is a T x T matrix in
-    candidate numbering, T = N * L, whose rows and columns of candidates
-    not yet held are empty, so a growth only fills empty rows and columns,
-    and a space's matrix is the rows and columns of its candidates in
-    ascending number, which come out sorted.  That order keeps each
-    neighborhood's columns next to its neighbors', so CoarseSystem factors
-    the selection as a band without reordering.  The full candidate set is
-    never formed.
+    of A R, in the order they were computed (``number`` maps that position
+    to its candidate number), its entry of the load R'b, and its row and
+    column of the coupling G = R'AR.  It holds no basis matrix: the
+    candidate array of its space is the one copy of the basis, and each
+    growth and each CoarseSystem gathers the columns it needs from it
+    (OfflineSpace.basis_columns).  G is a T x T matrix and the load a
+    T-long vector, both in candidate numbering, T = N * L; the load is zero
+    and G's rows and columns are empty where a candidate is not yet held,
+    so a growth only fills empty rows and columns, and a space's matrix and
+    load are its candidates' rows, columns and entries in ascending number,
+    which come out sorted.  That order keeps each neighborhood's columns
+    next to its neighbors', so CoarseSystem factors the selection as a band
+    without reordering.  The full candidate set is never formed.
 
     Entry (p, q) of G is the sum over fine vertices v, in ascending order, of
     R[v, p] * (A R)[v, q], exactly as the sparse product of a space's own
@@ -152,10 +152,9 @@ class GalerkinStore:
         self.b = b
         self.have = np.zeros(space.n_neighborhoods, dtype=int)
         total = space.n_neighborhoods * space.n_candidates
-        self.column = np.full(total, -1)
         self.number = np.empty(0, dtype=int)
         self.AR = sparse.csc_matrix((space.grid.n_vertices, 0))
-        self.load = np.empty(0)
+        self.load = np.zeros(total)
         self.G = sparse.csc_matrix((total, total))
 
     def _grow(self, counts):
@@ -163,7 +162,6 @@ class GalerkinStore:
         need = np.maximum(self.have, counts)
         if np.array_equal(need, self.have):
             return
-        old = len(self.number)
         new = self.space.candidate_numbers(need, self.have)
         R_new = self.space.basis_columns(self.have, need)
         AR_new = (self.A @ R_new).tocsc()
@@ -174,10 +172,9 @@ class GalerkinStore:
         del R_all
         lower = (self.AR.T @ R_new).tocoo()
         self.have = need
-        self.column[new] = np.arange(old, old + len(new))
         self.number = np.concatenate([self.number, new])
         self.AR = sparse.hstack([self.AR, AR_new], format="csc")
-        self.load = np.concatenate([self.load, R_new.T @ self.b])
+        self.load[new] = R_new.T @ self.b
         # the new entries lie in rows or columns of new candidates, where G is
         # empty, and sparse products store no exact zeros: the sum is exact
         rows = np.concatenate([self.space.candidate_numbers(need)[upper.row], new[lower.col]])
@@ -193,7 +190,7 @@ class GalerkinStore:
         self._grow(space.counts)
         numbers = space.candidate_numbers(space.counts)
         matrix = self.G[:, numbers][numbers, :]
-        return CoarseSystem(space, matrix, self.load[self.column[numbers]])
+        return CoarseSystem(space, matrix, self.load[numbers])
 
 
 def assemble_coarse(space, A, b, store=None):

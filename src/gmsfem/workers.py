@@ -17,15 +17,16 @@ Elsewhere every call here runs its work in this process, in serial order.
   a ``with`` block runs here.
 
 Workers write their results only into anonymous shared mappings
-(shared_arrays) made before the fork, so nothing is sent back.  Each worker
-is pinned to its own CPU: left to the scheduler, a forked child often ran
-on its parent's CPU while another CPU idled.  Both share one child
-lifecycle (_forked): a child exits through os._exit, so it never returns
-into the caller or flushes inherited buffers, and no child outlives the
-call or block that forked it.  They share one failure rule too: each
-finished piece of work is flagged in a shared mapping, and once every
-child is reaped this process reruns the unflagged work in ascending
-order, so a failure is always the one a serial run raises.
+(shared_arrays) made before the fork, so nothing is sent back.  Each forked
+child is pinned to its own CPU (left to the scheduler, a forked child
+often ran on its parent's CPU while another CPU idled); this process's
+mask is never changed.  Both share one child lifecycle (_forked): a child
+exits through os._exit, so it never returns into the caller or flushes
+inherited buffers, and no child outlives the call or block that forked
+it.  They share one failure rule too: each finished piece of work is
+flagged in a shared mapping, and once every child is reaped this process
+reruns the unflagged work in ascending order, so a failure is always the
+one a serial run raises.
 """
 
 import contextlib
@@ -133,18 +134,6 @@ def shared_arrays(*shapes, dtype=float):
     return [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
 
 
-@contextlib.contextmanager
-def _pinned(cpu):
-    """Pin this process to ``cpu`` for the block; its mask is restored on
-    the way out, whether the block returns or raises."""
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, [cpu])
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
-
-
 def _queue(n):
     """(read end, chunk): a pipe holding the starts of the chunks of range(n),
     ascending, ``chunk`` ids each.
@@ -238,12 +227,12 @@ def fill_queued(n, fill):
     part of memory shared with this process.
 
     Where worker_cpus gives CPUs, one child is forked per CPU after the
-    first, at most n workers in all, and this process works too, pinned to
-    the first.  Every worker draws ids from one queue, in ascending order,
-    and flags each id it finishes.  Once every child is reaped this process
-    runs the unflagged ids in ascending order, which elsewhere is all of
-    them: the error raised is that of the lowest failing id, as in a serial
-    run.
+    first, at most n workers in all, and this process works too, unpinned:
+    the first CPU is the one no child is pinned to.  Every worker draws ids
+    from one queue, in ascending order, and flags each id it finishes.  Once
+    every child is reaped this process runs the unflagged ids in ascending
+    order, which elsewhere is all of them: the error raised is that of the
+    lowest failing id, as in a serial run.
     """
     cpus = worker_cpus()
     if cpus is None or n < 2:
@@ -252,7 +241,7 @@ def fill_queued(n, fill):
         (done,) = shared_arrays((n,), dtype=bool)
         queue, chunk = _queue(n)
         try:
-            with _pinned(cpus[0]), _forked(cpus[1:n], lambda: _draw(queue, chunk, n, fill, done)):
+            with _forked(cpus[1:n], lambda: _draw(queue, chunk, n, fill, done)):
                 _draw(queue, chunk, n, fill, done)
         finally:
             os.close(queue)

@@ -23,7 +23,11 @@ def unit_offline44(grid44, unit_field44):
     return _offline(grid44, unit_field44)
 
 
+@workers.one_blas_thread()
 def _offline(grid, field):
+    """The offline data of ``field`` with the snapshots and eigenvectors
+    that build_problem does not keep, computed at one BLAS thread, as
+    build_problem computes them, so that they are bitwise its own."""
     pu = ms_space.compute_partition_of_unity(grid, field)
     neighborhoods = pu.neighborhoods
     patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
@@ -137,8 +141,7 @@ def channel_problem_snapshot():
 
 @pytest.fixture(scope="session")
 def channel_offline(channel_problem):
-    """channel_problem's offline data recomputed with the snapshots and
-    eigenvectors that build_problem does not keep."""
+    """channel_problem's offline data recomputed (_offline)."""
     return _offline(channel_problem.grid, channel_problem.field)
 
 

@@ -499,6 +499,32 @@ def test_offline_stage_is_bitwise_equal_on_one_and_two_cpus(mode, monkeypatch, t
         assert np.array_equal(one.dual_norms._T, two.dual_norms._T)
 
 
+def test_offline_stage_pins_only_the_forked_children(monkeypatch, tmp_path):
+    # every eigensolve this process runs sees the whole two-CPU mask it was
+    # called with, and every one a forked worker runs sees that worker's
+    # own CPU, the one after this process's first
+    log = tmp_path / "masks"
+    solve = ms_space.local_spectral_decomposition
+    here = os.getpid()
+
+    def recorded(i, *args):
+        with open(log, "a") as out:  # append mode: each line is one atomic write
+            out.write(" ".join(map(str, [os.getpid(), *sorted(os.sched_getaffinity(0))])) + "\n")
+        time.sleep(0.0 if os.getpid() == here else 0.02)  # leave some neighborhoods here
+        return solve(i, *args)
+
+    monkeypatch.setattr(ms_space, "local_spectral_decomposition", recorded)
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        problem = _offline_problem()
+        assert os.sched_getaffinity(0) == mask
+    _assert_no_child_left()
+    runs = [list(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert len(runs) == problem.space.n_neighborhoods
+    assert {tuple(cpus) for pid, *cpus in runs if pid == here} == {tuple(sorted(mask))}
+    assert {tuple(cpus) for pid, *cpus in runs if pid != here} == {(sorted(mask)[1],)}
+
+
 def test_offline_stage_forks_no_worker_beside_other_threads(monkeypatch, tmp_path):
     since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves")
     release = threading.Event()

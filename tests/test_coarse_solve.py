@@ -330,8 +330,8 @@ def test_store_systems_equal_fresh_one_shot_systems(small_problem):
 
 def test_store_holds_no_basis_matrix(small_problem):
     # the candidate array is the one copy of the basis: after a selection the
-    # store's only arrays with one entry per held column are A R, the load
-    # and the candidate-number map
+    # store's only arrays with one entry per held column are A R and the
+    # candidate-number map; the load has one entry per candidate
     problem = small_problem
     store = coarse_solve.GalerkinStore(problem.space, problem.stiffness, problem.f_load)
     space = ms_space.enrich(problem.space, [0, 4], 1).extended(1)
@@ -343,11 +343,7 @@ def test_store_holds_no_basis_matrix(small_problem):
         for name, value in vars(store).items()
         if isinstance(value, np.ndarray) or sparse.issparse(value)
     }
-    assert {name for name, value in arrays.items() if held in value.shape} == {
-        "AR",
-        "load",
-        "number",
-    }
+    assert {name for name, value in arrays.items() if held in value.shape} == {"AR", "number"}
 
 
 def test_system_basis_is_gathered_from_its_space(small_problem):

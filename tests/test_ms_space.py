@@ -1,3 +1,5 @@
+import os
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +9,13 @@ import scipy.linalg
 from gmsfem import cli, coarse_solve, fine_fem, indicators, mesh, ms_space, workers
 from gmsfem.fine_fem import CoefficientField
 
-from conftest import _offline, global_function, interior_vertex_position, vertex_coordinates
+from conftest import (
+    _offline,
+    cpu_affinity,
+    global_function,
+    interior_vertex_position,
+    vertex_coordinates,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +567,12 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
         store.system(grown)
         held = [i * L + k for i in range(N) for k in range(store.have[i])]
         assert np.array_equal(np.sort(store.number), held)
-        assert np.array_equal(store.column[store.number], np.arange(len(held)))
+        load = space.basis_columns(0, store.have).T @ problem.f_load
+        assert np.array_equal(store.load[held], load)
+        assert not np.delete(store.load, held).any()
 
 
-def test_candidates_are_contiguous_rows_of_interior_values(channel_problem):
+def test_candidates_are_contiguous_rows_of_interior_values(channel_problem, channel_offline):
     # candidate (i, k) is one C-contiguous row of the m patch interior values
     # of chi_i * (snapshots @ eigenvectors[:, k]), bit for bit against the
     # offline data recomputed at one BLAS thread, as build_problem runs
@@ -570,13 +580,14 @@ def test_candidates_are_contiguous_rows_of_interior_values(channel_problem):
     interior = space.neighborhoods.interior
     assert space.candidates.shape == (space.n_neighborhoods, space.n_candidates, len(interior))
     with workers.one_blas_thread():
-        offline = _offline(channel_problem.grid, channel_problem.field)
         for i, k in ((0, 0), (17, 3), (40, 12), (80, space.n_candidates - 1)):
             row = space.candidates[i, k]
             assert row.flags.c_contiguous
-            spectrum = offline["spectra"][i]
+            spectrum = channel_offline["spectra"][i]
             representatives = spectrum.snapshots[interior] @ spectrum.eigenvectors
-            assert np.array_equal(row, offline["pu"].patches[i][interior] * representatives[:, k])
+            assert np.array_equal(
+                row, channel_offline["pu"].patches[i][interior] * representatives[:, k]
+            )
 
 
 def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
@@ -599,6 +610,39 @@ def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
             given = {**arrays, name: wrong}
             with pytest.raises(ValueError, match=f"^{name} must have shape"):
                 ms_space.OfflineSpace(space.pu, *given.values(), space.counts)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_build_basis_rejects_a_spectrum_without_L_eigenpairs(unit_offline44, cpus):
+    # the last eigenpair of neighborhood 3 is dropped.  This process's
+    # spectra are slowed, so on two CPUs the forked worker meets the short
+    # spectrum first; its failure is run again here, and the error is the
+    # serial one
+    data = unit_offline44
+    spectra = list(data["spectra"])
+    s = spectra[3]
+    L = len(s.eigenvalues)
+    spectra[3] = ms_space.NeighborhoodSpectrum(
+        s.vertex_id, s.snapshots[:, :-1], s.eigenvalues[:-1], s.eigenvectors[:-1, :-1]
+    )
+    here = os.getpid()
+    (elsewhere,) = workers.shared_arrays((len(spectra),), dtype=bool)
+
+    def spectrum(i):
+        if os.getpid() == here:
+            time.sleep(0.05)
+        else:
+            elsewhere[i] = True
+        return spectra[i]
+
+    counts = np.ones(len(spectra), dtype=int)
+    with cpu_affinity(cpus):
+        with pytest.raises(ValueError) as failure:
+            ms_space.build_basis(data["pu"], spectrum, counts)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert str(failure.value) == f"neighborhood 3 has {L - 1} eigenvalues, not L = {L}"
+    assert elsewhere[3] == (cpus == 2)
 
 
 def test_enrichment_nests_columns(unit_offline44):

@@ -1,6 +1,8 @@
 import ast
 import contextlib
+import importlib
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -34,6 +36,29 @@ def test_fill_queued_runs_every_id_once(n):
         os.waitpid(-1, os.WNOHANG)
     assert np.all(runs == 1)
     assert here in pids and len(set(pids)) == 2
+
+
+def _calls(node, name):
+    """The calls of ``name`` (as written, e.g. "os.fork") under ``node``."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func) == name]
+
+
+def test_only_workers_forks_and_only_its_children_pin():
+    # _forked is the one place that forks, and the one call that changes an
+    # affinity mask is the pin in its child branch: no caller's mask changes
+    for info in pkgutil.iter_modules(gmsfem.__path__):
+        if info.name != "workers":
+            source = Path(importlib.import_module(f"gmsfem.{info.name}").__file__).read_text()
+            for name in ("os.fork", "sched_setaffinity"):
+                assert name not in source, (info.name, name)
+    source = Path(workers.__file__).read_text()
+    assert source.count("sched_setaffinity") == 1
+    tree = ast.parse(source)
+    forked = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_forked")
+    branches = [n for n in ast.walk(forked) if isinstance(n, ast.If)]
+    child = next(n for n in branches if ast.unparse(n.test) == "pid == 0")
+    assert len(_calls(child, "os.sched_setaffinity")) == 1
+    assert len(_calls(tree, "os.fork")) == len(_calls(forked, "os.fork")) == 1
 
 
 def test_shared_arrays_read_as_zeros_before_any_write():
