@@ -1,6 +1,5 @@
 """Marking strategies and the adaptive enrichment loop."""
 
-import numbers
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -54,9 +53,7 @@ class MarkingConfig:
         for name in ("s", "m_enrich", "max_iterations", "dof_cap"):
             mesh._check_integer(name, getattr(self, name))
         for name in ("theta", "goal_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            mesh._check_real(name, getattr(self, name))
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if self.s < 1:
@@ -160,6 +157,17 @@ class ProblemSetup:
         self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness, f_load)
 
 
+def _check_problem_settings(initial_count, dual_norm_mode):
+    """build_problem's checks of its two settings, which ExperimentConfig
+    makes before any work starts; returns ``initial_count`` as an int."""
+    integer = isinstance(initial_count, (int, np.integer)) and not isinstance(initial_count, bool)
+    if not (integer and initial_count >= 1):
+        raise ValueError(f"initial_count must be an integer >= 1, got {initial_count!r}")
+    if dual_norm_mode not in indicators.DUAL_NORM_MODES:
+        raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
+    return int(initial_count)
+
+
 @workers.one_blas_thread()
 def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_mode="exact"):
     """Run the fine reference solve and the offline pipeline for one problem.
@@ -183,14 +191,7 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     (workers.one_blas_thread), so its results do not depend on the thread
     count and its workers may fork.
     """
-    if (
-        isinstance(initial_count, bool)
-        or not isinstance(initial_count, numbers.Integral)
-        or initial_count < 1
-    ):
-        raise ValueError(f"initial_count must be an integer >= 1, got {initial_count!r}")
-    if dual_norm_mode not in indicators.DUAL_NORM_MODES:
-        raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
+    initial_count = _check_problem_settings(initial_count, dual_norm_mode)
     stiffness = fine_fem.assemble_stiffness(grid, field)
     f_load = fine_fem.assemble_load(grid, f_density)
 
@@ -201,11 +202,11 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
         g_load = fine_fem.assemble_load(grid, g_density)
         pu = ms_space.compute_partition_of_unity(grid, field)
         neighborhoods = pu.neighborhoods
-        patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+        patch_A = fine_fem.patch_stiffness(field, neighborhoods)
         # exact: its factor solves the snapshots
         dual_norms = indicators.ResidualNormCache(patch_A)
-        weight = ms_space.compute_spectral_weight(grid, field, pu)
-        patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
+        weight = ms_space.compute_spectral_weight(field, pu)
+        patch_S = fine_fem.patch_weighted_mass(weight, neighborhoods)
 
         parts = None  # snapshot mode's zero-trace parts, which spectrum(i) fills
         if dual_norm_mode == "snapshot":
@@ -221,7 +222,7 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
                 i, patch_A.matrix(i), patch_S.matrix(i), snapshots
             )
 
-        space = ms_space.build_basis(pu, spectrum, np.ones(len(neighborhoods), dtype=int))
+        space = ms_space.build_basis(pu, spectrum)
         if parts is not None:
             del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
             dual_norms = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)

@@ -9,7 +9,6 @@ rasters can be supplied through the field file format instead.
 """
 
 import argparse
-import numbers
 import os
 import sys
 
@@ -20,6 +19,7 @@ from .adapt import (
     AdaptFailure,
     MarkingConfig,
     STRATEGIES,
+    _check_problem_settings,
     _write_csv,
     adapt_loop,
     build_problem,
@@ -27,7 +27,7 @@ from .adapt import (
 )
 from .fine_fem import CoefficientField, SolveFailure
 from .indicators import DUAL_NORM_MODES, dump_indicators
-from .mesh import GridHierarchy, _check_integer
+from .mesh import GridHierarchy, _check_integer, _check_real
 from .ms_space import OfflineFailure, dump_spectra
 
 __all__ = [
@@ -55,7 +55,8 @@ class ExperimentConfig:
 
     ``self.marking`` is a MarkingConfig built from ``marking``, its marking
     rule ``strategy``, and ``loop``, its other fields; MarkingConfig holds
-    their defaults.  ``dual_norm_mode`` is handed to build_problem."""
+    their defaults.  ``initial_count`` and ``dual_norm_mode`` are handed to
+    build_problem, whose checks of them run here, before any work."""
 
     def __init__(
         self,
@@ -79,9 +80,7 @@ class ExperimentConfig:
     ):
         self.nc, self.r = _check_integer("nc", nc), _check_integer("r", r)
         self.field = _check_field_name(field)
-        if isinstance(contrast, bool) or not isinstance(contrast, numbers.Real):
-            raise ValueError(f"contrast must be a real number, got {contrast!r}")
-        self.contrast = float(contrast)
+        self.contrast = float(_check_real("contrast", contrast))
         _check_contrast(self.contrast)
         if isinstance(strategies, str):
             raise ValueError(f"strategies must be a list of names, not the string {strategies!r}")
@@ -104,11 +103,7 @@ class ExperimentConfig:
         self.goal_scale = goal_scale
         self.dump_indicator_csv = _check_switch("dump_indicator_csv", dump_indicator_csv)
         self.dump_spectra_csv = _check_switch("dump_spectra_csv", dump_spectra_csv)
-        self.initial_count = _check_integer("initial_count", initial_count)
-        if self.initial_count < 1:
-            raise ValueError(f"initial basis count must be >= 1, got {self.initial_count}")
-        if dual_norm_mode not in DUAL_NORM_MODES:
-            raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
+        self.initial_count = _check_problem_settings(initial_count, dual_norm_mode)
         self.dual_norm_mode = dual_norm_mode
 
 

@@ -55,6 +55,9 @@ Q1_MASS = (
     / 36.0
 )
 
+# Relative residual contract of solve_dirichlet, met in extended precision.
+FINE_RTOL = 1e-10
+
 
 class SolveFailure(RuntimeError):
     """A linear solve did not meet its residual contract."""
@@ -96,9 +99,7 @@ class CoefficientField:
 
 def _check_field(grid, field):
     if field.nf != grid.nf:
-        raise ValueError(
-            f"coefficient field is {field.nf}x{field.nf} but grid has nf={grid.nf}"
-        )
+        raise ValueError(f"coefficient field is {field.nf}x{field.nf} but grid has nf={grid.nf}")
 
 
 def _assemble(ref, cell_coeff, cell_vertices, ndof):
@@ -203,21 +204,21 @@ class PatchMatrices:
         return ab.reshape(n_blocks * m, -1).T
 
 
-def patch_stiffness(grid, field, neighborhoods):
-    """Stiffness assembled over the cells of each neighborhood only.
+def patch_stiffness(field, neighborhoods):
+    """Stiffness over the cells of each neighborhood only, on their grid.
 
     Each is the Neumann-type operator of the form restricted to the patch: it
     annihilates constants, unlike the principal submatrix of the global
     stiffness whose rim rows carry energy from cells outside the patch.
     """
-    _check_field(grid, field)
+    _check_field(neighborhoods.grid, field)
     return PatchMatrices(neighborhoods, Q1_STIFFNESS, field.values.ravel()[neighborhoods.cells])
 
 
-def patch_weighted_mass(grid, weight, neighborhoods):
-    """Weighted mass assembled over the cells of each neighborhood only."""
-    _check_field(grid, weight)
-    coeff = weight.values.ravel()[neighborhoods.cells] * grid.h**2
+def patch_weighted_mass(weight, neighborhoods):
+    """Weighted mass over the cells of each neighborhood only, on their grid."""
+    _check_field(neighborhoods.grid, weight)
+    coeff = weight.values.ravel()[neighborhoods.cells] * neighborhoods.grid.h**2
     return PatchMatrices(neighborhoods, Q1_MASS, coeff)
 
 
@@ -298,20 +299,19 @@ def _banded_cholesky(M):
     return solve, factor[u, :done] ** 2, info
 
 
-def solve_dirichlet(A, b, fixed, rtol=1e-10):
+def solve_dirichlet(A, b, fixed):
     """Solve A u = b with u = 0 on the ``fixed`` dofs.
 
     Eliminates fixed rows/columns (keeping the free block symmetric), factors
     the diagonally scaled free block in natural vertex order with one banded
     Cholesky (with the grid's boundary vertices fixed, its half-bandwidth is
     nf), and applies iterative refinement in extended precision until an
-    iterate satisfies ``||A_ff u_f - b_f|| <= rtol * ||b_f||``: at high
+    iterate satisfies ``||A_ff u_f - b_f|| <= FINE_RTOL * ||b_f||``: at high
     contrast the float64 evaluation noise of A @ u alone can exceed the
     contract.  The returned u is that iterate rounded to float64, whose own
-    residual may miss rtol (1.3e-9 relative at nc=10, contrast 1e6, for the
-    default 1e-10).  Raises SolveFailure with the achieved residual if no
-    iterate meets the contract, and without one if the free block is not
-    positive definite.
+    residual may miss FINE_RTOL (1.3e-9 relative at nc=10, contrast 1e6).
+    Raises SolveFailure with the achieved residual if no iterate meets the
+    contract, and without one if the free block is not positive definite.
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -325,7 +325,7 @@ def solve_dirichlet(A, b, fixed, rtol=1e-10):
             f"(LAPACK dpbtrf info {info})"
         )
     u = np.zeros(n)
-    u[free] = solve(b[free], rtol, 6, "Dirichlet solve")
+    u[free] = solve(b[free], FINE_RTOL, 6, "Dirichlet solve")
     return u
 
 

@@ -136,8 +136,7 @@ class ResidualNormCache:
         if self.mode != "exact":
             raise ValueError("only an exact-mode cache can solve; this one is in snapshot mode")
         m = self._block
-        block = self._factor[:, i * m : (i + 1) * m]
-        return scipy.linalg.cho_solve_banded((block, False), rhs, check_finite=False)
+        return self._pbtrs(self._factor[:, i * m : (i + 1) * m], rhs)[0]
 
     def norm(self, i, rho):
         """Dual norm of the local residual ``rho`` over neighborhood i.

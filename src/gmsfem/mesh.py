@@ -1,5 +1,7 @@
 """Nested coarse/fine rectangular grid hierarchy on the unit square."""
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -14,6 +16,13 @@ def _check_integer(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_real(name, value):
+    """``value`` if it is a real number (numpy's included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 class GridHierarchy:

@@ -136,7 +136,7 @@ def compute_partition_of_unity(grid, field):
     nc, r = grid.nc, grid.r
     p, m = 2 * r + 1, r + 1
     # element (ex, ey) is patch ey * nc + ex, its (r+1)^2 vertices row-major
-    elements = patch_stiffness(grid, field, mesh.Neighborhoods(grid, width=1))
+    elements = patch_stiffness(field, mesh.Neighborhoods(grid, width=1))
     interior, rim = elements.neighborhoods.interior, elements.neighborhoods.rim
     hats = _element_hat_values(r)
     A_ii, A_ib = elements.dense_block("interior"), elements.dense_block("rim")
@@ -163,12 +163,12 @@ def compute_partition_of_unity(grid, field):
     return PartitionOfUnity(mesh.all_neighborhoods(grid), patches)
 
 
-def compute_spectral_weight(grid, field, pu):
-    """Per-cell weight kappa * sum_i H^2 |grad chi_i|^2 for the local mass matrices.
-
-    Gradients of the Q1 interpolant are evaluated at cell midpoints (one-point
-    rule), consistent with cellwise-constant coefficients.
-    """
+def compute_spectral_weight(field, pu):
+    """Per-cell weight kappa * sum_i H^2 |grad chi_i|^2 for the local mass
+    matrices, on the grid of ``pu``.  Gradients of the Q1 interpolant are
+    evaluated at cell midpoints (one-point rule), consistent with
+    cellwise-constant coefficients."""
+    grid = pu.grid
     _check_field(grid, field)
     nf, h = grid.nf, grid.h
     p = 2 * grid.r + 1
@@ -317,13 +317,15 @@ class OfflineSpace:
         ]
 
     def _select(self, counts):
-        if np.asarray(counts).dtype.kind not in "iu":
-            raise ValueError(f"basis counts must be integers, got dtype {np.asarray(counts).dtype}")
-        counts = np.array(counts, dtype=int).reshape(self.n_neighborhoods)
+        counts, n = np.asarray(counts), self.n_neighborhoods
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"basis counts must be integers, got dtype {counts.dtype}")
+        if counts.shape != (n,):
+            raise ValueError(f"basis counts must be N = {n} integers, got shape {counts.shape}")
         if np.any(counts < 1) or np.any(counts > self.n_candidates):
             raise ValueError("basis counts must satisfy 1 <= l_i <= L")
-        self.counts = counts
-        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.counts = counts.astype(int)
+        self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
         self.total_dofs = int(self.offsets[-1])
 
     @property
@@ -377,8 +379,8 @@ class OfflineSpace:
         return self.with_counts(self._whole_clusters(self.counts + m))
 
 
-def build_basis(pu, spectrum, counts):
-    """Assemble the offline space chi_i * psi_k^off for the given counts.
+def build_basis(pu, spectrum):
+    """Assemble the offline space chi_i * psi_k^off, one function per neighborhood.
 
     ``spectrum(i)`` computes neighborhood i's spectrum, with its snapshots
     and eigenvectors, for each i in range(N).  Each result fills its
@@ -407,7 +409,7 @@ def build_basis(pu, spectrum, counts):
         jitter[i] = result.jitter
 
     workers.fill_queued(N, fill)
-    return OfflineSpace(pu, eigenvalues, jitter, candidates, counts)
+    return OfflineSpace(pu, eigenvalues, jitter, candidates, np.ones(N, dtype=int))
 
 
 def enrich(space, marked, s=1):

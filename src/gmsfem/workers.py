@@ -36,6 +36,8 @@ import os
 import select
 import signal
 import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -47,11 +49,18 @@ _TOKEN = 4
 
 
 def _single_threaded():
-    """Whether this process runs one OS thread (read from /proc/self/task)."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
+    """Whether this process runs one OS thread (read from /proc/self/task).
+    A thread that join() has returned from can still be listed for a moment,
+    so while Python counts one thread the list is read up to 50 times."""
+    for _ in range(50):
+        try:
+            tasks = len(os.listdir("/proc/self/task"))
+        except OSError:
+            return False
+        if tasks == 1 or threading.active_count() > 1:
+            return tasks == 1
+        time.sleep(1e-4)
+    return False
 
 
 def worker_cpus():

@@ -30,10 +30,10 @@ def _offline(grid, field):
     build_problem computes them, so that they are bitwise its own."""
     pu = ms_space.compute_partition_of_unity(grid, field)
     neighborhoods = pu.neighborhoods
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    patch_A = fine_fem.patch_stiffness(field, neighborhoods)
     exact_norms = indicators.ResidualNormCache(patch_A)
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
-    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
+    weight = ms_space.compute_spectral_weight(field, pu)
+    patch_S = fine_fem.patch_weighted_mass(weight, neighborhoods)
     spectra = []
     for i in range(len(neighborhoods)):
         snaps = ms_space.compute_snapshots(patch_A, i, exact_norms)

@@ -84,11 +84,11 @@ def test_c02_partition_of_unity_suite():
 
 def test_c03_spectral_suite(channel_problem, channel_offline):
     problem = channel_problem
-    grid, field = problem.grid, problem.field
+    field = problem.field
     space, neighborhoods = problem.space, problem.space.neighborhoods
-    weight = ms_space.compute_spectral_weight(grid, field, space.pu)
-    patches_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
-    patches_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods)
+    weight = ms_space.compute_spectral_weight(field, space.pu)
+    patches_A = fine_fem.patch_stiffness(field, neighborhoods)
+    patches_S = fine_fem.patch_weighted_mass(weight, neighborhoods)
     worst_res, worst_lam1, worst_rayleigh = 0.0, 0.0, 0.0
     for i in range(len(neighborhoods)):
         spectrum = channel_offline["spectra"][i]
@@ -134,7 +134,7 @@ def test_c04_residuals_vanish_for_fine_references(channel_problem):
     A = problem.stiffness
     z_ref = fine_fem.solve_dirichlet(A, problem.g_load, problem.grid.boundary_vertex_ids())
     cache = indicators.ResidualNormCache(
-        fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
+        fine_fem.patch_stiffness(problem.field, problem.space.neighborhoods)
     )
     worst = 0.0
     for ref, load, tag in ((problem.u_ref, problem.f_load, "primal"), (z_ref, problem.g_load, "dual")):
@@ -154,7 +154,7 @@ def test_c05_snapshot_norm_lower_bounds_exact(channel_problem, channel_offline):
     system = coarse_solve.assemble_coarse(space, A, problem.f_load)
     u_ms = coarse_solve.solve_primal(system)
     rho = indicators.fine_residual(A, problem.f_load, u_ms.fine)
-    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
+    patch_A = fine_fem.patch_stiffness(problem.field, problem.space.neighborhoods)
     exact_cache = indicators.ResidualNormCache(patch_A)
     parts = [s.snapshots[space.neighborhoods.interior] for s in channel_offline["spectra"]]
     snap_cache = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)

@@ -256,7 +256,7 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, chann
         channel_problem.stiffness,
         channel_problem.f_load,
         channel_problem.g_load,
-        ms_space.build_basis(space.pu, rotated_spectra.__getitem__, space.counts),
+        ms_space.build_basis(space.pu, rotated_spectra.__getitem__).with_counts(space.counts),
         channel_problem.u_ref,
         channel_problem.dual_norms,
     )
@@ -405,7 +405,7 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     parts = np.stack([s.snapshots[interior] for s in data["spectra"]])
     assert np.array_equal(cache._T, parts)
     oracle = indicators.ResidualNormCache(
-        fine_fem.patch_stiffness(grid, field, problem.space.neighborhoods), zero_trace_parts=parts
+        fine_fem.patch_stiffness(field, problem.space.neighborhoods), zero_trace_parts=parts
     )
     assert np.array_equal(cache._pinv, oracle._pinv)
 

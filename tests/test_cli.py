@@ -224,7 +224,7 @@ def test_experiment_config_validation():
         ExperimentConfig(k2_box=(0.0, 1.5, 0.0, 1.0))
     with pytest.raises(ValueError):
         ExperimentConfig(goal_scale="average")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="initial_count must be an integer >= 1, got 0"):
         ExperimentConfig(initial_count=0)
     with pytest.raises(ValueError, match="unknown dual norm mode 'cheap'"):
         ExperimentConfig(dual_norm_mode="cheap")
@@ -236,7 +236,9 @@ def test_experiment_config_validation():
 def test_experiment_config_rejects_fractional_whole_numbers(field, value):
     with pytest.raises(ValueError) as excinfo:
         ExperimentConfig(**{field: value})
-    assert str(excinfo.value) == f"{field} must be an integer, got {value}"
+    # initial_count has build_problem's check, whose message names the bound
+    bound = " >= 1" if field == "initial_count" else ""
+    assert str(excinfo.value) == f"{field} must be an integer{bound}, got {value}"
 
 
 def test_experiment_config_accepts_numpy_integers():

@@ -179,8 +179,8 @@ def test_batched_patch_matrices_equal_per_patch_assembly(nc, r):
     # the coarse neighborhoods, and the coarse elements the partition of unity uses
     for neighborhoods in (mesh.all_neighborhoods(grid), mesh.Neighborhoods(grid, width=1)):
         cases = (
-            (fine_fem.patch_stiffness(grid, field, neighborhoods), fine_fem.Q1_STIFFNESS, coeff),
-            (fine_fem.patch_weighted_mass(grid, field, neighborhoods), fine_fem.Q1_MASS, coeff * grid.h**2),
+            (fine_fem.patch_stiffness(field, neighborhoods), fine_fem.Q1_STIFFNESS, coeff),
+            (fine_fem.patch_weighted_mass(field, neighborhoods), fine_fem.Q1_MASS, coeff * grid.h**2),
         )
         interior, rim = neighborhoods.interior, neighborhoods.rim
         for patches, ref, cell_coeff in cases:
@@ -240,7 +240,7 @@ def test_gathered_interior_operators_equal_global_slices(nc, r):
     neighborhoods = mesh.all_neighborhoods(grid)
     for field in fields:
         A = fine_fem.assemble_stiffness(grid, field)
-        patches = fine_fem.patch_stiffness(grid, field, neighborhoods)
+        patches = fine_fem.patch_stiffness(field, neighborhoods)
         band = patches.interior_band()
         oracle = _stacked_band_oracle(grid, neighborhoods.interior_vertices.ravel(), A)
         assert band.shape == oracle.shape
@@ -253,7 +253,7 @@ def test_gathered_interior_operators_equal_global_slices(nc, r):
 
 
 def test_patch_matrices_share_one_read_only_pattern(grid44, unit_field44):
-    patches = fine_fem.patch_stiffness(grid44, unit_field44, mesh.all_neighborhoods(grid44))
+    patches = fine_fem.patch_stiffness(unit_field44, mesh.all_neighborhoods(grid44))
     matrix = patches.matrix(1)
     assert np.shares_memory(matrix.indices, patches.indices)
     assert np.shares_memory(matrix.indptr, patches.indptr)
@@ -290,9 +290,9 @@ def test_patch_assembly_rejects_size_mismatch(grid44):
     field = CoefficientField.constant(grid44.nf + 1)
     neighborhoods = mesh.all_neighborhoods(grid44)
     with pytest.raises(ValueError):
-        fine_fem.patch_stiffness(grid44, field, neighborhoods)
+        fine_fem.patch_stiffness(field, neighborhoods)
     with pytest.raises(ValueError):
-        fine_fem.patch_weighted_mass(grid44, field, neighborhoods)
+        fine_fem.patch_weighted_mass(field, neighborhoods)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +373,12 @@ def test_solve_reproduces_bilinear_harmonic_interpolant(grid44, unit_field44):
     assert np.abs(u - exact).max() < 1e-12
 
 
-def test_solve_reports_unreachable_contract(grid44, unit_field44):
+def test_solve_reports_unreachable_contract(grid44, unit_field44, monkeypatch):
+    monkeypatch.setattr(fine_fem, "FINE_RTOL", 0.0)
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     b = fine_fem.assemble_load(grid44, np.ones((grid44.nf, grid44.nf)))
     with pytest.raises(fine_fem.SolveFailure) as err:
-        fine_fem.solve_dirichlet(A, b, grid44.boundary_vertex_ids(), rtol=0.0)
+        fine_fem.solve_dirichlet(A, b, grid44.boundary_vertex_ids())
     assert err.value.achieved > 0.0
 
 
@@ -426,7 +427,7 @@ def test_eigenvalue_growth_under_fixing():
 
 
 def test_local_operator_sizes_and_spd(grid44, unit_field44):
-    patches = fine_fem.patch_stiffness(grid44, unit_field44, mesh.all_neighborhoods(grid44))
+    patches = fine_fem.patch_stiffness(unit_field44, mesh.all_neighborhoods(grid44))
     r = grid44.r
     zt = patches.interior_block(0)
     assert zt.shape == ((2 * r - 1) ** 2, (2 * r - 1) ** 2)
@@ -436,7 +437,7 @@ def test_local_operator_sizes_and_spd(grid44, unit_field44):
 def test_local_operator_matches_global_entries(grid44, unit_field44):
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     neighborhoods = mesh.all_neighborhoods(grid44)
-    patches = fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods)
+    patches = fine_fem.patch_stiffness(unit_field44, neighborhoods)
     sub = patches.interior_block(0).toarray()
     ids = neighborhoods.interior_vertices[0]
     assert np.array_equal(sub, A[np.ix_(ids, ids)].toarray())

@@ -111,7 +111,7 @@ def test_snapshot_cache_cannot_solve(channel_problem_snapshot):
 
 def test_dual_norm_rejects_misshapen_zero_trace_parts(channel_state):
     problem = channel_state["problem"]
-    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, problem.space.neighborhoods)
+    patch_A = fine_fem.patch_stiffness(problem.field, problem.space.neighborhoods)
     with pytest.raises(ValueError, match=r"must be \(N, m, L\), got shape \(2, 3, 4\)"):
         indicators.ResidualNormCache(patch_A, zero_trace_parts=np.ones((2, 3, 4)))
 
@@ -158,7 +158,7 @@ def _one_shot_norms(problem, rho):
     """Exact dual norms from one cho_solve_banded over the whole stacked
     zero-trace factor, the path the chunked solve must reproduce bit for bit."""
     neighborhoods = problem.space.neighborhoods
-    patch_A = fine_fem.patch_stiffness(problem.grid, problem.field, neighborhoods)
+    patch_A = fine_fem.patch_stiffness(problem.field, neighborhoods)
     factor = scipy.linalg.cholesky_banded(patch_A.interior_band())
     local = rho[neighborhoods.interior_vertices.ravel()]
     w = scipy.linalg.cho_solve_banded((factor, False), local)
@@ -194,6 +194,28 @@ def test_chunked_norms_are_bitwise_one_whole_solve(channel_state, per_chunk, mon
     firsts = range(0, N, per_chunk)
     widths = [min(per_chunk, N - first) * m + (u if first else 0) for first in firsts]
     assert calls == [(w, (w, 1)) for w in widths] + [(w, (w, 2)) for w in widths]
+
+
+def test_neighborhood_solve_is_the_caches_banded_solve(channel_state, monkeypatch):
+    # solve(i, rhs) is the cache's own dpbtrs on neighborhood i's column block
+    # of the factor, bitwise scipy's cho_solve_banded with that block
+    cache = channel_state["problem"].dual_norms
+    interior = channel_state["problem"].space.neighborhoods.interior_vertices
+    m = cache._block
+    calls = []
+    pbtrs = cache._pbtrs
+
+    def recorded(ab, b):
+        calls.append(ab.shape[1])
+        return pbtrs(ab, b)
+
+    monkeypatch.setattr(cache, "_pbtrs", recorded)
+    for i in (0, 40, len(interior) - 1):
+        block = cache._factor[:, i * m : (i + 1) * m]
+        for rhs in (channel_state["rho_u"][interior[i]], np.eye(m)[:, :3]):
+            oracle = scipy.linalg.cho_solve_banded((block, False), rhs)
+            assert cache.solve(i, rhs).tobytes() == oracle.tobytes()
+    assert calls == [m] * 6
 
 
 @pytest.mark.parametrize("mode", ["exact", "snapshot"])
@@ -250,7 +272,7 @@ def test_eta_saturated_neighborhood_is_zero():
     field = CoefficientField.constant(grid.nf)
     data = _offline(grid, field)
     L = data["spectra"][0].n_snapshots
-    space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__, [L])
+    space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__).with_counts([L])
     report = indicators.eta_standard(space, np.array([7.0]))
     assert report.saturated[0]
     assert report.eta_sq[0] == 0.0

@@ -133,7 +133,23 @@ def test_offline_rejects_field_of_wrong_size():
         ms_space.compute_partition_of_unity(grid, wrong)
     pu = ms_space.compute_partition_of_unity(grid, CoefficientField.constant(grid.nf))
     with pytest.raises(ValueError, match=message):
-        ms_space.compute_spectral_weight(grid, wrong, pu)
+        ms_space.compute_spectral_weight(wrong, pu)
+
+
+def test_patch_operators_take_their_grid_from_the_layout():
+    # a 24x24 field over the layout of a 20x20 grid: each operator checks the
+    # field against the grid of its neighborhoods, and the message names both
+    grid20 = mesh.GridHierarchy(5, 4)
+    field24 = CoefficientField.constant(24)
+    pu = ms_space.compute_partition_of_unity(grid20, CoefficientField.constant(grid20.nf))
+    for operator, layout in (
+        (fine_fem.patch_stiffness, mesh.Neighborhoods(grid20)),
+        (fine_fem.patch_weighted_mass, mesh.Neighborhoods(grid20)),
+        (ms_space.compute_spectral_weight, pu),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            operator(field24, layout)
+        assert str(excinfo.value) == "coefficient field is 24x24 but grid has nf=20"
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +175,7 @@ def _analytic_weight_oracle(grid):
 
 def test_spectral_weight_matches_analytic_hat_oracle(grid44, unit_field44):
     pu = ms_space.compute_partition_of_unity(grid44, unit_field44)
-    weight = ms_space.compute_spectral_weight(grid44, unit_field44, pu)
+    weight = ms_space.compute_spectral_weight(unit_field44, pu)
     assert np.allclose(weight.values, _analytic_weight_oracle(grid44), atol=1e-12)
 
 
@@ -169,7 +185,7 @@ def test_spectral_weight_near_coarse_cell_center():
     grid = mesh.GridHierarchy(4, 10)
     field = CoefficientField.constant(grid.nf)
     pu = ms_space.compute_partition_of_unity(grid, field)
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
+    weight = ms_space.compute_spectral_weight(field, pu)
     # cell midpoint nearest the center of coarse cell (1, 1)
     value = weight.values[15, 15]
     oracle = _analytic_weight_oracle(grid)[15, 15]
@@ -189,15 +205,13 @@ def test_spectral_weight_scales_with_coefficient():
 def _weight_for(grid, values):
     field = CoefficientField(values)
     pu = ms_space.compute_partition_of_unity(grid, field)
-    return ms_space.compute_spectral_weight(grid, field, pu)
+    return ms_space.compute_spectral_weight(field, pu)
 
 
 def test_spectral_weight_positive_on_all_cells(channel_problem):
     # CoefficientField construction would reject nonpositive cells, so getting
     # a weight back at all proves positivity; assert anyway for clarity.
-    grid, field = channel_problem.grid, channel_problem.field
-    pu = channel_problem.space.pu
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
+    weight = ms_space.compute_spectral_weight(channel_problem.field, channel_problem.space.pu)
     assert weight.values.min() > 0.0
 
 
@@ -207,7 +221,7 @@ def test_spectral_weight_positive_on_all_cells(channel_problem):
 
 def test_snapshots_boundary_data_and_sum(grid44, unit_field44):
     neighborhoods = mesh.all_neighborhoods(grid44)
-    patch_A = fine_fem.patch_stiffness(grid44, unit_field44, neighborhoods)
+    patch_A = fine_fem.patch_stiffness(unit_field44, neighborhoods)
     snaps = ms_space.compute_snapshots(patch_A, 0, indicators.ResidualNormCache(patch_A))
     rim = neighborhoods.rim
     assert np.array_equal(snaps[rim], np.eye(len(rim)))
@@ -220,7 +234,7 @@ def test_snapshots_match_dense_solve_oracle():
     rng = np.random.default_rng(14)
     field = CoefficientField(np.exp(rng.normal(size=(grid.nf, grid.nf))))
     neighborhoods = mesh.all_neighborhoods(grid)
-    patch_A = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    patch_A = fine_fem.patch_stiffness(field, neighborhoods)
     snaps = ms_space.compute_snapshots(patch_A, 0, indicators.ResidualNormCache(patch_A))
     A_patch = patch_A.matrix(0).toarray()
     interior, rim = neighborhoods.interior, neighborhoods.rim
@@ -235,9 +249,9 @@ def test_snapshots_match_dense_solve_oracle():
 
 
 def _spectrum_for(grid, field, neighborhoods, i, weight):
-    patches = fine_fem.patch_stiffness(grid, field, neighborhoods)
+    patches = fine_fem.patch_stiffness(field, neighborhoods)
     patch_A = patches.matrix(i)
-    patch_S = fine_fem.patch_weighted_mass(grid, weight, neighborhoods).matrix(i)
+    patch_S = fine_fem.patch_weighted_mass(weight, neighborhoods).matrix(i)
     snaps = ms_space.compute_snapshots(patches, i, indicators.ResidualNormCache(patches))
     return ms_space.local_spectral_decomposition(i, patch_A, patch_S, snaps), patch_A, patch_S
 
@@ -272,7 +286,7 @@ def test_spectrum_matches_brute_force_pencil_oracle():
     values = np.exp(2.0 * rng.normal(size=(grid.nf, grid.nf)))
     field = CoefficientField(values)
     pu = ms_space.compute_partition_of_unity(grid, field)
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
+    weight = ms_space.compute_spectral_weight(field, pu)
     for vid in (0, 3):
         spectrum, patch_A, patch_S = _spectrum_for(grid, field, pu.neighborhoods, vid, weight)
         A_off = spectrum.snapshots.T @ (patch_A @ spectrum.snapshots)
@@ -293,7 +307,7 @@ def test_degenerate_strip_pencil_matches_dense_oracle():
     values[: grid.nf // 2] = 100.0  # horizontal strip
     field = CoefficientField(values)
     pu = ms_space.compute_partition_of_unity(grid, field)
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
+    weight = ms_space.compute_spectral_weight(field, pu)
     spectrum, patch_A, patch_S = _spectrum_for(grid, field, pu.neighborhoods, 0, weight)
     A_off = spectrum.snapshots.T @ (patch_A.toarray() @ spectrum.snapshots)
     S_off = spectrum.snapshots.T @ (patch_S.toarray() @ spectrum.snapshots)
@@ -305,9 +319,9 @@ def test_degenerate_strip_pencil_matches_dense_oracle():
 
 def _patch_pencil(data, i):
     """Neighborhood i's patch stiffness, weighted mass and snapshots."""
-    grid, neighborhoods = data["grid"], data["neighborhoods"]
-    patch_A = fine_fem.patch_stiffness(grid, data["field"], neighborhoods).matrix(i)
-    patch_S = fine_fem.patch_weighted_mass(grid, data["weight"], neighborhoods).matrix(i)
+    neighborhoods = data["neighborhoods"]
+    patch_A = fine_fem.patch_stiffness(data["field"], neighborhoods).matrix(i)
+    patch_S = fine_fem.patch_weighted_mass(data["weight"], neighborhoods).matrix(i)
     return patch_A, patch_S, data["spectra"][i].snapshots
 
 
@@ -344,9 +358,9 @@ def test_jitter_and_spectrum_match_eigvalsh_and_eigh_oracles(kind, contrast):
     grid = mesh.GridHierarchy(10, 10)
     field = cli.generate_field(kind, contrast, grid.nf, seed=7)
     pu = ms_space.compute_partition_of_unity(grid, field)
-    weight = ms_space.compute_spectral_weight(grid, field, pu)
-    patches = fine_fem.patch_stiffness(grid, field, pu.neighborhoods)
-    masses = fine_fem.patch_weighted_mass(grid, weight, pu.neighborhoods)
+    weight = ms_space.compute_spectral_weight(field, pu)
+    patches = fine_fem.patch_stiffness(field, pu.neighborhoods)
+    masses = fine_fem.patch_weighted_mass(weight, pu.neighborhoods)
     zero_trace = indicators.ResidualNormCache(patches)
     for i in range(len(pu.neighborhoods)):
         patch_A, patch_S = patches.matrix(i), masses.matrix(i)
@@ -395,7 +409,7 @@ def test_non_finite_pencil_names_the_neighborhood(unit_offline44, side):
 
 def _space_from(data, count=1):
     counts = np.minimum(count, [s.n_snapshots for s in data["spectra"]])
-    return ms_space.build_basis(data["pu"], data["spectra"].__getitem__, counts)
+    return ms_space.build_basis(data["pu"], data["spectra"].__getitem__).with_counts(counts)
 
 
 def test_first_basis_function_is_proportional_to_pou(unit_offline44):
@@ -424,17 +438,14 @@ def test_basis_support_containment(unit_offline44):
 
 def test_basis_counts_validation(unit_offline44):
     data = unit_offline44
-    with pytest.raises(ValueError):
-        _space_from(data, count=0)
+    space = _space_from(data)
     limits = np.array([s.n_snapshots for s in data["spectra"]])
-    with pytest.raises(ValueError):
-        ms_space.build_basis(data["pu"], data["spectra"].__getitem__, limits + 1)
-    with pytest.raises(ValueError):  # one count per neighborhood, not one for all
-        ms_space.build_basis(data["pu"], data["spectra"].__getitem__, 1)
-    n = len(data["spectra"])
+    for counts in (np.zeros_like(limits), limits + 1):
+        with pytest.raises(ValueError, match=r"1 <= l_i <= L"):
+            space.with_counts(counts)
     # build_basis asks for every neighborhood, so a short supply fails at the last one
     with pytest.raises(IndexError, match="list index out of range"):
-        ms_space.build_basis(data["pu"], data["spectra"][:-1].__getitem__, np.ones(n, dtype=int))
+        ms_space.build_basis(data["pu"], data["spectra"][:-1].__getitem__)
 
 
 def test_extended_rejects_negative_width(unit_offline44):
@@ -446,6 +457,17 @@ def test_with_counts_rejects_fractional_counts(unit_offline44):
     space = _space_from(unit_offline44)
     with pytest.raises(ValueError, match="basis counts must be integers, got dtype float64"):
         space.with_counts(np.full(space.n_neighborhoods, 1.7))
+
+
+@pytest.mark.parametrize("counts", [1, [1, 1, 1], np.ones((3, 3), dtype=int)])
+def test_with_counts_rejects_counts_of_another_shape(unit_offline44, counts):
+    # one count per neighborhood, N = 9 of them, in one dimension: not one
+    # for all, not 3, and not a (3, 3) array of 9
+    space = _space_from(unit_offline44)
+    with pytest.raises(ValueError) as excinfo:
+        space.with_counts(counts)
+    shape = np.shape(counts)
+    assert str(excinfo.value) == f"basis counts must be N = 9 integers, got shape {shape}"
 
 
 def test_extended_rejects_fractional_width(unit_offline44):
@@ -599,7 +621,7 @@ def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
         s.vertex_id, s.snapshots[:, :-1], s.eigenvalues[:-1], s.eigenvectors[:-1, :-1]
     )
     with pytest.raises(ValueError, match="neighborhood 3 has"):
-        ms_space.build_basis(data["pu"], spectra.__getitem__, space.counts)
+        ms_space.build_basis(data["pu"], spectra.__getitem__)
     arrays = {
         "eigenvalues": space.eigenvalues,
         "jitter": space.jitter,
@@ -635,10 +657,9 @@ def test_build_basis_rejects_a_spectrum_without_L_eigenpairs(unit_offline44, cpu
             elsewhere[i] = True
         return spectra[i]
 
-    counts = np.ones(len(spectra), dtype=int)
     with cpu_affinity(cpus):
         with pytest.raises(ValueError) as failure:
-            ms_space.build_basis(data["pu"], spectrum, counts)
+            ms_space.build_basis(data["pu"], spectrum)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert str(failure.value) == f"neighborhood 3 has {L - 1} eigenvalues, not L = {L}"
@@ -704,8 +725,7 @@ def test_near_zero_eigenvalue_count_stable_under_contrast():
 def test_dump_spectra_roundtrip(tmp_path, unit_offline44):
     path = tmp_path / "spectra.csv"
     spectra = unit_offline44["spectra"]
-    counts = np.ones(len(spectra), dtype=int)
-    ms_space.dump_spectra(ms_space.build_basis(unit_offline44["pu"], spectra.__getitem__, counts), path)
+    ms_space.dump_spectra(ms_space.build_basis(unit_offline44["pu"], spectra.__getitem__), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "vertex_id,k,lambda"
     expected_rows = sum(s.n_snapshots for s in unit_offline44["spectra"])

@@ -6,6 +6,7 @@ import pkgutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -36,6 +37,17 @@ def test_fill_queued_runs_every_id_once(n):
         os.waitpid(-1, os.WNOHANG)
     assert np.all(runs == 1)
     assert here in pids and len(set(pids)) == 2
+
+
+def test_worker_cpus_right_after_a_thread_ends():
+    # /proc/self/task can still list a thread that join() has returned from;
+    # one thread at a time, each cycle must still leave the process free to fork
+    with cpu_affinity(2):
+        for _ in range(200):
+            thread = threading.Thread(target=lambda: None)
+            thread.start()
+            thread.join()
+            assert workers.worker_cpus() is not None
 
 
 def _calls(node, name):
