@@ -70,8 +70,14 @@ class MarkingConfig:
             raise ValueError(f"unknown marking strategy {self.strategy!r}")
 
 
-def mark(report, cfg):
-    """Neighborhoods to enrich, as sorted vertex ids.
+def _check_strategy(name):
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
+
+
+def mark(eta_sq, cfg):
+    """Neighborhoods to enrich, as sorted vertex ids, from the N values eta_i^2
+    alone: the strategies differ only in them (IndicatorReport.eta_sq).
 
     full_sort picks the minimal descending prefix satisfying the bulk
     criterion theta * sum(eta^2) <= sum(marked eta^2), ties broken by
@@ -80,7 +86,7 @@ def mark(report, cfg):
     inside a band) until the criterion holds; the result is within a factor
     of two of the minimal cardinality.
     """
-    eta = report.eta_sq
+    eta = np.asarray(eta_sq, dtype=float)
     ids = np.arange(len(eta))
     if cfg.strategy == "full_sort":
         order = np.lexsort((ids, -eta))
@@ -119,7 +125,7 @@ class TraceRow:
 @dataclass
 class AdaptTrace:
     """Per-iteration convergence record of one adaptive run; ``reports``
-    holds each iteration's IndicatorReport."""
+    holds each iteration's IndicatorReport, one per row, in row order."""
 
     strategy: str
     rows: list = dataclass_field(default_factory=list)
@@ -241,8 +247,7 @@ def adapt_loop(problem, strategy, cfg):
     of its primal and dual residuals in one call.  Like build_problem, it
     runs at one BLAS thread (workers.one_blas_thread).
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    _check_strategy(strategy)
     A = problem.stiffness
     space = problem.space
     dual_norms = problem.dual_norms
@@ -260,25 +265,25 @@ def adapt_loop(problem, strategy, cfg):
             rho_u = indicators.fine_residual(A, problem.f_load, u_ms.fine)
 
             if strategy == "standard":
-                report = indicators.eta_standard(space, dual_norms.norms(rho_u), iteration)
+                report = indicators.eta_standard(space, dual_norms.norms(rho_u))
             elif strategy == "goal_h1":
                 rho_z = indicators.fine_residual(A, problem.g_load, z_ms.fine)
                 norms = dual_norms.norms(np.column_stack((rho_u, rho_z)))
-                report = indicators.eta_goal_h1(space, norms[:, 0], norms[:, 1], iteration)
+                report = indicators.eta_goal_h1(space, norms[:, 0], norms[:, 1])
             else:
                 enriched_system = coarse_solve.assemble_coarse(
                     space.extended(cfg.m_enrich), A, problem.f_load, store
                 )
                 z_enrich = coarse_solve.solve_dual(enriched_system, problem.g_load)
                 del enriched_system
-                report = indicators.eta_dwr(space, rho_u, z_enrich, iteration)
+                report = indicators.eta_dwr(space, rho_u, z_enrich)
         except (fine_fem.SolveFailure, coarse_solve.RankDeficientBasis) as exc:
             raise AdaptFailure(
                 f"{strategy} iteration {iteration} ({space.total_dofs} dofs): {exc}"
             ) from exc
 
         trace.reports.append(report)
-        marked = mark(report, cfg)
+        marked = mark(report.eta_sq, cfg)
         diff = problem.u_ref - u_ms.fine
         energy_error = fine_fem.energy_norm(A, diff)
         goal_error = abs(float(problem.g_load @ diff))

@@ -20,6 +20,7 @@ from .adapt import (
     MarkingConfig,
     STRATEGIES,
     _check_problem_settings,
+    _check_strategy,
     _write_csv,
     adapt_loop,
     build_problem,
@@ -88,8 +89,7 @@ class ExperimentConfig:
         if not self.strategies:
             raise ValueError(f"the strategy list is empty; expected some of {STRATEGIES}")
         for k, name in enumerate(self.strategies):
-            if name not in STRATEGIES:
-                raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
+            _check_strategy(name)
             if name in self.strategies[:k]:
                 raise ValueError(f"strategy {name!r} is repeated in {self.strategies}")
         self.marking = MarkingConfig(strategy=marking, **loop)

@@ -12,7 +12,7 @@ and lambda_{l_i+1} the first eigenvalue whose eigenvector is excluded from
 the current space.  The local residual R_i is rho restricted to the
 neighborhood's interior fine vertices, exact by locality: the stencil of an
 interior patch vertex never reaches outside the patch.  Each family computes
-its raw eta_i^2 only; one tail, ``_report``, zeroes saturated neighborhoods.
+its raw eta_i^2 only; IndicatorReport zeroes saturated neighborhoods.
 
 The zero-trace operator of a neighborhood is the interior block of its
 patch stiffness, and both dual-norm modes take it from the batched patch
@@ -51,24 +51,24 @@ _CHUNK_BYTES = 1 << 20
 
 
 class IndicatorReport:
-    """Per-neighborhood eta_i^2 values for one strategy and iteration.
+    """Per-neighborhood eta_i^2 of one strategy on ``space``, the immutable
+    OfflineSpace they were computed on, kept as given (it shares its arrays).
+    eta_i^2 is zeroed where ``space`` is saturated, whatever the raw value;
+    ``lambda_next`` reads the weights lambda_{l_i+1} of ``space`` (NaN where
+    saturated), ``signed`` holds the pre-absolute DWR pairings."""
 
-    ``lambda_next`` records the eigenvalue weights (NaN where saturated),
-    ``signed`` the pre-absolute pairings for the DWR strategy.  Saturated
-    neighborhoods carry eta_i^2 = 0.
-    """
-
-    def __init__(self, strategy, eta_sq, lambda_next, counts, saturated, iteration=0, signed=None):
-        eta_sq = np.asarray(eta_sq, dtype=float)
+    def __init__(self, strategy, space, eta_sq, signed=None):
+        eta_sq = np.where(space.saturated, 0.0, np.asarray(eta_sq, dtype=float))
         if not np.all(np.isfinite(eta_sq)) or np.any(eta_sq < 0):
             raise ValueError("indicator values must be finite and nonnegative")
         self.strategy = strategy
+        self.space = space
         self.eta_sq = eta_sq
-        self.lambda_next = np.asarray(lambda_next, dtype=float)
-        self.counts = np.asarray(counts, dtype=int)
-        self.saturated = np.asarray(saturated, dtype=bool)
-        self.iteration = iteration
         self.signed = signed
+
+    @property
+    def lambda_next(self):
+        return _lambda_weights(self.space)
 
     @property
     def total(self):
@@ -200,38 +200,27 @@ def _lambda_weights(space):
 
 
 def _inverse_weights(space):
-    # Guard against a nonpositive lambda from roundoff at extreme contrast;
-    # the floor is far below any physically meaningful eigenvalue.
-    out = np.zeros(space.n_neighborhoods)
-    live = ~space.saturated
-    out[live] = 1.0 / np.maximum(_lambda_weights(space)[live], 1e-14 * space.eigenvalues[live, -1])
-    return out
+    # 1 / lambda_{l_i+1}, NaN where saturated (IndicatorReport zeroes it there).
+    # The floor guards against a nonpositive lambda from roundoff at extreme
+    # contrast; it is far below any physically meaningful eigenvalue.
+    return 1.0 / np.maximum(_lambda_weights(space), 1e-14 * space.eigenvalues[:, -1])
 
 
-def _report(strategy, space, eta_sq, iteration, signed=None):
-    """The report of raw values ``eta_sq``: zero where saturated, with the
-    weights lambda_{l_i+1}, the counts and the saturation mask of ``space``."""
-    eta_sq[space.saturated] = 0.0
-    return IndicatorReport(
-        strategy, eta_sq, _lambda_weights(space), space.counts, space.saturated, iteration, signed
-    )
-
-
-def eta_standard(space, primal_norms, iteration=0):
+def eta_standard(space, primal_norms):
     """Residual-based indicator driving energy-error reduction."""
     eta_sq = np.asarray(primal_norms, dtype=float) ** 2 * _inverse_weights(space)
-    return _report("standard", space, eta_sq, iteration)
+    return IndicatorReport("standard", space, eta_sq)
 
 
-def eta_goal_h1(space, primal_norms, dual_norms, iteration=0):
+def eta_goal_h1(space, primal_norms, dual_norms):
     """Product indicator of primal and dual residual norms (same space)."""
     primal_norms = np.asarray(primal_norms, dtype=float)
     dual_norms = np.asarray(dual_norms, dtype=float)
     eta_sq = primal_norms * dual_norms * _inverse_weights(space)
-    return _report("goal_h1", space, eta_sq, iteration)
+    return IndicatorReport("goal_h1", space, eta_sq)
 
 
-def eta_dwr(space, residual, z_enrich, iteration=0):
+def eta_dwr(space, residual, z_enrich):
     """Pair the primal residual with the enriched-dual excess per neighborhood.
 
     ``residual`` is the global fine residual vector of the current primal
@@ -265,15 +254,16 @@ def eta_dwr(space, residual, z_enrich, iteration=0):
         added = np.ascontiguousarray(enriched.candidates[i, l_i:l_e].T)
         excess[neighborhoods.interior] = added @ coeffs
         signed[i] = float(residual[neighborhoods.vertices[i]] @ excess)
-    return _report("goal_dwr", space, np.abs(signed), iteration, signed=signed)
+    return IndicatorReport("goal_dwr", space, np.abs(signed), signed=signed)
 
 
 def dump_indicators(reports, path):
     """Write indicator reports as CSV (iteration, vertex_id, strategy, eta_sq,
-    lambda_next, l_i)."""
+    lambda_next, l_i); a report's iteration is its position in ``reports``,
+    which adapt_loop fills with one report per iteration."""
     rows = (
-        (report.iteration, i, report.strategy, eta, report.lambda_next[i], report.counts[i])
-        for report in reports
-        for i, eta in enumerate(report.eta_sq)
+        (iteration, i, report.strategy, *values)
+        for iteration, report in enumerate(reports)
+        for i, values in enumerate(zip(report.eta_sq, report.lambda_next, report.space.counts))
     )
     write_csv(path, ["iteration", "vertex_id", "strategy", "eta_sq", "lambda_next", "l_i"], rows)

@@ -175,10 +175,7 @@ def test_c06_marking_against_enumeration_oracle():
         n = int(rng.integers(1, 51))
         eta = rng.random(n) ** 2 * 10.0 ** rng.integers(-3, 4)
         theta = thetas[trial % 3]
-        report = indicators.IndicatorReport(
-            "standard", eta, np.ones(n), np.ones(n, int), np.zeros(n, bool)
-        )
-        marked = adapt.mark(report, MarkingConfig(theta=theta))
+        marked = adapt.mark(eta, MarkingConfig(theta=theta))
         # brute-force prefix enumeration over the descending (eta, id) order
         order = sorted(range(n), key=lambda i: (-eta[i], i))
         running, oracle = 0.0, []
@@ -188,7 +185,7 @@ def test_c06_marking_against_enumeration_oracle():
             if running >= theta * eta.sum():
                 break
         assert list(marked) == sorted(oracle)
-        binned = adapt.mark(report, MarkingConfig(theta=theta, strategy="binning"))
+        binned = adapt.mark(eta, MarkingConfig(theta=theta, strategy="binning"))
         assert eta[binned].sum() >= theta * eta.sum() * (1 - 1e-12)
         assert len(binned) <= 2 * len(marked)
         worst_ratio = max(worst_ratio, len(binned) / len(marked))
@@ -259,7 +256,7 @@ def test_c09_dwr_sum_identity_per_iteration(channel_problem):
     cfg = MarkingConfig(theta=0.5, s=1, m_enrich=2)
     space = problem.space
     worst = 0.0
-    for iteration in range(6):
+    for _ in range(6):
         system = coarse_solve.assemble_coarse(space, A, problem.f_load)
         u_ms = coarse_solve.solve_primal(system)
         rho = indicators.fine_residual(A, problem.f_load, u_ms.fine)
@@ -267,13 +264,13 @@ def test_c09_dwr_sum_identity_per_iteration(channel_problem):
             space.extended(cfg.m_enrich), A, problem.f_load
         )
         z_enrich = coarse_solve.solve_dual(enriched_system, problem.g_load)
-        report = indicators.eta_dwr(space, rho, z_enrich, iteration)
+        report = indicators.eta_dwr(space, rho, z_enrich)
         pi_z = truncate_solution(z_enrich, space.counts)
         global_value = float(rho @ (z_enrich.fine - pi_z.fine))
         rel = abs(report.signed.sum() - global_value) / abs(global_value)
         worst = max(worst, rel)
         assert rel <= 1e-9
-        space = ms_space.enrich(space, adapt.mark(report, cfg), cfg.s)
+        space = ms_space.enrich(space, adapt.mark(report.eta_sq, cfg), cfg.s)
     print(f"[criterion 9] PASS: DWR sum identity to {worst:.2e} relative over 6 iterations")
 
 

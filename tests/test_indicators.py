@@ -248,7 +248,7 @@ def test_eta_standard_weights_and_saturation(channel_state):
     report = indicators.eta_standard(space, norms)
     lam = np.array([spectrum.eigenvalues[space.counts[i]] for i, spectrum in enumerate(space.spectra)])
     assert np.allclose(report.eta_sq, norms**2 / lam, rtol=1e-12)
-    assert not report.saturated.any()
+    assert not report.space.saturated.any()
 
     space2 = ms_space.OfflineSpace(
         space.pu, 2.0 * space.eigenvalues, space.jitter, space.candidates, space.counts
@@ -274,9 +274,12 @@ def test_eta_saturated_neighborhood_is_zero():
     L = data["spectra"][0].n_snapshots
     space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__).with_counts([L])
     report = indicators.eta_standard(space, np.array([7.0]))
-    assert report.saturated[0]
+    assert report.space.saturated[0]
     assert report.eta_sq[0] == 0.0
     assert np.isnan(report.lambda_next[0])
+    # the report zeroes any raw value of a saturated neighborhood, NaN too
+    for raw in (np.nan, 7.0):
+        assert indicators.IndicatorReport("standard", space, [raw]).eta_sq[0] == 0.0
 
 
 def test_eta_goal_h1_product_form(channel_state):
@@ -358,14 +361,11 @@ def test_eta_dwr_requires_enrichment(channel_state):
 def test_indicator_report_rejects_bad_values(channel_state):
     space = channel_state["space"]
     n = space.n_neighborhoods
-    with pytest.raises(ValueError):
-        indicators.IndicatorReport(
-            "standard", np.full(n, np.nan), np.ones(n), space.counts, space.saturated
-        )
-    with pytest.raises(ValueError):
-        indicators.IndicatorReport(
-            "standard", -np.ones(n), np.ones(n), space.counts, space.saturated
-        )
+    assert not space.saturated.any()
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        indicators.IndicatorReport("standard", space, np.full(n, np.nan))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        indicators.IndicatorReport("standard", space, -np.ones(n))
 
 
 def test_locality_of_indicators(channel_state):
@@ -385,12 +385,19 @@ def test_locality_of_indicators(channel_state):
 def test_dump_indicators_csv(tmp_path, channel_state):
     space = channel_state["space"]
     norms = _norms(channel_state, channel_state["rho_u"])
-    reports = [indicators.eta_standard(space, norms, iteration=0)]
+    spaces = [space, ms_space.enrich(space, [0, 4], 1)]
+    reports = [indicators.eta_standard(each, norms) for each in spaces]
     path = tmp_path / "indicators.csv"
     indicators.dump_indicators(reports, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,vertex_id,strategy,eta_sq,lambda_next,l_i"
-    assert len(lines) == 1 + space.n_neighborhoods
-    fields = lines[1].split(",")
-    assert fields[2] == "standard"
-    assert float(fields[3]) == reports[0].eta_sq[0]
+    n = space.n_neighborhoods
+    assert len(lines) == 1 + 2 * n
+    for k, (each, report) in enumerate(zip(spaces, reports)):
+        for i in range(n):
+            fields = lines[1 + k * n + i].split(",")
+            assert fields[:3] == [str(k), str(i), "standard"]
+            assert float(fields[3]) == report.eta_sq[i]
+            assert float(fields[4]) == report.lambda_next[i]
+            assert int(fields[5]) == each.counts[i]
+    assert spaces[1].counts[0] > spaces[0].counts[0]
