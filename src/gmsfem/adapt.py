@@ -32,9 +32,11 @@ class AdaptFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class MarkingConfig:
-    """Marking and loop-control parameters.
+    """The settings of one adaptive run.
 
-    theta is the bulk fraction, strategy the marking flavor (full_sort or
+    The run starts from ``initial_count`` eigenfunctions per neighborhood
+    (clipped at L, rounded up to the end of a cluster of tied eigenvalues).
+    theta is the bulk fraction, rule the marking rule (full_sort or
     binning), s the enrichment width per marked neighborhood, m_enrich the
     extra eigenfunctions of the DWR dual space.  The loop stops on
     max_iterations, the dof cap, an empty marked set, or (if positive) when
@@ -42,15 +44,16 @@ class MarkingConfig:
     """
 
     theta: float = 0.5
-    strategy: str = "full_sort"
+    rule: str = "full_sort"
     s: int = 1
     max_iterations: int = 15
     dof_cap: int = 2000
     goal_tol: float = 0.0
     m_enrich: int = 2
+    initial_count: int = 1
 
     def __post_init__(self):
-        for name in ("s", "m_enrich", "max_iterations", "dof_cap"):
+        for name in ("s", "m_enrich", "max_iterations", "dof_cap", "initial_count"):
             mesh._check_integer(name, getattr(self, name))
         for name in ("theta", "goal_tol"):
             mesh._check_real(name, getattr(self, name))
@@ -64,10 +67,12 @@ class MarkingConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.dof_cap < 1:
             raise ValueError(f"dof_cap must be >= 1, got {self.dof_cap}")
+        if self.initial_count < 1:
+            raise ValueError(f"initial_count must be >= 1, got {self.initial_count}")
         if not (np.isfinite(self.goal_tol) and self.goal_tol >= 0.0):
             raise ValueError(f"goal_tol must be finite and >= 0, got {self.goal_tol}")
-        if self.strategy not in MARKING_RULES:
-            raise ValueError(f"unknown marking strategy {self.strategy!r}")
+        if self.rule not in MARKING_RULES:
+            raise ValueError(f"unknown marking rule {self.rule!r}")
 
 
 def _check_strategy(name):
@@ -75,20 +80,25 @@ def _check_strategy(name):
         raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
 
 
+def _check_dual_norm_mode(mode):
+    if mode not in indicators.DUAL_NORM_MODES:
+        raise ValueError(f"unknown dual norm mode {mode!r}")
+
+
 def mark(eta_sq, cfg):
     """Neighborhoods to enrich, as sorted vertex ids, from the N values eta_i^2
     alone: the strategies differ only in them (IndicatorReport.eta_sq).
 
-    full_sort picks the minimal descending prefix satisfying the bulk
-    criterion theta * sum(eta^2) <= sum(marked eta^2), ties broken by
-    ascending vertex id.  binning drops indicators below (1-theta)*total/N,
-    then consumes dyadic bands [M/2^(p+1), M/2^p) largest first (ascending id
-    inside a band) until the criterion holds; the result is within a factor
-    of two of the minimal cardinality.
+    The marking rule is cfg.rule.  full_sort picks the minimal descending
+    prefix satisfying the bulk criterion theta * sum(eta^2) <= sum(marked
+    eta^2), ties broken by ascending vertex id.  binning drops indicators
+    below (1-theta)*total/N, then consumes dyadic bands [M/2^(p+1), M/2^p)
+    largest first (ascending id inside a band) until the criterion holds;
+    the result is within a factor of two of the minimal cardinality.
     """
     eta = np.asarray(eta_sq, dtype=float)
     ids = np.arange(len(eta))
-    if cfg.strategy == "full_sort":
+    if cfg.rule == "full_sort":
         order = np.lexsort((ids, -eta))
         csum = np.cumsum(eta[order])
         total = csum[-1]
@@ -140,15 +150,16 @@ class AdaptTrace:
 class ProblemSetup:
     """Everything the adaptive loop consumes, precomputed once per problem.
 
-    Offline data (partition of unity and initial space; the snapshots are
-    kept only as the snapshot-mode dual norms' zero-trace parts), the global
-    stiffness, load vectors of the source and the goal, ``dual_norms``, the
-    ResidualNormCache of the problem's one dual-norm mode, the fine
-    reference solution, which gives the trace's error columns and the loop's
-    goal_tol stop, and ``galerkin_store``, the GalerkinStore of the
-    stiffness and the source load, which every strategy run on this problem
-    selects from and grows.  That growth is the only state added after
-    construction.  The grid is that of the space.
+    Offline data (partition of unity and the one-function space, the span
+    of the chi_i, which each run widens to its MarkingConfig.initial_count;
+    the snapshots are kept only as the snapshot-mode dual norms' zero-trace
+    parts), the global stiffness, load vectors of the source and the goal,
+    ``dual_norms``, the ResidualNormCache of the problem's one dual-norm
+    mode, the fine reference solution, which gives the trace's error
+    columns and the loop's goal_tol stop, and ``galerkin_store``, the
+    GalerkinStore of the stiffness and the source load, which every run on
+    this problem selects from and grows.  That growth is the only state
+    added after construction.  The grid is that of the space.
     """
 
     def __init__(self, field, stiffness, f_load, g_load, space, u_ref, dual_norms):
@@ -163,19 +174,8 @@ class ProblemSetup:
         self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness, f_load)
 
 
-def _check_problem_settings(initial_count, dual_norm_mode):
-    """build_problem's checks of its two settings, which ExperimentConfig
-    makes before any work starts; returns ``initial_count`` as an int."""
-    integer = isinstance(initial_count, (int, np.integer)) and not isinstance(initial_count, bool)
-    if not (integer and initial_count >= 1):
-        raise ValueError(f"initial_count must be an integer >= 1, got {initial_count!r}")
-    if dual_norm_mode not in indicators.DUAL_NORM_MODES:
-        raise ValueError(f"unknown dual norm mode {dual_norm_mode!r}")
-    return int(initial_count)
-
-
 @workers.one_blas_thread()
-def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_mode="exact"):
+def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
     """Run the fine reference solve and the offline pipeline for one problem.
 
     The fine reference is solved beside the offline stage (workers.Beside),
@@ -186,9 +186,9 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     mass of all neighborhoods are assembled in one batched call each and
     dropped when this returns; the patch stiffness comes first, as the
     exact dual-norm cache is built from it, and that cache's factor solves
-    the snapshots.  Each neighborhood starts with ``initial_count``
-    eigenfunctions (clipped at L), rounded up to the end of a cluster of
-    tied eigenvalues.  The problem's ``dual_norms`` are of
+    the snapshots.  The problem's space is build_basis's one-function
+    space; each run widens it to its MarkingConfig.initial_count.  The
+    problem's ``dual_norms`` are of
     ``dual_norm_mode``: in snapshot mode the ``spectrum`` closure copies the
     snapshots' interior rows into one shared (N, m, L) array as the workers
     solve them, and the snapshot cache is built from it once the exact
@@ -197,7 +197,7 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
     (workers.one_blas_thread), so its results do not depend on the thread
     count and its workers may fork.
     """
-    initial_count = _check_problem_settings(initial_count, dual_norm_mode)
+    _check_dual_norm_mode(dual_norm_mode)
     stiffness = fine_fem.assemble_stiffness(grid, field)
     f_load = fine_fem.assemble_load(grid, f_density)
 
@@ -232,13 +232,13 @@ def build_problem(grid, field, f_density, g_density, initial_count=1, dual_norm_
         if parts is not None:
             del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
             dual_norms = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)
-    space = space.extended(initial_count - 1)
     return ProblemSetup(field, stiffness, f_load, g_load, space, reference.result, dual_norms)
 
 
 @workers.one_blas_thread()
 def adapt_loop(problem, strategy, cfg):
-    """Iterate solve -> indicators -> mark -> enrich for one strategy.
+    """Iterate solve -> indicators -> mark -> enrich for one strategy,
+    starting from cfg.initial_count functions per neighborhood.
 
     The indicators never consume the fine reference; it feeds the trace's
     energy and goal error columns, and the goal error against it is what the
@@ -249,7 +249,7 @@ def adapt_loop(problem, strategy, cfg):
     """
     _check_strategy(strategy)
     A = problem.stiffness
-    space = problem.space
+    space = problem.space.extended(cfg.initial_count - 1)
     dual_norms = problem.dual_norms
     store = problem.galerkin_store
     trace = AdaptTrace(strategy=strategy)

@@ -19,7 +19,7 @@ from .adapt import (
     AdaptFailure,
     MarkingConfig,
     STRATEGIES,
-    _check_problem_settings,
+    _check_dual_norm_mode,
     _check_strategy,
     _write_csv,
     adapt_loop,
@@ -54,10 +54,10 @@ FIELD_KINDS = ("channel", "inclusions")
 class ExperimentConfig:
     """Validated configuration of one experiment run.
 
-    ``self.marking`` is a MarkingConfig built from ``marking``, its marking
-    rule ``strategy``, and ``loop``, its other fields; MarkingConfig holds
-    their defaults.  ``initial_count`` and ``dual_norm_mode`` are handed to
-    build_problem, whose checks of them run here, before any work."""
+    ``self.marking`` is the MarkingConfig of the keywords in ``loop``, the
+    settings of each run (its initial_count, rule, theta, ...), which holds
+    their defaults.  ``dual_norm_mode`` is handed to build_problem, whose
+    check of it runs here, before any work."""
 
     def __init__(
         self,
@@ -74,9 +74,7 @@ class ExperimentConfig:
         goal_scale="integral",
         dump_indicator_csv=False,
         dump_spectra_csv=False,
-        initial_count=1,
         dual_norm_mode="exact",
-        marking=MarkingConfig.strategy,
         **loop,
     ):
         self.nc, self.r = _check_integer("nc", nc), _check_integer("r", r)
@@ -92,7 +90,7 @@ class ExperimentConfig:
             _check_strategy(name)
             if name in self.strategies[:k]:
                 raise ValueError(f"strategy {name!r} is repeated in {self.strategies}")
-        self.marking = MarkingConfig(strategy=marking, **loop)
+        self.marking = MarkingConfig(**loop)
         self.seed = _check_integer("seed", seed)
         self.out_dir = out_dir
         self.k1_box = _check_box(k1_box, "K1")
@@ -103,7 +101,7 @@ class ExperimentConfig:
         self.goal_scale = goal_scale
         self.dump_indicator_csv = _check_switch("dump_indicator_csv", dump_indicator_csv)
         self.dump_spectra_csv = _check_switch("dump_spectra_csv", dump_spectra_csv)
-        self.initial_count = _check_problem_settings(initial_count, dual_norm_mode)
+        _check_dual_norm_mode(dual_norm_mode)
         self.dual_norm_mode = dual_norm_mode
 
 
@@ -272,9 +270,7 @@ def run_experiment(config, verbose=True):
     field = _load_field(config, grid)
     f_density = box_fraction(grid, config.k1_box) - box_fraction(grid, config.k2_box)
     g_density = _goal_density(config, grid)
-    problem = build_problem(
-        grid, field, f_density, g_density, config.initial_count, config.dual_norm_mode
-    )
+    problem = build_problem(grid, field, f_density, g_density, config.dual_norm_mode)
 
     os.makedirs(config.out_dir, exist_ok=True)
     if config.dump_spectra_csv:
@@ -357,7 +353,7 @@ def build_parser():
         choices=STRATEGIES,
         help="strategy to run (repeatable; default: all three)",
     )
-    add("--marking", choices=MARKING_RULES)
+    add("--marking", choices=MARKING_RULES, dest="rule")
     add("--s", type=int, help="basis functions added per marked neighborhood")
     add("--m-enrich", type=int, help="extra dual basis width for goal_dwr")
     add("--max-iters", type=int, dest="max_iterations")

@@ -185,7 +185,7 @@ def test_c06_marking_against_enumeration_oracle():
             if running >= theta * eta.sum():
                 break
         assert list(marked) == sorted(oracle)
-        binned = adapt.mark(eta, MarkingConfig(theta=theta, strategy="binning"))
+        binned = adapt.mark(eta, MarkingConfig(theta=theta, rule="binning"))
         assert eta[binned].sum() >= theta * eta.sum() * (1 - 1e-12)
         assert len(binned) <= 2 * len(marked)
         worst_ratio = max(worst_ratio, len(binned) / len(marked))

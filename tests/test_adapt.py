@@ -5,7 +5,6 @@ import pkgutil
 import threading
 import time
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ import gmsfem
 from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_space, workers
 from gmsfem.adapt import MarkingConfig
 
+import stress
 from conftest import _offline, benchmark_densities, cpu_affinity
 
 
@@ -43,8 +43,8 @@ def test_marking_config_validation():
         MarkingConfig(theta=1.0)
     with pytest.raises(ValueError):
         MarkingConfig(s=0)
-    with pytest.raises(ValueError):
-        MarkingConfig(strategy="largest")
+    with pytest.raises(ValueError, match="unknown marking rule 'largest'"):
+        MarkingConfig(rule="largest")
     with pytest.raises(ValueError):
         MarkingConfig(max_iterations=0)
 
@@ -92,27 +92,60 @@ def test_marking_config_rejects_bad_stop_values(field, value, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("count", [0, 1.5, True])
-def test_build_problem_rejects_bad_initial_count(grid44, unit_field44, count):
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (0, "initial_count must be >= 1, got 0"),
+        (1.5, "initial_count must be an integer, got 1.5"),
+        (True, "initial_count must be an integer, got True"),
+    ],
+    ids=["0", "1.5", "True"],
+)
+def test_marking_config_rejects_bad_initial_count(count, message):
     with pytest.raises(ValueError) as excinfo:
-        adapt.build_problem(grid44, unit_field44, *benchmark_densities(grid44), initial_count=count)
-    assert str(excinfo.value) == f"initial_count must be an integer >= 1, got {count}"
+        MarkingConfig(initial_count=count)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("count", [2, 3])
-def test_initial_count_takes_whole_clusters(grid44, unit_field44, count):
+def test_initial_count_takes_whole_clusters(small_problem, count):
     # the unit medium's fully symmetric centre patch ties lambda_2 = lambda_3,
     # so a count of 2 is rounded up to 3 there
-    problem = adapt.build_problem(
-        grid44, unit_field44, *benchmark_densities(grid44), initial_count=count
-    )
-    space = problem.space
+    cfg = MarkingConfig(max_iterations=1, initial_count=count)
+    trace = adapt.adapt_loop(small_problem, "standard", cfg)
+    space = trace.reports[0].space
     ends = space.cluster_ends[np.arange(space.n_neighborhoods), min(count, space.n_candidates)]
     assert np.array_equal(space.counts, ends)
     assert np.all(space.counts >= count)
     assert (space.counts > count).any() == (count == 2)
-    trace = adapt.adapt_loop(problem, "standard", MarkingConfig(max_iterations=1))
     assert trace.rows[0].dofs == space.counts.sum()
+
+
+def test_one_problem_runs_from_two_starts(tmp_path, monkeypatch, grid44, unit_field44):
+    # the start is a setting of the run: one offline stage serves both, and
+    # the 3-run, on a store the 1-run has grown, writes the bytes of a 3-run
+    # on a problem of its own
+    calls = []
+    build_basis = ms_space.build_basis
+
+    def counted(*args):
+        calls.append(args)
+        return build_basis(*args)
+
+    monkeypatch.setattr(ms_space, "build_basis", counted)
+    densities = benchmark_densities(grid44)
+    problem = adapt.build_problem(grid44, unit_field44, *densities)
+    narrow = adapt.adapt_loop(problem, "standard", MarkingConfig(max_iterations=4))
+    cfg = MarkingConfig(max_iterations=4, initial_count=3)
+    wide = adapt.adapt_loop(problem, "standard", cfg)
+    assert len(calls) == 1
+    assert np.all(problem.space.counts == 1)
+    assert wide.rows[0].dofs == problem.space.cluster_ends[:, 3].sum()
+    assert narrow.rows[0].dofs == problem.space.total_dofs
+    adapt.write_trace_csv(wide, tmp_path / "shared.csv")
+    fresh = adapt.build_problem(grid44, unit_field44, *densities)
+    adapt.write_trace_csv(adapt.adapt_loop(fresh, "standard", cfg), tmp_path / "fresh.csv")
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_mark_worked_example():
@@ -133,8 +166,8 @@ def test_mark_breaks_ties_by_vertex_id():
 
 
 def test_mark_all_zero_returns_empty():
-    for strategy in ("full_sort", "binning"):
-        marked = adapt.mark([0.0, 0.0, 0.0], MarkingConfig(strategy=strategy))
+    for rule in ("full_sort", "binning"):
+        marked = adapt.mark([0.0, 0.0, 0.0], MarkingConfig(rule=rule))
         assert len(marked) == 0
 
 
@@ -168,15 +201,15 @@ def test_binning_satisfies_criterion_within_factor_two():
         n = int(rng.integers(2, 51))
         eta = rng.random(n) * 10.0 ** rng.integers(-2, 3)
         theta = float(rng.uniform(0.1, 0.9))
-        full = adapt.mark(eta, MarkingConfig(theta=theta, strategy="full_sort"))
-        binned = adapt.mark(eta, MarkingConfig(theta=theta, strategy="binning"))
+        full = adapt.mark(eta, MarkingConfig(theta=theta, rule="full_sort"))
+        binned = adapt.mark(eta, MarkingConfig(theta=theta, rule="binning"))
         assert eta[binned].sum() >= theta * eta.sum() * (1 - 1e-12)
         assert len(binned) <= 2 * len(full)
 
 
 def test_binning_is_deterministic():
     eta = np.array([5.0, 4.9, 4.8, 0.3, 0.2, 2.6, 2.5])
-    cfg = MarkingConfig(theta=0.7, strategy="binning")
+    cfg = MarkingConfig(theta=0.7, rule="binning")
     first = adapt.mark(eta, cfg)
     second = adapt.mark(eta, cfg)
     assert np.array_equal(first, second)
@@ -791,33 +824,22 @@ def test_trace_csv_schema_and_determinism(tmp_path, small_problem):
 
 
 def test_stress_slice_ends_in_named_outcomes():
-    # a fixed slice of small problems: every run finishes or ends in a named
-    # solver failure; no count is asserted, and the slice is not tuned to
-    # change an outcome
-    cfg = MarkingConfig(strategy="full_sort", max_iterations=40, dof_cap=10**5)
-    outcomes = {strategy: [] for strategy in adapt.STRATEGIES}
-    for nc in (4, 5):
-        grid = mesh.GridHierarchy(nc, 5)
-        f_density, g_density = benchmark_densities(grid)
-        for kind in ("channel", "inclusions"):
-            for contrast in (1e2, 1e8):
-                field = cli.generate_field(kind, contrast, grid.nf, seed=0)
-                try:
-                    problem = adapt.build_problem(grid, field, f_density, g_density)
-                except (ms_space.OfflineFailure, fine_fem.SolveFailure) as exc:
-                    for strategy in adapt.STRATEGIES:
-                        outcomes[strategy].append(type(exc).__name__)
-                    continue
-                for strategy in adapt.STRATEGIES:
-                    try:
-                        trace = adapt.adapt_loop(problem, strategy, cfg)
-                    except adapt.AdaptFailure as exc:
-                        assert isinstance(
-                            exc.__cause__, (coarse_solve.RankDeficientBasis, fine_fem.SolveFailure)
-                        ), repr(exc.__cause__)
-                        outcomes[strategy].append(type(exc.__cause__).__name__)
-                    else:
-                        outcomes[strategy].append(trace.stop_reason)
-    assert all(len(runs) == 8 for runs in outcomes.values())
-    for strategy, runs in outcomes.items():
-        print(f"{strategy}: " + ", ".join(f"{n} {o}" for o, n in Counter(runs).most_common()))
+    # a fixed slice of small problems (tests/stress.py): every run finishes
+    # or ends in a named solver failure; no count is asserted, and the slice
+    # is not tuned to change an outcome
+    cases = [
+        stress.Case(nc, 5, kind, contrast, 0, "exact")
+        for nc in (4, 5)
+        for kind in ("channel", "inclusions")
+        for contrast in (1e2, 1e8)
+    ]
+    runs = stress.run_slice(cases)
+    assert len(runs) == 24
+    assert [run for run in runs if run.outcome == stress.UNNAMED] == []
+    for run in runs:
+        if run.energy is not None:
+            # the energy error rises by at most ENERGY_RISE_TOL = 1e-8 of its
+            # initial value (round-off; this slice peaks at 1.29e-9)
+            rise = np.diff(run.energy).max(initial=0.0)
+            assert rise <= stress.ENERGY_RISE_TOL * run.energy[0], run
+    print(stress.outcome_table(runs))
