@@ -135,7 +135,8 @@ class TraceRow:
 @dataclass
 class AdaptTrace:
     """Per-iteration convergence record of one adaptive run; ``reports``
-    holds each iteration's IndicatorReport, one per row, in row order."""
+    holds each iteration's IndicatorReport, one per row, in row order.  A
+    trace thus holds N values per iteration and keeps no problem alive."""
 
     strategy: str
     rows: list = dataclass_field(default_factory=list)

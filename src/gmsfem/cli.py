@@ -262,9 +262,9 @@ def _goal_density(config, grid):
 def run_experiment(config, verbose=True):
     """Run all requested strategies against one shared fine reference.
 
-    Writes one trace CSV per strategy plus a combined comparison CSV into
-    ``config.out_dir`` and prints a dofs-per-goal-error-decade summary.
-    Returns the traces keyed by strategy.
+    Writes one trace CSV per strategy and a comparison CSV into ``out_dir``,
+    prints a dofs-per-goal-error-decade summary, and returns the traces keyed
+    by strategy; each holds N values per iteration and keeps no problem alive.
     """
     grid = GridHierarchy(config.nc, config.r)
     field = _load_field(config, grid)

@@ -51,24 +51,23 @@ _CHUNK_BYTES = 1 << 20
 
 
 class IndicatorReport:
-    """Per-neighborhood eta_i^2 of one strategy on ``space``, the immutable
-    OfflineSpace they were computed on, kept as given (it shares its arrays).
-    eta_i^2 is zeroed where ``space`` is saturated, whatever the raw value;
-    ``lambda_next`` reads the weights lambda_{l_i+1} of ``space`` (NaN where
-    saturated), ``signed`` holds the pre-absolute DWR pairings."""
+    """Per-neighborhood eta_i^2 of one strategy on ``space``, the OfflineSpace
+    they were computed on.  Of ``space`` it keeps no reference, only two
+    arrays of N values: ``counts``, its l_i (the space's own array), and
+    ``lambda_next``, its weights lambda_{l_i+1} (NaN where saturated), so a
+    kept report pins none of its problem's offline arrays.  eta_i^2 is
+    zeroed where ``space`` is saturated, whatever the raw value; ``signed``
+    holds the pre-absolute DWR pairings."""
 
     def __init__(self, strategy, space, eta_sq, signed=None):
         eta_sq = np.where(space.saturated, 0.0, np.asarray(eta_sq, dtype=float))
         if not np.all(np.isfinite(eta_sq)) or np.any(eta_sq < 0):
             raise ValueError("indicator values must be finite and nonnegative")
         self.strategy = strategy
-        self.space = space
+        self.counts = space.counts
+        self.lambda_next = _lambda_weights(space)
         self.eta_sq = eta_sq
         self.signed = signed
-
-    @property
-    def lambda_next(self):
-        return _lambda_weights(self.space)
 
     @property
     def total(self):
@@ -264,6 +263,6 @@ def dump_indicators(reports, path):
     rows = (
         (iteration, i, report.strategy, *values)
         for iteration, report in enumerate(reports)
-        for i, values in enumerate(zip(report.eta_sq, report.lambda_next, report.space.counts))
+        for i, values in enumerate(zip(report.eta_sq, report.lambda_next, report.counts))
     )
     write_csv(path, ["iteration", "vertex_id", "strategy", "eta_sq", "lambda_next", "l_i"], rows)

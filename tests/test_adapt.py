@@ -113,12 +113,13 @@ def test_initial_count_takes_whole_clusters(small_problem, count):
     # so a count of 2 is rounded up to 3 there
     cfg = MarkingConfig(max_iterations=1, initial_count=count)
     trace = adapt.adapt_loop(small_problem, "standard", cfg)
-    space = trace.reports[0].space
+    counts = trace.reports[0].counts
+    space = small_problem.space
     ends = space.cluster_ends[np.arange(space.n_neighborhoods), min(count, space.n_candidates)]
-    assert np.array_equal(space.counts, ends)
-    assert np.all(space.counts >= count)
-    assert (space.counts > count).any() == (count == 2)
-    assert trace.rows[0].dofs == space.counts.sum()
+    assert np.array_equal(counts, ends)
+    assert np.all(counts >= count)
+    assert (counts > count).any() == (count == 2)
+    assert trace.rows[0].dofs == counts.sum()
 
 
 def test_one_problem_runs_from_two_starts(tmp_path, monkeypatch, grid44, unit_field44):
@@ -728,9 +729,45 @@ def test_loop_collects_reports(small_problem):
         assert len(reports) == len(rows) == 4
         for report, row in zip(reports, rows):
             assert report.strategy == strategy
-            assert report.space.total_dofs == row.dofs
+            assert report.counts.sum() == row.dofs
             assert report.total == row.sum_eta_sq
             assert (report.signed is not None) == (strategy == "goal_dwr")
+
+
+@pytest.mark.parametrize("strategy", adapt.STRATEGIES)
+def test_kept_trace_pins_no_problem(tmp_path, grid44, unit_field44, strategy):
+    # a trace holds N values per iteration: once its problem is gone, the
+    # candidate mapping is freed, and the trace still dumps the same bytes.
+    # The problem is the test's own, since the shared fixtures stay alive.
+    problem = adapt.build_problem(grid44, unit_field44, *benchmark_densities(grid44))
+    trace = adapt.adapt_loop(problem, strategy, MarkingConfig(max_iterations=3))
+    candidates = weakref.ref(problem.space.candidates)
+    indicators.dump_indicators(trace.reports, tmp_path / "before.csv")
+    del problem
+    gc.collect()
+    assert candidates() is None
+    indicators.dump_indicators(trace.reports, tmp_path / "after.csv")
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
+
+def test_run_experiment_traces_pin_no_problem(tmp_path, monkeypatch):
+    # the traces run_experiment returns outlive its problem's offline arrays
+    made = []
+    build_basis = ms_space.build_basis
+
+    def recorded(*args):
+        space = build_basis(*args)
+        made.append(weakref.ref(space.candidates))
+        return space
+
+    monkeypatch.setattr(ms_space, "build_basis", recorded)
+    config = cli.ExperimentConfig(nc=5, r=4, out_dir=str(tmp_path), max_iterations=3)
+    traces = cli.run_experiment(config, verbose=False)
+    gc.collect()
+    assert len(made) == 1
+    assert made[0]() is None
+    assert sorted(traces) == sorted(adapt.STRATEGIES)
+    assert all(len(trace.reports) == 3 for trace in traces.values())
 
 
 def test_estimator_effectivity_stays_in_band(channel_problem):
