@@ -83,7 +83,10 @@ class ExperimentConfig:
         _check_contrast(self.contrast)
         if isinstance(strategies, str):
             raise ValueError(f"strategies must be a list of names, not the string {strategies!r}")
-        self.strategies = list(strategies)
+        try:
+            self.strategies = list(strategies)
+        except TypeError:
+            raise ValueError(f"strategies must be a list of names, got {strategies!r}") from None
         if not self.strategies:
             raise ValueError(f"the strategy list is empty; expected some of {STRATEGIES}")
         for k, name in enumerate(self.strategies):
@@ -91,7 +94,7 @@ class ExperimentConfig:
             if name in self.strategies[:k]:
                 raise ValueError(f"strategy {name!r} is repeated in {self.strategies}")
         self.marking = MarkingConfig(**loop)
-        self.seed = _check_integer("seed", seed)
+        self.seed = _check_seed(seed)
         self.out_dir = out_dir
         self.k1_box = _check_box(k1_box, "K1")
         self.k2_box = _check_box(k2_box, "K2")
@@ -174,9 +177,15 @@ def _check_contrast(contrast):
         raise ValueError(f"contrast must be finite and >= 1, got {contrast}")
 
 
+def _check_seed(seed):
+    if _check_integer("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def generate_field(kind, contrast, nf, seed):
     """Seeded synthetic coefficient field: background 1, features at `contrast`."""
-    _check_integer("seed", seed)
+    _check_seed(seed)
     if _check_integer("nf", nf) < MIN_FIELD_NF:
         raise ValueError(f"nf={nf} too small to host the generated geometry (need >= {MIN_FIELD_NF})")
     if kind not in FIELD_KINDS:

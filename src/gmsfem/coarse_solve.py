@@ -45,7 +45,7 @@ class CoarseSystem:
     """Galerkin system on the span of an offline space's basis columns.
 
     Holds R, the basis matrix its space gathers from the candidates
-    (``space.basis_columns(0, space.counts)``, CSC), and the sparse
+    (``space.basis_columns(space.counts)``, CSC), and the sparse
     A_c = R' A R (CSC, sorted row indices) and primal load R' b, as
     selected from a GalerkinStore.
     Its columns are in candidate numbering i * L + k, where neighborhood i
@@ -62,7 +62,7 @@ class CoarseSystem:
 
     def __init__(self, space, matrix, load):
         self.space = space
-        self.R = space.basis_columns(0, space.counts)
+        self.R = space.basis_columns(space.counts)
         self.matrix = matrix
         self.dim = space.total_dofs
         self.load = load
@@ -163,11 +163,11 @@ class GalerkinStore:
         if np.array_equal(need, self.have):
             return
         new = self.space.candidate_numbers(need, self.have)
-        R_new = self.space.basis_columns(self.have, need)
+        R_new = self.space.basis_columns(need, self.have)
         AR_new = (self.A @ R_new).tocsc()
         # G[p, q] for every held p and new q, rows in candidate order; G[p, q]
         # for new p and old q at (q, p)
-        R_all = self.space.basis_columns(0, need)
+        R_all = self.space.basis_columns(need)
         upper = (R_all.T @ AR_new).tocoo()
         del R_all
         lower = (self.AR.T @ R_new).tocoo()

@@ -85,7 +85,8 @@ class ResidualNormCache:
 
     Built from ``patch_A``, the PatchMatrices of fine_fem.patch_stiffness,
     whose interior blocks are the zero-trace operators; no reference to it
-    is kept.
+    is kept.  Each mode has one formula, ``_norms``: ``norm(i, .)`` is its
+    entry i, bitwise the entry of ``norms`` that the loop marks on.
 
     Without ``zero_trace_parts`` the cache is in exact mode (``mode`` reads
     'exact'), and returns ||w||_a of the solution of a(w, v) = R(v) on the
@@ -96,10 +97,9 @@ class ResidualNormCache:
     kept in upper band storage, (u+1) * N * m doubles for m interior vertices
     per patch (about 22 MB at nc=20, r=10).  The Cholesky factor of a
     block-diagonal matrix is block-diagonal, so the columns of block i are
-    neighborhood i's own banded factor: ``solve(i, rhs)`` solves with it (the
-    offline snapshots do too, see ms_space.compute_snapshots) and ``norms``
-    solves with the whole stack, chunk by chunk, for all its residuals at
-    once.
+    neighborhood i's own banded factor: ``solve(i, rhs)`` solves with it
+    for the offline snapshots (ms_space.compute_snapshots), and ``norms``
+    solves with the whole stack, chunk by chunk, for all its residuals.
 
     Given ``zero_trace_parts`` it is in snapshot mode, and solves that
     problem in the span of the zero-trace parts T_i of the snapshots, which
@@ -138,36 +138,34 @@ class ResidualNormCache:
         return self._pbtrs(self._factor[:, i * m : (i + 1) * m], rhs)[0]
 
     def norm(self, i, rho):
-        """Dual norm of the local residual ``rho`` over neighborhood i.
-
-        The loop calls ``norms``; this per-neighborhood form is kept for the
-        tests and for the benchmark's tracer (``perfbench/tracing.py``), which
-        wraps it by name.
+        """Dual norm of the local residual ``rho`` over neighborhood i, entry i
+        of ``norms`` of a residual that is zero outside its interior.  The
+        loop calls ``norms``; this form is kept for the tests and for the
+        benchmark's tracer (``perfbench/tracing.py``), which wraps it by name.
         """
-        if self.mode == "exact":
-            return float(np.sqrt(max(float(rho @ self.solve(i, rho)), 0.0)))
-        rhs = self._T[i].T @ rho
-        return float(np.sqrt(max(float(rhs @ (self._pinv[i] @ rhs)), 0.0)))
+        local = np.zeros((1, len(self._stacked)))
+        local[0, i * self._block : (i + 1) * self._block] = rho
+        return float(self._norms(local)[i, 0])
 
     def norms(self, rho):
         """Dual norms of the global residual ``rho`` over every neighborhood:
         (N,) for an (n,) residual, (N, k) for the k residuals in the columns
         of an (n, k) one, each column as its own (n,) call gives it."""
-        local = np.stack([column[self._stacked] for column in np.reshape(rho, (len(rho), -1)).T])
-        if self.mode != "exact":
-            out = np.column_stack([self._snapshot_norms(row) for row in local])
-        else:
-            # local and the solution are both C-ordered (k, N * m), so each
-            # neighborhood's products are summed along one contiguous row, in
-            # the order of a one-residual call
-            products = local * self._stacked_solve(local.T).T
-            out = np.sqrt(np.maximum(products.reshape(len(local), -1, self._block).sum(2), 0.0)).T
+        local = np.reshape(rho, (len(rho), -1)).T.take(self._stacked, axis=1)  # C-ordered
+        out = self._norms(local)
         return out if np.ndim(rho) > 1 else out[:, 0]
 
-    def _snapshot_norms(self, local):
-        rhs = local.reshape(-1, 1, self._block) @ self._T
-        y = rhs @ self._pinv.swapaxes(1, 2)  # (pinv_i @ rhs_i)'
-        return np.sqrt(np.maximum((rhs * y).sum((1, 2)), 0.0))
+    def _norms(self, local):
+        """(N, k) norms of the C-ordered (k, N * m) interior restrictions."""
+        k = len(local)
+        if self.mode == "exact":
+            # local and the solution are both C-ordered (k, N * m), so each
+            # neighborhood's products are summed along one contiguous row
+            squares = (local * self._stacked_solve(local.T).T).reshape(k, -1, self._block).sum(2)
+        else:
+            rhs = local.reshape(k, -1, 1, self._block) @ self._T
+            squares = (rhs * (rhs @ self._pinv.swapaxes(1, 2))).sum((2, 3))  # rhs_i pinv_i rhs_i'
+        return np.sqrt(np.maximum(squares, 0.0)).T
 
     def _stacked_solve(self, b):
         """Solve the stacked zero-trace system for the (N * m, k) ``b`` with

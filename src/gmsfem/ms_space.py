@@ -338,7 +338,7 @@ class OfflineSpace:
         k = np.arange(self.n_candidates)
         return np.flatnonzero((k >= np.reshape(start, (-1, 1))) & (k < np.reshape(stop, (-1, 1))))
 
-    def basis_columns(self, start, stop):
+    def basis_columns(self, stop, start=0):
         """Sparse CSC matrix of the candidates start[i] <= k < stop[i] of every
         neighborhood, one column each in ascending candidate number.
 

@@ -111,7 +111,7 @@ def truncate_solution(sol, counts):
     space = sol.space
     i, k = np.divmod(space.candidate_numbers(space.counts), space.n_candidates)
     coeffs = np.where(k < np.asarray(counts, dtype=int)[i], sol.coefficients, 0.0)
-    return coarse_solve.CoarseSolution(coeffs, space.basis_columns(0, space.counts) @ coeffs, space)
+    return coarse_solve.CoarseSolution(coeffs, space.basis_columns(space.counts) @ coeffs, space)
 
 
 def benchmark_densities(grid):

@@ -111,6 +111,20 @@ def test_non_finite_contrast_fails_early(contrast):
     assert str(excinfo.value) == message
 
 
+def test_negative_seed_fails_early(tmp_path, capsys):
+    message = "seed must be >= 0, got -1"
+    with pytest.raises(ValueError) as excinfo:
+        cli.generate_field("channel", 1e4, 40, seed=-1)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentConfig(seed=np.int64(-1))
+    assert str(excinfo.value) == message
+    out = tmp_path / "out"
+    assert cli.main(["--nc", "5", "--r", "4", "--seed", "-1", "--quiet", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _crossing_exists(mask):
     """Flood-fill oracle: 4-connected path of True cells from x=0 to x=nf-1."""
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -270,6 +284,8 @@ _BOX = "box must be four numbers x0, x1, y0, y1, got"
             {"strategies": "standard"},
             "strategies must be a list of names, not the string 'standard'",
         ),
+        ({"strategies": None}, "strategies must be a list of names, got None"),
+        ({"strategies": 5}, "strategies must be a list of names, got 5"),
         ({"goal_box": ()}, f"goal {_BOX} ()"),
         ({"field": 5}, f"field must be one of {cli.FIELD_KINDS} or file:PATH, got 5"),
         ({"field": "maze"}, f"field must be one of {cli.FIELD_KINDS} or file:PATH, got 'maze'"),
@@ -283,6 +299,8 @@ _BOX = "box must be four numbers x0, x1, y0, y1, got"
         "short-box",
         "text-box",
         "string",
+        "strategies-none",
+        "strategies-number",
         "empty-goal",
         "field-number",
         "field-unknown",

@@ -319,7 +319,7 @@ def test_store_systems_equal_fresh_one_shot_systems(small_problem):
         c = rng.normal(size=space.total_dofs)
         assert np.array_equal(grown.R @ c, fresh.R @ c)
         assert np.array_equal(grown.R.T @ g, fresh.R.T @ g)
-        R = space.basis_columns(0, space.counts)
+        R = space.basis_columns(space.counts)
         assert np.array_equal(grown.matrix.toarray(), (R.T @ (A @ R)).toarray())
         assert np.array_equal(grown.load, R.T @ b)
     # the narrower space was selected without growing the store
@@ -358,7 +358,7 @@ def test_system_basis_is_gathered_from_its_space(small_problem):
     enriched = ms_space.enrich(problem.space, [1, 3, 5], 2)
     for space in (problem.space, enriched, enriched.extended(1), problem.space.extended(2)):
         R = coarse_solve.assemble_coarse(space, problem.stiffness, problem.f_load, store).R
-        own = space.basis_columns(0, space.counts)
+        own = space.basis_columns(space.counts)
         assert R.format == own.format == "csc"
         for name in ("indptr", "indices"):
             assert getattr(R, name).dtype == getattr(own, name).dtype == np.int32

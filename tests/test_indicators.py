@@ -116,12 +116,16 @@ def test_dual_norm_rejects_misshapen_zero_trace_parts(channel_state):
         indicators.ResidualNormCache(patch_A, zero_trace_parts=np.ones((2, 3, 4)))
 
 
+def _high_contrast_problem(dual_norm_mode="exact"):
+    grid = mesh.GridHierarchy(5, 4)
+    field = cli.generate_field("channel", 1e6, grid.nf, seed=7)
+    return adapt.build_problem(grid, field, *benchmark_densities(grid), dual_norm_mode)
+
+
 @pytest.fixture(scope="module")
 def high_contrast_residual():
     """Primal residual of the initial coarse solution, channel at contrast 1e6."""
-    grid = mesh.GridHierarchy(5, 4)
-    field = cli.generate_field("channel", 1e6, grid.nf, seed=7)
-    problem = adapt.build_problem(grid, field, *benchmark_densities(grid))
+    problem = _high_contrast_problem()
     system = coarse_solve.assemble_coarse(problem.space, problem.stiffness, problem.f_load)
     u_ms = coarse_solve.solve_primal(system)
     return problem, indicators.fine_residual(problem.stiffness, problem.f_load, u_ms.fine)
@@ -144,14 +148,15 @@ def test_stacked_norms_match_dense_oracle(high_contrast_residual):
         assert norms[i] == pytest.approx(oracle, rel=1e-10), i
 
 
-def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual):
+@pytest.mark.parametrize("mode", indicators.DUAL_NORM_MODES)
+def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual, mode):
+    # the loop marks on norms, so norm(i, .) must be its entry i bit for bit
     problem, rho = high_contrast_residual
-    cache = problem.dual_norms
+    cache = problem.dual_norms if mode == "exact" else _high_contrast_problem(mode).dual_norms
+    assert cache.mode == mode
     norms = cache.norms(rho)
     for i, interior in enumerate(problem.space.neighborhoods.interior_vertices):
-        assert cache.norm(i, rho[interior]) == pytest.approx(
-            norms[i], rel=1e-13
-        ), i
+        assert cache.norm(i, rho[interior]) == norms[i], i
 
 
 def _one_shot_norms(problem, rho):
@@ -320,7 +325,7 @@ def test_eta_dwr_zero_added_band(channel_state):
     coeffs = z_enrich.coefficients.copy()
     for i in range(space.n_neighborhoods):
         coeffs[enriched.offsets[i] + space.counts[i] : enriched.offsets[i + 1]] = 0.0
-    R = enriched.basis_columns(0, enriched.counts)
+    R = enriched.basis_columns(enriched.counts)
     stripped = coarse_solve.CoarseSolution(coeffs, R @ coeffs, enriched)
     report = indicators.eta_dwr(space, channel_state["rho_u"], stripped)
     assert report.eta_sq.max() == 0.0

@@ -430,7 +430,7 @@ def test_basis_support_containment(unit_offline44):
     neighborhoods = space.neighborhoods
     for i, vertices in enumerate(neighborhoods.vertices):
         only = np.arange(space.n_neighborhoods) == i
-        column = space.basis_columns(2 * only, 3 * only).toarray()[:, 0]
+        column = space.basis_columns(3 * only, 2 * only).toarray()[:, 0]
         outside = np.setdiff1d(np.arange(grid.n_vertices), vertices)
         assert np.all(column[outside] == 0.0)
         assert np.abs(column[vertices[neighborhoods.rim]]).max() == 0.0
@@ -562,7 +562,7 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
                 rows.append(vertices)
                 data.append(space.candidates[i, k])
                 numbers.append(i * L + k)
-        R = space.basis_columns(start, stop)
+        R = space.basis_columns(stop, start)
         assert R.shape == (space.grid.n_vertices, len(numbers))
         assert np.array_equal(R.indptr, np.arange(len(numbers) + 1) * len(rows[0]))
         assert np.array_equal(R.indices, np.concatenate(rows))
@@ -589,7 +589,7 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
         store.system(grown)
         held = [i * L + k for i in range(N) for k in range(store.have[i])]
         assert np.array_equal(np.sort(store.number), held)
-        load = space.basis_columns(0, store.have).T @ problem.f_load
+        load = space.basis_columns(store.have).T @ problem.f_load
         assert np.array_equal(store.load[held], load)
         assert not np.delete(store.load, held).any()
 
@@ -669,8 +669,8 @@ def test_build_basis_rejects_a_spectrum_without_L_eigenpairs(unit_offline44, cpu
 def test_enrichment_nests_columns(unit_offline44):
     space = _space_from(unit_offline44, count=2)
     enriched = ms_space.enrich(space, [1, 3], s=2)
-    R_old = space.basis_columns(0, space.counts)
-    R_new = enriched.basis_columns(0, enriched.counts)
+    R_old = space.basis_columns(space.counts)
+    R_new = enriched.basis_columns(enriched.counts)
     for i in range(space.n_neighborhoods):
         old_cols = R_old[:, space.offsets[i] : space.offsets[i + 1]].toarray()
         new_cols = R_new[:, enriched.offsets[i] : enriched.offsets[i + 1]].toarray()
