@@ -160,12 +160,10 @@ class ProblemSetup:
     columns and the loop's goal_tol stop, and ``galerkin_store``, the
     GalerkinStore of the stiffness and the source load, which every run on
     this problem selects from and grows.  That growth is the only state
-    added after construction.  The grid is that of the space.
+    added after construction.
     """
 
-    def __init__(self, field, stiffness, f_load, g_load, space, u_ref, dual_norms):
-        self.grid = space.grid
-        self.field = field
+    def __init__(self, stiffness, f_load, g_load, space, u_ref, dual_norms):
         self.stiffness = stiffness
         self.f_load = f_load
         self.g_load = g_load
@@ -233,7 +231,7 @@ def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
         if parts is not None:
             del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
             dual_norms = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)
-    return ProblemSetup(field, stiffness, f_load, g_load, space, reference.result, dual_norms)
+    return ProblemSetup(stiffness, f_load, g_load, space, reference.result, dual_norms)
 
 
 @workers.one_blas_thread()

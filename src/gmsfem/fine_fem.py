@@ -92,10 +92,6 @@ class CoefficientField:
     def nf(self):
         return self.values.shape[0]
 
-    @classmethod
-    def constant(cls, nf, value=1.0):
-        return cls(np.full((nf, nf), float(value)))
-
 
 def _check_field(grid, field):
     if field.nf != grid.nf:
@@ -173,12 +169,6 @@ class PatchMatrices:
     def matrix(self, i):
         """Patch i's matrix, CSR over the patch-local vertex order."""
         return sparse.csr_matrix((self.data[i], self.indices, self.indptr), shape=self.shape)
-
-    def interior_block(self, i):
-        """Patch i's block [interior][:, interior], CSR; of the patch
-        stiffness, the zero-trace (discrete H^1_0(omega)) operator."""
-        interior = self.neighborhoods.interior
-        return self.matrix(i)[interior][:, interior]
 
     def dense_block(self, cols, i=slice(None)):
         """Dense block [interior][:, cols] of patch i, for ``cols`` "interior"

@@ -104,7 +104,7 @@ class ResidualNormCache:
     Given ``zero_trace_parts`` it is in snapshot mode, and solves that
     problem in the span of the zero-trace parts T_i of the snapshots, which
     can only give a smaller value (subspace inequality), with each gram
-    T_i' A_i T_i of the interior block A_i (``patch_A.interior_block(i)``)
+    T_i' A_i T_i of the interior block A_i of ``patch_A.matrix(i)``
     pseudo-inverted once at lstsq's default cutoff L * eps.
     ``zero_trace_parts`` is the (N, m, L) stack of the T_i, the interior
     rows of the snapshot blocks (ms_space.compute_snapshots); in snapshot
@@ -125,7 +125,10 @@ class ResidualNormCache:
         self._T = np.asarray(zero_trace_parts)
         if self._T.shape != neighborhoods.interior_vertices.shape + (len(neighborhoods.rim),):
             raise ValueError(f"zero-trace parts must be (N, m, L), got shape {self._T.shape}")
-        grams = np.stack([T.T @ (patch_A.interior_block(i) @ T) for i, T in enumerate(self._T)])
+        interior = neighborhoods.interior
+        grams = np.stack(
+            [T.T @ (patch_A.matrix(i)[interior][:, interior] @ T) for i, T in enumerate(self._T)]
+        )
         grams = 0.5 * (grams + grams.swapaxes(1, 2))
         self._pinv = np.linalg.pinv(grams, rcond=grams.shape[-1] * np.finfo(float).eps)
 

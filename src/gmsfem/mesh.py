@@ -50,7 +50,6 @@ class GridHierarchy:
         self.H = 1.0 / self.nc
         self.h = 1.0 / self.nf
         self.n_vertices = (self.nf + 1) ** 2
-        self.n_cells = self.nf**2
         self.n_interior_coarse = (self.nc - 1) ** 2
         cx, cy = np.meshgrid(np.arange(self.nf), np.arange(self.nf))
         v00 = self.vertex_id(cx.ravel(), cy.ravel())
@@ -63,7 +62,7 @@ class GridHierarchy:
         return cy * self.nf + cx
 
     def cell_vertex_table(self):
-        """(n_cells, 4) fine vertex ids per cell, ordered [v00, v10, v11, v01]."""
+        """(nf^2, 4) fine vertex ids per cell, ordered [v00, v10, v11, v01]."""
         return self._cell_vertices
 
     def boundary_vertex_ids(self):

@@ -14,7 +14,7 @@ def grid44():
 
 @pytest.fixture(scope="session")
 def unit_field44(grid44):
-    return fine_fem.CoefficientField.constant(grid44.nf)
+    return fine_fem.CoefficientField(np.ones((grid44.nf, grid44.nf)))
 
 
 @pytest.fixture(scope="session")
@@ -120,29 +120,34 @@ def benchmark_densities(grid):
     return f_density, g_density
 
 
-def _channel_problem(dual_norm_mode):
+@pytest.fixture(scope="session")
+def channel_field():
+    """The benchmark channel medium at contrast 1e4 on the nf=100 grid."""
+    return cli.generate_field("channel", 1e4, 100, seed=7)
+
+
+def _channel_problem(field, dual_norm_mode):
     grid = mesh.GridHierarchy(10, 10)
-    field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
     f_density, g_density = benchmark_densities(grid)
     return adapt.build_problem(grid, field, f_density, g_density, dual_norm_mode=dual_norm_mode)
 
 
 @pytest.fixture(scope="session")
-def channel_problem():
-    """The benchmark channel medium at contrast 1e4 on the nc=10, r=10 grids."""
-    return _channel_problem("exact")
+def channel_problem(channel_field):
+    """channel_field's problem on the nc=10, r=10 grids."""
+    return _channel_problem(channel_field, "exact")
 
 
 @pytest.fixture(scope="session")
-def channel_problem_snapshot():
+def channel_problem_snapshot(channel_field):
     """channel_problem built with snapshot dual norms."""
-    return _channel_problem("snapshot")
+    return _channel_problem(channel_field, "snapshot")
 
 
 @pytest.fixture(scope="session")
-def channel_offline(channel_problem):
+def channel_offline(channel_problem, channel_field):
     """channel_problem's offline data recomputed (_offline)."""
-    return _offline(channel_problem.grid, channel_problem.field)
+    return _offline(channel_problem.space.grid, channel_field)
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,7 @@ def _energy_at(trace, dofs):
 def test_c01_fine_solver_matches_series_oracle():
     start = time.perf_counter()
     grid = mesh.GridHierarchy(8, 8)  # nf = 64
-    field = CoefficientField.constant(grid.nf)
+    field = CoefficientField(np.ones((grid.nf, grid.nf)))
     A = fine_fem.assemble_stiffness(grid, field)
     b = fine_fem.assemble_load(grid, np.ones((grid.nf, grid.nf)))
     u = fine_fem.solve_dirichlet(A, b, grid.boundary_vertex_ids())
@@ -82,9 +82,9 @@ def test_c02_partition_of_unity_suite():
     print(f"[criterion 2] PASS: max |sum(chi)-1| = {worst_sum:.2e}; hats exact at contrast 1")
 
 
-def test_c03_spectral_suite(channel_problem, channel_offline):
+def test_c03_spectral_suite(channel_problem, channel_field, channel_offline):
     problem = channel_problem
-    field = problem.field
+    field = channel_field
     space, neighborhoods = problem.space, problem.space.neighborhoods
     weight = ms_space.compute_spectral_weight(field, space.pu)
     patches_A = fine_fem.patch_stiffness(field, neighborhoods)
@@ -129,12 +129,12 @@ def test_c03_spectral_suite(channel_problem, channel_offline):
     )
 
 
-def test_c04_residuals_vanish_for_fine_references(channel_problem):
+def test_c04_residuals_vanish_for_fine_references(channel_problem, channel_field):
     problem = channel_problem
     A = problem.stiffness
-    z_ref = fine_fem.solve_dirichlet(A, problem.g_load, problem.grid.boundary_vertex_ids())
+    z_ref = fine_fem.solve_dirichlet(A, problem.g_load, problem.space.grid.boundary_vertex_ids())
     cache = indicators.ResidualNormCache(
-        fine_fem.patch_stiffness(problem.field, problem.space.neighborhoods)
+        fine_fem.patch_stiffness(channel_field, problem.space.neighborhoods)
     )
     worst = 0.0
     for ref, load, tag in ((problem.u_ref, problem.f_load, "primal"), (z_ref, problem.g_load, "dual")):
@@ -147,14 +147,14 @@ def test_c04_residuals_vanish_for_fine_references(channel_problem):
     print(f"[criterion 4] PASS: all residual norms <= {worst:.3f} of the 1e-8*||load|| bound")
 
 
-def test_c05_snapshot_norm_lower_bounds_exact(channel_problem, channel_offline):
+def test_c05_snapshot_norm_lower_bounds_exact(channel_problem, channel_field, channel_offline):
     problem = channel_problem
     space = problem.space
     A = problem.stiffness
     system = coarse_solve.assemble_coarse(space, A, problem.f_load)
     u_ms = coarse_solve.solve_primal(system)
     rho = indicators.fine_residual(A, problem.f_load, u_ms.fine)
-    patch_A = fine_fem.patch_stiffness(problem.field, problem.space.neighborhoods)
+    patch_A = fine_fem.patch_stiffness(channel_field, problem.space.neighborhoods)
     exact_cache = indicators.ResidualNormCache(patch_A)
     parts = [s.snapshots[space.neighborhoods.interior] for s in channel_offline["spectra"]]
     snap_cache = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)

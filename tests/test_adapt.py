@@ -279,7 +279,6 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, chann
     )
     assert moved > 0  # the channel medium has homogeneous, symmetric patches
     rotated = adapt.ProblemSetup(
-        channel_problem.field,
         channel_problem.stiffness,
         channel_problem.f_load,
         channel_problem.g_load,
@@ -694,7 +693,6 @@ def test_loop_annotates_solver_failures(small_problem):
         space.pu, space.eigenvalues, space.jitter, candidates, space.counts
     )
     broken = adapt.ProblemSetup(
-        small_problem.field,
         small_problem.stiffness,
         small_problem.f_load,
         small_problem.g_load,

@@ -209,7 +209,7 @@ def test_read_field_rejects_malformed(tmp_path):
 
 def test_field_file_grid_mismatch(tmp_path):
     path = tmp_path / "field.txt"
-    cli.write_field(cli.CoefficientField.constant(24), path)
+    cli.write_field(cli.CoefficientField(np.ones((24, 24))), path)
     config = ExperimentConfig(nc=5, r=4, field=f"file:{path}", contrast=1.0)
     with pytest.raises(ValueError, match="nf=24"):
         cli.run_experiment(config, verbose=False)

@@ -22,7 +22,7 @@ def unit_problem1010():
     from gmsfem import adapt
 
     grid = mesh.GridHierarchy(10, 10)
-    field = CoefficientField.constant(grid.nf)
+    field = CoefficientField(np.ones((grid.nf, grid.nf)))
     f_density, g_density = benchmark_densities(grid)
     return adapt.build_problem(grid, field, f_density, g_density)
 
@@ -187,7 +187,7 @@ def test_classical_msfem_first_order_in_H():
     errors = {}
     for nc, r in ((10, 10), (20, 5)):
         grid = mesh.GridHierarchy(nc, r)
-        field = CoefficientField.constant(grid.nf)
+        field = CoefficientField(np.ones((grid.nf, grid.nf)))
         data = _offline(grid, field)
         space = _hat_space(data)
         A = fine_fem.assemble_stiffness(grid, field)
@@ -223,11 +223,11 @@ def test_primal_dual_pairing_at_fine_scale(grid44):
 
 def test_dual_solution_localizes_near_goal_box(unit_problem1010):
     problem = unit_problem1010
-    grid = problem.grid
+    grid = problem.space.grid
     system = coarse_solve.assemble_coarse(problem.space, problem.stiffness, problem.f_load)
     z = coarse_solve.solve_dual(system, problem.g_load)
     lumped = np.asarray(
-        assemble_weighted_mass(grid, CoefficientField.constant(grid.nf)).sum(axis=1)
+        assemble_weighted_mass(grid, CoefficientField(np.ones((grid.nf, grid.nf)))).sum(axis=1)
     ).ravel()
     coords = vertex_coordinates(grid)
     x0, x1, y0, y1 = cli.K2_BOX
@@ -251,7 +251,7 @@ def test_error_representation_identity(channel_problem):
     # g(u_h - u_ms) = a(u_h - u_ms, z_h - z_ms) with the fine space as truth
     problem = channel_problem
     A, b, g = problem.stiffness, problem.f_load, problem.g_load
-    fixed = problem.grid.boundary_vertex_ids()
+    fixed = problem.space.grid.boundary_vertex_ids()
     z_ref = fine_fem.solve_dirichlet(A, g, fixed)
     system = coarse_solve.assemble_coarse(problem.space, A, b)
     u_ms = coarse_solve.solve_primal(system)

@@ -83,7 +83,7 @@ def test_field_rejects_nonpositive_and_nonfinite():
 
 
 def test_assembly_rejects_size_mismatch(grid44):
-    field = CoefficientField.constant(grid44.nf + 1)
+    field = CoefficientField(np.ones((grid44.nf + 1, grid44.nf + 1)))
     with pytest.raises(ValueError):
         fine_fem.assemble_stiffness(grid44, field)
     with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ def test_assembly_rejects_size_mismatch(grid44):
 
 def test_single_cell_stiffness_entries():
     grid = mesh.GridHierarchy(2, 2)
-    A = fine_fem.assemble_stiffness(grid, CoefficientField.constant(grid.nf))
+    A = fine_fem.assemble_stiffness(grid, CoefficientField(np.ones((grid.nf, grid.nf))))
     # cell (0,0) corner vertex 0 couples only through one cell
     assert A[0, 0] == pytest.approx(2 / 3)
     v11 = grid.vertex_id(1, 1)
@@ -111,6 +111,16 @@ def test_stiffness_exact_symmetry(grid44):
     A = fine_fem.assemble_stiffness(grid44, field)
     delta = (A - A.T).tocoo()
     assert len(delta.data) == 0 or np.abs(delta.data).max() == 0.0
+
+
+def test_stiffness_storage_is_its_own_transpose(channel_field):
+    # bit for bit, stored pattern included, so that (R' A)' with sorted
+    # indices is bitwise (A R).tocsc() for any basis matrix R
+    A = fine_fem.assemble_stiffness(mesh.GridHierarchy(10, 10), channel_field)
+    At = A.T.tocsr()
+    assert np.array_equal(At.indptr, A.indptr)
+    assert np.array_equal(At.indices, A.indices)
+    assert At.data.tobytes() == A.data.tobytes()
 
 
 def test_stiffness_annihilates_constants(grid44, unit_field44):
@@ -148,7 +158,7 @@ def test_mass_scales_linearly(grid44):
 
 def test_mass_center_diagonal_on_2x2_grid():
     grid = mesh.GridHierarchy(2, 2)  # nf = 4; use the four cells around (2, 2)
-    S = assemble_weighted_mass(grid, CoefficientField.constant(grid.nf))
+    S = assemble_weighted_mass(grid, CoefficientField(np.ones((grid.nf, grid.nf))))
     center = grid.vertex_id(2, 2)
     _, M_ref = _gauss_element_matrices(grid.h)
     # quadrature oracle: four surrounding cells each contribute their corner mass
@@ -238,6 +248,7 @@ def test_gathered_interior_operators_equal_global_slices(nc, r):
             cli.generate_field("inclusions", 1e4, grid.nf, seed=7),
         ]
     neighborhoods = mesh.all_neighborhoods(grid)
+    interior = neighborhoods.interior
     for field in fields:
         A = fine_fem.assemble_stiffness(grid, field)
         patches = fine_fem.patch_stiffness(field, neighborhoods)
@@ -246,7 +257,7 @@ def test_gathered_interior_operators_equal_global_slices(nc, r):
         assert band.shape == oracle.shape
         assert np.array_equal(band.view(np.uint64), oracle.view(np.uint64))
         for i, ids in enumerate(neighborhoods.interior_vertices):
-            block, sub = patches.interior_block(i), A[ids][:, ids]
+            block, sub = patches.matrix(i)[interior][:, interior], A[ids][:, ids]
             assert np.array_equal(block.indptr, sub.indptr)
             assert np.array_equal(block.indices, sub.indices)
             assert block.data.tobytes() == sub.data.tobytes()
@@ -287,7 +298,7 @@ def test_no_other_module_refines_or_factors_a_band_itself():
 
 
 def test_patch_assembly_rejects_size_mismatch(grid44):
-    field = CoefficientField.constant(grid44.nf + 1)
+    field = CoefficientField(np.ones((grid44.nf + 1, grid44.nf + 1)))
     neighborhoods = mesh.all_neighborhoods(grid44)
     with pytest.raises(ValueError):
         fine_fem.patch_stiffness(field, neighborhoods)
@@ -339,7 +350,7 @@ def test_solve_rejects_non_finite_load(grid44, unit_field44, bad):
 
 def test_solve_poisson_center_value_series_oracle():
     grid = mesh.GridHierarchy(8, 8)  # nf = 64
-    field = CoefficientField.constant(grid.nf)
+    field = CoefficientField(np.ones((grid.nf, grid.nf)))
     A = fine_fem.assemble_stiffness(grid, field)
     b = fine_fem.assemble_load(grid, np.ones((grid.nf, grid.nf)))
     u = fine_fem.solve_dirichlet(A, b, grid.boundary_vertex_ids())
@@ -411,7 +422,7 @@ def test_refinement_reports_a_stall():
 def test_eigenvalue_growth_under_fixing():
     # spot check on the 4x4 fine grid against a dense eigensolve oracle
     grid = mesh.GridHierarchy(2, 2)
-    A = fine_fem.assemble_stiffness(grid, CoefficientField.constant(grid.nf)).toarray()
+    A = fine_fem.assemble_stiffness(grid, CoefficientField(np.ones((grid.nf, grid.nf)))).toarray()
     fixed1 = grid.boundary_vertex_ids()
     fixed2 = np.append(fixed1, grid.vertex_id(2, 2))
     eigs = []
@@ -427,9 +438,10 @@ def test_eigenvalue_growth_under_fixing():
 
 
 def test_local_operator_sizes_and_spd(grid44, unit_field44):
-    patches = fine_fem.patch_stiffness(unit_field44, mesh.all_neighborhoods(grid44))
-    r = grid44.r
-    zt = patches.interior_block(0)
+    neighborhoods = mesh.all_neighborhoods(grid44)
+    patches = fine_fem.patch_stiffness(unit_field44, neighborhoods)
+    r, interior = grid44.r, neighborhoods.interior
+    zt = patches.matrix(0)[interior][:, interior]
     assert zt.shape == ((2 * r - 1) ** 2, (2 * r - 1) ** 2)
     assert np.linalg.eigvalsh(zt.toarray())[0] > 0.0
 
@@ -438,7 +450,7 @@ def test_local_operator_matches_global_entries(grid44, unit_field44):
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     neighborhoods = mesh.all_neighborhoods(grid44)
     patches = fine_fem.patch_stiffness(unit_field44, neighborhoods)
-    sub = patches.interior_block(0).toarray()
+    sub = patches.matrix(0)[neighborhoods.interior][:, neighborhoods.interior].toarray()
     ids = neighborhoods.interior_vertices[0]
     assert np.array_equal(sub, A[np.ix_(ids, ids)].toarray())
 

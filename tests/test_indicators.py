@@ -109,9 +109,8 @@ def test_snapshot_cache_cannot_solve(channel_problem_snapshot):
         cache.solve(0, np.ones(cache._block))
 
 
-def test_dual_norm_rejects_misshapen_zero_trace_parts(channel_state):
-    problem = channel_state["problem"]
-    patch_A = fine_fem.patch_stiffness(problem.field, problem.space.neighborhoods)
+def test_dual_norm_rejects_misshapen_zero_trace_parts(channel_problem, channel_field):
+    patch_A = fine_fem.patch_stiffness(channel_field, channel_problem.space.neighborhoods)
     with pytest.raises(ValueError, match=r"must be \(N, m, L\), got shape \(2, 3, 4\)"):
         indicators.ResidualNormCache(patch_A, zero_trace_parts=np.ones((2, 3, 4)))
 
@@ -159,11 +158,11 @@ def test_per_neighborhood_norm_matches_stacked_norms(high_contrast_residual, mod
         assert cache.norm(i, rho[interior]) == norms[i], i
 
 
-def _one_shot_norms(problem, rho):
+def _one_shot_norms(problem, field, rho):
     """Exact dual norms from one cho_solve_banded over the whole stacked
     zero-trace factor, the path the chunked solve must reproduce bit for bit."""
     neighborhoods = problem.space.neighborhoods
-    patch_A = fine_fem.patch_stiffness(problem.field, neighborhoods)
+    patch_A = fine_fem.patch_stiffness(field, neighborhoods)
     factor = scipy.linalg.cholesky_banded(patch_A.interior_band())
     local = rho[neighborhoods.interior_vertices.ravel()]
     w = scipy.linalg.cho_solve_banded((factor, False), local)
@@ -171,12 +170,14 @@ def _one_shot_norms(problem, rho):
 
 
 @pytest.mark.parametrize("per_chunk", [1, 7, 81, None])
-def test_chunked_norms_are_bitwise_one_whole_solve(channel_state, per_chunk, monkeypatch):
+def test_chunked_norms_are_bitwise_one_whole_solve(
+    channel_state, channel_field, per_chunk, monkeypatch
+):
     # chunks of 1 neighborhood, 7 (the last of the 81 neighborhoods ragged),
     # all of them, and the module's own size (17); one and two right-hand sides
     problem = channel_state["problem"]
     N, m = problem.space.neighborhoods.interior_vertices.shape
-    u = 2 * problem.grid.r
+    u = 2 * problem.space.grid.r
     if per_chunk is None:
         per_chunk = 17
     else:
@@ -191,7 +192,9 @@ def test_chunked_norms_are_bitwise_one_whole_solve(channel_state, per_chunk, mon
         return pbtrs(ab, b)
 
     monkeypatch.setattr(cache, "_pbtrs", recorded)
-    oracle = np.column_stack([_one_shot_norms(problem, rho) for rho in (rho_u, rho_z)])
+    oracle = np.column_stack(
+        [_one_shot_norms(problem, channel_field, rho) for rho in (rho_u, rho_z)]
+    )
     assert np.array_equal(cache.norms(rho_u), oracle[:, 0])
     assert np.array_equal(cache.norms(np.column_stack((rho_u, rho_z))), oracle)
     # each call after the first starts u columns early, in the previous
@@ -275,7 +278,7 @@ def test_eta_standard_vanishes_for_fine_reference(channel_state):
 
 def test_eta_saturated_neighborhood_is_zero():
     grid = mesh.GridHierarchy(2, 3)
-    field = CoefficientField.constant(grid.nf)
+    field = CoefficientField(np.ones((grid.nf, grid.nf)))
     data = _offline(grid, field)
     L = data["spectra"][0].n_snapshots
     space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__).with_counts([L])

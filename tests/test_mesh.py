@@ -47,7 +47,7 @@ def test_vertex_and_cell_indexing():
     assert grid.vertex_id(grid.nf, 0) == grid.nf
     assert grid.vertex_id(0, 1) == grid.nf + 1
     table = grid.cell_vertex_table()
-    assert table.shape == (grid.n_cells, 4)
+    assert table.shape == (grid.nf**2, 4)
     # cell (0, 0): corners (0,0), (1,0), (1,1), (0,1)
     assert list(table[0]) == [0, 1, grid.nf + 2, grid.nf + 1]
 
@@ -202,4 +202,4 @@ def test_neighborhoods_match_per_neighborhood_construction(nc, r):
             corner = vertices.reshape(p, p)[:-1, :-1].ravel()
             assert np.array_equal(neighborhoods.cells[i], corner - corner // (grid.nf + 1))
     # the coarse elements tile the grid: each fine cell lies in exactly one
-    assert np.array_equal(np.sort(elements.cells.ravel()), np.arange(grid.n_cells))
+    assert np.array_equal(np.sort(elements.cells.ravel()), np.arange(grid.nf**2))

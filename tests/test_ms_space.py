@@ -127,11 +127,11 @@ def test_pou_equals_element_scatter_oracle(nc, r):
 
 def test_offline_rejects_field_of_wrong_size():
     grid = mesh.GridHierarchy(4, 4)
-    wrong = CoefficientField.constant(12)
+    wrong = CoefficientField(np.ones((12, 12)))
     message = "coefficient field is 12x12 but grid has nf=16"
     with pytest.raises(ValueError, match=message):
         ms_space.compute_partition_of_unity(grid, wrong)
-    pu = ms_space.compute_partition_of_unity(grid, CoefficientField.constant(grid.nf))
+    pu = ms_space.compute_partition_of_unity(grid, CoefficientField(np.ones((grid.nf, grid.nf))))
     with pytest.raises(ValueError, match=message):
         ms_space.compute_spectral_weight(wrong, pu)
 
@@ -140,8 +140,8 @@ def test_patch_operators_take_their_grid_from_the_layout():
     # a 24x24 field over the layout of a 20x20 grid: each operator checks the
     # field against the grid of its neighborhoods, and the message names both
     grid20 = mesh.GridHierarchy(5, 4)
-    field24 = CoefficientField.constant(24)
-    pu = ms_space.compute_partition_of_unity(grid20, CoefficientField.constant(grid20.nf))
+    field24 = CoefficientField(np.ones((24, 24)))
+    pu = ms_space.compute_partition_of_unity(grid20, CoefficientField(np.ones((20, 20))))
     for operator, layout in (
         (fine_fem.patch_stiffness, mesh.Neighborhoods(grid20)),
         (fine_fem.patch_weighted_mass, mesh.Neighborhoods(grid20)),
@@ -183,7 +183,7 @@ def test_spectral_weight_near_coarse_cell_center():
     # by the analytic oracle the hat-gradient sum approaches 2 at the center of
     # a fully interior coarse cell
     grid = mesh.GridHierarchy(4, 10)
-    field = CoefficientField.constant(grid.nf)
+    field = CoefficientField(np.ones((grid.nf, grid.nf)))
     pu = ms_space.compute_partition_of_unity(grid, field)
     weight = ms_space.compute_spectral_weight(field, pu)
     # cell midpoint nearest the center of coarse cell (1, 1)
@@ -208,10 +208,10 @@ def _weight_for(grid, values):
     return ms_space.compute_spectral_weight(field, pu)
 
 
-def test_spectral_weight_positive_on_all_cells(channel_problem):
+def test_spectral_weight_positive_on_all_cells(channel_problem, channel_field):
     # CoefficientField construction would reject nonpositive cells, so getting
     # a weight back at all proves positivity; assert anyway for clarity.
-    weight = ms_space.compute_spectral_weight(channel_problem.field, channel_problem.space.pu)
+    weight = ms_space.compute_spectral_weight(channel_field, channel_problem.space.pu)
     assert weight.values.min() > 0.0
 
 
@@ -520,7 +520,7 @@ def test_enrich_adds_s_dofs_and_is_monotone(unit_offline44):
 
 def test_enrich_saturates_at_snapshot_count():
     grid = mesh.GridHierarchy(2, 4)
-    field = CoefficientField.constant(grid.nf)
+    field = CoefficientField(np.ones((grid.nf, grid.nf)))
     data = _offline(grid, field)
     space = _space_from(data, count=1)
     limit = space.n_candidates
