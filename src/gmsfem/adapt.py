@@ -235,6 +235,7 @@ def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
 
 
 @workers.one_blas_thread()
+@workers.helper_thread()
 def adapt_loop(problem, strategy, cfg):
     """Iterate solve -> indicators -> mark -> enrich for one strategy,
     starting from cfg.initial_count functions per neighborhood.
@@ -244,7 +245,13 @@ def adapt_loop(problem, strategy, cfg):
     goal_tol stop reads.  Each coarse system is dropped after its last
     solve, so at most one is alive at a time.  goal_h1 takes the dual norms
     of its primal and dual residuals in one call.  Like build_problem, it
-    runs at one BLAS thread (workers.one_blas_thread).
+    runs at one BLAS thread (workers.one_blas_thread).  Where build_problem
+    would fork workers, the run has a helper thread on the last CPU
+    (workers.helper_thread), which takes half of the dual norms' chunked
+    solve, one of the two products of each store growth and the basis
+    gather of each coarse factorization; every value is bitwise the serial
+    one, so the trace does not depend on the number of CPUs.  The thread is
+    joined before this returns or raises.
     """
     _check_strategy(strategy)
     A = problem.stiffness

@@ -7,6 +7,7 @@ candidate numbering with refinement in extended precision (see CoarseSystem).
 import numpy as np
 import scipy.sparse as sparse
 
+from . import workers
 from .fine_fem import _banded_cholesky
 
 __all__ = [
@@ -45,7 +46,8 @@ class CoarseSystem:
     """Galerkin system on the span of an offline space's basis columns.
 
     Holds R, the basis matrix its space gathers from the candidates
-    (``space.basis_columns(space.counts)``, CSC), and the sparse
+    (``space.basis_columns(space.counts)``, CSC, gathered beside the
+    factorization), and the sparse
     A_c = R' A R (CSC, sorted row indices) and primal load R' b, as
     selected from a GalerkinStore.
     Its columns are in candidate numbering i * L + k, where neighborhood i
@@ -62,13 +64,12 @@ class CoarseSystem:
 
     def __init__(self, space, matrix, load):
         self.space = space
-        self.R = space.basis_columns(space.counts)
         self.matrix = matrix
         self.dim = space.total_dofs
         self.load = load
         if np.any(self.matrix.diagonal() <= 0):
             raise RankDeficientBasis("coarse stiffness has a nonpositive diagonal entry")
-        self._solve = self._factorize()
+        self._solve, self.R = self._factorize()
 
     @property
     def dense(self):
@@ -80,7 +81,12 @@ class CoarseSystem:
         return False
 
     def _factorize(self):
-        solve, pivots, info = _banded_cholesky(self.matrix)
+        """(refined solve, R); R is gathered on workers' helper thread while
+        this one factors (fine_fem._banded_cholesky)."""
+        space = self.space
+        solve, pivots, info, R = _banded_cholesky(
+            self.matrix, lambda: space.basis_columns(space.counts)
+        )
         # info > 0: the leading minor of order info failed, and ``pivots``
         # covers only the columns before it
         small = np.flatnonzero(pivots <= self.dim * np.finfo(float).eps)
@@ -99,7 +105,7 @@ class CoarseSystem:
                 f"the largest scaled coupling to it is {p} ({scaled[k]:.6f})",
                 columns=(p, j),
             )
-        return solve
+        return solve, R
 
     def solve(self, rhs):
         """Solve A_c c = rhs to 1e-12 relative residual; attach R c.
@@ -165,12 +171,13 @@ class GalerkinStore:
         new = self.space.candidate_numbers(need, self.have)
         R_new = self.space.basis_columns(need, self.have)
         AR_new = (self.A @ R_new).tocsc()
-        # G[p, q] for every held p and new q, rows in candidate order; G[p, q]
-        # for new p and old q at (q, p)
-        R_all = self.space.basis_columns(need)
-        upper = (R_all.T @ AR_new).tocoo()
-        del R_all
-        lower = (self.AR.T @ R_new).tocoo()
+        # G[p, q] for new p and old q at (q, p), formed here while the helper
+        # thread gathers every held column and forms G[p, q] for every held p
+        # and new q, rows in candidate order (workers.split)
+        lower, upper = workers.split(
+            lambda: (self.AR.T @ R_new).tocoo(),
+            lambda: (self.space.basis_columns(need).T @ AR_new).tocoo(),
+        )
         self.have = need
         self.number = np.concatenate([self.number, new])
         self.AR = sparse.hstack([self.AR, AR_new], format="csc")

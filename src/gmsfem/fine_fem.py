@@ -12,11 +12,19 @@ zero-trace operators' stacked band and interior blocks that the dual norms
 use.  The Dirichlet solve here and the coarse
 solves of coarse_solve take one path: ``_banded_cholesky`` factors the band
 of the unit-diagonal matrix and returns its pivots and its refined solve.
+Every banded factor and banded solve of the program, the dual norms' too,
+goes through ``_pbtrf`` and ``_pbtrs``: LAPACK's dpbtrf and dpbtrs, the
+routines scipy's wrappers call, called through ctypes, which releases the
+GIL for the call, so a solve on workers' helper thread overlaps one here.
 """
 
+import ctypes
+
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.sparse as sparse
+
+from . import workers
 
 __all__ = [
     "CoefficientField",
@@ -57,6 +65,72 @@ Q1_MASS = (
 
 # Relative residual contract of solve_dirichlet, met in extended precision.
 FINE_RTOL = 1e-10
+
+
+def _lapack(name, n_args):
+    """LAPACK routine ``name`` through the function pointer that
+    scipy.linalg.cython_lapack exports, called with ``n_args`` pointers."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
+        get_pointer(capsule, get_name(capsule))
+    )
+
+
+_DPBTRF = _lapack("dpbtrf", 6)
+_DPBTRS = _lapack("dpbtrs", 9)
+_UPPER = ctypes.c_char(b"U")
+
+
+def _address(a):
+    """Address of the first element of the Fortran-ordered array ``a``; raises
+    if ``a`` is not Fortran-contiguous or not writable."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a.T))
+
+
+def _check_band(ab):
+    if ab.dtype != np.float64 or ab.ndim != 2 or not ab.flags.f_contiguous:
+        raise ValueError(
+            f"band storage must be a Fortran-ordered 2-D float64 array, got {ab.dtype} "
+            f"of shape {ab.shape}"
+        )
+
+
+def _pbtrf(ab):
+    """Factor the upper band storage ``ab`` (Fortran-ordered float64,
+    ldab = kd + 1) in place with LAPACK's dpbtrf; returns its ``info``: 0, or
+    the order of the first leading minor that is not positive definite."""
+    _check_band(ab)
+    ints = (ctypes.c_int * 4)(ab.shape[1], ab.shape[0] - 1, ab.shape[0], 0)
+    at = ctypes.addressof(ints)
+    _DPBTRF(ctypes.addressof(_UPPER), at, at + 4, _address(ab), at + 8, at + 12)
+    if ints[3] < 0:
+        raise ValueError(f"dpbtrf: argument {-ints[3]} is invalid")
+    return ints[3]
+
+
+def _pbtrs(ab, b):
+    """Solve with the upper banded Cholesky factor ``ab`` of _pbtrf for the
+    right-hand sides ``b``, (n,) or (n, k), with LAPACK's dpbtrs; the
+    solution is a new Fortran-ordered array of b's shape, the one copy of
+    b made here, as scipy's pbtrs makes it."""
+    _check_band(ab)
+    x = np.array(b, dtype=np.float64, order="F")
+    n = ab.shape[1]
+    if x.ndim not in (1, 2) or len(x) != n:
+        raise ValueError(f"right-hand side of shape {x.shape} for a band of order {n}")
+    nrhs = x.size // n if n else 0
+    ints = (ctypes.c_int * 6)(n, ab.shape[0] - 1, nrhs, ab.shape[0], max(n, 1), 0)
+    at = ctypes.addressof(ints)
+    upper, a, b = ctypes.addressof(_UPPER), _address(ab), _address(x)
+    _DPBTRS(upper, at, at + 4, at + 8, a, at + 12, b, at + 16, at + 20)
+    if ints[5] < 0:
+        raise ValueError(f"dpbtrs: argument {-ints[5]} is invalid")
+    return x
 
 
 class SolveFailure(RuntimeError):
@@ -255,17 +329,20 @@ def _refine(correct, A_ld, b, x, rtol, steps, label):
     )
 
 
-def _banded_cholesky(M):
-    """Banded Cholesky of D^-1/2 M D^-1/2, D = diag(M): (solve, pivots, info).
+def _banded_cholesky(M, beside=lambda: None):
+    """Banded Cholesky of D^-1/2 M D^-1/2, D = diag(M):
+    (solve, pivots, info, beside()).
 
     M is a symmetric CSC matrix in the order it is to be factored, without
     pivoting.  The scaled upper band is gathered into band storage, entry
     (row, col) at ab[u + row - col, col] for the half-bandwidth u of M's
-    pattern, and factored with ``dpbtrf`` (called directly for its ``info``:
-    0, or the order of the first leading minor that is not positive definite,
-    whose earlier columns are factored).  ``pivots`` are the factor's squared
-    diagonal over those columns; ``solve(b, rtol, steps, label)`` (for info
-    0) solves M x = b, refined by ``_refine`` against M in longdouble.
+    pattern, and factored with ``_pbtrf`` (its ``info``: 0, or the order of
+    the first leading minor that is not positive definite, whose earlier
+    columns are factored).  The longdouble copy of M and ``beside()`` are
+    made on workers' helper thread while this one factors (workers.split).
+    ``pivots`` are the factor's squared diagonal over the factored columns;
+    ``solve(b, rtol, steps, label)`` (for info 0) solves M x = b with
+    ``_pbtrs``, refined by ``_refine`` against M in longdouble.
     """
     scale = np.sqrt(M.diagonal())
     inv = 1.0 / scale
@@ -275,18 +352,19 @@ def _banded_cholesky(M):
     u = int((cols - rows).max())
     ab = np.zeros((u + 1, M.shape[1]), order="F")
     ab[u + rows - cols, cols] = M.data[upper] * inv[rows] * inv[cols]
-    factor, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
+    info, (M_ld, extra) = workers.split(
+        lambda: _pbtrf(ab), lambda: (M.astype(np.longdouble), beside())
+    )
     done = info - 1 if info > 0 else M.shape[1]
-    M_ld = M.astype(np.longdouble)
 
     def scaled_solve(rhs):
-        return scipy.linalg.cho_solve_banded((factor, False), rhs / scale, check_finite=False)
+        return _pbtrs(ab, rhs / scale)
 
     def solve(b, rtol, steps, label):
         x = scaled_solve(b).astype(np.longdouble) / scale
         return _refine(lambda resid: scaled_solve(resid) / scale, M_ld, b, x, rtol, steps, label)
 
-    return solve, factor[u, :done] ** 2, info
+    return solve, ab[u, :done] ** 2, info, extra
 
 
 def solve_dirichlet(A, b, fixed):
@@ -308,7 +386,7 @@ def solve_dirichlet(A, b, fixed):
     if not np.all(np.isfinite(b)):
         raise ValueError("load vector contains non-finite values")
     free = np.setdiff1d(np.arange(n), np.asarray(fixed, dtype=int))
-    solve, _, info = _banded_cholesky(A[free][:, free].tocsc())
+    solve, _, info, _ = _banded_cholesky(A[free][:, free].tocsc())
     if info != 0:
         raise SolveFailure(
             f"Dirichlet solve: free block is not positive definite "

@@ -31,6 +31,7 @@ snapshot mode keeps the snapshots' interior rows and drops that factor.
 import numpy as np
 import scipy.linalg
 
+from . import fine_fem, workers
 from .csvout import write_csv
 
 __all__ = [
@@ -120,7 +121,6 @@ class ResidualNormCache:
         self._block = neighborhoods.interior_vertices.shape[1]
         if zero_trace_parts is None:
             self._factor = scipy.linalg.cholesky_banded(patch_A.interior_band(), overwrite_ab=True)
-            (self._pbtrs,) = scipy.linalg.get_lapack_funcs(("pbtrs",), (self._factor,))
             return
         self._T = np.asarray(zero_trace_parts)
         if self._T.shape != neighborhoods.interior_vertices.shape + (len(neighborhoods.rim),):
@@ -138,7 +138,7 @@ class ResidualNormCache:
         if self.mode != "exact":
             raise ValueError("only an exact-mode cache can solve; this one is in snapshot mode")
         m = self._block
-        return self._pbtrs(self._factor[:, i * m : (i + 1) * m], rhs)[0]
+        return fine_fem._pbtrs(self._factor[:, i * m : (i + 1) * m], rhs)
 
     def norm(self, i, rho):
         """Dual norm of the local residual ``rho`` over neighborhood i, entry i
@@ -175,19 +175,31 @@ class ResidualNormCache:
         the whole factor, in chunks of whole neighborhoods of about
         _CHUNK_BYTES of factor each.
 
-        Each chunk's dpbtrs call starts u columns early, in the previous
-        neighborhood's tail, where the factor couples nothing to the chunk.
-        So every column's inner products keep the length u they have in one
-        call over the whole stack, and each chunk is bitwise that call's.
+        Each chunk's dpbtrs call (fine_fem._pbtrs) starts u columns early, in
+        the previous neighborhood's tail, where the factor couples nothing to
+        the chunk.  So every column's inner products keep the length u they
+        have in one call over the whole stack, and each chunk is bitwise that
+        call's.  The chunks are independent: workers' helper thread solves
+        the upper half of them while this thread solves the lower half
+        (workers.split); a stack of one chunk is solved here.
         """
         u = self._factor.shape[0] - 1
         size = self._block * max(1, _CHUNK_BYTES // self._factor[:, : self._block].nbytes)
         x = np.empty_like(b, order="F")
-        for start in range(0, len(b), size):
-            lo, stop = max(start - u, 0), start + size
-            # the factor was checked when it was made; a non-finite rho gives
-            # non-finite norms, which IndicatorReport rejects
-            x[start:stop] = self._pbtrs(self._factor[:, lo:stop], b[lo:stop])[0][start - lo :]
+
+        def solve(starts):
+            for start in starts:
+                lo, stop = max(start - u, 0), start + size
+                # the factor was checked when it was made; a non-finite rho
+                # gives non-finite norms, which IndicatorReport rejects
+                x[start:stop] = fine_fem._pbtrs(self._factor[:, lo:stop], b[lo:stop])[start - lo :]
+
+        starts = range(0, len(b), size)
+        if len(starts) == 1:
+            solve(starts)
+        else:
+            half = len(starts) // 2
+            workers.split(lambda: solve(starts[:half]), lambda: solve(starts[half:]))
         return x
 
 

@@ -1,4 +1,5 @@
-"""Forked workers of the offline stage, one per CPU of the affinity mask.
+"""Forked workers of the offline stage, one per CPU of the affinity mask, and
+the online loop's helper thread on the last of those CPUs.
 
 A process forks workers only where that is safe and can help (worker_cpus):
 the platform has os.fork and os.sched_getaffinity, the process runs one
@@ -15,18 +16,25 @@ Elsewhere every call here runs its work in this process, in serial order.
   CPU is busy with other work simply takes fewer.
 - Beside runs one computation in a child on the last CPU while the body of
   a ``with`` block runs here.
+- helper_thread starts, for its ``with`` block, one thread pinned to the
+  last CPU, and split(here, there) runs there() on it while here() runs on
+  the calling thread.  The split work releases the GIL in its LAPACK and
+  array kernels, so the two halves overlap.  Without a helper (worker_cpus
+  gives None, or the caller is not the thread that started it) split runs
+  here() and then there(), in this thread.
 
 Workers write their results only into anonymous shared mappings
 (shared_arrays) made before the fork, so nothing is sent back.  Each forked
-child is pinned to its own CPU (left to the scheduler, a forked child
-often ran on its parent's CPU while another CPU idled); this process's
-mask is never changed.  Both share one child lifecycle (_forked): a child
-exits through os._exit, so it never returns into the caller or flushes
-inherited buffers, and no child outlives the call or block that forked
-it.  They share one failure rule too: each finished piece of work is
-flagged in a shared mapping, and once every child is reaped this process
-reruns the unflagged work in ascending order, so a failure is always the
-one a serial run raises.
+child, and the helper thread, is pinned to its own CPU (left to the
+scheduler, a forked child often ran on its parent's CPU while another CPU
+idled) by one call, _pin, which sets the mask of the calling thread only;
+the caller's mask is never changed.  fill_queued and Beside share one child
+lifecycle (_forked): a child exits through os._exit, so it never returns
+into the caller or flushes inherited buffers, and no child outlives the
+call or block that forked it.  They share one failure rule too: each
+finished piece of work is flagged in a shared mapping, and once every child
+is reaped this process reruns the unflagged work in ascending order, so a
+failure is always the one a serial run raises.
 """
 
 import contextlib
@@ -42,7 +50,15 @@ import types
 
 import numpy as np
 
-__all__ = ["worker_cpus", "one_blas_thread", "shared_arrays", "fill_queued", "Beside"]
+__all__ = [
+    "worker_cpus",
+    "one_blas_thread",
+    "shared_arrays",
+    "fill_queued",
+    "Beside",
+    "helper_thread",
+    "split",
+]
 
 # Bytes per entry of fill_queued's queue: a little-endian uint32 id.
 _TOKEN = 4
@@ -71,6 +87,11 @@ def worker_cpus():
         return None
     cpus = sorted(os.sched_getaffinity(0))
     return cpus if len(cpus) > 1 else None
+
+
+def _pin(cpu):
+    """Pin the calling thread, and only it, to ``cpu``."""
+    os.sched_setaffinity(0, [cpu])
 
 
 def _openblas():
@@ -212,7 +233,7 @@ def _forked(cpus, work):
                 continue  # the caller reruns the work it leaves undone
             if pid == 0:
                 try:
-                    os.sched_setaffinity(0, [cpu])
+                    _pin(cpu)
                     work()
                 finally:
                     os._exit(0)
@@ -294,3 +315,105 @@ def Beside(compute, shape):
     if not done[0]:
         work()
     beside.result = out
+
+
+class _Helper:
+    """A thread pinned to ``cpu`` that runs one job at a time for the thread
+    that started it, ``owner``: run(here, there) hands it ``there`` and runs
+    ``here`` meanwhile.  Two plain locks pass the job and its end back and
+    forth: a hand-off took 8-12 us, against 23-42 us through a queue and an
+    Event (2-vCPU VM)."""
+
+    def __init__(self, cpu):
+        self.owner = threading.get_ident()
+        self._job = self._outcome = None
+        self._start, self._done = threading.Lock(), threading.Lock()
+        self._start.acquire()
+        self._done.acquire()
+        self._thread = threading.Thread(target=self._serve, args=(cpu,), daemon=True)
+        self._thread.start()
+
+    def _serve(self, cpu):
+        try:
+            _pin(cpu)
+        except OSError:
+            pass  # it runs unpinned; the results are the same
+        while True:
+            self._start.acquire()
+            job = self._job
+            if job is None:
+                return
+            try:
+                self._outcome = (job(), None)
+            except BaseException as exc:  # raised in the owner
+                self._outcome = (None, exc)
+            self._done.release()
+
+    def run(self, here, there):
+        self._job = there
+        self._start.release()
+        try:
+            result = here()
+        finally:
+            try:
+                self._done.acquire()
+            except BaseException:
+                self.owner = None  # interrupted while the job runs: no later split comes here
+                raise
+        theirs, error = self._outcome
+        self._job = self._outcome = None
+        if error is not None:
+            raise error
+        return result, theirs
+
+    def stop(self):
+        """End the thread once its job, if any, has ended.  After an
+        interrupted run, the start lock may still be released, untaken."""
+        self._job = None
+        try:
+            self._start.release()
+        except RuntimeError:
+            pass  # the thread takes the earlier release and finds no job
+        self._thread.join()
+
+
+_helper = None  # the helper of the running helper_thread block, if it started one
+
+
+@contextlib.contextmanager
+def helper_thread():
+    """Run the block with a helper thread pinned to the last CPU of the
+    affinity mask, which split hands work to.
+
+    Where worker_cpus gives None (one CPU, no affinity calls, or a process
+    that runs other threads, such as one inside another helper_thread
+    block), no thread is started and split runs its work serially.  The
+    thread is joined before the block is left, whether it returns or raises,
+    so the process again runs one thread and may fork.
+    """
+    global _helper
+    cpus = worker_cpus()
+    if cpus is None:
+        yield
+        return
+    helper = _Helper(cpus[-1])
+    _helper = helper
+    try:
+        yield
+    finally:
+        _helper = None
+        helper.stop()
+
+
+def split(here, there):
+    """(here(), there()): ``there`` runs on the helper thread while ``here``
+    runs on this one, and this returns once both have ended.
+
+    Without a helper started by this thread, ``here`` runs and then
+    ``there``, here, as in a serial run.  Either way, where both raise, the
+    error of ``here``, which the serial order meets first, is raised.
+    """
+    helper = _helper
+    if helper is None or helper.owner != threading.get_ident():
+        return here(), there()
+    return helper.run(here, there)

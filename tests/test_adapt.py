@@ -319,7 +319,7 @@ def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypa
     # factorization of a problem is the fine reference's, a banded Cholesky
     # of the free block, which one CPU makes in this process
     banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
-    pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
+    pbtrf = _record_calls(monkeypatch, fine_fem, "_pbtrf")
     splu = _record_calls(monkeypatch, scipy.sparse.linalg, "splu")
     f_density, g_density = benchmark_densities(grid44)
     for mode in indicators.DUAL_NORM_MODES:
@@ -342,7 +342,7 @@ def test_fine_reference_is_factored_beside_the_offline_stage(grid44, unit_field4
     # the stacked zero-trace factorization and no factorization of the free
     # block, and the child is reaped before build_problem returns
     banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
-    pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
+    pbtrf = _record_calls(monkeypatch, fine_fem, "_pbtrf")
     f_density, g_density = benchmark_densities(grid44)
     with cpu_affinity(2):
         problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
@@ -353,6 +353,32 @@ def test_fine_reference_is_factored_beside_the_offline_stage(grid44, unit_field4
     with cpu_affinity(1):
         serial = adapt.build_problem(grid44, unit_field44, f_density, g_density)
     assert np.array_equal(problem.u_ref, serial.u_ref)
+
+
+def test_traces_are_the_same_bytes_on_one_cpu_and_on_two(channel_problem, tmp_path, monkeypatch):
+    # the 81 neighborhoods' stacked dual-norm solve is 5 chunks; on two CPUs
+    # the helper thread solves the upper ones, forms one product of each
+    # growth and gathers each system's basis, and every strategy's trace and
+    # indicators are the same bytes as on one CPU
+    threads = set()
+    pbtrs = fine_fem._pbtrs
+
+    def recorded(ab, b):
+        threads.add(threading.get_ident())
+        return pbtrs(ab, b)
+
+    monkeypatch.setattr(fine_fem, "_pbtrs", recorded)
+    cfg = MarkingConfig(max_iterations=8)
+    for cpus in (2, 1):
+        threads.clear()
+        with cpu_affinity(cpus):
+            for strategy in adapt.STRATEGIES:
+                trace = adapt.adapt_loop(channel_problem, strategy, cfg)
+                adapt.write_trace_csv(trace, tmp_path / f"trace-{strategy}-{cpus}.csv")
+                indicators.dump_indicators(trace.reports, tmp_path / f"eta-{strategy}-{cpus}.csv")
+        assert len(threads) == cpus
+    for name in (f"{kind}-{strategy}" for kind in ("trace", "eta") for strategy in adapt.STRATEGIES):
+        assert (tmp_path / f"{name}-1.csv").read_bytes() == (tmp_path / f"{name}-2.csv").read_bytes()
 
 
 def test_build_problem_rejects_unknown_dual_norm_mode(grid44, unit_field44, monkeypatch):
@@ -411,7 +437,11 @@ def test_problem_drops_the_patch_matrices(grid44, unit_field44, monkeypatch):
 def test_problem_holds_no_snapshots_or_eigenvectors():
     # build_problem fills the candidates, and in snapshot mode the zero-trace
     # parts, one neighborhood at a time and drops each snapshot block; a
-    # recomputation with every block kept is the oracle
+    # recomputation with every block kept is the oracle.  It multiplies the
+    # interior rows only, as build_basis does: a GEMM kernel need not give a
+    # row the same bits in a product over all patch rows (OpenBLAS's Haswell
+    # kernels do not), and chi_i is zero on the rim, so the rim rows hold no
+    # value of a candidate
     grid = mesh.GridHierarchy(5, 4)
     field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
     densities = benchmark_densities(grid)
@@ -420,11 +450,13 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     assert all(s.snapshots is None and s.eigenvectors is None for s in spectra)
 
     data = _offline(grid, field)
-    pairs = zip(data["pu"].patches, data["spectra"])
-    expected = np.stack([chi[:, None] * (s.snapshots @ s.eigenvectors) for chi, s in pairs])
     interior, rim = problem.space.neighborhoods.interior, problem.space.neighborhoods.rim
-    assert np.array_equal(problem.space.candidates, expected[:, interior].transpose(0, 2, 1))
-    assert np.all(expected[:, rim] == 0.0)
+    pairs = list(zip(data["pu"].patches, data["spectra"]))
+    expected = np.stack(
+        [chi[interior, None] * (s.snapshots[interior] @ s.eigenvectors) for chi, s in pairs]
+    )
+    assert np.array_equal(problem.space.candidates, expected.transpose(0, 2, 1))
+    assert all(np.all(chi[rim] == 0.0) for chi, _ in pairs)
     assert np.array_equal(problem.space.eigenvalues, [s.eigenvalues for s in data["spectra"]])
 
     cache = problem.dual_norms

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
@@ -531,3 +532,32 @@ def test_banded_dirichlet_solve_matches_sparse_lu(kind, monkeypatch):
         y = y + lu.solve(np.asarray(b_f - A_ld @ y, dtype=float))
     reference = np.asarray(y, dtype=float)
     assert np.abs(u[free] - reference).max() <= 1e-9 * np.abs(reference).max()
+
+
+def test_lapack_entries_are_bitwise_scipys_wrappers(grid44, unit_field44):
+    # _pbtrf and _pbtrs call the dpbtrf and dpbtrs that scipy's wrappers call,
+    # so on the free block's band they give the same bits and the same info
+    A = fine_fem.assemble_stiffness(grid44, unit_field44)
+    free = np.setdiff1d(np.arange(A.shape[0]), grid44.boundary_vertex_ids())
+    dense = A[free][:, free].toarray()
+    u = grid44.nf + 1
+    ab = np.zeros((u + 1, len(free)), order="F")
+    for k in range(u + 1):
+        ab[u - k, k:] = np.diagonal(dense, k)
+    oracle, info = scipy.linalg.lapack.dpbtrf(ab)
+    factor = ab.copy(order="F")
+    assert fine_fem._pbtrf(factor) == info == 0
+    assert factor.tobytes() == oracle.tobytes()
+    rhs = np.arange(2.0 * len(free)).reshape(-1, 2)
+    for b in (rhs[:, 0], rhs):
+        expected = scipy.linalg.cho_solve_banded((oracle, False), b)
+        assert fine_fem._pbtrs(factor, b).tobytes() == expected.tobytes()
+    indefinite = ab.copy(order="F")
+    indefinite[u, 3] = -1.0
+    expected_info = scipy.linalg.lapack.dpbtrf(indefinite)[1]  # factors a copy
+    assert fine_fem._pbtrf(indefinite) == expected_info == 4
+    for bad in (np.ascontiguousarray(ab), ab.astype(np.float32)):
+        with pytest.raises(ValueError, match="Fortran-ordered 2-D float64"):
+            fine_fem._pbtrf(bad)
+    with pytest.raises(ValueError, match="right-hand side"):
+        fine_fem._pbtrs(factor, rhs[:-1])

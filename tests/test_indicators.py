@@ -185,13 +185,13 @@ def test_chunked_norms_are_bitwise_one_whole_solve(
     rho_u, rho_z = channel_state["rho_u"], channel_state["rho_z"]
     cache = problem.dual_norms
     calls = []
-    pbtrs = cache._pbtrs
+    pbtrs = fine_fem._pbtrs
 
     def recorded(ab, b):
         calls.append((ab.shape[1], b.shape))
         return pbtrs(ab, b)
 
-    monkeypatch.setattr(cache, "_pbtrs", recorded)
+    monkeypatch.setattr(fine_fem, "_pbtrs", recorded)
     oracle = np.column_stack(
         [_one_shot_norms(problem, channel_field, rho) for rho in (rho_u, rho_z)]
     )
@@ -205,19 +205,20 @@ def test_chunked_norms_are_bitwise_one_whole_solve(
 
 
 def test_neighborhood_solve_is_the_caches_banded_solve(channel_state, monkeypatch):
-    # solve(i, rhs) is the cache's own dpbtrs on neighborhood i's column block
-    # of the factor, bitwise scipy's cho_solve_banded with that block
+    # solve(i, rhs) is the program's one dpbtrs (fine_fem._pbtrs) on
+    # neighborhood i's column block of the factor, bitwise scipy's
+    # cho_solve_banded with that block
     cache = channel_state["problem"].dual_norms
     interior = channel_state["problem"].space.neighborhoods.interior_vertices
     m = cache._block
     calls = []
-    pbtrs = cache._pbtrs
+    pbtrs = fine_fem._pbtrs
 
     def recorded(ab, b):
         calls.append(ab.shape[1])
         return pbtrs(ab, b)
 
-    monkeypatch.setattr(cache, "_pbtrs", recorded)
+    monkeypatch.setattr(fine_fem, "_pbtrs", recorded)
     for i in (0, 40, len(interior) - 1):
         block = cache._factor[:, i * m : (i + 1) * m]
         for rhs in (channel_state["rho_u"][interior[i]], np.eye(m)[:, :3]):

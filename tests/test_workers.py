@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import gmsfem
-from gmsfem import workers
+from gmsfem import adapt, coarse_solve, fine_fem, ms_space, workers
+from gmsfem.adapt import AdaptFailure, MarkingConfig
 
 from conftest import cpu_affinity
 
@@ -55,9 +56,11 @@ def _calls(node, name):
     return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func) == name]
 
 
-def test_only_workers_forks_and_only_its_children_pin():
+def test_only_workers_forks_and_only_its_children_pin(small_problem):
     # _forked is the one place that forks, and the one call that changes an
-    # affinity mask is the pin in its child branch: no caller's mask changes
+    # affinity mask is _pin, which pins the calling thread only: its callers
+    # are _forked's child branch and the helper thread, so no caller's mask
+    # changes, also not across an adapt_loop that runs a helper
     for info in pkgutil.iter_modules(gmsfem.__path__):
         if info.name != "workers":
             source = Path(importlib.import_module(f"gmsfem.{info.name}").__file__).read_text()
@@ -66,11 +69,18 @@ def test_only_workers_forks_and_only_its_children_pin():
     source = Path(workers.__file__).read_text()
     assert source.count("sched_setaffinity") == 1
     tree = ast.parse(source)
-    forked = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_forked")
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert len(_calls(functions["_pin"], "os.sched_setaffinity")) == 1
+    forked = functions["_forked"]
     branches = [n for n in ast.walk(forked) if isinstance(n, ast.If)]
     child = next(n for n in branches if ast.unparse(n.test) == "pid == 0")
-    assert len(_calls(child, "os.sched_setaffinity")) == 1
+    assert len(_calls(child, "_pin")) == len(_calls(functions["_serve"], "_pin")) == 1
+    assert len(_calls(tree, "_pin")) == 2
     assert len(_calls(tree, "os.fork")) == len(_calls(forked, "os.fork")) == 1
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        adapt.adapt_loop(small_problem, "goal_h1", MarkingConfig(max_iterations=3))
+        assert os.sched_getaffinity(0) == mask
 
 
 def test_shared_arrays_read_as_zeros_before_any_write():
@@ -306,3 +316,122 @@ def test_one_blas_thread_shuts_the_pools_and_restores_the_counts(threads):
     else:
         assert tasks == 1 + len(counts)  # one pool thread per library beside this one
         assert reused[1] > 1  # a threaded call after the block runs a pool again
+
+
+def _fails(message):
+    def run():
+        raise ValueError(message)
+
+    return run
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_split_returns_both_results_and_the_error_a_serial_run_meets_first(cpus):
+    # there() runs on the helper, pinned to the last CPU, where there is one,
+    # and after here() on this thread where there is none; an error of
+    # there() reaches the caller, and where both fail, here()'s wins
+    ran = []
+
+    def here():
+        ran.append(("here", threading.get_ident()))
+        return "mine"
+
+    def there():
+        ran.append(("there", threading.get_ident(), frozenset(os.sched_getaffinity(0))))
+        return "theirs"
+
+    with cpu_affinity(cpus):
+        mask = os.sched_getaffinity(0)
+        with workers.helper_thread():
+            assert workers.split(here, there) == ("mine", "theirs")
+            with pytest.raises(ValueError, match="there failed"):
+                workers.split(here, _fails("there failed"))
+            with pytest.raises(ValueError, match="here failed"):
+                workers.split(_fails("here failed"), _fails("there failed"))
+            # a split on the helper itself has no helper: it runs serially there
+            nested = workers.split(lambda: 1, lambda: workers.split(lambda: 2, lambda: 3))
+            assert nested == (1, (2, 3))
+        assert os.sched_getaffinity(0) == mask
+    this = threading.get_ident()
+    if cpus == 1:
+        assert ran == [("here", this), ("there", this, frozenset(mask)), ("here", this)]
+    else:
+        (there_ran,) = [entry for entry in ran if entry[0] == "there"]
+        assert there_ran[1] != this and there_ran[2] == {max(mask)}
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_adapt_loop_joins_its_helper_thread_when_it_returns_or_raises(
+    small_problem, monkeypatch, fails
+):
+    # the helper gathers basis columns pinned to the last CPU of the mask, and
+    # is gone when adapt_loop is left, so the process may fork again
+    gathered = []
+    gather = ms_space.OfflineSpace.basis_columns
+
+    def recorded(self, *args):
+        gathered.append((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
+        return gather(self, *args)
+
+    def fail(self, rhs):
+        raise fine_fem.SolveFailure("coarse solve failed")
+
+    monkeypatch.setattr(ms_space.OfflineSpace, "basis_columns", recorded)
+    if fails:
+        monkeypatch.setattr(coarse_solve.CoarseSystem, "solve", fail)
+    with cpu_affinity(2):
+        mask = os.sched_getaffinity(0)
+        threads = threading.active_count()
+        with pytest.raises(AdaptFailure) if fails else contextlib.nullcontext():
+            adapt.adapt_loop(small_problem, "standard", MarkingConfig(max_iterations=3))
+        assert threading.active_count() == threads
+        assert workers.worker_cpus() is not None
+        assert os.sched_getaffinity(0) == mask
+    elsewhere = {cpus for ident, cpus in gathered if ident != threading.get_ident()}
+    assert elsewhere == {frozenset({max(mask)})}
+
+
+def test_interrupt_in_split_waits_for_the_helper_job_and_ends_the_thread():
+    # the job the helper runs is not cut off: the interrupt is raised once it
+    # has ended, and the block's exit still joins the thread
+    ended = []
+
+    def there():
+        time.sleep(0.2)
+        ended.append(True)
+
+    def here():
+        raise KeyboardInterrupt
+
+    with cpu_affinity(2):
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt), workers.helper_thread():
+            workers.split(here, there)
+        assert ended == [True]
+        assert threading.active_count() == threads
+
+
+def test_split_hands_every_result_back_under_fast_thread_switching():
+    # 2000 hand-offs with the interpreter switching threads every microsecond:
+    # each split returns its own two results, and the halves written by the
+    # two threads into one array never overwrite each other
+    out = np.zeros((2000, 2))
+
+    def half(k, side):
+        def run():
+            out[k, side] = k + side
+            return (k, side)
+
+        return run
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cpu_affinity(2), workers.helper_thread():
+            start = time.perf_counter()
+            results = [workers.split(half(k, 0), half(k, 1)) for k in range(len(out))]
+            assert time.perf_counter() - start < 60
+    finally:
+        sys.setswitchinterval(previous)
+    assert results == [((k, 0), (k, 1)) for k in range(len(out))]
+    assert np.array_equal(out, np.arange(len(out))[:, None] + np.arange(2))
