@@ -248,10 +248,9 @@ def adapt_loop(problem, strategy, cfg):
     runs at one BLAS thread (workers.one_blas_thread).  Where build_problem
     would fork workers, the run has a helper thread on the last CPU
     (workers.helper_thread), which takes half of the dual norms' chunked
-    solve, one of the two products of each store growth and the basis
-    gather of each coarse factorization; every value is bitwise the serial
-    one, so the trace does not depend on the number of CPUs.  The thread is
-    joined before this returns or raises.
+    solve and one of the two products of each store growth; every value is
+    bitwise the serial one, so the trace does not depend on the number of
+    CPUs.  The thread is joined before this returns or raises.
     """
     _check_strategy(strategy)
     A = problem.stiffness

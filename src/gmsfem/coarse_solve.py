@@ -46,8 +46,8 @@ class CoarseSystem:
     """Galerkin system on the span of an offline space's basis columns.
 
     Holds R, the basis matrix its space gathers from the candidates
-    (``space.basis_columns(space.counts)``, CSC, gathered beside the
-    factorization), and the sparse
+    (``space.basis_columns(space.counts)``, CSC, gathered once the
+    factorization has succeeded), and the sparse
     A_c = R' A R (CSC, sorted row indices) and primal load R' b, as
     selected from a GalerkinStore.
     Its columns are in candidate numbering i * L + k, where neighborhood i
@@ -69,7 +69,8 @@ class CoarseSystem:
         self.load = load
         if np.any(self.matrix.diagonal() <= 0):
             raise RankDeficientBasis("coarse stiffness has a nonpositive diagonal entry")
-        self._solve, self.R = self._factorize()
+        self._solve = self._factorize()
+        self.R = space.basis_columns(space.counts)
 
     @property
     def dense(self):
@@ -81,12 +82,8 @@ class CoarseSystem:
         return False
 
     def _factorize(self):
-        """(refined solve, R); R is gathered on workers' helper thread while
-        this one factors (fine_fem._banded_cholesky)."""
-        space = self.space
-        solve, pivots, info, R = _banded_cholesky(
-            self.matrix, lambda: space.basis_columns(space.counts)
-        )
+        """The refined solve of _banded_cholesky, or RankDeficientBasis."""
+        solve, pivots, info = _banded_cholesky(self.matrix)
         # info > 0: the leading minor of order info failed, and ``pivots``
         # covers only the columns before it
         small = np.flatnonzero(pivots <= self.dim * np.finfo(float).eps)
@@ -105,7 +102,7 @@ class CoarseSystem:
                 f"the largest scaled coupling to it is {p} ({scaled[k]:.6f})",
                 columns=(p, j),
             )
-        return solve, R
+        return solve
 
     def solve(self, rhs):
         """Solve A_c c = rhs to 1e-12 relative residual; attach R c.

@@ -12,19 +12,20 @@ zero-trace operators' stacked band and interior blocks that the dual norms
 use.  The Dirichlet solve here and the coarse
 solves of coarse_solve take one path: ``_banded_cholesky`` factors the band
 of the unit-diagonal matrix and returns its pivots and its refined solve.
-Every banded factor and banded solve of the program, the dual norms' too,
-goes through ``_pbtrf`` and ``_pbtrs``: LAPACK's dpbtrf and dpbtrs, the
-routines scipy's wrappers call, called through ctypes, which releases the
-GIL for the call, so a solve on workers' helper thread overlaps one here.
+Every banded factor of the program is LAPACK's dpbtrf through scipy: the
+dual norms' through ``scipy.linalg.cholesky_banded``, the others through
+``scipy.linalg.lapack.dpbtrf``.  Every banded solve goes through
+``_pbtrs``: LAPACK's dpbtrs, the routine scipy's wrapper calls, called
+through ctypes, which releases the GIL for the call, so a solve on
+workers' helper thread overlaps one here.
 """
 
 import ctypes
 
 import numpy as np
 import scipy.linalg.cython_lapack
+import scipy.linalg.lapack
 import scipy.sparse as sparse
-
-from . import workers
 
 __all__ = [
     "CoefficientField",
@@ -81,7 +82,6 @@ def _lapack(name, n_args):
     )
 
 
-_DPBTRF = _lapack("dpbtrf", 6)
 _DPBTRS = _lapack("dpbtrs", 9)
 _UPPER = ctypes.c_char(b"U")
 
@@ -100,24 +100,12 @@ def _check_band(ab):
         )
 
 
-def _pbtrf(ab):
-    """Factor the upper band storage ``ab`` (Fortran-ordered float64,
-    ldab = kd + 1) in place with LAPACK's dpbtrf; returns its ``info``: 0, or
-    the order of the first leading minor that is not positive definite."""
-    _check_band(ab)
-    ints = (ctypes.c_int * 4)(ab.shape[1], ab.shape[0] - 1, ab.shape[0], 0)
-    at = ctypes.addressof(ints)
-    _DPBTRF(ctypes.addressof(_UPPER), at, at + 4, _address(ab), at + 8, at + 12)
-    if ints[3] < 0:
-        raise ValueError(f"dpbtrf: argument {-ints[3]} is invalid")
-    return ints[3]
-
-
 def _pbtrs(ab, b):
-    """Solve with the upper banded Cholesky factor ``ab`` of _pbtrf for the
-    right-hand sides ``b``, (n,) or (n, k), with LAPACK's dpbtrs; the
-    solution is a new Fortran-ordered array of b's shape, the one copy of
-    b made here, as scipy's pbtrs makes it."""
+    """Solve with the upper banded Cholesky factor ``ab`` of LAPACK's dpbtrf
+    (Fortran-ordered float64, ldab = kd + 1) for the right-hand sides
+    ``b``, (n,) or (n, k), with LAPACK's dpbtrs; the solution is a new
+    Fortran-ordered array of b's shape, the one copy of b made here, as
+    scipy's pbtrs makes it."""
     _check_band(ab)
     x = np.array(b, dtype=np.float64, order="F")
     n = ab.shape[1]
@@ -329,20 +317,18 @@ def _refine(correct, A_ld, b, x, rtol, steps, label):
     )
 
 
-def _banded_cholesky(M, beside=lambda: None):
-    """Banded Cholesky of D^-1/2 M D^-1/2, D = diag(M):
-    (solve, pivots, info, beside()).
+def _banded_cholesky(M):
+    """Banded Cholesky of D^-1/2 M D^-1/2, D = diag(M): (solve, pivots, info).
 
     M is a symmetric CSC matrix in the order it is to be factored, without
     pivoting.  The scaled upper band is gathered into band storage, entry
     (row, col) at ab[u + row - col, col] for the half-bandwidth u of M's
-    pattern, and factored with ``_pbtrf`` (its ``info``: 0, or the order of
-    the first leading minor that is not positive definite, whose earlier
-    columns are factored).  The longdouble copy of M and ``beside()`` are
-    made on workers' helper thread while this one factors (workers.split).
-    ``pivots`` are the factor's squared diagonal over the factored columns;
-    ``solve(b, rtol, steps, label)`` (for info 0) solves M x = b with
-    ``_pbtrs``, refined by ``_refine`` against M in longdouble.
+    pattern, and factored with ``dpbtrf`` (called directly for its ``info``:
+    0, or the order of the first leading minor that is not positive definite,
+    whose earlier columns are factored).  ``pivots`` are the factor's squared
+    diagonal over those columns; ``solve(b, rtol, steps, label)`` (for info
+    0) solves M x = b with ``_pbtrs``, refined by ``_refine`` against M in
+    longdouble.
     """
     scale = np.sqrt(M.diagonal())
     inv = 1.0 / scale
@@ -352,19 +338,18 @@ def _banded_cholesky(M, beside=lambda: None):
     u = int((cols - rows).max())
     ab = np.zeros((u + 1, M.shape[1]), order="F")
     ab[u + rows - cols, cols] = M.data[upper] * inv[rows] * inv[cols]
-    info, (M_ld, extra) = workers.split(
-        lambda: _pbtrf(ab), lambda: (M.astype(np.longdouble), beside())
-    )
+    factor, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
     done = info - 1 if info > 0 else M.shape[1]
+    M_ld = M.astype(np.longdouble)
 
     def scaled_solve(rhs):
-        return _pbtrs(ab, rhs / scale)
+        return _pbtrs(factor, rhs / scale)
 
     def solve(b, rtol, steps, label):
         x = scaled_solve(b).astype(np.longdouble) / scale
         return _refine(lambda resid: scaled_solve(resid) / scale, M_ld, b, x, rtol, steps, label)
 
-    return solve, ab[u, :done] ** 2, info, extra
+    return solve, factor[u, :done] ** 2, info
 
 
 def solve_dirichlet(A, b, fixed):
@@ -386,7 +371,7 @@ def solve_dirichlet(A, b, fixed):
     if not np.all(np.isfinite(b)):
         raise ValueError("load vector contains non-finite values")
     free = np.setdiff1d(np.arange(n), np.asarray(fixed, dtype=int))
-    solve, _, info, _ = _banded_cholesky(A[free][:, free].tocsc())
+    solve, _, info = _banded_cholesky(A[free][:, free].tocsc())
     if info != 0:
         raise SolveFailure(
             f"Dirichlet solve: free block is not positive definite "

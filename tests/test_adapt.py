@@ -319,7 +319,7 @@ def test_one_zero_trace_factorization_per_problem(grid44, unit_field44, monkeypa
     # factorization of a problem is the fine reference's, a banded Cholesky
     # of the free block, which one CPU makes in this process
     banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
-    pbtrf = _record_calls(monkeypatch, fine_fem, "_pbtrf")
+    pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
     splu = _record_calls(monkeypatch, scipy.sparse.linalg, "splu")
     f_density, g_density = benchmark_densities(grid44)
     for mode in indicators.DUAL_NORM_MODES:
@@ -342,7 +342,7 @@ def test_fine_reference_is_factored_beside_the_offline_stage(grid44, unit_field4
     # the stacked zero-trace factorization and no factorization of the free
     # block, and the child is reaped before build_problem returns
     banded = _record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
-    pbtrf = _record_calls(monkeypatch, fine_fem, "_pbtrf")
+    pbtrf = _record_calls(monkeypatch, scipy.linalg.lapack, "dpbtrf")
     f_density, g_density = benchmark_densities(grid44)
     with cpu_affinity(2):
         problem = adapt.build_problem(grid44, unit_field44, f_density, g_density)
@@ -357,9 +357,9 @@ def test_fine_reference_is_factored_beside_the_offline_stage(grid44, unit_field4
 
 def test_traces_are_the_same_bytes_on_one_cpu_and_on_two(channel_problem, tmp_path, monkeypatch):
     # the 81 neighborhoods' stacked dual-norm solve is 5 chunks; on two CPUs
-    # the helper thread solves the upper ones, forms one product of each
-    # growth and gathers each system's basis, and every strategy's trace and
-    # indicators are the same bytes as on one CPU
+    # the helper thread solves the upper ones and forms one product of each
+    # growth, and every strategy's trace and indicators are the same bytes as
+    # on one CPU
     threads = set()
     pbtrs = fine_fem._pbtrs
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gmsfem
-from gmsfem import adapt, coarse_solve, fine_fem, ms_space, workers
+from gmsfem import adapt, fine_fem, indicators, workers
 from gmsfem.adapt import AdaptFailure, MarkingConfig
 
 from conftest import cpu_affinity
@@ -362,32 +362,33 @@ def test_split_returns_both_results_and_the_error_a_serial_run_meets_first(cpus)
 
 @pytest.mark.parametrize("fails", [False, True])
 def test_adapt_loop_joins_its_helper_thread_when_it_returns_or_raises(
-    small_problem, monkeypatch, fails
+    channel_problem, monkeypatch, fails
 ):
-    # the helper gathers basis columns pinned to the last CPU of the mask, and
-    # is gone when adapt_loop is left, so the process may fork again
-    gathered = []
-    gather = ms_space.OfflineSpace.basis_columns
+    # the helper solves the upper chunks of the 5-chunk dual-norm stack pinned
+    # to the last CPU of the mask, and is gone when adapt_loop is left, so the
+    # process may fork again
+    solved = []
+    pbtrs = fine_fem._pbtrs
 
-    def recorded(self, *args):
-        gathered.append((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
-        return gather(self, *args)
+    def recorded(ab, b):
+        solved.append((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
+        return pbtrs(ab, b)
 
-    def fail(self, rhs):
-        raise fine_fem.SolveFailure("coarse solve failed")
+    def fail(space, primal_norms):
+        raise fine_fem.SolveFailure("indicator failed")
 
-    monkeypatch.setattr(ms_space.OfflineSpace, "basis_columns", recorded)
+    monkeypatch.setattr(fine_fem, "_pbtrs", recorded)
     if fails:
-        monkeypatch.setattr(coarse_solve.CoarseSystem, "solve", fail)
+        monkeypatch.setattr(indicators, "eta_standard", fail)
     with cpu_affinity(2):
         mask = os.sched_getaffinity(0)
         threads = threading.active_count()
         with pytest.raises(AdaptFailure) if fails else contextlib.nullcontext():
-            adapt.adapt_loop(small_problem, "standard", MarkingConfig(max_iterations=3))
+            adapt.adapt_loop(channel_problem, "standard", MarkingConfig(max_iterations=3))
         assert threading.active_count() == threads
         assert workers.worker_cpus() is not None
         assert os.sched_getaffinity(0) == mask
-    elsewhere = {cpus for ident, cpus in gathered if ident != threading.get_ident()}
+    elsewhere = {cpus for ident, cpus in solved if ident != threading.get_ident()}
     assert elsewhere == {frozenset({max(mask)})}
 
 
