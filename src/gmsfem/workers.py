@@ -16,12 +16,12 @@ Elsewhere every call here runs its work in this process, in serial order.
   CPU is busy with other work simply takes fewer.
 - Beside runs one computation in a child on the last CPU while the body of
   a ``with`` block runs here.
-- helper_thread starts, for its ``with`` block, one thread pinned to the
-  last CPU, and split(here, there) runs there() on it while here() runs on
-  the calling thread.  The split work releases the GIL in its LAPACK and
-  array kernels, so the two halves overlap.  Without a helper (worker_cpus
-  gives None, or the caller is not the thread that started it) split runs
-  here() and then there(), in this thread.
+- helper_thread runs its ``with`` block beside a ThreadPoolExecutor of one
+  thread, pinned to the last CPU, and split(here, there) submits there() to
+  it while here() runs on the calling thread.  The split work releases the
+  GIL in its LAPACK and array kernels, so the two halves overlap.  Without
+  a helper (worker_cpus gives None, or the caller is not the thread that
+  started it) split runs here() and then there(), in this thread.
 
 Workers write their results only into anonymous shared mappings
 (shared_arrays) made before the fork, so nothing is sent back.  Each forked
@@ -37,6 +37,7 @@ is reaped this process reruns the unflagged work in ascending order, so a
 failure is always the one a serial run raises.
 """
 
+import concurrent.futures
 import contextlib
 import ctypes
 import mmap
@@ -317,67 +318,7 @@ def Beside(compute, shape):
     beside.result = out
 
 
-class _Helper:
-    """A thread pinned to ``cpu`` that runs one job at a time for the thread
-    that started it, ``owner``: run(here, there) hands it ``there`` and runs
-    ``here`` meanwhile.  Two plain locks pass the job and its end back and
-    forth: a hand-off took 8-12 us, against 23-42 us through a queue and an
-    Event (2-vCPU VM)."""
-
-    def __init__(self, cpu):
-        self.owner = threading.get_ident()
-        self._job = self._outcome = None
-        self._start, self._done = threading.Lock(), threading.Lock()
-        self._start.acquire()
-        self._done.acquire()
-        self._thread = threading.Thread(target=self._serve, args=(cpu,), daemon=True)
-        self._thread.start()
-
-    def _serve(self, cpu):
-        try:
-            _pin(cpu)
-        except OSError:
-            pass  # it runs unpinned; the results are the same
-        while True:
-            self._start.acquire()
-            job = self._job
-            if job is None:
-                return
-            try:
-                self._outcome = (job(), None)
-            except BaseException as exc:  # raised in the owner
-                self._outcome = (None, exc)
-            self._done.release()
-
-    def run(self, here, there):
-        self._job = there
-        self._start.release()
-        try:
-            result = here()
-        finally:
-            try:
-                self._done.acquire()
-            except BaseException:
-                self.owner = None  # interrupted while the job runs: no later split comes here
-                raise
-        theirs, error = self._outcome
-        self._job = self._outcome = None
-        if error is not None:
-            raise error
-        return result, theirs
-
-    def stop(self):
-        """End the thread once its job, if any, has ended.  After an
-        interrupted run, the start lock may still be released, untaken."""
-        self._job = None
-        try:
-            self._start.release()
-        except RuntimeError:
-            pass  # the thread takes the earlier release and finds no job
-        self._thread.join()
-
-
-_helper = None  # the helper of the running helper_thread block, if it started one
+_helper = None  # (pool, owner) of the running helper_thread block, if it started one
 
 
 @contextlib.contextmanager
@@ -385,24 +326,27 @@ def helper_thread():
     """Run the block with a helper thread pinned to the last CPU of the
     affinity mask, which split hands work to.
 
-    Where worker_cpus gives None (one CPU, no affinity calls, or a process
-    that runs other threads, such as one inside another helper_thread
-    block), no thread is started and split runs its work serially.  The
-    thread is joined before the block is left, whether it returns or raises,
-    so the process again runs one thread and may fork.
+    The thread is the one worker of a ThreadPoolExecutor, started and
+    pinned on entry.  Where worker_cpus gives None (one CPU, no affinity
+    calls, or a process that runs other threads, such as one inside another
+    helper_thread block), no thread is started and split runs its work
+    serially.  The thread is joined once its current job has ended, before
+    the block is left, whether it returns, raises or is interrupted, so the
+    process again runs one thread and may fork.
     """
     global _helper
     cpus = worker_cpus()
     if cpus is None:
         yield
         return
-    helper = _Helper(cpus[-1])
-    _helper = helper
-    try:
-        yield
-    finally:
-        _helper = None
-        helper.stop()
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        with contextlib.suppress(OSError):  # unpinned, the results are the same
+            pool.submit(_pin, cpus[-1]).result()
+        _helper = (pool, threading.get_ident())
+        try:
+            yield
+        finally:
+            _helper = None
 
 
 def split(here, there):
@@ -410,10 +354,16 @@ def split(here, there):
     runs on this one, and this returns once both have ended.
 
     Without a helper started by this thread, ``here`` runs and then
-    ``there``, here, as in a serial run.  Either way, where both raise, the
+    ``there``, here, as in a serial run (a split on the helper itself would
+    otherwise wait on its own pool).  Either way, where both raise, the
     error of ``here``, which the serial order meets first, is raised.
     """
-    helper = _helper
-    if helper is None or helper.owner != threading.get_ident():
+    pool, owner = _helper or (None, None)
+    if owner != threading.get_ident():
         return here(), there()
-    return helper.run(here, there)
+    theirs = pool.submit(there)
+    try:
+        mine = here()
+    finally:
+        theirs.exception()  # waits for there() to end; its error is raised below
+    return mine, theirs.result()

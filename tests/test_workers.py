@@ -56,11 +56,18 @@ def _calls(node, name):
     return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func) == name]
 
 
+def _uses(node, name):
+    """The references to the plain name ``name`` under ``node``: its calls,
+    and its uses as an argument, such as ``pool.submit(name, ...)``."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == name]
+
+
 def test_only_workers_forks_and_only_its_children_pin(small_problem):
     # _forked is the one place that forks, and the one call that changes an
-    # affinity mask is _pin, which pins the calling thread only: its callers
-    # are _forked's child branch and the helper thread, so no caller's mask
-    # changes, also not across an adapt_loop that runs a helper
+    # affinity mask is _pin, which pins the calling thread only: its only
+    # uses are _forked's child branch and helper_thread, which submits it to
+    # its pool's thread, so no caller's mask changes, also not across an
+    # adapt_loop that runs a helper
     for info in pkgutil.iter_modules(gmsfem.__path__):
         if info.name != "workers":
             source = Path(importlib.import_module(f"gmsfem.{info.name}").__file__).read_text()
@@ -74,8 +81,9 @@ def test_only_workers_forks_and_only_its_children_pin(small_problem):
     forked = functions["_forked"]
     branches = [n for n in ast.walk(forked) if isinstance(n, ast.If)]
     child = next(n for n in branches if ast.unparse(n.test) == "pid == 0")
-    assert len(_calls(child, "_pin")) == len(_calls(functions["_serve"], "_pin")) == 1
-    assert len(_calls(tree, "_pin")) == 2
+    assert len(_calls(child, "_pin")) == len(_uses(child, "_pin")) == 1
+    assert len(_uses(functions["helper_thread"], "_pin")) == 1
+    assert len(_uses(tree, "_pin")) == 2
     assert len(_calls(tree, "os.fork")) == len(_calls(forked, "os.fork")) == 1
     with cpu_affinity(2):
         mask = os.sched_getaffinity(0)
@@ -409,6 +417,42 @@ def test_interrupt_in_split_waits_for_the_helper_job_and_ends_the_thread():
         with pytest.raises(KeyboardInterrupt), workers.helper_thread():
             workers.split(here, there)
         assert ended == [True]
+        assert threading.active_count() == threads
+
+
+def test_interrupt_while_split_waits_leaves_the_block_once_the_job_ends():
+    # a signal handler that raises while the caller waits for the helper's
+    # job: the interrupt reaches the caller at once, the block's exit waits
+    # for the job and joins the thread, and a later block starts a new one
+    ended, raised = [], []
+
+    def there():
+        time.sleep(0.3)
+        ended.append(True)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    with cpu_affinity(2):
+        threads = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt), workers.helper_thread():
+                start = time.perf_counter()
+                signal.setitimer(signal.ITIMER_REAL, 0.05)
+                try:
+                    workers.split(lambda: 1, there)
+                finally:
+                    raised.append(time.perf_counter() - start)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert raised[0] < 0.25
+        assert ended == [True]
+        assert threading.active_count() == threads
+        with workers.helper_thread():
+            assert threading.active_count() == threads + 1
+            assert workers.split(lambda: 1, lambda: 2) == (1, 2)
         assert threading.active_count() == threads
 
 
