@@ -247,8 +247,8 @@ def adapt_loop(problem, strategy, cfg):
     of its primal and dual residuals in one call.  Like build_problem, it
     runs at one BLAS thread (workers.one_blas_thread).  Where build_problem
     would fork workers, the run has a helper thread on the last CPU
-    (workers.helper_thread), which takes half of the dual norms' chunked
-    solve and one of the two products of each store growth; every value is
+    (workers.helper_thread), which takes the lower half of the dual norms'
+    chunked solve and the short product of each store growth; every value is
     bitwise the serial one, so the trace does not depend on the number of
     CPUs.  The thread is joined before this returns or raises.
     """

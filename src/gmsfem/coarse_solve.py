@@ -167,14 +167,19 @@ class GalerkinStore:
             return
         new = self.space.candidate_numbers(need, self.have)
         R_new = self.space.basis_columns(need, self.have)
-        AR_new = (self.A @ R_new).tocsc()
-        # G[p, q] for new p and old q at (q, p), formed here while the helper
-        # thread gathers every held column and forms G[p, q] for every held p
-        # and new q, rows in candidate order (workers.split)
-        lower, upper = workers.split(
-            lambda: (self.AR.T @ R_new).tocoo(),
-            lambda: (self.space.basis_columns(need).T @ AR_new).tocoo(),
-        )
+
+        def here():
+            # R_new' A reads only R_new's rows of A; A is bitwise symmetric,
+            # so its transpose, indices sorted, is bitwise (A R_new).tocsc().
+            # Then G[p, q] for every held p and new q, rows in candidate order
+            AR_new = R_new.T @ self.A
+            AR_new.sort_indices()
+            AR_new = AR_new.T
+            return AR_new, (self.space.basis_columns(need).T @ AR_new).tocoo()
+
+        # the helper thread forms G[p, q] for new p and old q at (q, p), the
+        # short half, while this thread gathers every held column (workers.split)
+        (AR_new, upper), lower = workers.split(here, lambda: (self.AR.T @ R_new).tocoo())
         self.have = need
         self.number = np.concatenate([self.number, new])
         self.AR = sparse.hstack([self.AR, AR_new], format="csc")

@@ -180,8 +180,9 @@ class ResidualNormCache:
         the chunk.  So every column's inner products keep the length u they
         have in one call over the whole stack, and each chunk is bitwise that
         call's.  The chunks are independent: workers' helper thread solves
-        the upper half of them while this thread solves the lower half
-        (workers.split); a stack of one chunk is solved here.
+        the lower half of them while this thread solves the upper half, the
+        larger one for an odd count (workers.split); a stack of one chunk is
+        solved here.
         """
         u = self._factor.shape[0] - 1
         size = self._block * max(1, _CHUNK_BYTES // self._factor[:, : self._block].nbytes)
@@ -199,7 +200,7 @@ class ResidualNormCache:
             solve(starts)
         else:
             half = len(starts) // 2
-            workers.split(lambda: solve(starts[:half]), lambda: solve(starts[half:]))
+            workers.split(lambda: solve(starts[half:]), lambda: solve(starts[:half]))
         return x
 
 

@@ -19,7 +19,9 @@ Elsewhere every call here runs its work in this process, in serial order.
 - helper_thread runs its ``with`` block beside a ThreadPoolExecutor of one
   thread, pinned to the last CPU, and split(here, there) submits there() to
   it while here() runs on the calling thread.  The split work releases the
-  GIL in its LAPACK and array kernels, so the two halves overlap.  Without
+  GIL in its LAPACK and array kernels, so the two halves overlap; each
+  caller gives the helper the shorter half, whose results are small, and
+  keeps the longer one, which allocates most.  Without
   a helper (worker_cpus gives None, or the caller is not the thread that
   started it) split runs here() and then there(), in this thread.
 

@@ -357,9 +357,9 @@ def test_fine_reference_is_factored_beside_the_offline_stage(grid44, unit_field4
 
 def test_traces_are_the_same_bytes_on_one_cpu_and_on_two(channel_problem, tmp_path, monkeypatch):
     # the 81 neighborhoods' stacked dual-norm solve is 5 chunks; on two CPUs
-    # the helper thread solves the upper ones and forms one product of each
-    # growth, and every strategy's trace and indicators are the same bytes as
-    # on one CPU
+    # the helper thread solves the lower ones and forms the short product of
+    # each growth, and every strategy's trace and indicators are the same
+    # bytes as on one CPU
     threads = set()
     pbtrs = fine_fem._pbtrs
 

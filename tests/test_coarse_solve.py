@@ -348,6 +348,11 @@ def test_store_systems_equal_fresh_one_shot_systems(small_problem):
     # the narrower space was selected without growing the store
     assert np.array_equal(store.have, enriched.extended(2).counts)
     assert len(store.number) == store.AR.shape[1] == store.have.sum()
+    # the store's A R, formed as R_new' A, is bitwise the product A R in CSC
+    held = store.AR[:, np.argsort(store.number)]
+    AR = (A @ problem.space.basis_columns(store.have)).tocsc()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(held, name), getattr(AR, name))
 
 
 def test_store_holds_no_basis_matrix(small_problem):

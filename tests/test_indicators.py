@@ -198,9 +198,11 @@ def test_chunked_norms_are_bitwise_one_whole_solve(
     assert np.array_equal(cache.norms(rho_u), oracle[:, 0])
     assert np.array_equal(cache.norms(np.column_stack((rho_u, rho_z))), oracle)
     # each call after the first starts u columns early, in the previous
-    # neighborhood's tail, and solves every right-hand side at once
+    # neighborhood's tail, and solves every right-hand side at once; with no
+    # helper thread the caller's upper half of the chunks runs first
     firsts = range(0, N, per_chunk)
     widths = [min(per_chunk, N - first) * m + (u if first else 0) for first in firsts]
+    widths = widths[len(widths) // 2 :] + widths[: len(widths) // 2]
     assert calls == [(w, (w, 1)) for w in widths] + [(w, (w, 2)) for w in widths]
 
 

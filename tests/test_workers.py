@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gmsfem
-from gmsfem import adapt, fine_fem, indicators, workers
+from gmsfem import adapt, fine_fem, indicators, ms_space, workers
 from gmsfem.adapt import AdaptFailure, MarkingConfig
 
 from conftest import cpu_affinity
@@ -372,7 +372,7 @@ def test_split_returns_both_results_and_the_error_a_serial_run_meets_first(cpus)
 def test_adapt_loop_joins_its_helper_thread_when_it_returns_or_raises(
     channel_problem, monkeypatch, fails
 ):
-    # the helper solves the upper chunks of the 5-chunk dual-norm stack pinned
+    # the helper solves the lower chunks of the 5-chunk dual-norm stack pinned
     # to the last CPU of the mask, and is gone when adapt_loop is left, so the
     # process may fork again
     solved = []
@@ -398,6 +398,23 @@ def test_adapt_loop_joins_its_helper_thread_when_it_returns_or_raises(
         assert os.sched_getaffinity(0) == mask
     elsewhere = {cpus for ident, cpus in solved if ident != threading.get_ident()}
     assert elsewhere == {frozenset({max(mask)})}
+
+
+def test_helper_thread_gathers_no_basis_columns(channel_problem, monkeypatch):
+    # every gather of basis columns, the growth's gather of all held columns
+    # included, runs on the thread that called adapt_loop; the helper only
+    # multiplies columns gathered for it
+    gathered = []
+    basis_columns = ms_space.OfflineSpace.basis_columns
+
+    def recorded(self, *args, **kwargs):
+        gathered.append(threading.get_ident())
+        return basis_columns(self, *args, **kwargs)
+
+    monkeypatch.setattr(ms_space.OfflineSpace, "basis_columns", recorded)
+    with cpu_affinity(2):
+        adapt.adapt_loop(channel_problem, "standard", MarkingConfig(max_iterations=3))
+    assert gathered and set(gathered) == {threading.get_ident()}
 
 
 def test_interrupt_in_split_waits_for_the_helper_job_and_ends_the_thread():
