@@ -158,8 +158,8 @@ class ProblemSetup:
     ``dual_norms``, the ResidualNormCache of the problem's one dual-norm
     mode, the fine reference solution, which gives the trace's error
     columns and the loop's goal_tol stop, and ``galerkin_store``, the
-    GalerkinStore of the stiffness and the source load, which every run on
-    this problem selects from and grows.  That growth is the only state
+    GalerkinStore of the stiffness, which every run on this problem selects
+    from and grows, whatever its source.  That growth is the only state
     added after construction.
     """
 
@@ -170,7 +170,7 @@ class ProblemSetup:
         self.space = space
         self.u_ref = u_ref
         self.dual_norms = dual_norms
-        self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness, f_load)
+        self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness)
 
 
 @workers.one_blas_thread()

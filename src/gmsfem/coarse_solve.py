@@ -2,6 +2,7 @@
 
 Every coarse system takes one path, a banded Cholesky factorization in
 candidate numbering with refinement in extended precision (see CoarseSystem).
+Its matrix comes from the problem's GalerkinStore, which holds no source.
 """
 
 import numpy as np
@@ -47,9 +48,8 @@ class CoarseSystem:
 
     Holds R, the basis matrix its space gathers from the candidates
     (``space.basis_columns(space.counts)``, CSC, gathered once the
-    factorization has succeeded), and the sparse
-    A_c = R' A R (CSC, sorted row indices) and primal load R' b, as
-    selected from a GalerkinStore.
+    factorization has succeeded), the sparse A_c = R' A R (CSC, sorted row
+    indices) as selected from a GalerkinStore, and the fine source b.
     Its columns are in candidate numbering i * L + k, where neighborhood i
     couples only with its at most 8 neighbors, so A_c is banded without any
     reordering.  The constructor factors the unit-diagonal D^-1/2 A_c D^-1/2
@@ -62,15 +62,20 @@ class CoarseSystem:
     residuals in extended precision to a relative residual of 1e-12.
     """
 
-    def __init__(self, space, matrix, load):
+    def __init__(self, space, matrix, source):
         self.space = space
         self.matrix = matrix
         self.dim = space.total_dofs
-        self.load = load
+        self.source = source
         if np.any(self.matrix.diagonal() <= 0):
             raise RankDeficientBasis("coarse stiffness has a nonpositive diagonal entry")
         self._solve = self._factorize()
         self.R = space.basis_columns(space.counts)
+
+    @property
+    def load(self):
+        """R' b, formed when read, as solve_dual forms R' g."""
+        return self.R.T @ np.asarray(self.source, dtype=float)
 
     @property
     def dense(self):
@@ -126,39 +131,35 @@ class GalerkinStore:
     store holds the leading ``have[i]`` candidates of every neighborhood,
     each computed once, when a requested space first needs it: its column
     of A R, in the order they were computed (``number`` maps that position
-    to its candidate number), its entry of the load R'b, and its row and
-    column of the coupling G = R'AR.  It holds no basis matrix: the
-    candidate array of its space is the one copy of the basis, and each
-    growth and each CoarseSystem gathers the columns it needs from it
-    (OfflineSpace.basis_columns).  G is a T x T matrix and the load a
-    T-long vector, both in candidate numbering, T = N * L; the load is zero
-    and G's rows and columns are empty where a candidate is not yet held,
-    so a growth only fills empty rows and columns, and a space's matrix and
-    load are its candidates' rows, columns and entries in ascending number,
-    which come out sorted.  That order keeps each neighborhood's columns
-    next to its neighbors', so CoarseSystem factors the selection as a band
-    without reordering.  The full candidate set is never formed.
+    to its candidate number), and its row and column of the coupling
+    G = R'AR.  It holds no source, so it serves every source.  Nor does it
+    hold a basis matrix: the candidate array of its space is the one copy of
+    the basis, and each growth and each CoarseSystem gathers the columns it
+    needs from it (OfflineSpace.basis_columns).  G is a T x T matrix in
+    candidate numbering, T = N * L, whose rows and columns are empty where a
+    candidate is not yet held, so a growth only fills empty rows and
+    columns, and a space's matrix is its candidates' rows and columns in
+    ascending number, which come out sorted.  That order keeps each
+    neighborhood's columns next to its neighbors', so CoarseSystem factors
+    the selection as a band without reordering.  The full candidate set is
+    never formed.
 
     Entry (p, q) of G is the sum over fine vertices v, in ascending order, of
     R[v, p] * (A R)[v, q], exactly as the sparse product of a space's own
     basis matrix forms it, so each selection is bitwise equal to that
     one-shot R'AR.  Both halves of G come from such products: R'AR is not
     bitwise symmetric, so neither is filled in by transposing the other.
-    A basis column stores only its patch interior
-    (OfflineSpace.basis_columns), so the rim zeros of chi_i add no term to
-    these sums; its column of A R still covers the whole patch.
+    A basis column stores only its patch interior, so the rim zeros of chi_i
+    add no term to these sums; its column of A R still covers the whole patch.
     """
 
-    def __init__(self, space, A, b):
+    def __init__(self, space, A):
         self.space = space
         self.A = A
-        self.b = b
         self.have = np.zeros(space.n_neighborhoods, dtype=int)
-        total = space.n_neighborhoods * space.n_candidates
         self.number = np.empty(0, dtype=int)
         self.AR = sparse.csc_matrix((space.grid.n_vertices, 0))
-        self.load = np.zeros(total)
-        self.G = sparse.csc_matrix((total, total))
+        self.G = sparse.csc_matrix((space.n_neighborhoods * space.n_candidates,) * 2)
 
     def _grow(self, counts):
         """Compute the candidates of ``counts`` that the store does not hold."""
@@ -183,7 +184,6 @@ class GalerkinStore:
         self.have = need
         self.number = np.concatenate([self.number, new])
         self.AR = sparse.hstack([self.AR, AR_new], format="csc")
-        self.load[new] = R_new.T @ self.b
         # the new entries lie in rows or columns of new candidates, where G is
         # empty, and sparse products store no exact zeros: the sum is exact
         rows = np.concatenate([self.space.candidate_numbers(need)[upper.row], new[lower.col]])
@@ -191,29 +191,28 @@ class GalerkinStore:
         data = np.concatenate([upper.data, lower.data])
         self.G = self.G + sparse.csc_matrix((data, (rows, cols)), shape=self.G.shape)
 
-    def system(self, space):
-        """The CoarseSystem of ``space``, selected after growing the store to
-        cover its counts."""
+    def system(self, space, source):
+        """The CoarseSystem of ``space`` and ``source``, grown to its counts."""
         if space.candidates is not self.space.candidates:
             raise ValueError("space was not built from this store's candidates")
         self._grow(space.counts)
         numbers = space.candidate_numbers(space.counts)
         matrix = self.G[:, numbers][numbers, :]
-        return CoarseSystem(space, matrix, self.load[numbers])
+        return CoarseSystem(space, matrix, source)
 
 
 def assemble_coarse(space, A, b, store=None):
     """Couple the basis into the global form: A_c = R' A R, b_c = R' b.
 
-    ``store`` is the GalerkinStore of (A, b) to select from and grow; without
-    one the system is selected from a fresh store.  The system is factored
-    here, so a dependent basis raises RankDeficientBasis from this call.
+    ``store`` is a GalerkinStore of A, for any b, to select from and grow;
+    without one the system is selected from a fresh store.  The system is
+    factored in this call, so a dependent basis raises RankDeficientBasis.
     """
     if store is None:
-        store = GalerkinStore(space, A, b)
-    elif store.A is not A or store.b is not b:
-        raise ValueError("the store holds another stiffness or load")
-    return store.system(space)
+        store = GalerkinStore(space, A)
+    elif store.A is not A:
+        raise ValueError("the store holds another stiffness")
+    return store.system(space, b)
 
 
 def solve_primal(system):

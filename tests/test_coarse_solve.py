@@ -328,7 +328,7 @@ def test_store_systems_equal_fresh_one_shot_systems(small_problem):
     # basis matrix bit for bit
     problem = small_problem
     A, b, g = problem.stiffness, problem.f_load, problem.g_load
-    store = coarse_solve.GalerkinStore(problem.space, A, b)
+    store = coarse_solve.GalerkinStore(problem.space, A)
     initial = problem.space
     enriched = ms_space.enrich(initial, [0, 4, 8], 1)
     spaces = (initial, enriched, enriched.extended(2), initial.extended(1))
@@ -358,11 +358,11 @@ def test_store_systems_equal_fresh_one_shot_systems(small_problem):
 def test_store_holds_no_basis_matrix(small_problem):
     # the candidate array is the one copy of the basis: after a selection the
     # store's only arrays with one entry per held column are A R and the
-    # candidate-number map; the load has one entry per candidate
+    # candidate-number map, and it holds no source and no load
     problem = small_problem
-    store = coarse_solve.GalerkinStore(problem.space, problem.stiffness, problem.f_load)
+    store = coarse_solve.GalerkinStore(problem.space, problem.stiffness)
     space = ms_space.enrich(problem.space, [0, 4], 1).extended(1)
-    store.system(space)
+    store.system(space, problem.f_load)
     held = int(store.have.sum())
     assert held not in (space.n_neighborhoods, space.n_neighborhoods * space.n_candidates)
     arrays = {
@@ -371,6 +371,7 @@ def test_store_holds_no_basis_matrix(small_problem):
         if isinstance(value, np.ndarray) or sparse.issparse(value)
     }
     assert {name for name, value in arrays.items() if held in value.shape} == {"AR", "number"}
+    assert set(arrays) == {"A", "have", "number", "AR", "G"}
 
 
 def test_system_basis_is_gathered_from_its_space(small_problem):
@@ -382,7 +383,7 @@ def test_system_basis_is_gathered_from_its_space(small_problem):
     assert np.array_equal(
         neighborhoods.interior_vertices, neighborhoods.vertices[:, neighborhoods.interior]
     )
-    store = coarse_solve.GalerkinStore(problem.space, problem.stiffness, problem.f_load)
+    store = coarse_solve.GalerkinStore(problem.space, problem.stiffness)
     enriched = ms_space.enrich(problem.space, [1, 3, 5], 2)
     for space in (problem.space, enriched, enriched.extended(1), problem.space.extended(2)):
         R = coarse_solve.assemble_coarse(space, problem.stiffness, problem.f_load, store).R
@@ -396,8 +397,35 @@ def test_system_basis_is_gathered_from_its_space(small_problem):
 
 def test_store_rejects_another_problem(small_problem, channel_problem):
     space, A = small_problem.space, small_problem.stiffness
-    store = coarse_solve.GalerkinStore(space, A, small_problem.f_load)
-    with pytest.raises(ValueError):
-        coarse_solve.assemble_coarse(space, A, small_problem.g_load, store)
-    with pytest.raises(ValueError):
-        store.system(channel_problem.space)
+    store = coarse_solve.GalerkinStore(space, A)
+    with pytest.raises(ValueError, match="another stiffness"):
+        coarse_solve.assemble_coarse(space, A.copy(), small_problem.f_load, store)
+    with pytest.raises(ValueError, match="candidates"):
+        store.system(channel_problem.space, channel_problem.f_load)
+    assert not store.have.any()
+
+
+def test_one_store_serves_two_sources(small_problem):
+    # the problem's store holds no source: grown with the primal source, it
+    # serves the goal load as a source too, bit for bit as a fresh store
+    # does, and without growing
+    problem = small_problem
+    A, f, g = problem.stiffness, problem.f_load, problem.g_load
+    store = problem.galerkin_store
+    enriched = ms_space.enrich(problem.space, [0, 4, 8], 2)
+    spaces = (problem.space, enriched, enriched.extended(1), problem.space.extended(2))
+    for space in spaces:
+        coarse_solve.solve_primal(coarse_solve.assemble_coarse(space, A, f, store))
+    have, G = store.have.copy(), store.G.copy()
+    for space in spaces:
+        system = coarse_solve.assemble_coarse(space, A, g, store)
+        R = space.basis_columns(space.counts)
+        assert np.array_equal(system.load, R.T @ g)
+        fresh = coarse_solve.assemble_coarse(space, A, g)
+        assert np.array_equal(
+            coarse_solve.solve_primal(system).coefficients,
+            coarse_solve.solve_primal(fresh).coefficients,
+        )
+    assert np.array_equal(store.have, have)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(store.G, name), getattr(G, name))
