@@ -173,6 +173,29 @@ class ProblemSetup:
         self.galerkin_store = coarse_solve.GalerkinStore(space, stiffness)
 
 
+def _repeats(field, weight, pu, dual_norms):
+    """same[i], the lowest neighborhood whose offline inputs are byte for
+    byte neighborhood i's: its patch stiffness and mass rows, chi_i and its
+    block of the exact factor (dual_norms.factor_block).
+
+    The patch rows are computed column by column from the coefficients and
+    spectral weights of the patch's cells (fine_fem.PatchMatrices), so one
+    np.unique over the bytes of those values and of chi_i groups them.  A
+    member whose factor block differs from its group's lowest is left to
+    itself (same[i] = i).  Bytes, not values, as -0.0 == 0.0.
+    """
+    cells = pu.neighborhoods.cells
+    cell_values = (coeff.values.ravel()[cells] for coeff in (field, weight))
+    keys = np.concatenate((*cell_values, pu.patches), axis=1)
+    rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0]
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    same = first[group]
+    for i in np.flatnonzero(same != np.arange(len(same))):
+        if dual_norms.factor_block(i).tobytes() != dual_norms.factor_block(same[i]).tobytes():
+            same[i] = i
+    return same
+
+
 @workers.one_blas_thread()
 def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
     """Run the fine reference solve and the offline pipeline for one problem.
@@ -185,16 +208,18 @@ def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
     mass of all neighborhoods are assembled in one batched call each and
     dropped when this returns; the patch stiffness comes first, as the
     exact dual-norm cache is built from it, and that cache's factor solves
-    the snapshots.  The problem's space is build_basis's one-function
-    space; each run widens it to its MarkingConfig.initial_count.  The
-    problem's ``dual_norms`` are of
-    ``dual_norm_mode``: in snapshot mode the ``spectrum`` closure copies the
-    snapshots' interior rows into one shared (N, m, L) array as the workers
-    solve them, and the snapshot cache is built from it once the exact
-    factor and the patch mass are released, so nothing is assembled or
-    solved twice.  It runs at one BLAS thread with the OpenBLAS pools shut
-    (workers.one_blas_thread), so its results do not depend on the thread
-    count and its workers may fork.
+    the snapshots.  It groups the neighborhoods whose spectral inputs are
+    byte for byte equal (_repeats), and build_basis solves each group once.
+    The problem's space is build_basis's one-function space; each run
+    widens it to its MarkingConfig.initial_count.  The problem's
+    ``dual_norms`` are of ``dual_norm_mode``: in snapshot mode the
+    ``spectrum`` closure copies the snapshots' interior rows into one
+    shared (N, m, L) array as the workers solve them, each group's other
+    members copy those rows once the fill is done, and the snapshot cache
+    is built from it once the exact factor and the patch mass are released,
+    so nothing is assembled or solved twice.  It runs at one BLAS thread
+    with the OpenBLAS pools shut (workers.one_blas_thread), so its results
+    do not depend on the thread count and its workers may fork.
     """
     _check_dual_norm_mode(dual_norm_mode)
     stiffness = fine_fem.assemble_stiffness(grid, field)
@@ -219,7 +244,7 @@ def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
             (parts,) = workers.shared_arrays((N, m, len(neighborhoods.rim)))
 
         def spectrum(i):
-            # one call per neighborhood: the benchmark's tracer wraps and counts each
+            # one call per solved neighborhood: the benchmark's tracer wraps and counts each
             snapshots = ms_space.compute_snapshots(patch_A, i, dual_norms)
             if parts is not None:
                 parts[i] = snapshots[neighborhoods.interior]
@@ -227,8 +252,11 @@ def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
                 i, patch_A.matrix(i), patch_S.matrix(i), snapshots
             )
 
-        space = ms_space.build_basis(pu, spectrum)
+        same = _repeats(field, weight, pu, dual_norms)
+        space = ms_space.build_basis(pu, spectrum, same)
         if parts is not None:
+            copies = np.flatnonzero(same != np.arange(len(same)))
+            parts[copies] = parts[same[copies]]
             del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
             dual_norms = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)
     return ProblemSetup(stiffness, f_load, g_load, space, reference.result, dual_norms)

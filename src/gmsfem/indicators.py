@@ -132,13 +132,18 @@ class ResidualNormCache:
         grams = 0.5 * (grams + grams.swapaxes(1, 2))
         self._pinv = np.linalg.pinv(grams, rcond=grams.shape[-1] * np.finfo(float).eps)
 
+    def factor_block(self, i):
+        """Neighborhood i's column block of the stacked factor, its own banded
+        factor (exact mode only)."""
+        m = self._block
+        return self._factor[:, i * m : (i + 1) * m]
+
     def solve(self, i, rhs):
         """Solve neighborhood i's zero-trace system for one or more right-hand
-        sides (exact mode only)."""
+        sides with its factor block (exact mode only)."""
         if self.mode != "exact":
             raise ValueError("only an exact-mode cache can solve; this one is in snapshot mode")
-        m = self._block
-        return fine_fem._pbtrs(self._factor[:, i * m : (i + 1) * m], rhs)
+        return fine_fem._pbtrs(self.factor_block(i), rhs)
 
     def norm(self, i, rho):
         """Dual norm of the local residual ``rho`` over neighborhood i, entry i

@@ -27,13 +27,20 @@ def unit_offline44(grid44, unit_field44):
 def _offline(grid, field):
     """The offline data of ``field`` with the snapshots and eigenvectors
     that build_problem does not keep, computed at one BLAS thread, as
-    build_problem computes them, so that they are bitwise its own."""
+    build_problem computes them, so that they are bitwise its own.  Every
+    neighborhood is solved.  ``same[i]`` is the lowest neighborhood whose
+    spectral inputs (patch stiffness and mass rows, chi_i and exact factor
+    block) have neighborhood i's bytes, found by comparing them whole."""
     pu = ms_space.compute_partition_of_unity(grid, field)
     neighborhoods = pu.neighborhoods
     patch_A = fine_fem.patch_stiffness(field, neighborhoods)
     exact_norms = indicators.ResidualNormCache(patch_A)
     weight = ms_space.compute_spectral_weight(field, pu)
     patch_S = fine_fem.patch_weighted_mass(weight, neighborhoods)
+    inputs = [
+        b"".join(a.tobytes() for a in (A, S, chi, exact_norms.factor_block(i)))
+        for i, (A, S, chi) in enumerate(zip(patch_A.data, patch_S.data, pu.patches))
+    ]
     spectra = []
     for i in range(len(neighborhoods)):
         snaps = ms_space.compute_snapshots(patch_A, i, exact_norms)
@@ -47,6 +54,7 @@ def _offline(grid, field):
         "pu": pu,
         "weight": weight,
         "spectra": spectra,
+        "same": np.array([inputs.index(row) for row in inputs]),
     }
 
 

@@ -278,11 +278,14 @@ def test_trajectory_independent_of_tied_eigenvector_basis(channel_problem, chann
         for r, s in zip(rotated_spectra, spectra)
     )
     assert moved > 0  # the channel medium has homogeneous, symmetric patches
+    rotated_space = ms_space.build_basis(
+        space.pu, rotated_spectra.__getitem__, channel_offline["same"]
+    ).with_counts(space.counts)
     rotated = adapt.ProblemSetup(
         channel_problem.stiffness,
         channel_problem.f_load,
         channel_problem.g_load,
-        ms_space.build_basis(space.pu, rotated_spectra.__getitem__).with_counts(space.counts),
+        rotated_space,
         channel_problem.u_ref,
         channel_problem.dual_norms,
     )
@@ -615,6 +618,11 @@ def _indefinite_mass_at(vertices, monkeypatch, delay_elsewhere=0.0):
     """Make the local mass of each neighborhood in ``vertices`` negative
     definite.  In a forked worker, the eigensolve of the first of them
     sleeps ``delay_elsewhere`` seconds before it fails."""
+    # injected by id, the fault reaches only a neighborhood that is solved:
+    # none of ``vertices`` may share its inputs with another neighborhood
+    grid = mesh.GridHierarchy(5, 4)
+    same = _offline(grid, cli.generate_field("channel", 1e4, grid.nf, seed=7))["same"]
+    assert [np.flatnonzero(same == same[v]).tolist() for v in vertices] == [[v] for v in vertices]
     here = os.getpid()
     solve = ms_space.local_spectral_decomposition
 
@@ -672,6 +680,137 @@ def test_failed_fine_reference_wins_over_an_offline_failure(monkeypatch):
     for cpus in (1, 2):
         message = _failure_message(cpus, fine_fem.SolveFailure)
         assert message == "Dirichlet solve stalled at relative residual 1.000e+00", cpus
+
+
+def _inclusions_grid_and_field():
+    # the criterion-8 inclusions medium at nc=10: 31 of its 81 neighborhoods
+    # have the spectral inputs of a lower one, byte for byte
+    grid = mesh.GridHierarchy(10, 10)
+    return grid, cli.generate_field("inclusions", 1e4, grid.nf, seed=7)
+
+
+@pytest.fixture(scope="module")
+def inclusions_offline():
+    return _offline(*_inclusions_grid_and_field())
+
+
+def _build(grid, field, dual_norm_mode="exact"):
+    densities = benchmark_densities(grid)
+    return adapt.build_problem(grid, field, *densities, dual_norm_mode=dual_norm_mode)
+
+
+def _assert_bytes_of_every_solve(problem, data):
+    """The problem's candidates, eigenvalues, jitter and, in snapshot mode,
+    zero-trace parts have the bytes of _offline's, which solves every
+    neighborhood."""
+    space, spectra = problem.space, data["spectra"]
+    interior = space.neighborhoods.interior
+    candidates = [
+        chi[interior, None] * (s.snapshots[interior] @ s.eigenvectors)
+        for chi, s in zip(data["pu"].patches, spectra)
+    ]
+    expected = {
+        "candidates": (space.candidates, np.stack(candidates).transpose(0, 2, 1)),
+        "eigenvalues": (space.eigenvalues, np.stack([s.eigenvalues for s in spectra])),
+        "jitter": (space.jitter, np.array([s.jitter for s in spectra])),
+    }
+    if problem.dual_norms.mode == "snapshot":
+        parts = np.stack([s.snapshots[interior] for s in spectra])
+        expected["parts"] = (problem.dual_norms._T, parts)
+    for name, (found, oracle) in expected.items():
+        assert found.shape == oracle.shape and found.tobytes() == oracle.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", indicators.DUAL_NORM_MODES)
+def test_repeated_inputs_are_solved_once_and_change_no_byte(
+    mode, inclusions_offline, monkeypatch, tmp_path
+):
+    # one eigensolve per group of neighborhoods with byte-equal inputs, for
+    # its lowest member; the other members copy its rows.  On two CPUs a
+    # member whose group is still being solved on the other worker solves
+    # for itself, which only the last group drawn can be
+    same = inclusions_offline["same"]
+    groups = np.flatnonzero(same == np.arange(len(same)))
+    assert (len(same), len(groups)) == (81, 50)
+    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves")
+    for cpus in (1, 2):
+        with cpu_affinity(cpus):
+            problem = _build(*_inclusions_grid_and_field(), mode)
+        _assert_no_child_left()
+        solved = np.array(sorted(i for _, i in since()))
+        again = np.setdiff1d(solved, groups)
+        assert np.array_equal(np.setdiff1d(solved, again), groups), cpus
+        assert len(solved) == len(groups) + len(again), cpus
+        assert len(again) == 0 if cpus == 1 else len(set(same[again])) <= 1
+        _assert_bytes_of_every_solve(problem, inclusions_offline)
+
+
+def test_a_repeat_of_a_group_not_yet_written_solves_for_itself(
+    inclusions_offline, monkeypatch, tmp_path
+):
+    # the lowest member of the largest group sleeps in its eigensolve, so the
+    # other worker draws every other member before that member's rows are
+    # flagged written: each solves for itself, with the same bytes
+    same = inclusions_offline["same"]
+    first = np.bincount(same).argmax()
+    others = np.flatnonzero(same == first)[1:]
+    assert len(others) >= 2
+    solve = ms_space.local_spectral_decomposition
+
+    def slowed(i, *args):
+        time.sleep(0.5 if i == first else 0.0)
+        return solve(i, *args)
+
+    monkeypatch.setattr(ms_space, "local_spectral_decomposition", slowed)
+    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves")
+    with cpu_affinity(2):
+        problem = _build(*_inclusions_grid_and_field())
+    _assert_no_child_left()
+    solver = {i: pid for pid, i in since()}
+    assert all(i in solver and solver[i] != solver[first] for i in others)
+    _assert_bytes_of_every_solve(problem, inclusions_offline)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_group_raises_its_lowest_members_error(
+    cpus, inclusions_offline, monkeypatch, tmp_path
+):
+    # every member of one group gets the same negated patch mass row, so the
+    # members stay one group and each would fail; the lowest fails first, on
+    # every worker count, and no other member is solved
+    same = inclusions_offline["same"]
+    first = same[same != np.arange(len(same))].min()
+    members = np.flatnonzero(same == first)
+    assemble = fine_fem.patch_weighted_mass
+
+    def indefinite(weight, neighborhoods):
+        patch_S = assemble(weight, neighborhoods)
+        patch_S.data[members] = -patch_S.data[members]
+        return patch_S
+
+    monkeypatch.setattr(fine_fem, "patch_weighted_mass", indefinite)
+    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves")
+    with cpu_affinity(cpus):
+        with pytest.raises(ms_space.OfflineFailure) as failure:
+            _build(*_inclusions_grid_and_field())
+    _assert_no_child_left()
+    assert str(failure.value).startswith(
+        f"neighborhood {first}: local mass matrix numerically indefinite"
+    )
+    solved = {i for _, i in since()}
+    assert first in solved and solved.isdisjoint(members[1:])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_field_without_repeats_solves_every_neighborhood_once(cpus, monkeypatch, tmp_path):
+    grid = mesh.GridHierarchy(6, 4)
+    values = np.exp(np.random.default_rng(3).normal(size=(grid.nf, grid.nf)))
+    field = fine_fem.CoefficientField(values)
+    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves")
+    with cpu_affinity(cpus):
+        problem = _build(grid, field)
+    _assert_no_child_left()
+    assert sorted(i for _, i in since()) == list(range(problem.space.n_neighborhoods))
 
 
 def test_loop_frees_each_coarse_system_before_the_next(small_problem, monkeypatch):

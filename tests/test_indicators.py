@@ -284,7 +284,8 @@ def test_eta_saturated_neighborhood_is_zero():
     field = CoefficientField(np.ones((grid.nf, grid.nf)))
     data = _offline(grid, field)
     L = data["spectra"][0].n_snapshots
-    space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__).with_counts([L])
+    space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__, data["same"])
+    space = space.with_counts([L])
     report = indicators.eta_standard(space, np.array([7.0]))
     assert space.saturated[0]
     assert report.eta_sq[0] == 0.0

@@ -409,7 +409,8 @@ def test_non_finite_pencil_names_the_neighborhood(unit_offline44, side):
 
 def _space_from(data, count=1):
     counts = np.minimum(count, [s.n_snapshots for s in data["spectra"]])
-    return ms_space.build_basis(data["pu"], data["spectra"].__getitem__).with_counts(counts)
+    space = ms_space.build_basis(data["pu"], data["spectra"].__getitem__, data["same"])
+    return space.with_counts(counts)
 
 
 def test_first_basis_function_is_proportional_to_pou(unit_offline44):
@@ -445,7 +446,7 @@ def test_basis_counts_validation(unit_offline44):
             space.with_counts(counts)
     # build_basis asks for every neighborhood, so a short supply fails at the last one
     with pytest.raises(IndexError, match="list index out of range"):
-        ms_space.build_basis(data["pu"], data["spectra"][:-1].__getitem__)
+        ms_space.build_basis(data["pu"], data["spectra"][:-1].__getitem__, data["same"])
 
 
 def test_extended_rejects_negative_width(unit_offline44):
@@ -622,7 +623,7 @@ def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
         s.vertex_id, s.snapshots[:, :-1], s.eigenvalues[:-1], s.eigenvectors[:-1, :-1]
     )
     with pytest.raises(ValueError, match="neighborhood 3 has"):
-        ms_space.build_basis(data["pu"], spectra.__getitem__)
+        ms_space.build_basis(data["pu"], spectra.__getitem__, data["same"])
     arrays = {
         "eigenvalues": space.eigenvalues,
         "jitter": space.jitter,
@@ -660,7 +661,7 @@ def test_build_basis_rejects_a_spectrum_without_L_eigenpairs(unit_offline44, cpu
 
     with cpu_affinity(cpus):
         with pytest.raises(ValueError) as failure:
-            ms_space.build_basis(data["pu"], spectrum)
+            ms_space.build_basis(data["pu"], spectrum, data["same"])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert str(failure.value) == f"neighborhood 3 has {L - 1} eigenvalues, not L = {L}"
@@ -726,7 +727,8 @@ def test_near_zero_eigenvalue_count_stable_under_contrast():
 def test_dump_spectra_roundtrip(tmp_path, unit_offline44):
     path = tmp_path / "spectra.csv"
     spectra = unit_offline44["spectra"]
-    ms_space.dump_spectra(ms_space.build_basis(unit_offline44["pu"], spectra.__getitem__), path)
+    space = ms_space.build_basis(unit_offline44["pu"], spectra.__getitem__, unit_offline44["same"])
+    ms_space.dump_spectra(space, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "vertex_id,k,lambda"
     expected_rows = sum(s.n_snapshots for s in unit_offline44["spectra"])
