@@ -255,8 +255,7 @@ def build_problem(grid, field, f_density, g_density, dual_norm_mode="exact"):
         same = _repeats(field, weight, pu, dual_norms)
         space = ms_space.build_basis(pu, spectrum, same)
         if parts is not None:
-            copies = np.flatnonzero(same != np.arange(len(same)))
-            parts[copies] = parts[same[copies]]
+            ms_space.copy_repeats(same, parts)
             del dual_norms, patch_S  # release the exact factor and the patch mass before the grams
             dual_norms = indicators.ResidualNormCache(patch_A, zero_trace_parts=parts)
     return ProblemSetup(stiffness, f_load, g_load, space, reference.result, dual_norms)

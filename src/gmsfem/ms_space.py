@@ -28,7 +28,8 @@ The offline pipeline per neighborhood omega_i is
      and the space is these three arrays.  Steps 3 to 5 run once per
      group of neighborhoods whose inputs are byte for byte equal (media of
      a few values repeat them often: 215 of the 361 neighborhoods of the
-     nc=20 channel medium), and the group's other members copy its rows.
+     nc=20 channel medium); once every group is solved, its other
+     members copy its rows.
      All patches are translates of one block, whose layout
      mesh.Neighborhoods holds once (its rim has L = 8r vertices), so
      candidate k of neighborhood i is entry (i, k) of one N x L grid, and
@@ -41,7 +42,6 @@ The offline pipeline per neighborhood omega_i is
 """
 
 import copy
-import platform
 import warnings
 
 import numpy as np
@@ -73,10 +73,6 @@ POU_TOL = 1e-8
 # LAPACK with relative gaps near 1e-13; distinct eigenvalues of the benchmark
 # media are at least 1e-4 apart.
 CLUSTER_TOL = 1e-8
-# build_basis copies a neighborhood's rows behind a flag another forked worker
-# may have set, with plain stores and loads on both sides and no fence: only
-# a CPU that keeps its stores in order, and its loads, makes that safe.
-_STORES_IN_ORDER = platform.machine().lower() in ("x86_64", "amd64")
 
 
 class OfflineFailure(RuntimeError):
@@ -399,43 +395,24 @@ def build_basis(pu, spectrum, same):
 
     ``same[i]`` is the lowest neighborhood whose spectrum inputs and chi
     have the bytes of neighborhood i's (adapt.build_problem finds them), so
-    that its rows are bitwise the ones i would write.  Each group of such
-    neighborhoods is solved for its lowest member, and the other members
-    copy that one's rows instead of calling spectrum.
+    that its rows are bitwise the ones i would write.  spectrum runs only
+    for each group's lowest member, and once they are all filled the other
+    members copy its rows (copy_repeats).
 
-    The neighborhoods are independent, so workers.fill_queued fills them on
-    one worker per CPU into shared arrays.  Queue position k runs
-    neighborhood order[k]: the groups' lowest members first, then the
-    other members, each in ascending order.  A solved neighborhood is
-    flagged written after its rows are, and another member of its group
-    copies them once it reads the flag set; until then, while another
-    worker still solves them, it solves for itself, which writes the same
-    bytes.  The flag is read before the rows, so a copy relies on each CPU
-    keeping its stores in order, and its loads in order, as x86-64 does; on
-    a machine not known to (_STORES_IN_ORDER), every neighborhood is solved.  The outputs and any
-    error are bitwise those of a serial fill, which ``taskset -c 0`` gives:
-    a member fails exactly when its group's lowest member does, which is
-    queued before it, so fill_queued's ascending rerun still meets the
-    lowest failing neighborhood first.
+    The solved neighborhoods are independent, so workers.fill_queued fills
+    them on one worker per CPU into shared arrays; the outputs and any
+    error are bitwise those of a serial fill, which ``taskset -c 0`` gives.
+    A member would fail exactly when its group's lowest member does, so the
+    error raised is still that of the lowest failing neighborhood.
     """
     neighborhoods = pu.neighborhoods
     interior, L = neighborhoods.interior, len(neighborhoods.rim)
     N, m = len(neighborhoods), len(interior)
-    # written[i] is set to 1 once neighborhood i's rows are
-    shapes = ((N, L, m), (N, L), (N,), (N,))
-    candidates, eigenvalues, jitter, written = workers.shared_arrays(*shapes)
-    ids = np.arange(N)
-    same = np.asarray(same) if _STORES_IN_ORDER else ids
-    order = np.concatenate((ids[same == ids], ids[same != ids]))
+    candidates, eigenvalues, jitter = workers.shared_arrays((N, L, m), (N, L), (N,))
+    solved = np.flatnonzero(same == np.arange(N))
 
     def fill(k):
-        i = int(order[k])
-        first = int(same[i])
-        if first != i and written[first]:
-            candidates[i] = candidates[first]
-            eigenvalues[i] = eigenvalues[first]
-            jitter[i] = jitter[first]
-            return
+        i = int(solved[k])
         result = spectrum(i)
         if len(result.eigenvalues) != L:
             raise ValueError(
@@ -445,10 +422,18 @@ def build_basis(pu, spectrum, same):
         np.multiply(pu.patches[i][None, interior], representatives.T, out=candidates[i])
         eigenvalues[i] = result.eigenvalues
         jitter[i] = result.jitter
-        written[i] = 1.0
 
-    workers.fill_queued(N, fill)
+    workers.fill_queued(len(solved), fill)
+    copy_repeats(same, candidates, eigenvalues, jitter)
     return OfflineSpace(pu, eigenvalues, jitter, candidates, np.ones(N, dtype=int))
+
+
+def copy_repeats(same, *arrays):
+    """Copy row same[i] of each array into row i wherever same[i] != i, one
+    row at a time, so that no gathered temporary of the rows is made."""
+    for i in np.flatnonzero(same != np.arange(len(same))):
+        for rows in arrays:
+            rows[i] = rows[same[i]]
 
 
 def enrich(space, marked, s=1):

@@ -445,8 +445,7 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
     # row the same bits in a product over all patch rows (OpenBLAS's Haswell
     # kernels do not), and chi_i is zero on the rim, so the rim rows hold no
     # value of a candidate
-    grid = mesh.GridHierarchy(5, 4)
-    field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
+    grid, field = _channel5()
     densities = benchmark_densities(grid)
     problem = adapt.build_problem(grid, field, *densities, dual_norm_mode="snapshot")
     spectra = problem.space.spectra
@@ -491,9 +490,14 @@ def test_only_snapshot_mode_allocates_the_zero_trace_parts(mode, wide_arrays, mo
     assert shapes.count((N, L, m)) == 1
 
 
-def _offline_problem(dual_norm_mode="exact"):
+def _channel5():
+    # the nc=5 channel medium of the offline-stage tests; N = 16
     grid = mesh.GridHierarchy(5, 4)
-    field = cli.generate_field("channel", 1e4, grid.nf, seed=7)
+    return grid, cli.generate_field("channel", 1e4, grid.nf, seed=7)
+
+
+def _offline_problem(dual_norm_mode="exact"):
+    grid, field = _channel5()
     return adapt.build_problem(grid, field, *benchmark_densities(grid), dual_norm_mode=dual_norm_mode)
 
 
@@ -614,15 +618,17 @@ def _failure_message(cpus, kind):
     return str(failure.value)
 
 
+def test_fault_ids_share_their_inputs_with_no_other_neighborhood():
+    # the fault tests below inject at neighborhoods 3, 5 and 13 by id, which
+    # reaches only a solved neighborhood: each of them must be a group of one
+    same = _offline(*_channel5())["same"]
+    assert [np.flatnonzero(same == same[v]).tolist() for v in (3, 5, 13)] == [[3], [5], [13]]
+
+
 def _indefinite_mass_at(vertices, monkeypatch, delay_elsewhere=0.0):
     """Make the local mass of each neighborhood in ``vertices`` negative
     definite.  In a forked worker, the eigensolve of the first of them
     sleeps ``delay_elsewhere`` seconds before it fails."""
-    # injected by id, the fault reaches only a neighborhood that is solved:
-    # none of ``vertices`` may share its inputs with another neighborhood
-    grid = mesh.GridHierarchy(5, 4)
-    same = _offline(grid, cli.generate_field("channel", 1e4, grid.nf, seed=7))["same"]
-    assert [np.flatnonzero(same == same[v]).tolist() for v in vertices] == [[v] for v in vertices]
     here = os.getpid()
     solve = ms_space.local_spectral_decomposition
 
@@ -726,9 +732,7 @@ def test_repeated_inputs_are_solved_once_and_change_no_byte(
     mode, inclusions_offline, monkeypatch, tmp_path
 ):
     # one eigensolve per group of neighborhoods with byte-equal inputs, for
-    # its lowest member; the other members copy its rows.  On two CPUs a
-    # member whose group is still being solved on the other worker solves
-    # for itself, which only the last group drawn can be
+    # its lowest member, on every worker count; the other members copy its rows
     same = inclusions_offline["same"]
     groups = np.flatnonzero(same == np.arange(len(same)))
     assert (len(same), len(groups)) == (81, 50)
@@ -737,38 +741,8 @@ def test_repeated_inputs_are_solved_once_and_change_no_byte(
         with cpu_affinity(cpus):
             problem = _build(*_inclusions_grid_and_field(), mode)
         _assert_no_child_left()
-        solved = np.array(sorted(i for _, i in since()))
-        again = np.setdiff1d(solved, groups)
-        assert np.array_equal(np.setdiff1d(solved, again), groups), cpus
-        assert len(solved) == len(groups) + len(again), cpus
-        assert len(again) == 0 if cpus == 1 else len(set(same[again])) <= 1
+        assert sorted(i for _, i in since()) == groups.tolist(), cpus
         _assert_bytes_of_every_solve(problem, inclusions_offline)
-
-
-def test_a_repeat_of_a_group_not_yet_written_solves_for_itself(
-    inclusions_offline, monkeypatch, tmp_path
-):
-    # the lowest member of the largest group sleeps in its eigensolve, so the
-    # other worker draws every other member before that member's rows are
-    # flagged written: each solves for itself, with the same bytes
-    same = inclusions_offline["same"]
-    first = np.bincount(same).argmax()
-    others = np.flatnonzero(same == first)[1:]
-    assert len(others) >= 2
-    solve = ms_space.local_spectral_decomposition
-
-    def slowed(i, *args):
-        time.sleep(0.5 if i == first else 0.0)
-        return solve(i, *args)
-
-    monkeypatch.setattr(ms_space, "local_spectral_decomposition", slowed)
-    since = _log_eigensolves(monkeypatch, tmp_path / "eigensolves")
-    with cpu_affinity(2):
-        problem = _build(*_inclusions_grid_and_field())
-    _assert_no_child_left()
-    solver = {i: pid for pid, i in since()}
-    assert all(i in solver and solver[i] != solver[first] for i in others)
-    _assert_bytes_of_every_solve(problem, inclusions_offline)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
