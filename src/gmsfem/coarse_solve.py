@@ -133,9 +133,10 @@ class GalerkinStore:
     of A R, in the order they were computed (``number`` maps that position
     to its candidate number), and its row and column of the coupling
     G = R'AR.  It holds no source, so it serves every source.  Nor does it
-    hold a basis matrix: the candidate array of its space is the one copy of
-    the basis, and each growth and each CoarseSystem gathers the columns it
-    needs from it (OfflineSpace.basis_columns).  G is a T x T matrix in
+    hold a basis matrix: the candidate array of its space, read through the
+    space's row map, is the one copy of the basis, and each growth and each
+    CoarseSystem gathers the columns it needs from it
+    (OfflineSpace.basis_columns).  G is a T x T matrix in
     candidate numbering, T = N * L, whose rows and columns are empty where a
     candidate is not yet held, so a growth only fills empty rows and
     columns, and a space's matrix is its candidates' rows and columns in
@@ -192,9 +193,12 @@ class GalerkinStore:
         self.G = self.G + sparse.csc_matrix((data, (rows, cols)), shape=self.G.shape)
 
     def system(self, space, source):
-        """The CoarseSystem of ``space`` and ``source``, grown to its counts."""
-        if space.candidates is not self.space.candidates:
-            raise ValueError("space was not built from this store's candidates")
+        """The CoarseSystem of ``space`` and ``source``, grown to its counts.
+
+        ``space`` must share the store's candidate array and row map, the
+        whole offline stage the store was grown from."""
+        if space.candidates is not self.space.candidates or space.row is not self.space.row:
+            raise ValueError("space was not built from this store's candidates and row map")
         self._grow(space.counts)
         numbers = space.candidate_numbers(space.counts)
         matrix = self.G[:, numbers][numbers, :]

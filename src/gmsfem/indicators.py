@@ -269,7 +269,7 @@ def eta_dwr(space, residual, z_enrich):
             continue
         start = int(enriched.offsets[i])
         coeffs = z_enrich.coefficients[start + l_i : start + l_e]
-        added = np.ascontiguousarray(enriched.candidates[i, l_i:l_e].T)
+        added = np.ascontiguousarray(enriched.candidates[enriched.row[i], l_i:l_e].T)
         excess[neighborhoods.interior] = added @ coeffs
         signed[i] = float(residual[neighborhoods.vertices[i]] @ excess)
     return IndicatorReport("goal_dwr", space, np.abs(signed), signed=signed)

@@ -21,15 +21,17 @@ The offline pipeline per neighborhood omega_i is
      eigenvalue (build_basis).  chi_i vanishes on the patch rim, so only
      the m = (2r-1)^2 patch interior values of each candidate are stored,
      as one contiguous row.
-     Each neighborhood fills its block of the candidate array, its
-     eigenvalue row and its jitter as soon as its eigensolve returns; its
-     snapshots and eigenvectors are then dropped, so the offline stage
-     holds at most one snapshot block per worker (workers.fill_queued),
-     and the space is these three arrays.  Steps 3 to 5 run once per
-     group of neighborhoods whose inputs are byte for byte equal (media of
-     a few values repeat them often: 215 of the 361 neighborhoods of the
-     nc=20 channel medium); once every group is solved, its other
-     members copy its rows.
+     Steps 3 to 5 run once per group of neighborhoods whose inputs are
+     byte for byte equal (media of a few values repeat them often: 215 of
+     the 361 neighborhoods of the nc=20 channel medium).  Each group's
+     lowest member fills the group's block of the (G, L, m) candidate
+     array, its eigenvalue row and its jitter as soon as its eigensolve
+     returns; its snapshots and eigenvectors are then dropped, so the
+     offline stage holds at most one snapshot block per worker
+     (workers.fill_queued).  Once every group is solved, its other members
+     copy its eigenvalue row and jitter, and read its candidate block
+     through the (N,) map ``row``, so the candidates of a repeat are
+     stored once.  The space is these four arrays.
      All patches are translates of one block, whose layout
      mesh.Neighborhoods holds once (its rim has L = 8r vertices), so
      candidate k of neighborhood i is entry (i, k) of one N x L grid, and
@@ -273,16 +275,19 @@ def local_spectral_decomposition(vertex_id, patch_A, patch_S, snapshots):
 class OfflineSpace:
     """Global multiscale space: the mask k < counts[i] on the N x L candidate grid.
 
-    ``candidates[i, k]`` is candidate k of neighborhood i (chi_i times an
-    eigenvector representative) on the patch interior, one contiguous row of
-    the (N, L, m) array: it holds the m rows ``neighborhoods.interior``, at
-    the fine vertex ids ``neighborhoods.interior_vertices[i]``, and leaves
-    out the rim, where chi_i vanishes.  ``eigenvalues[i, k]`` is its
-    eigenvalue, ``jitter[i]`` neighborhood i's mass shift, and
-    ``cluster_ends[i, c]`` the smallest count >= c that does not split a
-    cluster of tied eigenvalues (see CLUSTER_TOL).  The three arrays are
-    kept as given (build_basis passes those its fill writes), and every
-    basis matrix is a gather of the candidate rows (basis_columns).  Global
+    ``candidates[row[i], k]`` is candidate k of neighborhood i (chi_i times
+    an eigenvector representative) on the patch interior, one contiguous row
+    of the (G, L, m) array: it holds the m rows ``neighborhoods.interior``,
+    at the fine vertex ids ``neighborhoods.interior_vertices[i]``, and
+    leaves out the rim, where chi_i vanishes.  ``row`` maps each of the N
+    neighborhoods to one of the G blocks, and every block is some
+    neighborhood's, so neighborhoods with the same candidates may share a
+    block.  ``eigenvalues[i, k]`` is the candidate's eigenvalue,
+    ``jitter[i]`` neighborhood i's mass shift, and ``cluster_ends[i, c]``
+    the smallest count >= c that does not split a cluster of tied
+    eigenvalues (see CLUSTER_TOL).  The four arrays are kept as given
+    (build_basis passes those its fill writes), and every basis matrix is a
+    gather of the candidate rows (basis_columns).  Global
     columns are the selected candidates in ascending number i * L + k, so
     enrichment keeps earlier columns as a prefix within every neighborhood.
     Instances are immutable; with_counts, enrich and extended return new ones
@@ -290,25 +295,46 @@ class OfflineSpace:
     the partition of unity ``pu``.
     """
 
-    def __init__(self, pu, eigenvalues, jitter, candidates, counts):
+    def __init__(self, pu, eigenvalues, jitter, candidates, row, counts):
         self.grid = pu.grid
         self.neighborhoods = neighborhoods = pu.neighborhoods
         self.pu = pu
         self.n_neighborhoods = N = len(neighborhoods)
         self.n_candidates = L = len(neighborhoods.rim)
         m = len(neighborhoods.interior)
-        shapes = {"eigenvalues": (N, L), "jitter": (N,), "candidates": (N, L, m)}
-        for name, array in zip(shapes, (eigenvalues, jitter, candidates)):
+        shapes = {"eigenvalues": (N, L), "jitter": (N,)}
+        for name, array in zip(shapes, (eigenvalues, jitter)):
             if np.shape(array) != shapes[name]:
                 raise ValueError(f"{name} must have shape {shapes[name]}, got {np.shape(array)}")
+        if np.ndim(candidates) != 3 or np.shape(candidates)[1:] != (L, m):
+            shape = np.shape(candidates)
+            raise ValueError(f"candidates must have shape (G, {L}, {m}), got {shape}")
         self.eigenvalues = lam = np.asarray(eigenvalues)
         self.jitter = np.asarray(jitter)
         self.candidates = np.asarray(candidates)
+        self.row = self._check_row(row, N, len(self.candidates))
         tied = np.diff(lam, axis=1) <= CLUSTER_TOL * np.maximum(abs(lam[:, :-1]), abs(lam[:, 1:]))
         # count c splits a cluster iff lambda_c and lambda_{c+1} are tied
         ends = np.where(np.pad(tied, ((0, 0), (1, 1))), L, np.arange(L + 1))
         self.cluster_ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
         self._select(counts)
+
+    @staticmethod
+    def _check_row(row, n, g):
+        """``row`` as an array, once it is N integers in [0, G) naming every block."""
+        row = np.asarray(row)
+        if row.dtype.kind not in "iu":
+            raise ValueError(f"row must be integers, got dtype {row.dtype}")
+        if row.shape != (n,):
+            raise ValueError(f"row must be N = {n} integers, got shape {row.shape}")
+        outside = (row < 0) | (row >= g)
+        if outside.any():
+            raise ValueError(f"row must name blocks in [0, G = {g}), got {row[outside][0]}")
+        named = np.zeros(g, dtype=bool)
+        named[row] = True
+        if not named.all():
+            raise ValueError(f"row must name every block of candidates, missing {np.argmin(named)}")
+        return row
 
     @property
     def spectra(self):
@@ -357,7 +383,7 @@ class OfflineSpace:
         # take: twice as fast as fancy indexing on these int32 rows
         rows = self.neighborhoods.interior_vertices.take(i, axis=0)
         return sparse.csc_matrix(
-            (self.candidates[i, k].ravel(), rows.ravel(), indptr),
+            (self.candidates[self.row.take(i), k].ravel(), rows.ravel(), indptr),
             shape=(self.grid.n_vertices, len(i)),
         )
 
@@ -390,14 +416,17 @@ def build_basis(pu, spectrum, same):
     ``spectrum(i)`` computes neighborhood i's spectrum, with its snapshots
     and eigenvectors.  Each result fills its block of the candidate array,
     row k the patch interior values of chi_i * (snapshots @ eigenvectors[:,
-    k]), its eigenvalue row and its jitter, and is then dropped; the space
-    is built from these three arrays.
+    k]), its eigenvalue row and its jitter, and is then dropped.
 
     ``same[i]`` is the lowest neighborhood whose spectrum inputs and chi
     have the bytes of neighborhood i's (adapt.build_problem finds them), so
     that its rows are bitwise the ones i would write.  spectrum runs only
-    for each group's lowest member, and once they are all filled the other
-    members copy its rows (copy_repeats).
+    for each group's lowest member, the G neighborhoods ``solved`` in
+    ascending order, and member i fills block searchsorted(solved, i) of
+    the (G, L, m) candidate array.  Once they are all filled, the other
+    members copy its eigenvalue row and jitter (copy_repeats), and the
+    space's map ``row = searchsorted(solved, same)`` points every member at
+    its group's block, which is stored once.
 
     The solved neighborhoods are independent, so workers.fill_queued fills
     them on one worker per CPU into shared arrays; the outputs and any
@@ -408,8 +437,8 @@ def build_basis(pu, spectrum, same):
     neighborhoods = pu.neighborhoods
     interior, L = neighborhoods.interior, len(neighborhoods.rim)
     N, m = len(neighborhoods), len(interior)
-    candidates, eigenvalues, jitter = workers.shared_arrays((N, L, m), (N, L), (N,))
     solved = np.flatnonzero(same == np.arange(N))
+    candidates, eigenvalues, jitter = workers.shared_arrays((len(solved), L, m), (N, L), (N,))
 
     def fill(k):
         i = int(solved[k])
@@ -419,18 +448,24 @@ def build_basis(pu, spectrum, same):
                 f"neighborhood {i} has {len(result.eigenvalues)} eigenvalues, not L = {L}"
             )
         representatives = result.snapshots[interior] @ result.eigenvectors
-        np.multiply(pu.patches[i][None, interior], representatives.T, out=candidates[i])
+        np.multiply(pu.patches[i][None, interior], representatives.T, out=candidates[k])
         eigenvalues[i] = result.eigenvalues
         jitter[i] = result.jitter
 
     workers.fill_queued(len(solved), fill)
-    copy_repeats(same, candidates, eigenvalues, jitter)
-    return OfflineSpace(pu, eigenvalues, jitter, candidates, np.ones(N, dtype=int))
+    copy_repeats(same, eigenvalues, jitter)
+    row = np.searchsorted(solved, same)
+    return OfflineSpace(pu, eigenvalues, jitter, candidates, row, np.ones(N, dtype=int))
 
 
 def copy_repeats(same, *arrays):
-    """Copy row same[i] of each array into row i wherever same[i] != i, one
-    row at a time, so that no gathered temporary of the rows is made."""
+    """Copy row same[i] of each (N, ...) array into row i wherever
+    same[i] != i, one row at a time, so that no gathered temporary of the
+    rows is made.  It copies only arrays that must hold all N rows: the
+    eigenvalues and jitter (build_basis) and snapshot mode's zero-trace
+    parts, whose batched dual norms read N aligned blocks
+    (adapt.build_problem).  The candidates are not copied; a repeat reads
+    its group's block through OfflineSpace.row."""
     for i in np.flatnonzero(same != np.arange(len(same))):
         for rows in arrays:
             rows[i] = rows[same[i]]

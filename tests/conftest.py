@@ -84,6 +84,21 @@ def cpu_affinity(count):
             os.sched_setaffinity(0, saved)
 
 
+def identity_map_space(space, candidates):
+    """``space`` over ``candidates``, an (N, L, m) array with one block per
+    neighborhood (the identity row map), so that an edit of block i changes
+    neighborhood i alone; ``space.candidates[space.row]`` is such a copy of
+    its own."""
+    return ms_space.OfflineSpace(
+        space.pu,
+        space.eigenvalues,
+        space.jitter,
+        candidates,
+        np.arange(space.n_neighborhoods),
+        space.counts,
+    )
+
+
 def assemble_weighted_mass(grid, weight):
     """Global mass matrix weighted by a per-cell coefficient: a COO assembly
     over every fine cell, the oracle of the library's mass assemblies."""

@@ -17,7 +17,7 @@ from gmsfem import adapt, cli, coarse_solve, fine_fem, indicators, mesh, ms_spac
 from gmsfem.adapt import MarkingConfig
 
 import stress
-from conftest import _offline, benchmark_densities, cpu_affinity
+from conftest import _offline, benchmark_densities, cpu_affinity, identity_map_space
 
 
 def _oracle_full_sort(eta_sq, theta):
@@ -472,9 +472,9 @@ def test_problem_holds_no_snapshots_or_eigenvectors():
 
 @pytest.mark.parametrize("mode, wide_arrays", [("exact", 1), ("snapshot", 2)])
 def test_only_snapshot_mode_allocates_the_zero_trace_parts(mode, wide_arrays, monkeypatch):
-    # the candidates are one shared (N, L, m) array, the snapshot dual norms'
-    # (N, m, L) zero-trace parts the other; exact mode allocating the parts
-    # too would hold 79.5 MiB more at nc=20, r=10
+    # the candidates are one shared (G, L, m) array of the G solved groups,
+    # the snapshot dual norms' (N, m, L) zero-trace parts the other; exact
+    # mode allocating the parts too would hold 79.5 MiB more at nc=20, r=10
     shapes = []
     allocate = workers.shared_arrays
 
@@ -485,9 +485,9 @@ def test_only_snapshot_mode_allocates_the_zero_trace_parts(mode, wide_arrays, mo
     monkeypatch.setattr(workers, "shared_arrays", recorded)
     space = _offline_problem(mode).space
     N, m = space.neighborhoods.interior_vertices.shape
-    L = space.n_candidates
-    assert shapes.count((N, L, m)) + shapes.count((N, m, L)) == wide_arrays
-    assert shapes.count((N, L, m)) == 1
+    G, L = len(space.candidates), space.n_candidates
+    assert shapes.count((G, L, m)) + shapes.count((N, m, L)) == wide_arrays
+    assert shapes.count((G, L, m)) == 1
 
 
 def _channel5():
@@ -558,6 +558,7 @@ def test_offline_stage_is_bitwise_equal_on_one_and_two_cpus(mode, monkeypatch, t
     one, two = problems[1], problems[2]
     assert np.array_equal(one.u_ref, two.u_ref)
     assert np.array_equal(one.space.candidates, two.space.candidates)
+    assert np.array_equal(one.space.row, two.space.row)
     assert np.array_equal(one.space.eigenvalues, two.space.eigenvalues)
     assert [s.jitter for s in one.space.spectra] == [s.jitter for s in two.space.spectra]
     if mode == "snapshot":
@@ -705,18 +706,25 @@ def _build(grid, field, dual_norm_mode="exact"):
     return adapt.build_problem(grid, field, *densities, dual_norm_mode=dual_norm_mode)
 
 
-def _assert_bytes_of_every_solve(problem, data):
-    """The problem's candidates, eigenvalues, jitter and, in snapshot mode,
-    zero-trace parts have the bytes of _offline's, which solves every
-    neighborhood."""
-    space, spectra = problem.space, data["spectra"]
-    interior = space.neighborhoods.interior
+def _every_candidate(data):
+    """The (N, L, m) candidates of _offline's data, one block per
+    neighborhood, computed as build_basis computes them."""
+    interior = data["neighborhoods"].interior
     candidates = [
         chi[interior, None] * (s.snapshots[interior] @ s.eigenvectors)
-        for chi, s in zip(data["pu"].patches, spectra)
+        for chi, s in zip(data["pu"].patches, data["spectra"])
     ]
+    return np.stack(candidates).transpose(0, 2, 1)
+
+
+def _assert_bytes_of_every_solve(problem, data):
+    """The problem's candidates, read through its row map, eigenvalues,
+    jitter and, in snapshot mode, zero-trace parts have the bytes of
+    _offline's, which solves every neighborhood."""
+    space, spectra = problem.space, data["spectra"]
+    interior = space.neighborhoods.interior
     expected = {
-        "candidates": (space.candidates, np.stack(candidates).transpose(0, 2, 1)),
+        "candidates": (space.candidates[space.row], _every_candidate(data)),
         "eigenvalues": (space.eigenvalues, np.stack([s.eigenvalues for s in spectra])),
         "jitter": (space.jitter, np.array([s.jitter for s in spectra])),
     }
@@ -732,7 +740,8 @@ def test_repeated_inputs_are_solved_once_and_change_no_byte(
     mode, inclusions_offline, monkeypatch, tmp_path
 ):
     # one eigensolve per group of neighborhoods with byte-equal inputs, for
-    # its lowest member, on every worker count; the other members copy its rows
+    # its lowest member, on every worker count; the candidates hold one block
+    # per group, in the order of the lowest members, which the row map names
     same = inclusions_offline["same"]
     groups = np.flatnonzero(same == np.arange(len(same)))
     assert (len(same), len(groups)) == (81, 50)
@@ -742,7 +751,49 @@ def test_repeated_inputs_are_solved_once_and_change_no_byte(
             problem = _build(*_inclusions_grid_and_field(), mode)
         _assert_no_child_left()
         assert sorted(i for _, i in since()) == groups.tolist(), cpus
+        assert problem.space.candidates.shape[0] == 50
+        assert np.array_equal(groups[problem.space.row], same)
         _assert_bytes_of_every_solve(problem, inclusions_offline)
+
+
+@pytest.mark.parametrize("mode", indicators.DUAL_NORM_MODES)
+def test_the_row_map_reads_the_bytes_of_every_solve(mode, inclusions_offline):
+    # the basis of every candidate and a goal_dwr report read through the
+    # row map are bitwise those of a space over the full (N, L, m) array of
+    # _offline, which solves every neighborhood, under the identity map
+    data = inclusions_offline
+    full = _every_candidate(data)
+    N, L, _ = full.shape
+    oracle = ms_space.OfflineSpace(
+        data["pu"],
+        np.stack([s.eigenvalues for s in data["spectra"]]),
+        np.array([s.jitter for s in data["spectra"]]),
+        full,
+        np.arange(N),
+        np.ones(N, dtype=int),
+    )
+    for cpus in (1, 2):
+        with cpu_affinity(cpus):
+            problem = _build(*_inclusions_grid_and_field(), mode)
+        _assert_no_child_left()
+        assert len(problem.space.candidates) < N
+        every = [s.basis_columns(np.full(N, L)) for s in (problem.space, oracle)]
+        for name in ("indptr", "indices", "data"):
+            assert getattr(every[0], name).tobytes() == getattr(every[1], name).tobytes()
+
+        A, f_load, g_load = problem.stiffness, problem.f_load, problem.g_load
+        reports = []
+        for offline in (problem.space, oracle):
+            space = offline.extended(1)
+            u = coarse_solve.solve_primal(coarse_solve.assemble_coarse(space, A, f_load))
+            enriched = space.extended(2)
+            z = coarse_solve.solve_dual(coarse_solve.assemble_coarse(enriched, A, f_load), g_load)
+            residual = indicators.fine_residual(A, f_load, u.fine)
+            reports.append(indicators.eta_dwr(space, residual, z))
+        mapped, own = reports
+        assert mapped.eta_sq.tobytes() == own.eta_sq.tobytes(), cpus
+        assert mapped.signed.tobytes() == own.signed.tobytes(), cpus
+        assert np.any(mapped.signed != 0.0)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -832,11 +883,9 @@ def test_loop_rejects_unknown_strategy(small_problem):
 
 def test_loop_annotates_solver_failures(small_problem):
     space = small_problem.space.extended(1)
-    candidates = space.candidates.copy()
+    candidates = space.candidates[space.row]
     candidates[2, 1] = candidates[2, 0]  # duplicated basis function
-    broken_space = ms_space.OfflineSpace(
-        space.pu, space.eigenvalues, space.jitter, candidates, space.counts
-    )
+    broken_space = identity_map_space(space, candidates)
     broken = adapt.ProblemSetup(
         small_problem.stiffness,
         small_problem.f_load,

@@ -11,6 +11,7 @@ from conftest import (
     _offline,
     assemble_weighted_mass,
     benchmark_densities,
+    identity_map_space,
     interior_vertex_position,
     truncate_solution,
     vertex_coordinates,
@@ -65,7 +66,8 @@ def test_hat_space_reduces_to_coarse_q1(grid44, unit_field44, unit_offline44):
     for i in range(space.n_neighborhoods):
         ci, cj = interior_vertex_position(grid44, i)
         center = grid44.vertex_id(ci * grid44.r, cj * grid44.r)
-        scale[i] = space.candidates[i, 0][space.neighborhoods.interior_vertices[i] == center][0]
+        psi = space.candidates[space.row[i], 0]
+        scale[i] = psi[space.neighborhoods.interior_vertices[i] == center][0]
     oracle = _coarse_q1_stiffness(grid44.nc) * np.outer(scale, scale)
     assert np.abs(system.matrix - oracle).max() < 1e-10
 
@@ -97,11 +99,9 @@ def test_rank_deficiency_reports_offending_pair(grid44, unit_field44, unit_offli
     counts = space.counts.copy()
     counts[0] = 2
     doctored = space.with_counts(counts)
-    candidates = doctored.candidates.copy()
+    candidates = doctored.candidates[doctored.row]
     candidates[0, 1] = candidates[0, 0]  # duplicate basis function
-    broken = ms_space.OfflineSpace(
-        doctored.pu, doctored.eigenvalues, doctored.jitter, candidates, counts
-    )
+    broken = identity_map_space(doctored, candidates)
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     with pytest.raises(RankDeficientBasis) as err:
         coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
@@ -110,11 +110,9 @@ def test_rank_deficiency_reports_offending_pair(grid44, unit_field44, unit_offli
 
 def test_zero_candidate_column_is_rejected(grid44, unit_field44, unit_offline44):
     space = _hat_space(unit_offline44)
-    candidates = space.candidates.copy()
+    candidates = space.candidates[space.row]
     candidates[2, 0] = 0.0  # a basis function of zero energy
-    broken = ms_space.OfflineSpace(
-        space.pu, space.eigenvalues, space.jitter, candidates, space.counts
-    )
+    broken = identity_map_space(space, candidates)
     A = fine_fem.assemble_stiffness(grid44, unit_field44)
     with pytest.raises(RankDeficientBasis, match="nonpositive diagonal entry"):
         coarse_solve.assemble_coarse(broken, A, np.zeros(grid44.n_vertices))
@@ -157,13 +155,14 @@ def test_sparse_direct_solve_matches_dense_reference(small_problem, channel_prob
 def test_duplicated_basis_column_is_rejected(channel_problem, nb):
     # at nb = 44, 48 and 56 roundoff leaves the duplicated column a Cholesky
     # pivot of order eps instead of a nonpositive one, so a factorization
-    # that only fails on nonpositive pivots accepts the basis
+    # that only fails on nonpositive pivots accepts the basis.  The doctored
+    # copy has one block per neighborhood: in the shared blocks, the edit
+    # would change every member of nb's group, and the first duplicated
+    # column would be its lowest member's
     space = channel_problem.space.extended(3)
-    candidates = space.candidates.copy()
+    candidates = space.candidates[space.row]
     candidates[nb, 2] = candidates[nb, 0]
-    broken = ms_space.OfflineSpace(
-        space.pu, space.eigenvalues, space.jitter, candidates, space.counts
-    )
+    broken = identity_map_space(space, candidates)
     with pytest.raises(RankDeficientBasis) as err:
         coarse_solve.assemble_coarse(broken, channel_problem.stiffness, channel_problem.f_load)
     start = int(space.offsets[nb])
@@ -294,7 +293,7 @@ def test_components_sum_to_solution(small_problem):
     total = np.zeros(space.grid.n_vertices)
     for i, vertices in enumerate(space.neighborhoods.interior_vertices):
         for k, c in enumerate(u.coefficients[space.offsets[i] : space.offsets[i + 1]]):
-            total[vertices] += c * space.candidates[i, k]
+            total[vertices] += c * space.candidates[space.row[i], k]
     assert np.abs(total - u.fine).max() < 1e-12 * max(1.0, np.abs(u.fine).max())
 
 
@@ -404,6 +403,27 @@ def test_store_rejects_another_problem(small_problem, channel_problem):
     with pytest.raises(ValueError, match="candidates"):
         store.system(channel_problem.space, channel_problem.f_load)
     assert not store.have.any()
+
+
+def test_store_rejects_another_row_map(channel_problem):
+    # the same candidate blocks under another map are another basis: the
+    # reversed map gives neighborhood 0 the last neighborhood's block, and
+    # even an equal copy of the map is not the store's offline stage
+    space, A = channel_problem.space, channel_problem.stiffness
+    store = coarse_solve.GalerkinStore(space, A)
+    reversed_map = space.row[::-1].copy()
+    assert reversed_map[0] != space.row[0]
+    message = "^space was not built from this store's candidates and row map$"
+    for row in (reversed_map, space.row.copy()):
+        other = ms_space.OfflineSpace(
+            space.pu, space.eigenvalues, space.jitter, space.candidates, row, space.counts
+        )
+        assert other.candidates is space.candidates
+        with pytest.raises(ValueError, match=message):
+            store.system(other, channel_problem.f_load)
+    assert not store.have.any()
+    store.system(space, channel_problem.f_load)
+    assert np.array_equal(store.have, space.counts)
 
 
 def test_one_store_serves_two_sources(small_problem):

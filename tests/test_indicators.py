@@ -263,7 +263,7 @@ def test_eta_standard_weights_and_saturation(channel_state):
     assert np.array_equal(np.isnan(report.lambda_next), space.saturated)
 
     space2 = ms_space.OfflineSpace(
-        space.pu, 2.0 * space.eigenvalues, space.jitter, space.candidates, space.counts
+        space.pu, 2.0 * space.eigenvalues, space.jitter, space.candidates, space.row, space.counts
     )
     report2 = indicators.eta_standard(space2, norms)
     assert np.allclose(report2.eta_sq, 0.5 * report.eta_sq, rtol=1e-12)

@@ -419,7 +419,7 @@ def test_first_basis_function_is_proportional_to_pou(unit_offline44):
     for i in range(space.n_neighborhoods):
         assert np.all(space.pu.patches[i][rim] == 0.0)
         chi = space.pu.patches[i][interior]
-        psi = space.candidates[i, 0]
+        psi = space.candidates[space.row[i], 0]
         mask = np.abs(chi) > 1e-12
         ratios = psi[mask] / chi[mask]
         assert np.abs(ratios - ratios[0]).max() < 1e-8 * abs(ratios[0])
@@ -561,7 +561,7 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
         for i, vertices in enumerate(space.neighborhoods.interior_vertices):
             for k in range(start[i], stop[i]):
                 rows.append(vertices)
-                data.append(space.candidates[i, k])
+                data.append(space.candidates[space.row[i], k])
                 numbers.append(i * L + k)
         R = space.basis_columns(stop, start)
         assert R.shape == (space.grid.n_vertices, len(numbers))
@@ -599,13 +599,19 @@ def test_candidate_grid_matches_per_neighborhood_loops(channel_problem):
 def test_candidates_are_contiguous_rows_of_interior_values(channel_problem, channel_offline):
     # candidate (i, k) is one C-contiguous row of the m patch interior values
     # of chi_i * (snapshots @ eigenvectors[:, k]), bit for bit against the
-    # offline data recomputed at one BLAS thread, as build_problem runs
+    # offline data recomputed at one BLAS thread, as build_problem runs; it
+    # is row k of block row[i], one block per group of repeated
+    # neighborhoods, in the order of the groups' lowest members
     space = channel_problem.space
     interior = space.neighborhoods.interior
-    assert space.candidates.shape == (space.n_neighborhoods, space.n_candidates, len(interior))
+    same = channel_offline["same"]
+    groups = np.flatnonzero(same == np.arange(len(same)))
+    assert len(groups) < space.n_neighborhoods
+    assert space.candidates.shape == (len(groups), space.n_candidates, len(interior))
+    assert np.array_equal(groups[space.row], same)
     with workers.one_blas_thread():
         for i, k in ((0, 0), (17, 3), (40, 12), (80, space.n_candidates - 1)):
-            row = space.candidates[i, k]
+            row = space.candidates[space.row[i], k]
             assert row.flags.c_contiguous
             spectrum = channel_offline["spectra"][i]
             representatives = spectrum.snapshots[interior] @ spectrum.eigenvectors
@@ -630,10 +636,61 @@ def test_offline_space_rejects_unequal_candidate_counts(unit_offline44):
         "candidates": space.candidates,
     }
     for name, array in arrays.items():
-        for wrong in (array[..., :-1], array[:-1], array[None]):
+        # the candidates may have any number G of blocks; the row map checks it
+        short = array[:, :-1] if name == "candidates" else array[:-1]
+        for wrong in (array[..., :-1], short, array[None]):
             given = {**arrays, name: wrong}
             with pytest.raises(ValueError, match=f"^{name} must have shape"):
-                ms_space.OfflineSpace(space.pu, *given.values(), space.counts)
+                ms_space.OfflineSpace(space.pu, *given.values(), space.row, space.counts)
+
+
+def _offline_space_with_row(space, row, candidates=None):
+    candidates = space.candidates if candidates is None else candidates
+    return ms_space.OfflineSpace(
+        space.pu, space.eigenvalues, space.jitter, candidates, row, space.counts
+    )
+
+
+def test_offline_space_rejects_a_fractional_row_map(unit_offline44):
+    space = _space_from(unit_offline44)
+    with pytest.raises(ValueError, match="^row must be integers, got dtype float64$"):
+        _offline_space_with_row(space, space.row.astype(float))
+    with pytest.raises(ValueError, match="^row must be integers, got dtype bool$"):
+        _offline_space_with_row(space, np.ones(space.n_neighborhoods, dtype=bool))
+
+
+def test_offline_space_rejects_a_row_map_of_the_wrong_shape(unit_offline44):
+    space = _space_from(unit_offline44)
+    N = space.n_neighborhoods
+    for wrong in (space.row[:-1], space.row[None], np.int64(0)):
+        with pytest.raises(ValueError, match=rf"^row must be N = {N} integers, got shape"):
+            _offline_space_with_row(space, wrong)
+
+
+def test_offline_space_rejects_a_row_outside_the_blocks(unit_offline44):
+    space = _space_from(unit_offline44)
+    G = len(space.candidates)
+    for bad in (-1, G):
+        row = space.row.copy()
+        row[4] = bad
+        message = rf"^row must name blocks in \[0, G = {G}\), got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            _offline_space_with_row(space, row)
+    # a block too few: the last neighborhood names a block that is not there
+    with pytest.raises(ValueError, match=rf"^row must name blocks in \[0, G = {G - 1}\)"):
+        _offline_space_with_row(space, space.row, space.candidates[:-1])
+
+
+def test_offline_space_rejects_a_block_no_row_names(unit_offline44):
+    space = _space_from(unit_offline44)
+    row = space.row.copy()
+    row[5] = row[4]  # block 5 is no neighborhood's now
+    with pytest.raises(ValueError, match="^row must name every block of candidates, missing 5$"):
+        _offline_space_with_row(space, row)
+    extra = np.concatenate([space.candidates, space.candidates[:1]])
+    G = len(space.candidates)
+    with pytest.raises(ValueError, match=f"^row must name every block of candidates, missing {G}$"):
+        _offline_space_with_row(space, space.row, extra)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
